@@ -1,0 +1,151 @@
+"""Golden tests for the command-line interface.
+
+Each case runs ``qtrw`` in process on a sample system and compares its exit
+code and its exact standard output with the files under ``tests/golden/``:
+the step lists, critical peaks, check verdicts, distance answers with their
+witnesses (directions and rule ids included), and a reduction graph.
+
+To regenerate the goldens after an intended output change, run this file as
+a script: ``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from qtrw.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXIT_CODES = GOLDEN / "exit_codes.json"
+
+# one seed term per sample: rewritten, probed for termination, and used as
+# the confluence report's seed
+SEEDS = {
+    "barycentric": "x +{1/2} (y +{1/4} z)",
+    "bck": "app(app(app(C, K), B), K)",
+    "bck-nat": "app(app(A, app(S, Z)), app(S, Z))",
+    "bck-nat-w": "app(app(A, Z), app(S, Z))",
+    "dna-eigen-mccaskill": "A(G(C(nil)))",
+    "dna-hamming": "A(C(nil))",
+    "dna-levenshtein": "A(C(nil))",
+    "graded-combinators": "app(app(K, D), !{0}(B))",
+    "linearity-example": "f(e, e)",
+    "nat": "A(S(Z), S(Z))",
+    "semilattice": "un(a, b)",
+    "tick": "tick(tick(nil))",
+    "ticking": "w{2}(w{1}(nil))",
+    "ticking-terminating": "w{2}(w{1}(nil))",
+}
+
+# samples with hundreds of critical peaks get a shallow valley depth and a
+# smaller critical-pair grid
+LARGE = {"barycentric": "0 1/2 1", "ticking": "0 1 2",
+         "ticking-terminating": "0 1 2"}
+
+DISTANCES = [
+    ("dna-hamming", "A(C(nil))", "G(T(nil))"),
+    ("dna-levenshtein", "A(C(G(nil)))", "C(G(T(nil)))"),
+    ("dna-eigen-mccaskill", "A(G(nil))", "T(C(nil))"),
+    ("nat", "A(S(Z), S(Z))", "S(S(Z))"),
+    ("nat", "S(Z)", "A(Z, S(S(Z)))"),
+    ("barycentric", "x +{1/2} y", "y +{1/2} x"),
+    ("barycentric", "x", "x +{1} y"),
+    ("barycentric", "y", "x +{1} y"),
+    ("graded-combinators", "K", "app(D, !{1}(K))"),
+    ("graded-combinators", "app(app(K, D), !{0}(B))", "app(D, !{1}(D))"),
+    ("graded-combinators", "!{2}(app(D, !{1}(K)))", "!{2}(K)"),
+]
+DISTANCE_BUDGET = ["--max-expanded", "300", "--max-depth", "6",
+                   "--max-term-size", "9"]
+
+
+def _cases():
+    """(golden file name, argv with sample names for file paths)."""
+    cases = []
+    for name, seed in sorted(SEEDS.items()):
+        depth = ["--depth", "1" if name in LARGE else "2"]
+        probe = ["--seed", seed, "--max-terms", "50"]
+        cases.append((f"{name}.rewrite.json",
+                      ["rewrite", name, seed, "--json"]))
+        cases.append((f"{name}.rewrite-steps.json",
+                      ["rewrite", name, seed, "--steps", "3", "--json"]))
+        grid = ["--grid", LARGE[name]] if name in LARGE else []
+        cases.append((f"{name}.critical-pairs.json",
+                      ["critical-pairs", name, "--json"] + grid))
+        for what, extra in [("orthogonal", []), ("balanced", []),
+                            ("sn-probe", probe),
+                            ("strong-closure", depth),
+                            ("local-confluence", depth),
+                            ("confluence-report", probe + depth)]:
+            cases.append((f"{name}.check-{what}.json",
+                          ["check", name, "--what", what, "--json"] + extra))
+    for i, (name, s, t) in enumerate(DISTANCES):
+        for mode in ("directed", "convert", "valley"):
+            cases.append((f"{name}.distance-{i}-{mode}.json",
+                          ["distance", name, s, t, "--mode", mode, "--json"]
+                          + DISTANCE_BUDGET))
+    graded = "graded-combinators"
+    cases.append((f"{graded}.graph.dot",
+                  ["graph", graded, "app(app(K, D), !{0}(app(D, !{1}(B))))",
+                   "--depth", "3", "--dot"]))
+    cases.append((f"{graded}.degree.json",
+                  ["degree", graded, "!{3}(x app !{2}(I app x))", "x",
+                   "--json"]))
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv):
+    argv = list(argv)
+    argv[1] = str(SAMPLES / f"{argv[1]}.qtrs")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def exit_codes():
+    return json.loads(EXIT_CODES.read_text())
+
+
+@pytest.mark.parametrize("golden,argv", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_matches_golden(golden, argv, exit_codes):
+    code, out = _run(argv)
+    assert code == exit_codes[golden]
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_goldens_cover_backward_schema_and_graded_witnesses():
+    def backward_rules(golden):
+        answer = json.loads((GOLDEN / golden).read_text())
+        return {w["rule"] for w in answer["witness"]
+                if w["direction"] == "backward"}
+
+    # perturb is a schema rule: its step carries the parameter assignment
+    bary = backward_rules("barycentric.distance-7-convert.json")
+    assert any(r.startswith("perturb[") for r in bary)
+    assert "D" in backward_rules("graded-combinators.distance-9-convert.json")
+
+
+def test_every_golden_belongs_to_a_case():
+    names = {c[0] for c in CASES}
+    on_disk = {p.name for p in GOLDEN.iterdir()} - {EXIT_CODES.name}
+    assert on_disk == names
+    assert set(json.loads(EXIT_CODES.read_text())) == names
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for golden, argv in CASES:
+        codes[golden], out = _run(argv)
+        (GOLDEN / golden).write_text(out)
+    EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
