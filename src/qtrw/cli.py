@@ -12,8 +12,8 @@ import sys as _sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .quantale import INF, Value
-from .term import Term, term_key
+from .quantale import INF, QuantaleError, Value
+from .term import Term, TermError, term_key
 from .qtrs import (
     RewriteSystem,
     confluence_report,
@@ -28,31 +28,26 @@ from .graded import (
     balanced_check,
     degree_at_position,
     degree_of_variable,
-    graded_one_step,
     orthogonality_check,
 )
 from .search import (
-    BUDGET_EXHAUSTED,
     EXACT,
     UNREACHABLE,
     UPPER_BOUND,
     SearchBudget,
     convertibility_distance,
-    normalize,
     reduction_distance,
     valley_distance,
 )
-from .dsl import DslError, parse_system, parse_term
+from .dsl import AnySystem, DslError, parse_system, parse_term
 from .term import Variable, positions, subterm_at
 
 
-def _load(path: str):
+def _load(path: str) -> Tuple[AnySystem, RewriteSystem]:
+    """The system in ``path``, and the rewrite system under its grading."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
-
-
-def _base(sysm) -> RewriteSystem:
-    return sysm.system if isinstance(sysm, GradedSystem) else sysm
+        sysm = parse_system(fh.read())
+    return sysm, (sysm.system if isinstance(sysm, GradedSystem) else sysm)
 
 
 def _parse_weight_arg(text: str) -> Value:
@@ -79,15 +74,13 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_rewrite(args) -> int:
-    sysm = _load(args.file)
-    base = _base(sysm)
+    sysm, base = _load(args.file)
     t = parse_term(args.term, base.signature)
-    stepper = graded_one_step if isinstance(sysm, GradedSystem) else one_step
     if args.steps:
         out = []
         cur = t
         for _ in range(args.steps):
-            steps = stepper(sysm, cur)
+            steps = one_step(sysm, cur)
             if not steps:
                 break
             step = min(steps, key=lambda s: (len(s.position), s.position,
@@ -105,7 +98,7 @@ def _cmd_rewrite(args) -> int:
                       f" {list(s.position)})")
             print(f"result: {cur}")
         return 0
-    steps = stepper(sysm, t)
+    steps = one_step(sysm, t)
     if args.json:
         print(json.dumps([
             {"rule": s.rule_id, "position": list(s.position),
@@ -121,8 +114,7 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    sysm = _load(args.file)
-    base = _base(sysm)
+    sysm, base = _load(args.file)
     s = parse_term(args.source, base.signature)
     t = parse_term(args.target, base.signature)
     fn = {"directed": reduction_distance,
@@ -143,8 +135,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_critical_pairs(args) -> int:
-    sysm = _load(args.file)
-    base = _base(sysm)
+    _, base = _load(args.file)
     grid = (tuple(Fraction(g) for g in args.grid.split())
             if args.grid else None)
     peaks = critical_pairs(base, grid=grid)
@@ -166,8 +157,7 @@ def _cmd_critical_pairs(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    sysm = _load(args.file)
-    base = _base(sysm)
+    sysm, base = _load(args.file)
     gsys = sysm if isinstance(sysm, GradedSystem) else GradedSystem(base)
     seeds = [parse_term(s, base.signature) for s in (args.seed or [])]
     result: Dict[str, object]
@@ -238,10 +228,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    sysm = _load(args.file)
-    base = _base(sysm)
+    sysm, base = _load(args.file)
     t = parse_term(args.term, base.signature)
-    stepper = graded_one_step if isinstance(sysm, GradedSystem) else one_step
     q = base.quantale
     nodes: Dict[str, Term] = {term_key(t): t}
     edges: Dict[Tuple[str, str], Value] = {}
@@ -249,7 +237,7 @@ def _cmd_graph(args) -> int:
     for _ in range(args.depth):
         nxt: List[Term] = []
         for term in frontier:
-            for step in stepper(sysm, term):
+            for step in one_step(sysm, term):
                 sk, tk = term_key(term), term_key(step.target)
                 if tk not in nodes:
                     nodes[tk] = step.target
@@ -268,8 +256,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_degree(args) -> int:
-    sysm = _load(args.file)
-    base = _base(sysm)
+    sysm, base = _load(args.file)
     gsys = sysm if isinstance(sysm, GradedSystem) else GradedSystem(base)
     t = parse_term(args.term, base.signature)
     sig = gsys.signature
@@ -354,7 +341,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (DslError, OSError, ValueError) as exc:
+    except (DslError, OSError, ValueError, QuantaleError, TermError,
+            RecursionError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

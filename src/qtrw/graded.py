@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .quantale import INF, QuantaleSpec, Value
@@ -33,6 +34,7 @@ from .term import (
 from .qtrs import (
     RewriteStep,
     RewriteSystem,
+    Stepper,
     _fresh_variable_for,
     _rule_matches,
     critical_pairs,
@@ -200,6 +202,18 @@ class GradedSystem:
         return GradedSignature(self.system)
 
     @property
+    def quantale(self) -> QuantaleSpec:
+        return self.system.quantale
+
+    @cached_property
+    def stepper(self) -> Stepper:
+        """The rules' one-step relation with every step weight scaled by the
+        degree of its context, built on the first step."""
+        sig, q = self.signature, self.system.quantale
+        return Stepper(self.system,
+                       lambda t, p, w: degree_at_position(sig, t, p).apply(q, w))
+
+    @property
     def balanced(self) -> bool:
         return all(e.balanced for e in balanced_check(self))
 
@@ -232,20 +246,7 @@ def graded_one_step(
 ) -> List[RewriteStep]:
     """Single steps whose weight is the rule weight scaled by the degree of
     the surrounding context."""
-    sig = gsys.signature
-    q = gsys.system.quantale
-    out = []
-    for step in one_step(gsys.system, t, fresh_pool):
-        deg = degree_at_position(sig, t, step.position)
-        out.append(RewriteStep(
-            source=step.source,
-            target=step.target,
-            weight=deg.apply(q, step.weight),
-            position=step.position,
-            rule_id=step.rule_id,
-            substitution=step.substitution,
-        ))
-    return out
+    return one_step(gsys, t, fresh_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +316,7 @@ def multi_step(
                     Application(term.symbol, tuple(c.target for c in combo)),
                     w, n), q)
             for rule in sys.rules:
-                for sigma, env, eps in _rule_matches(sys, rule, term):
+                for sigma, env, eps in _rule_matches(q, sys.grid, rule, term):
                     lhs = instantiate_params(rule.lhs, env)
                     rhs = instantiate_params(rule.rhs, env)
                     bound = sorted(variables(lhs))

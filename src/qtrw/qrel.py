@@ -187,9 +187,6 @@ class FiniteQRel:
         return (peak.leq(refl.compose(star.transpose()))
                 and peak.leq(star.compose(refl.transpose())))
 
-    def strongly_closed_check(self) -> bool:
-        return self.strongly_confluent_check()
-
     # -- termination ---------------------------------------------------------
 
     def _successors(self) -> Dict[Node, List[Node]]:

@@ -8,6 +8,13 @@ the matched symbols; parameters that the left-hand side does not determine
 from the system's declared grid, fresh variables from a caller-supplied
 candidate pool.  For critical-pair analysis the schemas are instantiated
 over the grid up front, which keeps the enumeration finite.
+
+Each system compiles its one-step relation on its first step into one
+``Stepper``, kept in the system's ``stepper`` attribute: the rules indexed by
+left-hand-side root symbol, the inverted rules (sides swapped) indexed the
+same way, and the distance search's relaxation cache.  A backward step is a
+forward step of an inverted rule, so the variables a rule erases become
+fresh variables of its inverse, drawn from the same candidate pool.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .quantale import QuantaleError, QuantaleSpec, Value
 from .ratexpr import Comparison, Env, Expr
@@ -154,6 +163,11 @@ class RewriteSystem:
     def variable_lhs_rules(self) -> Tuple[str, ...]:
         return tuple(r.rid for r in self.rules if isinstance(r.lhs, Variable))
 
+    @cached_property
+    def stepper(self) -> "Stepper":
+        """The compiled one-step relation, built on the first step."""
+        return Stepper(self)
+
     # -- schema instantiation ------------------------------------------------
 
     def instantiate(self, grid: Optional[Sequence[Fraction]] = None) -> "RewriteSystem":
@@ -185,25 +199,6 @@ class RewriteSystem:
         return replace(self, rules=tuple(out))
 
 
-def _lhs_rule_index(
-    sys: RewriteSystem,
-) -> Tuple[Tuple[Rule, ...], Dict[str, Tuple[Rule, ...]]]:
-    """(variable-lhs rules, rules bucketed by lhs root symbol), cached."""
-    idx = getattr(sys, "_lhs_index", None)
-    if idx is None:
-        var_rules: List[Rule] = []
-        by_root: Dict[str, List[Rule]] = {}
-        for rule in sys.rules:
-            if isinstance(rule.lhs, Variable):
-                var_rules.append(rule)
-            else:
-                by_root.setdefault(rule.lhs.symbol.name, []).append(rule)
-        idx = (tuple(var_rules),
-               {k: tuple(v) for k, v in by_root.items()})
-        object.__setattr__(sys, "_lhs_index", idx)
-    return idx
-
-
 def _fresh_variable_for(t: Term, taken: Set[str]) -> Variable:
     avoid = variables(t) | taken
     i = 0
@@ -213,26 +208,110 @@ def _fresh_variable_for(t: Term, taken: Set[str]) -> Variable:
 
 
 def _rule_matches(
-    sys: RewriteSystem, rule: Rule, sub: Term
+    quantale: QuantaleSpec, grid: Sequence[Fraction], rule: Rule, sub: Term
 ) -> Iterator[Tuple[Substitution, Env, Value]]:
-    """All ways ``rule`` fires on ``sub``: bindings, parameter env, weight."""
+    """All ways ``rule`` fires on ``sub``: bindings, parameter env, weight;
+    parameters ``sub`` does not determine range over ``grid``."""
     m = match(rule.lhs, sub)
     if m is None:
         return
     sigma, env = m
     unbound = [p for p in rule.params if p not in env]
-    if unbound and not sys.grid:
+    if unbound and not grid:
         raise QuantaleError(
             f"rule {rule.rid} has free parameters {unbound} but no grid")
-    for combo in itertools.product(sys.grid, repeat=len(unbound)):
+    for combo in itertools.product(grid, repeat=len(unbound)):
         full = dict(env)
         full.update(zip(unbound, combo))
         if not all(c.holds(full) for c in rule.conditions):
             continue
-        w = rule.weight_value(sys.quantale, full)
-        if w == sys.quantale.bottom:
+        w = rule.weight_value(quantale, full)
+        if w == quantale.bottom:
             continue
         yield sigma, full, w
+
+
+_Entry = Tuple[Rule, Tuple[str, ...]]  # a rule and its fresh rhs variables
+
+
+class _RuleTable(NamedTuple):
+    var_rules: Tuple[_Entry, ...]            # rules with a bare-variable lhs
+    by_root: Dict[str, Tuple[_Entry, ...]]   # the others, by lhs root symbol
+    invents: bool                            # some rule has fresh variables
+
+    @classmethod
+    def of(cls, rules: Sequence[Rule]) -> "_RuleTable":
+        entries = [(rule, rule.fresh_rhs_variables()) for rule in rules]
+        by_root: Dict[str, List[_Entry]] = {}
+        for rule, fresh in entries:
+            if not isinstance(rule.lhs, Variable):
+                by_root.setdefault(rule.lhs.symbol.name, []).append((rule, fresh))
+        return cls(tuple(e for e in entries if isinstance(e[0].lhs, Variable)),
+                   {k: tuple(v) for k, v in by_root.items()},
+                   any(fresh for _, fresh in entries))
+
+
+class Stepper:
+    """A system's one-step relation, compiled for both directions.
+
+    ``forward`` indexes the rules and ``backward`` the inverted rules;
+    ``scale`` maps (term, position, rule weight) to the step weight (graded
+    systems scale by the context degree); ``relaxations`` is the distance
+    search's step cache.  The stepper keeps no reference to its system, so
+    a dropped system frees its cache at once rather than at the next cyclic
+    garbage collection.
+    """
+
+    def __init__(self, sys: RewriteSystem,
+                 scale: Optional[Callable[[Term, Position, Value], Value]] = None,
+                 ) -> None:
+        self.quantale, self.grid = sys.quantale, sys.grid
+        self.scale = scale
+        self.forward = _RuleTable.of(sys.rules)
+        self.backward = _RuleTable.of(
+            [replace(r, lhs=r.rhs, rhs=r.lhs) for r in sys.rules])
+        self.relaxations: Dict[object, list] = {}
+
+    def steps(self, t: Term, pool: Optional[Sequence[Term]] = None,
+              backward: bool = False) -> List[RewriteStep]:
+        """Every single step from ``t``, duplicate-free; with ``backward``,
+        every step from ``t`` of the inverse relation.
+
+        ``pool`` supplies candidate instantiations for right-hand-side
+        variables the left-hand side does not bind; by default a single fresh
+        variable is used.  Forward steps of schema rules name their parameter
+        assignment in the rule id; backward steps keep the bare rule id.
+        """
+        q = self.quantale
+        table = self.backward if backward else self.forward
+        steps: Dict[Tuple[Position, str, str], RewriteStep] = {}
+        for p in positions(t):
+            sub = subterm_at(t, p)
+            candidates = table.var_rules
+            if not isinstance(sub, Variable):
+                candidates += table.by_root.get(sub.symbol.name, ())
+            for rule, fresh in candidates:
+                for sigma, env, weight in _rule_matches(q, self.grid, rule, sub):
+                    if self.scale is not None:
+                        weight = self.scale(t, p, weight)
+                    rhs = instantiate_params(rule.rhs, env)
+                    choices = itertools.product(
+                        pool or [_fresh_variable_for(t, set(fresh))],
+                        repeat=len(fresh)) if fresh else [()]
+                    rid = rule.rid
+                    if env and not backward:
+                        rid = f"{rule.rid}[{','.join(f'{k}={v}' for k, v in sorted(env.items()))}]"
+                    for picked in choices:
+                        full_sigma = dict(sigma)
+                        full_sigma.update(zip(fresh, picked))
+                        target = replace_at(t, p, apply_substitution(rhs, full_sigma))
+                        key = (p, rid, term_key(target))
+                        old = steps.get(key)
+                        if old is None or q.strictly_below(old.weight, weight):
+                            steps[key] = RewriteStep(
+                                t, target, weight, p, rid,
+                                tuple(sorted(full_sigma.items())))
+        return [steps[k] for k in sorted(steps)]
 
 
 def one_step(
@@ -244,48 +323,10 @@ def one_step(
 
     ``fresh_pool`` supplies candidate instantiations for right-hand-side
     variables the left-hand side does not bind; by default a single fresh
-    variable is used.
+    variable is used.  ``sys`` may also be a graded system, whose step
+    weights are scaled by the degree of the surrounding context.
     """
-    steps: Dict[Tuple[Position, str, str], RewriteStep] = {}
-    var_rules, by_root = _lhs_rule_index(sys)
-    for p in positions(t):
-        sub = subterm_at(t, p)
-        if isinstance(sub, Variable):
-            candidates = var_rules
-        else:
-            candidates = var_rules + by_root.get(sub.symbol.name, ())
-        for rule in candidates:
-            for sigma, env, weight in _rule_matches(sys, rule, sub):
-                rhs = instantiate_params(rule.rhs, env)
-                fresh = rule.fresh_rhs_variables()
-                if fresh:
-                    pool = list(fresh_pool) if fresh_pool else [
-                        _fresh_variable_for(t, set(fresh))]
-                    choices: Iterable[Tuple[Term, ...]] = itertools.product(
-                        pool, repeat=len(fresh))
-                else:
-                    choices = [()]
-                rid = rule.rid
-                if env:
-                    rid = f"{rule.rid}[{','.join(f'{k}={v}' for k, v in sorted(env.items()))}]"
-                for picked in choices:
-                    full_sigma = dict(sigma)
-                    full_sigma.update(zip(fresh, picked))
-                    target = replace_at(t, p, apply_substitution(rhs, full_sigma))
-                    key = (p, rid, term_key(target))
-                    step = RewriteStep(
-                        source=t,
-                        target=target,
-                        weight=weight,
-                        position=p,
-                        rule_id=rid,
-                        substitution=tuple(sorted(
-                            (x, s) for x, s in full_sigma.items())),
-                    )
-                    old = steps.get(key)
-                    if old is None or sys.quantale.strictly_below(old.weight, step.weight):
-                        steps[key] = step
-    return [steps[k] for k in sorted(steps, key=lambda k: (k[0], k[1], k[2]))]
+    return sys.stepper.steps(t, fresh_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +451,57 @@ def cross_critical_pairs(
 # bounded valley searches
 
 
-def peak_subterm_pool(peak: CriticalPeak) -> List[Term]:
+def subterm_pool(*terms: Term) -> List[Term]:
+    """The distinct subterms of ``terms``, sorted by key: the candidates for
+    variables a step invents."""
     pool: Dict[str, Term] = {}
-    for t in (peak.source, peak.left[0], peak.right[0]):
+    for t in terms:
         for p in positions(t):
             s = subterm_at(t, p)
             pool.setdefault(term_key(s), s)
     return [pool[k] for k in sorted(pool)]
+
+
+def _layered_relaxation(
+    sys: RewriteSystem,
+    t: Term,
+    depth: int,
+    pool: Optional[Sequence[Term]] = None,
+    weight_bound: Optional[Value] = None,
+    size_bound: Optional[int] = None,
+) -> Iterator[Tuple[str, Term, Value, List[RewriteStep]]]:
+    """Relax reducts of ``t`` layer by layer, up to ``depth`` steps.
+
+    Yields (key, term, weight, path) for ``t`` and then for each reduct
+    whose best weight improves, as it improves.  Each layer expands the keys
+    the previous one improved, at their current best weight.  Paths whose
+    weight drops below ``weight_bound`` in the quantale order are pruned
+    (sound: tensors only descend), as are reducts larger than ``size_bound``.
+    """
+    q = sys.quantale
+    best: Dict[str, Tuple[Term, Value, List[RewriteStep]]] = {
+        term_key(t): (t, q.unit, [])}
+    yield term_key(t), t, q.unit, []
+    frontier = [term_key(t)]
+    for _ in range(depth):
+        next_frontier: List[str] = []
+        for key in frontier:
+            term, w, path = best[key]
+            for step in one_step(sys, term, pool):
+                nw = q.tensor(w, step.weight)
+                if weight_bound is not None and not q.leq(weight_bound, nw):
+                    continue
+                if size_bound is not None and term_size(step.target) > size_bound:
+                    continue
+                nk = term_key(step.target)
+                old = best.get(nk)
+                if old is None or q.strictly_below(old[1], nw):
+                    best[nk] = (step.target, nw, path + [step])
+                    next_frontier.append(nk)
+                    yield (nk,) + best[nk]
+        if not next_frontier:
+            break
+        frontier = next_frontier
 
 
 def bounded_reducts(
@@ -434,29 +519,8 @@ def bounded_reducts(
     ``size_bound`` likewise drops reducts larger than the given term size;
     both prunings shrink the reduct set but never invent spurious entries.
     """
-    q = sys.quantale
-    best: Dict[str, Tuple[Term, Value, List[RewriteStep]]] = {
-        term_key(t): (t, q.unit, [])}
-    frontier = [term_key(t)]
-    for _ in range(depth):
-        next_frontier: List[str] = []
-        for key in frontier:
-            term, w, path = best[key]
-            for step in one_step(sys, term, fresh_pool):
-                nw = q.tensor(w, step.weight)
-                if weight_bound is not None and not q.leq(weight_bound, nw):
-                    continue
-                if size_bound is not None and term_size(step.target) > size_bound:
-                    continue
-                nk = term_key(step.target)
-                old = best.get(nk)
-                if old is None or q.strictly_below(old[1], nw):
-                    best[nk] = (step.target, nw, path + [step])
-                    next_frontier.append(nk)
-        if not next_frontier:
-            break
-        frontier = next_frontier
-    return best
+    return {key: (u, w, path) for key, u, w, path in _layered_relaxation(
+        sys, t, depth, fresh_pool, weight_bound, size_bound)}
 
 
 @dataclass(frozen=True)
@@ -479,7 +543,7 @@ def join_check(
     "unknown", carrying the best valley found as a certificate.
     """
     q = sys.quantale
-    pool = peak_subterm_pool(peak)
+    pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
     peak_total = peak.tensor(q)
     lred = bounded_reducts(sys, peak.left[0], depth_budget, pool)
     rred = bounded_reducts(sys, peak.right[0], depth_budget, pool)
@@ -519,56 +583,23 @@ def _one_sided_closure(
     pool: Sequence[Term],
 ) -> Optional[Tuple[Term, Value]]:
     q = sys.quantale
-    candidates: Dict[str, Tuple[Term, Value]] = {
-        term_key(short_side): (short_side, q.unit)}
-    for step in one_step(sys, short_side, pool):
-        key = term_key(step.target)
-        old = candidates.get(key)
-        if old is None or q.strictly_below(old[1], step.weight):
-            candidates[key] = (step.target, step.weight)
+    candidates = {key: (u, w) for key, u, w, _ in _layered_relaxation(
+        sys, short_side, 1, pool)}
     # the sought meet is one of the candidates, so reducts that outgrow them
     # (modulo slack for intermediate reshuffling) can never close the peak
     size_cap = 2 + max(term_size(long_side),
                        *(term_size(u) for u, _ in candidates.values()))
-
-    def hit(term: Term, w: Value) -> Optional[Tuple[Term, Value]]:
+    for key, term, w, _ in _layered_relaxation(
+            sys, long_side, depth, pool, peak_total, size_cap):
         # critical pairs are open terms: the sides meet when one is an
         # instance of the other, not only when they are literally equal
-        for u, wu in candidates.values():
-            if (term_key(term) == term_key(u)
+        for ukey, (u, wu) in candidates.items():
+            if (key == ukey
                     or match(term, u) is not None
                     or match(u, term) is not None):
                 total = q.tensor(wu, w)
                 if q.leq(peak_total, total):
                     return (u, total)
-        return None
-
-    found = hit(long_side, q.unit)
-    if found is not None:
-        return found
-    best_seen: Dict[str, Value] = {term_key(long_side): q.unit}
-    frontier: List[Tuple[Term, Value]] = [(long_side, q.unit)]
-    for _ in range(depth):
-        next_frontier: List[Tuple[Term, Value]] = []
-        for term, w in frontier:
-            for step in one_step(sys, term, pool):
-                nw = q.tensor(w, step.weight)
-                if not q.leq(peak_total, nw):
-                    continue
-                if term_size(step.target) > size_cap:
-                    continue
-                nk = term_key(step.target)
-                old = best_seen.get(nk)
-                if old is not None and not q.strictly_below(old, nw):
-                    continue
-                best_seen[nk] = nw
-                found = hit(step.target, nw)
-                if found is not None:
-                    return found
-                next_frontier.append((step.target, nw))
-        if not next_frontier:
-            break
-        frontier = next_frontier
     return None
 
 
@@ -582,7 +613,7 @@ def strongly_closed_check(
     the peak tensor in the quantale order.
     """
     q = sys.quantale
-    pool = peak_subterm_pool(peak)
+    pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
     total = peak.tensor(q)
     c1 = _one_sided_closure(sys, peak.left[0], peak.right[0], total,
                             depth_budget, pool)

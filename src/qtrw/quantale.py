@@ -64,10 +64,6 @@ def _ext_max(a: Value, b: Value) -> Value:
     return a if a >= b else b
 
 
-def _ext_min(a: Value, b: Value) -> Value:
-    return a if a <= b else b
-
-
 def _ext_sub(b: Value, a: Value) -> Value:
     """Truncated subtraction b - a on [0, inf]."""
     if b is INF:

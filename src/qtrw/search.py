@@ -6,36 +6,24 @@ they are ordinary shortest-path searches.  Answers are conservative: an
 exact claim is made only when no pruned branch could still beat the
 returned value; otherwise the best witness is returned as an upper bound.
 
-Backward steps match a rule's right-hand side and rebuild the left-hand
-side; variables the right-hand side erases are instantiated from a
-candidate pool drawn from the query terms' subterms.
+Steps come from the system's stepper (see ``qtrw.qtrs.Stepper``): backward
+steps are forward steps of the inverted rules, so variables a rule's
+right-hand side erases are instantiated from a candidate pool drawn from the
+query terms' subterms.  Each term's deduplicated step list is cached in the
+stepper, so repeated queries over a shared state space amortize.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .quantale import QuantaleError, Value
-from .term import (
-    Position,
-    Term,
-    Variable,
-    apply_substitution,
-    instantiate_params,
-    match,
-    positions,
-    replace_at,
-    subterm_at,
-    term_key,
-    term_size,
-    variables,
-)
-from .qtrs import RewriteSystem, _fresh_variable_for, one_step
-from .graded import GradedSystem, degree_at_position, graded_one_step
+from .term import Position, Term, term_key, term_size
+from .qtrs import RewriteStep, RewriteSystem, one_step, subterm_pool
+from .graded import GradedSystem
 
 AnySystem = Union[RewriteSystem, GradedSystem]
 
@@ -97,145 +85,36 @@ class DistanceAnswer:
         })
 
 
-def _base_system(sys: AnySystem) -> RewriteSystem:
-    return sys.system if isinstance(sys, GradedSystem) else sys
-
-
-def _forward_steps(sys: AnySystem, t: Term, pool: Sequence[Term]) -> List[WitnessStep]:
-    stepper = graded_one_step if isinstance(sys, GradedSystem) else one_step
-    return [
-        WitnessStep("forward", s.source, s.target, s.position, s.rule_id, s.weight)
-        for s in stepper(sys, t, pool)
-    ]
-
-
-def _rhs_rule_index(base: RewriteSystem):
-    """Rules bucketed by rhs root symbol (plus variable-rhs rules), cached."""
-    idx = getattr(base, "_rhs_index", None)
-    if idx is None:
-        var_rules = []
-        by_root = {}
-        for rule in base.rules:
-            if isinstance(rule.rhs, Variable):
-                var_rules.append(rule)
-            else:
-                by_root.setdefault(rule.rhs.symbol.name, []).append(rule)
-        idx = (tuple(var_rules), {k: tuple(v) for k, v in by_root.items()})
-        object.__setattr__(base, "_rhs_index", idx)
-    return idx
-
-
-def _backward_steps(sys: AnySystem, t: Term, pool: Sequence[Term]) -> List[WitnessStep]:
-    """Predecessors of ``t``: rebuild a left-hand-side instance wherever a
-    right-hand-side instance occurs."""
-    base = _base_system(sys)
-    q = base.quantale
-    out: Dict[Tuple[Position, str, str], WitnessStep] = {}
-    var_rules, by_root = _rhs_rule_index(base)
-    for p in positions(t):
-        sub = subterm_at(t, p)
-        if isinstance(sub, Variable):
-            candidates = var_rules
-        else:
-            candidates = var_rules + by_root.get(sub.symbol.name, ())
-        for rule in candidates:
-            m = match(rule.rhs, sub)
-            if m is None:
-                continue
-            sigma, env = m
-            unbound = [x for x in rule.params if x not in env]
-            if unbound and not base.grid:
-                raise QuantaleError(
-                    f"rule {rule.rid} has free parameters but no grid")
-            erased = sorted(variables(rule.lhs) - variables(rule.rhs))
-            candidates = list(pool) or [_fresh_variable_for(t, set(erased))]
-            for combo in itertools.product(base.grid, repeat=len(unbound)):
-                full_env = dict(env)
-                full_env.update(zip(unbound, combo))
-                if not all(c.holds(full_env) for c in rule.conditions):
-                    continue
-                w = rule.weight_value(q, full_env)
-                if w == q.bottom:
-                    continue
-                lhs = instantiate_params(rule.lhs, full_env)
-                for picks in itertools.product(candidates, repeat=len(erased)):
-                    full = dict(sigma)
-                    full.update(zip(erased, picks))
-                    source = replace_at(t, p, apply_substitution(lhs, full))
-                    if isinstance(sys, GradedSystem):
-                        w2 = degree_at_position(
-                            sys.signature, t, p).apply(q, w)
-                    else:
-                        w2 = w
-                    step = WitnessStep("backward", t, source, p, rule.rid, w2)
-                    key = (p, rule.rid, term_key(source))
-                    old = out.get(key)
-                    if old is None or q.strictly_below(old.weight, w2):
-                        out[key] = step
-    return [out[k] for k in sorted(out, key=lambda k: (k[0], k[1], k[2]))]
-
-
-def _symmetrized_steps(sys: AnySystem, t: Term, pool: Sequence[Term]) -> List[WitnessStep]:
-    return _forward_steps(sys, t, pool) + _backward_steps(sys, t, pool)
-
-
-_STEPPERS = {"forward": _forward_steps, "symmetrized": _symmetrized_steps}
-
 Relaxation = Tuple[str, Term, Value, WitnessStep]
 
 
-def _pool_sensitivity(base: RewriteSystem) -> Tuple[bool, bool]:
-    """Whether step generation depends on the candidate pool.
-
-    Forward steps consult the pool only to invent right-hand-side variables
-    absent from the left; backward steps only to fill variables the right-hand
-    side erases.  Systems without such rules yield pool-independent steps.
-    """
-    sens = getattr(base, "_pool_sens", None)
-    if sens is None:
-        fwd = any(variables(r.rhs) - variables(r.lhs) for r in base.rules)
-        bwd = any(variables(r.lhs) - variables(r.rhs) for r in base.rules)
-        sens = (fwd, bwd)
-        object.__setattr__(base, "_pool_sens", sens)
-    return sens
-
-
-def _relaxations(sys: AnySystem, mode: str, t: Term,
+def _relaxations(sys: AnySystem, symmetric: bool, t: Term,
                  pool: Sequence[Term]) -> List[Relaxation]:
-    """Step list for ``t`` deduplicated per target (best weight kept), cached
-    on the system so repeated queries over shared state spaces amortize."""
-    base = _base_system(sys)
-    q = base.quantale
-    fwd_sens, bwd_sens = _pool_sensitivity(base)
-    sensitive = fwd_sens if mode == "forward" else (fwd_sens or bwd_sens)
-    graded = isinstance(sys, GradedSystem)
-    key: object = (mode, graded, term_key(t))
-    if sensitive:
-        key = (mode, graded, term_key(t), tuple(term_key(p) for p in pool))
-    cache = getattr(base, "_step_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(base, "_step_cache", cache)
-    out = cache.get(key)
+    """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
+    per target (best weight kept) and cached in the system's stepper."""
+    stepper = sys.stepper
+    key: object = (symmetric, term_key(t))
+    # the pool only fills variables a rule invents; otherwise steps ignore it
+    if stepper.forward.invents or (symmetric and stepper.backward.invents):
+        key = (symmetric, term_key(t), tuple(term_key(p) for p in pool))
+    out = stepper.relaxations.get(key)
     if out is None:
+        directions = [("forward", one_step(sys, t, pool))]
+        if symmetric:
+            directions.append(
+                ("backward", stepper.steps(t, pool, backward=True)))
+        sb = sys.quantale.strictly_below
         best: Dict[str, Relaxation] = {}
-        for step in _STEPPERS[mode](sys, t, pool):
-            nk = term_key(step.target)
-            old = best.get(nk)
-            if old is None or q.strictly_below(old[2], step.weight):
-                best[nk] = (nk, step.target, step.weight, step)
-        out = [best[k] for k in sorted(best)]
-        cache[key] = out
+        for direction, steps in directions:
+            for s in steps:
+                nk = term_key(s.target)
+                old = best.get(nk)
+                if old is None or sb(old[2], s.weight):
+                    best[nk] = (nk, s.target, s.weight, WitnessStep(
+                        direction, s.source, s.target, s.position, s.rule_id,
+                        s.weight))
+        out = stepper.relaxations[key] = [best[k] for k in sorted(best)]
     return out
-
-
-def _endpoint_pool(*terms: Term) -> List[Term]:
-    pool: Dict[str, Term] = {}
-    for t in terms:
-        for p in positions(t):
-            s = subterm_at(t, p)
-            pool.setdefault(term_key(s), s)
-    return [pool[k] for k in sorted(pool)]
 
 
 class _SideSearch:
@@ -250,16 +129,16 @@ class _SideSearch:
         self,
         sys: AnySystem,
         start: Term,
-        mode: str,
+        symmetric: bool,
         pool: Sequence[Term],
         budget: SearchBudget,
     ) -> None:
         self.sys = sys
-        self.q = _base_system(sys).quantale
+        self.q = sys.quantale
         if not self.q.totally_ordered:
             raise QuantaleError(
                 "uniform-cost search needs a totally ordered quantale")
-        self.mode = mode
+        self.symmetric = symmetric
         self.pool = pool
         self.budget = budget
         self.dist: Dict[str, Tuple[Value, int, List[WitnessStep]]] = {
@@ -315,7 +194,7 @@ class _SideSearch:
                 self._note_pruned(w)
                 return key
             for nk, target, sw, step in _relaxations(
-                    self.sys, self.mode, term, self.pool):
+                    self.sys, self.symmetric, term, self.pool):
                 nw = tensor(w, sw)
                 if cutoff is not None and sb(nw, cutoff):
                     self._note_pruned(nw)
@@ -341,9 +220,9 @@ def reduction_distance(
     sys: AnySystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
 ) -> DistanceAnswer:
     """Best accumulated weight of a rewrite path from ``s`` to ``t``."""
-    q = _base_system(sys).quantale
-    pool = _endpoint_pool(s, t)
-    side = _SideSearch(sys, s, "forward", pool, budget)
+    q = sys.quantale
+    pool = subterm_pool(s, t)
+    side = _SideSearch(sys, s, False, pool, budget)
     target = term_key(t)
     expanded = 0
     while expanded < budget.max_expanded:
@@ -371,14 +250,13 @@ def _meet_search(
     s: Term,
     t: Term,
     budget: SearchBudget,
-    left_mode: str,
-    right_mode: str,
+    symmetric: bool,
 ) -> DistanceAnswer:
     """Bidirectional search; meets are scored by the tensor of both sides."""
-    q = _base_system(sys).quantale
-    pool = _endpoint_pool(s, t)
-    left = _SideSearch(sys, s, left_mode, pool, budget)
-    right = _SideSearch(sys, t, right_mode, pool, budget)
+    q = sys.quantale
+    pool = subterm_pool(s, t)
+    left = _SideSearch(sys, s, symmetric, pool, budget)
+    right = _SideSearch(sys, t, symmetric, pool, budget)
     best: Optional[Tuple[Value, str]] = None
 
     def consider(key: str) -> None:
@@ -449,14 +327,14 @@ def convertibility_distance(
     sys: AnySystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
 ) -> DistanceAnswer:
     """Best weight of a conversion (steps in either direction) from s to t."""
-    return _meet_search(sys, s, t, budget, "symmetrized", "symmetrized")
+    return _meet_search(sys, s, t, budget, symmetric=True)
 
 
 def valley_distance(
     sys: AnySystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
 ) -> DistanceAnswer:
     """Best tensor over common reducts of forward reductions from s and t."""
-    return _meet_search(sys, s, t, budget, "forward", "forward")
+    return _meet_search(sys, s, t, budget, symmetric=False)
 
 
 def reachability(
@@ -476,7 +354,7 @@ def epsilon_reachability(
     budget: SearchBudget = SearchBudget(),
 ) -> str:
     """Tri-state: is there a conversion of weight dominating ``eps``?"""
-    q = _base_system(sys).quantale
+    q = sys.quantale
     q.check_value(eps)
     cut = budget.weight_cutoff
     if cut is None or q.strictly_below(eps, cut):
@@ -505,11 +383,11 @@ def normalize(
     Deterministic strategies follow one maximal path; "all" collects every
     normal form discovered by breadth-first closure under the budget.
     """
-    q = _base_system(sys).quantale
-    pool = _endpoint_pool(t)
+    q = sys.quantale
+    pool = subterm_pool(t)
 
     if strategy in ("leftmost-innermost", "leftmost-outermost"):
-        def pick(steps: List[WitnessStep]) -> WitnessStep:
+        def pick(steps: List[RewriteStep]) -> RewriteStep:
             if strategy == "leftmost-innermost":
                 return min(steps, key=lambda s: (-len(s.position), s.position,
                                                  s.rule_id))
@@ -517,10 +395,12 @@ def normalize(
                                              s.rule_id))
 
         cur, w = t, q.unit
-        for _ in range(budget.max_depth):
-            steps = _forward_steps(sys, cur, pool)
+        for taken in range(budget.max_depth + 1):
+            steps = one_step(sys, cur, pool)
             if not steps:
                 return NormalizeResult(((cur, w),), False)
+            if taken == budget.max_depth:
+                break
             step = pick(steps)
             cur = step.target
             w = q.tensor(w, step.weight)
@@ -534,7 +414,9 @@ def normalize(
     nfs: Dict[str, Tuple[Term, Value]] = {}
     expanded = 0
     exhausted = False
-    for _ in range(budget.max_depth):
+    # layer d holds terms d steps from t: normal forms up to max_depth steps
+    # away are found, and terms that could still step at that depth exhaust
+    for depth in range(budget.max_depth + 1):
         nxt: List[str] = []
         for key in frontier:
             term, w = seen[key]
@@ -542,11 +424,14 @@ def normalize(
             if expanded > budget.max_expanded:
                 exhausted = True
                 break
-            steps = _forward_steps(sys, term, pool)
+            steps = one_step(sys, term, pool)
             if not steps:
                 old = nfs.get(key)
                 if old is None or q.strictly_below(old[1], w):
                     nfs[key] = (term, w)
+                continue
+            if depth == budget.max_depth:
+                exhausted = True
                 continue
             for step in steps:
                 nw = q.tensor(w, step.weight)
@@ -558,8 +443,6 @@ def normalize(
         if exhausted or not nxt:
             break
         frontier = nxt
-    else:
-        exhausted = exhausted or bool(frontier)
     if not nfs and exhausted:
         return NormalizeResult((), True)
     return NormalizeResult(
@@ -569,19 +452,19 @@ def normalize(
 def validate_witness(sys: AnySystem, s: Term, t: Term,
                      witness: Sequence[WitnessStep]) -> bool:
     """Re-derive every witness step through the one-step relation."""
-    q = _base_system(sys).quantale
-    pool = _endpoint_pool(s, t)
+    q = sys.quantale
+    pool = subterm_pool(s, t)
     cur = s
     for wstep in witness:
         if term_key(wstep.source) != term_key(cur):
             return False
         if wstep.direction == "forward":
-            cands = _forward_steps(sys, wstep.source, pool)
+            cands = one_step(sys, wstep.source, pool)
             ok = any(term_key(c.target) == term_key(wstep.target)
                      and not q.strictly_below(c.weight, wstep.weight)
                      for c in cands if c.position == wstep.position)
         else:
-            cands = _forward_steps(sys, wstep.target, pool)
+            cands = one_step(sys, wstep.target, pool)
             ok = any(term_key(c.target) == term_key(wstep.source)
                      and not q.strictly_below(c.weight, wstep.weight)
                      for c in cands if c.position == wstep.position)

@@ -44,9 +44,6 @@ class Symbol:
             rendered = self.name
         object.__setattr__(self, "_str", rendered)
 
-    def is_concrete(self) -> bool:
-        return all(isinstance(p, Fraction) for p in self.params)
-
     def __str__(self) -> str:
         return self._str  # type: ignore[attr-defined]
 

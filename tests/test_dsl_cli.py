@@ -158,3 +158,15 @@ def test_cli_errors_return_one(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(_nat("S(S(Z)", "Z")) == 1
     capsys.readouterr()
+
+
+def test_cli_library_errors_return_one(capsys):
+    bary = str(SAMPLES / "barycentric.qtrs")
+    assert main(["critical-pairs", bary, "--grid", " "]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no parameter grid" in err
+    deep = "tick(" * 600 + "nil" + ")" * 600
+    tick = str(SAMPLES / "tick.qtrs")
+    for argv in (["rewrite", tick, deep], ["distance", tick, deep, "nil"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")

@@ -178,6 +178,18 @@ def test_normalize_all_keeps_best_weight():
     assert weight == Fraction(3)  # delete three successors, additions free
 
 
+def test_normalize_finds_normal_form_exactly_max_depth_away():
+    sys = make_nat()
+    t = _add(nat_term(1), nat_term(2))  # four steps from Z at best weight 3
+    for strategy in ("leftmost-innermost", "all"):
+        res = normalize(sys, t, strategy, SearchBudget(max_depth=4))
+        assert not res.exhausted
+        ((nf, weight),) = res.normal_forms
+        assert term_key(nf) == term_key(nat_term(0)) and weight == 3
+        short = normalize(sys, t, strategy, SearchBudget(max_depth=3))
+        assert short.exhausted and short.normal_forms == ()
+
+
 def test_normalize_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         normalize(make_nat(), nat_term(1), "outside-in")
