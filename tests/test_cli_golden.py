@@ -1,22 +1,33 @@
-"""Golden tests for the command-line interface.
+"""Golden tests for the command-line interface and the library.
 
-Each case runs ``qtrw`` in process on a sample system and compares its exit
-code and its exact standard output with the files under ``tests/golden/``:
-the step lists, critical peaks, check verdicts, distance answers with their
-witnesses (directions and rule ids included), and a reduction graph.
+Each CLI case runs ``qtrw`` in process on a sample system and compares its
+exit code and its exact standard output with the files under
+``tests/golden/``: the step lists, critical peaks, check verdicts, distance
+answers with their witnesses (directions and rule ids included), and a
+reduction graph.  Two library goldens cover what the CLI does not print:
+``normalize`` under every strategy at several depths on each sample's seed
+term (``normalize.json``), and ``multi_step`` on seeded graded-combinator
+terms at widths 1, 2 and 4 (``multi-step.json``).
 
-To regenerate the goldens after an intended output change, run this file as
+To regenerate all goldens after an intended output change, run this file as
 a script: ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
 import contextlib
 import io
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qtrw.cli import main
+from qtrw.dsl import parse_system, parse_term
+from qtrw.graded import GradedSystem, multi_step
+from qtrw.search import SearchBudget, normalize
+from qtrw.term import (Application, Symbol, Variable, apply_substitution,
+                       instantiate_params, term_key, variables)
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -123,6 +134,87 @@ def test_cli_output_matches_golden(golden, argv, exit_codes):
     assert out == (GOLDEN / golden).read_text()
 
 
+# -- library goldens -----------------------------------------------------------
+
+NORMALIZE_DEPTHS = (1, 2, 3, 6)
+NORMALIZE_EXPANDED = 300  # "all" exhausts at depth 6 on three samples
+MULTI_STEP_WIDTHS = (1, 2, 4)
+
+
+def _system(name):
+    return parse_system((SAMPLES / f"{name}.qtrs").read_text())
+
+
+def _signature(sysm):
+    return (sysm.system if isinstance(sysm, GradedSystem) else sysm).signature
+
+
+def _normalize_golden():
+    out = {}
+    for name, seed in sorted(SEEDS.items()):
+        sysm = _system(name)
+        t = parse_term(seed, _signature(sysm))
+        rows = out[name] = {}
+        for strategy in ("leftmost-innermost", "leftmost-outermost", "all"):
+            for depth in NORMALIZE_DEPTHS:
+                res = normalize(sysm, t, strategy, SearchBudget(
+                    max_expanded=NORMALIZE_EXPANDED, max_depth=depth))
+                rows[f"{strategy} {depth}"] = {
+                    "normal_forms": [[term_key(u), str(w)]
+                                     for u, w in res.normal_forms],
+                    "exhausted": res.exhausted}
+    return out
+
+
+def _multi_step_terms(gsys, count=12):
+    """Seeded graded-combinator terms holding several redexes: instances of
+    the rules' left-hand sides whose arguments are leaves or other redexes,
+    and applications of two such terms."""
+    base = gsys.system
+    rng = random.Random("multi-step")
+    leaves = [Variable("x"), Variable("y")] + [
+        Application(Symbol(f.name, 0, tuple(
+            rng.choice(base.grid) for _ in f.param_names)), ())
+        for f in base.signature if f.arity == 0]
+
+    def redex(args):
+        rule = rng.choice(base.rules)
+        lhs = instantiate_params(
+            rule.lhs, {p: rng.choice(base.grid) for p in rule.params})
+        return apply_substitution(
+            lhs, {x: rng.choice(args) for x in sorted(variables(lhs))})
+
+    inner = [redex(leaves) for _ in range(count)]
+    outer = [redex(leaves + inner) for _ in range(count)]
+    app = Symbol("app", 2)
+    return outer + [Application(app, (rng.choice(inner), rng.choice(outer)))
+                    for _ in range(count // 2)]
+
+
+def _multi_step_golden():
+    gsys = _system("graded-combinators")
+    out = {}
+    for t in _multi_step_terms(gsys):
+        out[term_key(t)] = {
+            str(width): [[term_key(m.target), str(m.weight), m.nredex]
+                         for m in multi_step(gsys, t, width)]
+            for width in MULTI_STEP_WIDTHS}
+    return out
+
+
+LIBRARY = {"normalize.json": _normalize_golden,
+           "multi-step.json": _multi_step_golden}
+
+
+def _library_text(golden):
+    return json.dumps(LIBRARY[golden](), indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("golden", sorted(LIBRARY))
+def test_library_output_matches_golden(golden):
+    assert _library_text(golden) == (GOLDEN / golden).read_text()
+
+
 def test_goldens_cover_backward_schema_and_graded_witnesses():
     def backward_rules(golden):
         answer = json.loads((GOLDEN / golden).read_text())
@@ -138,7 +230,7 @@ def test_goldens_cover_backward_schema_and_graded_witnesses():
 def test_every_golden_belongs_to_a_case():
     names = {c[0] for c in CASES}
     on_disk = {p.name for p in GOLDEN.iterdir()} - {EXIT_CODES.name}
-    assert on_disk == names
+    assert on_disk == names | set(LIBRARY)
     assert set(json.loads(EXIT_CODES.read_text())) == names
 
 
@@ -149,3 +241,5 @@ if __name__ == "__main__":
         codes[golden], out = _run(argv)
         (GOLDEN / golden).write_text(out)
     EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    for golden in LIBRARY:
+        (GOLDEN / golden).write_text(_library_text(golden))
