@@ -10,16 +10,18 @@ import argparse
 import json
 import sys as _sys
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .quantale import INF, QuantaleError, Value
-from .term import Term, TermError, term_key
+from .term import TermError, term_key
 from .qtrs import (
     RewriteSystem,
     confluence_report,
     critical_pairs,
     join_check,
     one_step,
+    sn_probe,
     strongly_closed_check,
     term_graph,
 )
@@ -37,6 +39,7 @@ from .search import (
     SearchBudget,
     convertibility_distance,
     reduction_distance,
+    strategy_path,
     valley_distance,
 )
 from .dsl import AnySystem, DslError, parse_system, parse_term
@@ -74,42 +77,28 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_rewrite(args) -> int:
+    """The single steps from the term, or with ``--steps N`` the first N
+    steps of its leftmost-outermost path."""
     sysm, base = _load(args.file)
     t = parse_term(args.term, base.signature)
     if args.steps:
-        out = []
-        cur = t
-        for _ in range(args.steps):
-            steps = one_step(sysm, cur)
-            if not steps:
-                break
-            step = min(steps, key=lambda s: (len(s.position), s.position,
-                                             s.rule_id))
-            out.append(step)
-            cur = step.target
-        if args.json:
-            print(json.dumps([
-                {"rule": s.rule_id, "position": list(s.position),
-                 "weight": str(s.weight), "target": term_key(s.target)}
-                for s in out]))
-        else:
-            for s in out:
-                print(f"-[{s.weight}]-> {s.target}   ({s.rule_id} at"
-                      f" {list(s.position)})")
-            print(f"result: {cur}")
-        return 0
-    steps = one_step(sysm, t)
+        steps = list(islice(strategy_path(sysm, t, "leftmost-outermost"),
+                            max(args.steps, 0)))
+        footer = f"result: {steps[-1].target if steps else t}"
+    else:
+        steps = one_step(sysm, t)
+        footer = "" if steps else "normal form"
     if args.json:
         print(json.dumps([
             {"rule": s.rule_id, "position": list(s.position),
              "weight": str(s.weight), "target": term_key(s.target)}
             for s in steps]))
-    else:
-        for s in steps:
-            print(f"-[{s.weight}]-> {s.target}   ({s.rule_id} at"
-                  f" {list(s.position)})")
-        if not steps:
-            print("normal form")
+        return 0
+    for s in steps:
+        print(f"-[{s.weight}]-> {s.target}   ({s.rule_id} at"
+              f" {list(s.position)})")
+    if footer:
+        print(footer)
     return 0
 
 
@@ -197,17 +186,11 @@ def _cmd_check(args) -> int:
         if not seeds:
             print("sn-probe needs at least one --seed term", file=_sys.stderr)
             return 2
-        rel, exhausted = term_graph(base, seeds, args.max_terms)
-        if not rel.strongly_normalizing_check():
-            result = {"sn": "cycle found"}
-            code = 1
-        elif exhausted:
-            result = {"sn": "passes on explored", "terms": len(rel.carrier)}
-            code = 0
-        else:
-            result = {"sn": "inconclusive (truncated)",
-                      "terms": len(rel.carrier)}
-            code = 2
+        status, rel = sn_probe(base, seeds, args.max_terms)
+        result = {"sn": status}
+        code = {"cycle found": 1, "passes on explored": 0}.get(status, 2)
+        if code != 1:
+            result["terms"] = len(rel.carrier)
     elif args.what == "confluence-report":
         report = confluence_report(base, seeds, depth_budget=args.depth,
                                    sn_max_terms=args.max_terms)
@@ -230,28 +213,8 @@ def _cmd_check(args) -> int:
 def _cmd_graph(args) -> int:
     sysm, base = _load(args.file)
     t = parse_term(args.term, base.signature)
-    q = base.quantale
-    nodes: Dict[str, Term] = {term_key(t): t}
-    edges: Dict[Tuple[str, str], Value] = {}
-    frontier = [t]
-    for _ in range(args.depth):
-        nxt: List[Term] = []
-        for term in frontier:
-            for step in one_step(sysm, term):
-                sk, tk = term_key(term), term_key(step.target)
-                if tk not in nodes:
-                    nodes[tk] = step.target
-                    nxt.append(step.target)
-                old = edges.get((sk, tk))
-                edges[(sk, tk)] = (step.weight if old is None
-                                   else q.join2(old, step.weight))
-        frontier = nxt
-    from .qrel import FiniteQRel
-    rel = FiniteQRel.make(sorted(nodes), edges, q)
-    if args.dot:
-        print(rel.to_dot(name="rewriting"))
-    else:
-        print(rel.to_text())
+    rel, _ = term_graph(sysm, [t], max_terms=None, depth=args.depth)
+    print(rel.to_dot(name="rewriting") if args.dot else rel.to_text())
     return 0
 
 

@@ -211,6 +211,8 @@ _RULE_RE = re.compile(
 
 _ARROW_RE = re.compile(r"-\[(?P<w>[^\]]*)\]->")
 
+_WHERE_RE = re.compile(r"\bwhere\b")
+
 
 def parse_system(text: str) -> AnySystem:
     name = "unnamed"
@@ -278,14 +280,13 @@ def parse_system(text: str) -> AnySystem:
             m = _RULE_RE.match(rest)
             if m is None:
                 raise DslError(f"bad rule line {rest!r}", lineno)
-            body = m.group("body")
-            if "where" in body:
-                body, _, conds_text = body.partition("where")
+            body, *conds_text = _WHERE_RE.split(m.group("body"), maxsplit=1)
+            try:
                 conditions = tuple(
                     parse_comparison(c.strip())
-                    for c in conds_text.split(",") if c.strip())
-            else:
-                conditions = ()
+                    for c in "".join(conds_text).split(",") if c.strip())
+            except ExprError as exc:
+                raise DslError(str(exc), lineno) from None
             arrow = _ARROW_RE.search(body)
             if arrow is None:
                 raise DslError("rule needs a '-[weight]->' arrow", lineno)

@@ -286,12 +286,15 @@ def multi_step(
     fired at the root contributes its weight tensored with each bound
     variable's left-hand-side degree applied to that argument's multi-step
     weight.  Per target, only (weight, redex-count) Pareto optima are kept.
+    Rules are looked up in the system's stepper: those whose left-hand side
+    is a bare variable, then those rooted at the node's symbol.
     """
     if not gsys.balanced:
         raise GradedError("multi-step reduction requires a balanced system")
     sys = gsys.system
     sig = gsys.signature
     q = sys.quantale
+    rules = gsys.stepper.forward
     memo: Dict[str, List[MultiStep]] = {}
 
     def rec(term: Term) -> List[MultiStep]:
@@ -315,14 +318,14 @@ def multi_step(
                 _pareto_insert(table, MultiStep(
                     Application(term.symbol, tuple(c.target for c in combo)),
                     w, n), q)
-            for rule in sys.rules:
+            for rule, fresh in (rules.var_rules
+                                + rules.by_root.get(term.symbol.name, ())):
                 for sigma, env, eps in _rule_matches(q, sys.grid, rule, term):
                     lhs = instantiate_params(rule.lhs, env)
                     rhs = instantiate_params(rule.rhs, env)
                     bound = sorted(variables(lhs))
                     arg_opts = [rec(sigma[x]) for x in bound]
                     degs = [degree_of_variable(sig, lhs, x) for x in bound]
-                    fresh = rule.fresh_rhs_variables()
                     pool = list(fresh_pool) if fresh_pool else (
                         [_fresh_variable_for(term, set(fresh))] if fresh else [])
                     for combo in itertools.product(*arg_opts):

@@ -14,7 +14,9 @@ Each system compiles its one-step relation on its first step into one
 left-hand-side root symbol, the inverted rules (sides swapped) indexed the
 same way, and the distance search's relaxation cache.  A backward step is a
 forward step of an inverted rule, so the variables a rule erases become
-fresh variables of its inverse, drawn from the same candidate pool.
+fresh variables of its inverse, drawn from the same candidate pool.  A rule
+whose right-hand side matching cannot solve for its parameters (a compound
+slot such as ``+{(1 - e)}``) is inverted instance by instance over the grid.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
 from .quantale import QuantaleError, QuantaleSpec, Value
-from .ratexpr import Comparison, Env, Expr
+from .ratexpr import Comparison, Env, Expr, ExprError, Param
 from .term import (
     Application,
     Position,
@@ -251,6 +253,39 @@ class _RuleTable(NamedTuple):
                    any(fresh for _, fresh in entries))
 
 
+def _params_solvable(t: Term) -> bool:
+    """Whether matching ``t`` determines every parameter it uses: ``match``
+    binds bare parameter slots left to right and checks a compound slot only
+    against parameters bound before it."""
+    bound: Set[str] = set()
+
+    def walk(s: Term) -> bool:
+        if isinstance(s, Variable):
+            return True
+        for slot in s.symbol.params:
+            if isinstance(slot, Param):
+                bound.add(slot.name)
+            elif not isinstance(slot, Fraction) and not slot.params() <= bound:
+                return False
+        return all(walk(a) for a in s.args)
+
+    return walk(t)
+
+
+def _inverses(sys: RewriteSystem, rule: Rule) -> List[Rule]:
+    """``rule`` with its sides swapped, or, if matching cannot solve its
+    right-hand side, its grid instances swapped, each under the bare rule id.
+    Without a grid, or if some instance is undefined, the swapped schema is
+    kept; it never fires."""
+    if sys.grid and not _params_solvable(rule.rhs):
+        try:
+            return [replace(r, rid=rule.rid, lhs=r.rhs, rhs=r.lhs)
+                    for r in replace(sys, rules=(rule,)).instantiate().rules]
+        except (ExprError, QuantaleError):
+            pass
+    return [replace(rule, lhs=rule.rhs, rhs=rule.lhs)]
+
+
 class Stepper:
     """A system's one-step relation, compiled for both directions.
 
@@ -269,7 +304,7 @@ class Stepper:
         self.scale = scale
         self.forward = _RuleTable.of(sys.rules)
         self.backward = _RuleTable.of(
-            [replace(r, lhs=r.rhs, rhs=r.lhs) for r in sys.rules])
+            [inv for rule in sys.rules for inv in _inverses(sys, rule)])
         self.relaxations: Dict[object, list] = {}
 
     def steps(self, t: Term, pool: Optional[Sequence[Term]] = None,
@@ -629,35 +664,57 @@ def strongly_closed_check(
 def term_graph(
     sys: RewriteSystem,
     seeds: Sequence[Term],
-    max_terms: int = 2000,
+    max_terms: Optional[int] = 2000,
     fresh_pool: Optional[Sequence[Term]] = None,
+    depth: Optional[int] = None,
 ) -> Tuple[_qrel.FiniteQRel, bool]:
-    """Explore the reduction graph; returns (relation, exhausted?)."""
+    """Explore the reduction graph breadth-first; returns (relation,
+    exhausted?).
+
+    Layer d holds the terms first reached in d steps.  At most ``depth``
+    layers are expanded and at most ``max_terms`` terms kept (``None``: no
+    bound); steps to new terms beyond the cap are dropped, while steps
+    between kept terms stay.  The graph is exhausted when no step was
+    dropped and no layer was left unexpanded.
+    """
     q = sys.quantale
     nodes: Dict[str, Term] = {}
-    edges: Dict[Tuple[str, str], Value] = {}
-    frontier = []
     for s in seeds:
-        key = term_key(s)
-        if key not in nodes:
-            nodes[key] = s
-            frontier.append(key)
-    exhausted = True
-    while frontier:
-        key = frontier.pop()
-        for step in one_step(sys, nodes[key], fresh_pool):
-            tk = term_key(step.target)
-            if tk not in nodes:
-                if len(nodes) >= max_terms:
-                    exhausted = False
-                    continue
-                nodes[tk] = step.target
-                frontier.append(tk)
-            ekey = (key, tk)
-            old = edges.get(ekey)
-            edges[ekey] = step.weight if old is None else q.join2(old, step.weight)
+        nodes.setdefault(term_key(s), s)
+    edges: Dict[Tuple[str, str], Value] = {}
+    layer, expanded, dropped = list(nodes), 0, False
+    while layer and (depth is None or expanded < depth):
+        next_layer: List[str] = []
+        for key in layer:
+            for step in one_step(sys, nodes[key], fresh_pool):
+                tk = term_key(step.target)
+                if tk not in nodes:
+                    if max_terms is not None and len(nodes) >= max_terms:
+                        dropped = True
+                        continue
+                    nodes[tk] = step.target
+                    next_layer.append(tk)
+                old = edges.get((key, tk))
+                edges[(key, tk)] = (step.weight if old is None
+                                    else q.join2(old, step.weight))
+        layer, expanded = next_layer, expanded + 1
     rel = _qrel.FiniteQRel.make(sorted(nodes), edges, q)
-    return rel, exhausted
+    return rel, not dropped and not layer
+
+
+def sn_probe(sys: RewriteSystem, seeds: Sequence[Term],
+             max_terms: int) -> Tuple[str, _qrel.FiniteQRel]:
+    """The termination probe on the reduction graph from ``seeds``.
+
+    Returns the status -- "cycle found", "passes on explored" (no cycle in
+    the whole graph) or "inconclusive (truncated)" (no cycle among the first
+    ``max_terms`` terms) -- and the explored relation.
+    """
+    rel, exhausted = term_graph(sys, seeds, max_terms)
+    if not rel.strongly_normalizing_check():
+        return "cycle found", rel
+    return ("passes on explored" if exhausted
+            else "inconclusive (truncated)"), rel
 
 
 @dataclass(frozen=True)
@@ -719,15 +776,7 @@ def confluence_report(
     peaks = critical_pairs(sys, grid=grid)
     evidence["critical_pairs"] = len(peaks)
 
-    sn_status = "skipped"
-    if seeds:
-        rel, exhausted = term_graph(sys, seeds, sn_max_terms)
-        if not rel.strongly_normalizing_check():
-            sn_status = "cycle found"
-        elif exhausted:
-            sn_status = "passes on explored"
-        else:
-            sn_status = "inconclusive (truncated)"
+    sn_status = sn_probe(sys, seeds, sn_max_terms)[0] if seeds else "skipped"
     evidence["sn_probe"] = sn_status
 
     if gate_ok and sn_status == "passes on explored":

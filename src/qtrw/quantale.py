@@ -13,7 +13,7 @@ are numeric infima, and the bottom element is infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
@@ -233,39 +233,15 @@ def _strong_residual(a: Value, b: Value) -> Value:
     return Fraction(0) if a >= b else b
 
 
-STRONG_LAWVERE = QuantaleSpec(
+STRONG_LAWVERE = replace(
+    LAWVERE,
     name="strong-lawvere",
-    unit=Fraction(0),
-    bottom=INF,
-    top=Fraction(0),
-    leq=lambda a, b: a >= b,
     tensor=_ext_max,
     residual=_strong_residual,
     idempotent=True,
-    totally_ordered=True,
-    lawverian=True,
-    sort_key=_cost_sort_key,
-    is_value=_is_cost,
-    format_value=_format_cost,
-    parse_value=parse_rational,
 )
 
-NAT_INF = QuantaleSpec(
-    name="nat-inf",
-    unit=Fraction(0),
-    bottom=INF,
-    top=Fraction(0),
-    leq=lambda a, b: a >= b,
-    tensor=_ext_add,
-    residual=lambda a, b: _ext_sub(b, a),
-    idempotent=False,
-    totally_ordered=True,
-    lawverian=True,
-    sort_key=_cost_sort_key,
-    is_value=_is_nat_cost,
-    format_value=_format_cost,
-    parse_value=parse_rational,
-)
+NAT_INF = replace(LAWVERE, name="nat-inf", is_value=_is_nat_cost)
 
 FUZZY_PRODUCT = QuantaleSpec(
     name="fuzzy-product",
@@ -286,38 +262,20 @@ FUZZY_PRODUCT = QuantaleSpec(
 
 # t-norm max(0, a + b - 1): not cointegral (1/2 (x) 1/2 = 0 with both != 0),
 # so operations that need a Lawverian base must reject this instance.
-FUZZY_LUKASIEWICZ = QuantaleSpec(
+FUZZY_LUKASIEWICZ = replace(
+    FUZZY_PRODUCT,
     name="fuzzy-lukasiewicz",
-    unit=Fraction(1),
-    bottom=Fraction(0),
-    top=Fraction(1),
-    leq=lambda a, b: a <= b,
     tensor=lambda a, b: max(Fraction(0), a + b - 1),
     residual=lambda a, b: min(Fraction(1), Fraction(1) - a + b),
-    idempotent=False,
-    totally_ordered=True,
     lawverian=False,
-    sort_key=_fuzzy_sort_key,
-    is_value=_is_unit_interval,
-    format_value=str,
-    parse_value=_parse_unit_interval,
 )
 
-FUZZY_GODEL = QuantaleSpec(
+FUZZY_GODEL = replace(
+    FUZZY_PRODUCT,
     name="fuzzy-godel",
-    unit=Fraction(1),
-    bottom=Fraction(0),
-    top=Fraction(1),
-    leq=lambda a, b: a <= b,
     tensor=lambda a, b: min(a, b),
     residual=lambda a, b: Fraction(1) if a <= b else b,
     idempotent=True,
-    totally_ordered=True,
-    lawverian=True,
-    sort_key=_fuzzy_sort_key,
-    is_value=_is_unit_interval,
-    format_value=str,
-    parse_value=_parse_unit_interval,
 )
 
 

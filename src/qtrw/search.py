@@ -18,7 +18,8 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .quantale import QuantaleError, Value
 from .term import Position, Term, term_key, term_size
@@ -368,6 +369,35 @@ def epsilon_reachability(
     return "unknown"
 
 
+def strategy_path(
+    sys: AnySystem, t: Term, strategy: str,
+    pool: Optional[Sequence[Term]] = None,
+) -> Iterator[RewriteStep]:
+    """The steps a deterministic strategy takes from ``t``, up to a normal
+    form (forever if it never reaches one).
+
+    Each step contracts the leftmost of the innermost ("leftmost-innermost")
+    or of the outermost ("leftmost-outermost") redexes, ties broken by rule
+    id.  ``pool`` fills variables a rule invents, as in ``one_step``.
+    """
+    depth_sign = {"leftmost-innermost": -1,
+                  "leftmost-outermost": 1}.get(strategy)
+    if depth_sign is None:
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+    def walk(cur: Term) -> Iterator[RewriteStep]:
+        while True:
+            steps = one_step(sys, cur, pool)
+            if not steps:
+                return
+            step = min(steps, key=lambda s: (depth_sign * len(s.position),
+                                             s.position, s.rule_id))
+            yield step
+            cur = step.target
+
+    return walk(t)
+
+
 @dataclass(frozen=True)
 class NormalizeResult:
     normal_forms: Tuple[Tuple[Term, Value], ...]
@@ -380,34 +410,22 @@ def normalize(
 ) -> NormalizeResult:
     """Drive ``t`` to normal form(s) under the chosen strategy.
 
-    Deterministic strategies follow one maximal path; "all" collects every
-    normal form discovered by breadth-first closure under the budget.
+    Deterministic strategies follow their ``strategy_path`` for at most
+    ``budget.max_depth`` steps and report it exhausted if it goes on; "all"
+    collects every normal form discovered by breadth-first closure under
+    the budget.  Variables a rule invents are drawn from ``t``'s subterms.
     """
     q = sys.quantale
     pool = subterm_pool(t)
 
-    if strategy in ("leftmost-innermost", "leftmost-outermost"):
-        def pick(steps: List[RewriteStep]) -> RewriteStep:
-            if strategy == "leftmost-innermost":
-                return min(steps, key=lambda s: (-len(s.position), s.position,
-                                                 s.rule_id))
-            return min(steps, key=lambda s: (len(s.position), s.position,
-                                             s.rule_id))
-
-        cur, w = t, q.unit
-        for taken in range(budget.max_depth + 1):
-            steps = one_step(sys, cur, pool)
-            if not steps:
-                return NormalizeResult(((cur, w),), False)
-            if taken == budget.max_depth:
-                break
-            step = pick(steps)
-            cur = step.target
-            w = q.tensor(w, step.weight)
-        return NormalizeResult((), True)
-
     if strategy != "all":
-        raise ValueError(f"unknown strategy {strategy!r}")
+        cur, w = t, q.unit
+        for taken, step in enumerate(islice(
+                strategy_path(sys, t, strategy, pool), budget.max_depth + 1)):
+            if taken == budget.max_depth:
+                return NormalizeResult((), True)
+            cur, w = step.target, q.tensor(w, step.weight)
+        return NormalizeResult(((cur, w),), False)
 
     seen: Dict[str, Tuple[Term, Value]] = {term_key(t): (t, q.unit)}
     frontier = [term_key(t)]
@@ -458,17 +476,13 @@ def validate_witness(sys: AnySystem, s: Term, t: Term,
     for wstep in witness:
         if term_key(wstep.source) != term_key(cur):
             return False
-        if wstep.direction == "forward":
-            cands = one_step(sys, wstep.source, pool)
-            ok = any(term_key(c.target) == term_key(wstep.target)
-                     and not q.strictly_below(c.weight, wstep.weight)
-                     for c in cands if c.position == wstep.position)
-        else:
-            cands = one_step(sys, wstep.target, pool)
-            ok = any(term_key(c.target) == term_key(wstep.source)
-                     and not q.strictly_below(c.weight, wstep.weight)
-                     for c in cands if c.position == wstep.position)
-        if not ok:
+        src, tgt = wstep.source, wstep.target
+        if wstep.direction == "backward":
+            src, tgt = tgt, src
+        if not any(c.position == wstep.position
+                   and term_key(c.target) == term_key(tgt)
+                   and not q.strictly_below(c.weight, wstep.weight)
+                   for c in one_step(sys, src, pool)):
             return False
         cur = wstep.target
     return term_key(cur) == term_key(t)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qtrw.cli import main
 from qtrw.dsl import DslError, emit_system, emit_term, parse_system, parse_term
 from qtrw.graded import GradedSystem
+from qtrw.search import strategy_path
 from qtrw.systems import CATALOG
 from qtrw.term import Application, Symbol, Variable
 
@@ -66,6 +68,37 @@ def test_parse_system_reports_line_numbers():
     assert err.value.line == 4
 
 
+WORDS = ["system words", "quantale lawvere", "symbol f/1", "symbol nowhere/0"]
+
+
+def test_where_starts_conditions_only_as_a_whole_word():
+    sys = parse_system("\n".join(WORDS + [
+        "rule r: f(x) -[1]-> nowhere",
+        "rule s: f(elsewhere) -[1]-> elsewhere"]))
+    r, s = sys.rules
+    assert r.rhs == Application(Symbol("nowhere", 0), ()) and not r.conditions
+    assert s.lhs == Application(Symbol("f", 1), (Variable("elsewhere"),))
+    assert s.rhs == Variable("elsewhere") and not s.conditions
+
+
+def test_cli_rewrite_to_a_symbol_containing_where(tmp_path, capsys):
+    path = tmp_path / "words.qtrs"
+    path.write_text("\n".join(WORDS + ["rule r: f(x) -[1]-> nowhere"]))
+    assert main(["rewrite", str(path), "f(nowhere)"]) == 0
+    assert capsys.readouterr().out == "-[1]-> nowhere   (r at [])\n"
+
+
+def test_malformed_condition_is_a_dsl_error(tmp_path, capsys):
+    text = "\n".join(WORDS[:3] + ["rule r: f(x) -[1]-> x where 1 <"])
+    with pytest.raises(DslError) as err:
+        parse_system(text)
+    assert err.value.line == 4
+    path = tmp_path / "broken.qtrs"
+    path.write_text(text)
+    assert main(["rewrite", str(path), "f(x)"]) == 1
+    assert capsys.readouterr().err.startswith("error: line 4: ")
+
+
 def test_parse_system_rejects_unknown_quantale():
     with pytest.raises(DslError):
         parse_system("system q\nquantale imaginary\nsymbol a/0\n"
@@ -101,6 +134,30 @@ def test_cli_rewrite_lists_steps(capsys):
     steps = json.loads(capsys.readouterr().out)
     assert code == 0
     assert {s["rule"] for s in steps} == {"addS", "sdel"}
+
+
+def test_cli_rewrite_steps_follow_the_leftmost_outermost_path(capsys):
+    path = SAMPLES / "nat.qtrs"
+    sys = parse_system(path.read_text())
+    t = parse_term("A(S(S(Z)), S(Z))", sys.signature)
+    full = list(strategy_path(sys, t, "leftmost-outermost"))
+    assert len(full) > 3
+    for n in (1, 3, len(full) + 2):
+        assert main(["rewrite", str(path), str(t), "--steps", str(n),
+                     "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == [
+            {"rule": s.rule_id, "position": list(s.position),
+             "weight": str(s.weight), "target": str(s.target)}
+            for s in islice(full, n)]
+    assert main(["rewrite", str(path), str(t), "--steps", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"-[{s.weight}]-> {s.target}   ({s.rule_id} at"
+                     f" {list(s.position)})" for s in full[:2]] + [
+        f"result: {full[1].target}"]
+    # a negative count takes no step
+    assert main(["rewrite", str(path), str(t), "--steps", "-1"]) == 0
+    assert capsys.readouterr().out == f"result: {t}\n"
 
 
 def test_cli_critical_pairs(capsys):

@@ -1,5 +1,6 @@
 """Tests for rewrite systems: steps, critical peaks, joins, confluence."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,13 +13,17 @@ from qtrw.qtrs import (
     cross_critical_pairs,
     join_check,
     one_step,
+    sn_probe,
     strongly_closed_check,
     sum_systems,
     term_graph,
 )
 from qtrw.systems import (
+    DNA_BASES,
+    dna_term,
     make_barycentric,
     make_bck,
+    make_dna,
     make_linearity_example,
     make_nat,
     make_semilattice,
@@ -216,6 +221,45 @@ def test_term_graph_truncation_flag():
     seeds = [_f("A", nat_term(3), nat_term(3))]
     _, exhausted = term_graph(sys, seeds, max_terms=3)
     assert not exhausted
+
+
+def test_term_graph_keeps_the_nearest_terms_under_a_node_cap():
+    rel, exhausted = term_graph(make_dna("levenshtein"), [dna_term("")],
+                                max_terms=30)
+    assert not exhausted and len(rel.carrier) == 30
+    near = {term_key(dna_term("".join(w)))
+            for n in range(3) for w in itertools.product(DNA_BASES, repeat=n)}
+    assert len(near) == 21 and near <= set(rel.carrier)
+    # a dna term has one opening parenthesis per base
+    assert max(key.count("(") for key in rel.carrier) == 3
+
+
+def test_term_graph_depth_bound():
+    sys = make_nat()
+    seed = _f("A", nat_term(1), nat_term(1))
+    full, exhausted = term_graph(sys, [seed], max_terms=None)
+    assert exhausted
+    layer1, exhausted = term_graph(sys, [seed], max_terms=None, depth=1)
+    assert not exhausted  # the first layer was left unexpanded
+    assert set(layer1.carrier) == {term_key(seed)} | {
+        term_key(s.target) for s in one_step(sys, seed)}
+    assert term_graph(sys, [seed], max_terms=None, depth=0)[0].carrier == (
+        term_key(seed),)
+    deep, exhausted = term_graph(sys, [seed], max_terms=None, depth=50)
+    assert exhausted and deep == full
+
+
+def test_sn_probe_statuses():
+    nat = make_nat()
+    seed = _f("A", nat_term(2), nat_term(2))
+    status, rel = sn_probe(nat, [seed], 500)
+    assert status == "passes on explored" and rel.strongly_normalizing_check()
+    status, rel = sn_probe(nat, [seed], 3)
+    assert status == "inconclusive (truncated)" and len(rel.carrier) == 3
+    semilattice = make_semilattice()
+    a = _const(semilattice.signature[0].name)
+    status, _ = sn_probe(semilattice, [a], 50)
+    assert status == "cycle found"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from qtrw.search import (
     normalize,
     reachability,
     reduction_distance,
+    strategy_path,
     validate_witness,
     valley_distance,
 )
@@ -29,6 +30,7 @@ from qtrw.systems import (
     oracle_hamming,
     oracle_levenshtein,
 )
+from qtrw.qtrs import one_step
 from qtrw.term import Application, Symbol, term_key
 
 
@@ -188,6 +190,32 @@ def test_normalize_finds_normal_form_exactly_max_depth_away():
         assert term_key(nf) == term_key(nat_term(0)) and weight == 3
         short = normalize(sys, t, strategy, SearchBudget(max_depth=3))
         assert short.exhausted and short.normal_forms == ()
+
+
+def test_strategy_path_picks_leftmost_innermost_or_outermost_redexes():
+    sys = make_nat()
+    t = _add(nat_term(1), nat_term(1))
+    inner = list(strategy_path(sys, t, "leftmost-innermost"))
+    outer = list(strategy_path(sys, t, "leftmost-outermost"))
+    for path in (inner, outer):
+        assert one_step(sys, path[-1].target) == []
+        assert all(a.target == b.source for a, b in zip(path, path[1:]))
+    # S(Z) inside A(S(Z), S(Z)) is innermost; addS at the root is outermost
+    assert inner[0].position == (1,) and inner[0].rule_id == "sdel"
+    assert outer[0].position == () and outer[0].rule_id == "addS"
+    for step in inner + outer:
+        alternatives = one_step(sys, step.source)
+        depth = len(step.position)
+        assert step in alternatives
+        if step in inner:
+            assert depth == max(len(s.position) for s in alternatives)
+        if step in outer:
+            assert depth == min(len(s.position) for s in alternatives)
+
+
+def test_strategy_path_rejects_unknown_strategy_at_once():
+    with pytest.raises(ValueError):
+        strategy_path(make_nat(), nat_term(1), "outside-in")
 
 
 def test_normalize_rejects_unknown_strategy():

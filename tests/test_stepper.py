@@ -28,15 +28,6 @@ from qtrw.term import (
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 NAMES = sorted(p.stem for p in SAMPLES.glob("*.qtrs"))
 
-# Rules whose right-hand side carries a compound parameter expression, such
-# as +{(1 - e)} or w{(n + m)}: matching cannot solve for the parameters, so
-# their inverses never fire and these rules have no backward steps.
-NO_BACKWARD_STEPS = {
-    "barycentric": {"comm", "assoc"},
-    "ticking": {"merge"},
-    "ticking-terminating": {"merge"},
-}
-
 
 def _load(name):
     sysm = parse_system((SAMPLES / f"{name}.qtrs").read_text())
@@ -127,20 +118,25 @@ def _transpose_misses(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_backward_steps_are_transposes_of_forward_steps(name):
+    # rules with a compound right-hand-side parameter, such as +{(1 - e)} or
+    # w{(n + m)}, included: they are inverted instance by instance
     missing, checked = _transpose_misses(name)
     assert checked > 20
-    gaps = NO_BACKWARD_STEPS.get(name, set())
-    assert [m for m in missing if m[1] not in gaps] == []
-    # only forward steps of the listed rules lack a transpose
-    assert {m for m in missing} == {("forward", r) for r in gaps}
-
-
-@pytest.mark.xfail(strict=True, reason="matching cannot solve compound "
-                   "parameter expressions, so these rules have no inverse")
-@pytest.mark.parametrize("name", sorted(NO_BACKWARD_STEPS))
-def test_backward_steps_of_compound_parameter_rules(name):
-    missing, _ = _transpose_misses(name)
     assert missing == []
+
+
+def test_compound_parameter_rules_without_grid_instances_keep_the_schema():
+    # f{(1 / e)} has no instance at e = 0, and without a grid there are no
+    # instances at all: the inverted schema stays and never fires
+    text = "\n".join([
+        "system inverse", "quantale lawvere", "symbol f{e}/1", "symbol a/0",
+        "rule inv: f{e}(x) -[1]-> f{(1 / e)}(x)"])
+    f = Application(Symbol("f", 1, (Fraction(2),)), (Variable("x"),))
+    for grid in ("", "option grid 0 1 2"):
+        sys = parse_system(text + "\n" + grid)
+        assert sys.stepper.steps(f, backward=True) == []
+    (step,) = one_step(sys, f)
+    assert step.target.symbol.params == (Fraction(1, 2),)
 
 
 def test_stepper_is_built_on_the_first_step_and_kept():
