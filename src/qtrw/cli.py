@@ -77,8 +77,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_rewrite(args) -> int:
-    """The single steps from the term, or with ``--steps N`` the first N
-    steps of its leftmost-outermost path."""
     sysm, base = _load(args.file)
     t = parse_term(args.term, base.signature)
     if args.steps:

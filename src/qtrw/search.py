@@ -477,7 +477,7 @@ def validate_witness(sys: AnySystem, s: Term, t: Term,
         if term_key(wstep.source) != term_key(cur):
             return False
         src, tgt = wstep.source, wstep.target
-        if wstep.direction == "backward":
+        if wstep.direction != "forward":
             src, tgt = tgt, src
         if not any(c.position == wstep.position
                    and term_key(c.target) == term_key(tgt)

@@ -17,7 +17,6 @@ import contextlib
 import io
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
