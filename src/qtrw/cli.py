@@ -14,6 +14,7 @@ from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from .quantale import INF, QuantaleError, Value
+from .ratexpr import ExprError
 from .term import TermError, term_key
 from .qtrs import (
     RewriteSystem,
@@ -43,7 +44,7 @@ from .search import (
     valley_distance,
 )
 from .dsl import AnySystem, DslError, parse_system, parse_term
-from .term import Variable, positions, subterm_at
+from .term import Variable, subterms
 
 
 def _load(path: str) -> Tuple[AnySystem, RewriteSystem]:
@@ -221,9 +222,8 @@ def _cmd_degree(args) -> int:
     gsys = sysm if isinstance(sysm, GradedSystem) else GradedSystem(base)
     t = parse_term(args.term, base.signature)
     sig = gsys.signature
-    occ = [p for p in positions(t)
-           if isinstance(subterm_at(t, p), Variable)
-           and subterm_at(t, p).name == args.var]
+    occ = [p for p, s in subterms(t)
+           if isinstance(s, Variable) and s.name == args.var]
     rows = [(p, degree_at_position(sig, t, p)) for p in occ]
     total = degree_of_variable(sig, t, args.var)
     if args.json:
@@ -303,7 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.fn(args)
     except (DslError, OSError, ValueError, QuantaleError, TermError,
-            RecursionError) as exc:
+            ExprError, RecursionError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

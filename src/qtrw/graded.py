@@ -26,8 +26,7 @@ from .term import (
     Variable,
     apply_substitution,
     instantiate_params,
-    positions,
-    subterm_at,
+    subterms,
     term_key,
     variables,
 )
@@ -127,8 +126,7 @@ def degree_at_position(sig: GradedSignature, t: Term, p: Position) -> Sensitivit
 def degree_of_variable(sig: GradedSignature, t: Term, x: str) -> Sensitivity:
     """Sum of the position degrees over every occurrence of ``x`` in ``t``."""
     total = CONSTANT_UNIT
-    for p in positions(t):
-        s = subterm_at(t, p)
+    for p, s in subterms(t):
         if isinstance(s, Variable) and s.name == x:
             total = total.tensor(degree_at_position(sig, t, p))
     return total
@@ -261,10 +259,9 @@ class MultiStep:
 
 
 def _pareto_insert(
-    table: Dict[str, List[MultiStep]], ms: MultiStep, q: QuantaleSpec
+    table: Dict[Term, List[MultiStep]], ms: MultiStep, q: QuantaleSpec
 ) -> None:
-    key = term_key(ms.target)
-    row = table.setdefault(key, [])
+    row = table.setdefault(ms.target, [])
     for other in row:
         if q.leq(ms.weight, other.weight) and other.nredex <= ms.nredex:
             return  # dominated
@@ -295,14 +292,13 @@ def multi_step(
     sig = gsys.signature
     q = sys.quantale
     rules = gsys.stepper.forward
-    memo: Dict[str, List[MultiStep]] = {}
+    memo: Dict[Term, List[MultiStep]] = {}
 
     def rec(term: Term) -> List[MultiStep]:
-        key = term_key(term)
-        if key in memo:
-            return memo[key]
-        memo[key] = []  # cycle guard; rewriting terms is finite anyway
-        table: Dict[str, List[MultiStep]] = {}
+        if term in memo:
+            return memo[term]
+        memo[term] = []  # cycle guard; rewriting terms is finite anyway
+        table: Dict[Term, List[MultiStep]] = {}
         if isinstance(term, Variable):
             _pareto_insert(table, MultiStep(term, q.unit, 0), q)
         else:
@@ -320,9 +316,9 @@ def multi_step(
                     w, n), q)
             for rule, fresh in (rules.var_rules
                                 + rules.by_root.get(term.symbol.name, ())):
-                for sigma, env, eps in _rule_matches(q, sys.grid, rule, term):
+                for sigma, env, eps, rhs in _rule_matches(
+                        q, sys.grid, rule, term):
                     lhs = instantiate_params(rule.lhs, env)
-                    rhs = instantiate_params(rule.rhs, env)
                     bound = sorted(variables(lhs))
                     arg_opts = [rec(sigma[x]) for x in bound]
                     degs = [degree_of_variable(sig, lhs, x) for x in bound]
@@ -342,21 +338,26 @@ def multi_step(
                             full.update(zip(fresh, picks))
                             _pareto_insert(table, MultiStep(
                                 apply_substitution(rhs, full), w, n), q)
-        result = [ms for k in sorted(table) for ms in table[k]]
-        memo[key] = result
+        result = [ms for u in sorted(table, key=str) for ms in table[u]]
+        memo[term] = result
         return result
 
     return rec(t)
 
 
 def multistep_targets(steps: Sequence[MultiStep], q: QuantaleSpec) -> Dict[str, MultiStep]:
-    """Best (quantale-largest weight) multi-step per target term."""
-    best: Dict[str, MultiStep] = {}
+    """Best (quantale-largest weight) multi-step per target term, keyed by
+    the target's rendering."""
+    return {term_key(u): ms for u, ms in _best_per_target(steps, q).items()}
+
+
+def _best_per_target(steps: Sequence[MultiStep],
+                     q: QuantaleSpec) -> Dict[Term, MultiStep]:
+    best: Dict[Term, MultiStep] = {}
     for ms in steps:
-        key = term_key(ms.target)
-        old = best.get(key)
+        old = best.get(ms.target)
         if old is None or q.strictly_below(old.weight, ms.weight):
-            best[key] = ms
+            best[ms.target] = ms
     return best
 
 
@@ -385,15 +386,13 @@ def multistep_diamond_probe(
     if not ok:
         raise GradedError("diamond probe requires an orthogonal system")
     q = gsys.system.quantale
-    outs = list(multistep_targets(multi_step(gsys, t, width_budget), q).values())
-    closures: Dict[str, Dict[str, MultiStep]] = {}
+    outs = list(_best_per_target(multi_step(gsys, t, width_budget), q).values())
+    closures: Dict[Term, Dict[Term, MultiStep]] = {}
 
-    def closure(u: Term) -> Dict[str, MultiStep]:
-        key = term_key(u)
-        if key not in closures:
-            closures[key] = multistep_targets(
-                multi_step(gsys, u, width_budget), q)
-        return closures[key]
+    def closure(u: Term) -> Dict[Term, MultiStep]:
+        if u not in closures:
+            closures[u] = _best_per_target(multi_step(gsys, u, width_budget), q)
+        return closures[u]
 
     checked = closed = 0
     violations: List[Tuple[Term, Term, Term]] = []
@@ -404,8 +403,8 @@ def multistep_diamond_probe(
             c2 = closure(m2.target)
             peak = q.tensor(m1.weight, m2.weight)
             found = False
-            for key, d1 in c1.items():
-                d2 = c2.get(key)
+            for u, d1 in c1.items():
+                d2 = c2.get(u)
                 if d2 is not None and q.leq(peak, q.tensor(d1.weight, d2.weight)):
                     found = True
                     break
@@ -445,10 +444,10 @@ def substitution_lemma_probe(
     for body, subst in cases:
         names = sorted(variables(body) & set(subst))
         whole = apply_substitution(body, {x: subst[x] for x in names})
-        combined = multistep_targets(
+        combined = _best_per_target(
             multi_step(gsys, whole, width_budget), q)
-        body_steps = multistep_targets(multi_step(gsys, body, width_budget), q)
-        comp_steps = {x: multistep_targets(
+        body_steps = _best_per_target(multi_step(gsys, body, width_budget), q)
+        comp_steps = {x: _best_per_target(
             multi_step(gsys, subst[x], width_budget), q) for x in names}
         degs = {x: degree_of_variable(sig, body, x) for x in names}
         for f_ms in body_steps.values():
@@ -464,7 +463,7 @@ def substitution_lemma_probe(
                     claimed = q.tensor(claimed, degs[x].apply(q, p.weight))
                     tau[x] = p.target
                 expected = apply_substitution(f_ms.target, tau)
-                hit = combined.get(term_key(expected))
+                hit = combined.get(expected)
                 if hit is None or not q.leq(claimed, hit.weight):
                     failures.append((whole, expected))
     return SubstitutionLemmaReport(checked, tuple(failures))

@@ -22,6 +22,7 @@ slot such as ``+{(1 - e)}``) is inverted instance by instance over the grid.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -44,9 +45,9 @@ from .term import (
     instantiate_params,
     is_linear,
     match,
-    positions,
     replace_at,
     subterm_at,
+    subterms,
     term_key,
     term_size,
     unify,
@@ -183,22 +184,29 @@ class RewriteSystem:
             if not grid:
                 raise QuantaleError(
                     f"rule {rule.rid} is a schema but no parameter grid is declared")
-            for combo in itertools.product(grid, repeat=len(rule.params)):
-                env = dict(zip(rule.params, combo))
-                if not all(c.holds(env) for c in rule.conditions):
-                    continue
-                w = rule.weight_value(self.quantale, env)
-                if w == self.quantale.bottom:
-                    continue
-                tag = ",".join(f"{p}={env[p]}" for p in rule.params)
-                out.append(Rule(
-                    rid=f"{rule.rid}[{tag}]",
-                    lhs=instantiate_params(rule.lhs, env),
-                    rhs=instantiate_params(rule.rhs, env),
-                    weight=w,
-                    origin=rule.origin,
-                ))
+            out.extend(_instances(self.quantale, grid, rule))
         return replace(self, rules=tuple(out))
+
+
+def _instances(quantale: QuantaleSpec, grid: Sequence[Fraction],
+               rule: Rule) -> Iterator[Rule]:
+    """The instances of schema ``rule`` over ``grid`` that fire: those that
+    meet its conditions, are defined, and weigh more than bottom."""
+    for combo in itertools.product(grid, repeat=len(rule.params)):
+        env = dict(zip(rule.params, combo))
+        try:
+            if not all(c.holds(env) for c in rule.conditions):
+                continue
+            w = rule.weight_value(quantale, env)
+            lhs = instantiate_params(rule.lhs, env)
+            rhs = instantiate_params(rule.rhs, env)
+        except ExprError:
+            continue  # e.g. (1 / e) at e = 0
+        if w == quantale.bottom:
+            continue
+        tag = ",".join(f"{p}={env[p]}" for p in rule.params)
+        yield Rule(rid=f"{rule.rid}[{tag}]", lhs=lhs, rhs=rhs, weight=w,
+                   origin=rule.origin)
 
 
 def _fresh_variable_for(t: Term, taken: Set[str]) -> Variable:
@@ -211,9 +219,11 @@ def _fresh_variable_for(t: Term, taken: Set[str]) -> Variable:
 
 def _rule_matches(
     quantale: QuantaleSpec, grid: Sequence[Fraction], rule: Rule, sub: Term
-) -> Iterator[Tuple[Substitution, Env, Value]]:
-    """All ways ``rule`` fires on ``sub``: bindings, parameter env, weight;
-    parameters ``sub`` does not determine range over ``grid``."""
+) -> Iterator[Tuple[Substitution, Env, Value, Term]]:
+    """All ways ``rule`` fires on ``sub``: bindings, parameter env, weight
+    and the right-hand side under that env; parameters ``sub`` does not
+    determine range over ``grid``.  Instances that are undefined (say
+    ``(1 / e)`` at ``e = 0``) or weigh bottom do not fire."""
     m = match(rule.lhs, sub)
     if m is None:
         return
@@ -225,12 +235,16 @@ def _rule_matches(
     for combo in itertools.product(grid, repeat=len(unbound)):
         full = dict(env)
         full.update(zip(unbound, combo))
-        if not all(c.holds(full) for c in rule.conditions):
+        try:
+            if not all(c.holds(full) for c in rule.conditions):
+                continue
+            w = rule.weight_value(quantale, full)
+            rhs = instantiate_params(rule.rhs, full) if full else rule.rhs
+        except ExprError:
             continue
-        w = rule.weight_value(quantale, full)
         if w == quantale.bottom:
             continue
-        yield sigma, full, w
+        yield sigma, full, w, rhs
 
 
 _Entry = Tuple[Rule, Tuple[str, ...]]  # a rule and its fresh rhs variables
@@ -272,16 +286,17 @@ def _params_solvable(t: Term) -> bool:
     return walk(t)
 
 
-def _inverses(sys: RewriteSystem, rule: Rule) -> List[Rule]:
+def _inverses(quantale: QuantaleSpec, grid: Sequence[Fraction],
+              rule: Rule) -> List[Rule]:
     """``rule`` with its sides swapped, or, if matching cannot solve its
-    right-hand side, its grid instances swapped, each under the bare rule id.
-    Without a grid, or if some instance is undefined, the swapped schema is
-    kept; it never fires."""
-    if sys.grid and not _params_solvable(rule.rhs):
+    right-hand side, its firing grid instances swapped, each under the bare
+    rule id.  Without a grid, or if some instance has an invalid weight, the
+    swapped schema is kept; it never fires."""
+    if grid and not _params_solvable(rule.rhs):
         try:
             return [replace(r, rid=rule.rid, lhs=r.rhs, rhs=r.lhs)
-                    for r in replace(sys, rules=(rule,)).instantiate().rules]
-        except (ExprError, QuantaleError):
+                    for r in _instances(quantale, grid, rule)]
+        except QuantaleError:
             pass
     return [replace(rule, lhs=rule.rhs, rhs=rule.lhs)]
 
@@ -289,23 +304,26 @@ def _inverses(sys: RewriteSystem, rule: Rule) -> List[Rule]:
 class Stepper:
     """A system's one-step relation, compiled for both directions.
 
-    ``forward`` indexes the rules and ``backward`` the inverted rules;
-    ``scale`` maps (term, position, rule weight) to the step weight (graded
-    systems scale by the context degree); ``relaxations`` is the distance
-    search's step cache.  The stepper keeps no reference to its system, so
-    a dropped system frees its cache at once rather than at the next cyclic
-    garbage collection.
+    ``forward`` indexes the rules and ``backward`` the inverted rules, built
+    on the first backward step; ``scale`` maps (term, position, rule weight)
+    to the step weight (graded systems scale by the context degree);
+    ``relaxations`` is the distance search's step cache.  The stepper keeps
+    no reference to its system, so a dropped system frees its cache at once
+    rather than at the next cyclic garbage collection.
     """
 
     def __init__(self, sys: RewriteSystem,
                  scale: Optional[Callable[[Term, Position, Value], Value]] = None,
                  ) -> None:
-        self.quantale, self.grid = sys.quantale, sys.grid
+        self.quantale, self.grid, self.rules = sys.quantale, sys.grid, sys.rules
         self.scale = scale
         self.forward = _RuleTable.of(sys.rules)
-        self.backward = _RuleTable.of(
-            [inv for rule in sys.rules for inv in _inverses(sys, rule)])
         self.relaxations: Dict[object, list] = {}
+
+    @cached_property
+    def backward(self) -> _RuleTable:
+        return _RuleTable.of([inv for rule in self.rules
+                              for inv in _inverses(self.quantale, self.grid, rule)])
 
     def steps(self, t: Term, pool: Optional[Sequence[Term]] = None,
               backward: bool = False) -> List[RewriteStep]:
@@ -319,17 +337,16 @@ class Stepper:
         """
         q = self.quantale
         table = self.backward if backward else self.forward
-        steps: Dict[Tuple[Position, str, str], RewriteStep] = {}
-        for p in positions(t):
-            sub = subterm_at(t, p)
+        steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
+        for p, sub in subterms(t):
             candidates = table.var_rules
             if not isinstance(sub, Variable):
                 candidates += table.by_root.get(sub.symbol.name, ())
             for rule, fresh in candidates:
-                for sigma, env, weight in _rule_matches(q, self.grid, rule, sub):
+                for sigma, env, weight, rhs in _rule_matches(
+                        q, self.grid, rule, sub):
                     if self.scale is not None:
                         weight = self.scale(t, p, weight)
-                    rhs = instantiate_params(rule.rhs, env)
                     choices = itertools.product(
                         pool or [_fresh_variable_for(t, set(fresh))],
                         repeat=len(fresh)) if fresh else [()]
@@ -340,13 +357,36 @@ class Stepper:
                         full_sigma = dict(sigma)
                         full_sigma.update(zip(fresh, picked))
                         target = replace_at(t, p, apply_substitution(rhs, full_sigma))
-                        key = (p, rid, term_key(target))
+                        key = (p, rid, target)
                         old = steps.get(key)
                         if old is None or q.strictly_below(old.weight, weight):
                             steps[key] = RewriteStep(
                                 t, target, weight, p, rid,
                                 tuple(sorted(full_sigma.items())))
-        return [steps[k] for k in sorted(steps)]
+        # by position, rule id and target rendering; targets are compared
+        # only where one rule steps at one position to several of them, and
+        # then by the part of their rendering from that position on
+        ties = Counter(k[:2] for k in steps)
+        after: Dict[Position, str] = {}
+
+        def order(k: Tuple[Position, str, Term]) -> Tuple[Position, str, str]:
+            p, rid, target = k
+            if ties[p, rid] == 1:
+                return p, rid, ""
+            if p not in after:
+                after[p] = _rendering_after(t, p)
+            return p, rid, str(subterm_at(target, p)) + after[p]
+
+        return [steps[k] for k in sorted(steps, key=order)]
+
+
+def _rendering_after(t: Term, p: Position) -> str:
+    """The rendering of ``t`` that follows its subterm at ``p``."""
+    tails = []
+    for i in p:
+        tails.append("".join(["," + str(a) for a in t.args[i:]]) + ")")
+        t = t.args[i - 1]
+    return "".join(reversed(tails))
 
 
 def one_step(
@@ -487,14 +527,10 @@ def cross_critical_pairs(
 
 
 def subterm_pool(*terms: Term) -> List[Term]:
-    """The distinct subterms of ``terms``, sorted by key: the candidates for
-    variables a step invents."""
-    pool: Dict[str, Term] = {}
-    for t in terms:
-        for p in positions(t):
-            s = subterm_at(t, p)
-            pool.setdefault(term_key(s), s)
-    return [pool[k] for k in sorted(pool)]
+    """The distinct subterms of ``terms``, sorted by rendering: the
+    candidates for variables a step invents."""
+    pool = dict.fromkeys(s for t in terms for _, s in subterms(t))
+    return sorted(pool, key=str)
 
 
 def _layered_relaxation(
@@ -504,36 +540,35 @@ def _layered_relaxation(
     pool: Optional[Sequence[Term]] = None,
     weight_bound: Optional[Value] = None,
     size_bound: Optional[int] = None,
-) -> Iterator[Tuple[str, Term, Value, List[RewriteStep]]]:
+) -> Iterator[Tuple[Term, Value, List[RewriteStep]]]:
     """Relax reducts of ``t`` layer by layer, up to ``depth`` steps.
 
-    Yields (key, term, weight, path) for ``t`` and then for each reduct
-    whose best weight improves, as it improves.  Each layer expands the keys
-    the previous one improved, at their current best weight.  Paths whose
+    Yields (term, weight, path) for ``t`` and then for each reduct whose
+    best weight improves, as it improves.  Each layer expands the terms the
+    previous one improved, at their current best weight.  Paths whose
     weight drops below ``weight_bound`` in the quantale order are pruned
     (sound: tensors only descend), as are reducts larger than ``size_bound``.
     """
     q = sys.quantale
-    best: Dict[str, Tuple[Term, Value, List[RewriteStep]]] = {
-        term_key(t): (t, q.unit, [])}
-    yield term_key(t), t, q.unit, []
-    frontier = [term_key(t)]
+    best: Dict[Term, Tuple[Value, List[RewriteStep]]] = {t: (q.unit, [])}
+    yield t, q.unit, []
+    frontier = [t]
     for _ in range(depth):
-        next_frontier: List[str] = []
-        for key in frontier:
-            term, w, path = best[key]
+        next_frontier: List[Term] = []
+        for term in frontier:
+            w, path = best[term]
             for step in one_step(sys, term, pool):
                 nw = q.tensor(w, step.weight)
                 if weight_bound is not None and not q.leq(weight_bound, nw):
                     continue
-                if size_bound is not None and term_size(step.target) > size_bound:
+                u = step.target
+                if size_bound is not None and term_size(u) > size_bound:
                     continue
-                nk = term_key(step.target)
-                old = best.get(nk)
-                if old is None or q.strictly_below(old[1], nw):
-                    best[nk] = (step.target, nw, path + [step])
-                    next_frontier.append(nk)
-                    yield (nk,) + best[nk]
+                old = best.get(u)
+                if old is None or q.strictly_below(old[0], nw):
+                    best[u] = (nw, path + [step])
+                    next_frontier.append(u)
+                    yield u, nw, best[u][1]
         if not next_frontier:
             break
         frontier = next_frontier
@@ -554,7 +589,7 @@ def bounded_reducts(
     ``size_bound`` likewise drops reducts larger than the given term size;
     both prunings shrink the reduct set but never invent spurious entries.
     """
-    return {key: (u, w, path) for key, u, w, path in _layered_relaxation(
+    return {term_key(u): (u, w, path) for u, w, path in _layered_relaxation(
         sys, t, depth, fresh_pool, weight_bound, size_bound)}
 
 
@@ -580,14 +615,14 @@ def join_check(
     q = sys.quantale
     pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
     peak_total = peak.tensor(q)
-    lred = bounded_reducts(sys, peak.left[0], depth_budget, pool)
-    rred = bounded_reducts(sys, peak.right[0], depth_budget, pool)
+    lred, rred = [{u: (w, path) for u, w, path in _layered_relaxation(
+        sys, side, depth_budget, pool)} for side in (peak.left[0], peak.right[0])]
     best = None
-    for key, (lt, lw, lp) in lred.items():
-        hit = rred.get(key)
+    for lt, (lw, lp) in lred.items():
+        hit = rred.get(lt)
         if hit is None:
             continue
-        _, rw, rp = hit
+        rw, rp = hit
         total = q.tensor(lw, rw)
         if best is None or q.strictly_below(best[0], total):
             best = (total, lt, lp, rp)
@@ -618,18 +653,17 @@ def _one_sided_closure(
     pool: Sequence[Term],
 ) -> Optional[Tuple[Term, Value]]:
     q = sys.quantale
-    candidates = {key: (u, w) for key, u, w, _ in _layered_relaxation(
+    candidates = {u: w for u, w, _ in _layered_relaxation(
         sys, short_side, 1, pool)}
     # the sought meet is one of the candidates, so reducts that outgrow them
     # (modulo slack for intermediate reshuffling) can never close the peak
-    size_cap = 2 + max(term_size(long_side),
-                       *(term_size(u) for u, _ in candidates.values()))
-    for key, term, w, _ in _layered_relaxation(
+    size_cap = 2 + max(term_size(long_side), *map(term_size, candidates))
+    for term, w, _ in _layered_relaxation(
             sys, long_side, depth, pool, peak_total, size_cap):
         # critical pairs are open terms: the sides meet when one is an
         # instance of the other, not only when they are literally equal
-        for ukey, (u, wu) in candidates.items():
-            if (key == ukey
+        for u, wu in candidates.items():
+            if (term == u
                     or match(term, u) is not None
                     or match(u, term) is not None):
                 total = q.tensor(wu, w)
@@ -678,27 +712,27 @@ def term_graph(
     dropped and no layer was left unexpanded.
     """
     q = sys.quantale
-    nodes: Dict[str, Term] = {}
-    for s in seeds:
-        nodes.setdefault(term_key(s), s)
-    edges: Dict[Tuple[str, str], Value] = {}
+    nodes: Dict[Term, None] = dict.fromkeys(seeds)
+    edges: Dict[Tuple[Term, Term], Value] = {}
     layer, expanded, dropped = list(nodes), 0, False
     while layer and (depth is None or expanded < depth):
-        next_layer: List[str] = []
-        for key in layer:
-            for step in one_step(sys, nodes[key], fresh_pool):
-                tk = term_key(step.target)
-                if tk not in nodes:
+        next_layer: List[Term] = []
+        for term in layer:
+            for step in one_step(sys, term, fresh_pool):
+                u = step.target
+                if u not in nodes:
                     if max_terms is not None and len(nodes) >= max_terms:
                         dropped = True
                         continue
-                    nodes[tk] = step.target
-                    next_layer.append(tk)
-                old = edges.get((key, tk))
-                edges[(key, tk)] = (step.weight if old is None
+                    nodes[u] = None
+                    next_layer.append(u)
+                old = edges.get((term, u))
+                edges[(term, u)] = (step.weight if old is None
                                     else q.join2(old, step.weight))
         layer, expanded = next_layer, expanded + 1
-    rel = _qrel.FiniteQRel.make(sorted(nodes), edges, q)
+    rel = _qrel.FiniteQRel.make(
+        sorted(map(str, nodes)),
+        {(str(a), str(b)): w for (a, b), w in edges.items()}, q)
     return rel, not dropped and not layer
 
 

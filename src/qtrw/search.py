@@ -11,6 +11,11 @@ steps are forward steps of the inverted rules, so variables a rule's
 right-hand side erases are instantiated from a candidate pool drawn from the
 query terms' subterms.  Each term's deduplicated step list is cached in the
 stepper, so repeated queries over a shared state space amortize.
+
+Terms are hash-consed (see ``qtrw.term``), so the searches key their
+distance tables, settled sets and the step cache by the terms themselves;
+the rendering is taken only where it fixes an order (steps sorted by target)
+or leaves the library (``normalize``'s sorted normal forms).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .quantale import QuantaleError, Value
-from .term import Position, Term, term_key, term_size
+from .term import Position, Term, term_size
 from .qtrs import RewriteStep, RewriteSystem, one_step, subterm_pool
 from .graded import GradedSystem
 
@@ -86,18 +91,20 @@ class DistanceAnswer:
         })
 
 
-Relaxation = Tuple[str, Term, Value, WitnessStep]
+Relaxation = Tuple[Term, Value, WitnessStep]
 
 
 def _relaxations(sys: AnySystem, symmetric: bool, t: Term,
                  pool: Sequence[Term]) -> List[Relaxation]:
     """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
-    per target (best weight kept) and cached in the system's stepper."""
+    per target (best weight kept), ordered by target rendering, and cached
+    in the system's stepper under the key (symmetric, t), with the pool's
+    terms added when some rule invents variables."""
     stepper = sys.stepper
-    key: object = (symmetric, term_key(t))
+    key: object = (symmetric, t)
     # the pool only fills variables a rule invents; otherwise steps ignore it
     if stepper.forward.invents or (symmetric and stepper.backward.invents):
-        key = (symmetric, term_key(t), tuple(term_key(p) for p in pool))
+        key = (symmetric, t, tuple(pool))
     out = stepper.relaxations.get(key)
     if out is None:
         directions = [("forward", one_step(sys, t, pool))]
@@ -105,16 +112,15 @@ def _relaxations(sys: AnySystem, symmetric: bool, t: Term,
             directions.append(
                 ("backward", stepper.steps(t, pool, backward=True)))
         sb = sys.quantale.strictly_below
-        best: Dict[str, Relaxation] = {}
+        best: Dict[Term, Relaxation] = {}
         for direction, steps in directions:
             for s in steps:
-                nk = term_key(s.target)
-                old = best.get(nk)
-                if old is None or sb(old[2], s.weight):
-                    best[nk] = (nk, s.target, s.weight, WitnessStep(
+                old = best.get(s.target)
+                if old is None or sb(old[1], s.weight):
+                    best[s.target] = (s.target, s.weight, WitnessStep(
                         direction, s.source, s.target, s.position, s.rule_id,
                         s.weight))
-        out = stepper.relaxations[key] = [best[k] for k in sorted(best)]
+        out = stepper.relaxations[key] = [best[u] for u in sorted(best, key=str)]
     return out
 
 
@@ -142,17 +148,16 @@ class _SideSearch:
         self.symmetric = symmetric
         self.pool = pool
         self.budget = budget
-        self.dist: Dict[str, Tuple[Value, int, List[WitnessStep]]] = {
-            term_key(start): (self.q.unit, 0, [])}
-        self.settled: Set[str] = set()
+        self.dist: Dict[Term, Tuple[Value, int, List[WitnessStep]]] = {
+            start: (self.q.unit, 0, [])}
+        self.settled: Set[Term] = set()
         self.best_pruned: Optional[Value] = None
-        self._terms: Dict[str, Term] = {term_key(start): start}
-        self._heap: List[Tuple[object, int, str]] = []
+        self._heap: List[Tuple[object, int, Term]] = []
         self._seq = 0
-        self._push(term_key(start), self.q.unit)
+        self._push(start, self.q.unit)
 
-    def _push(self, key: str, w: Value) -> None:
-        heapq.heappush(self._heap, (self.q.sort_key(w), self._seq, key))
+    def _push(self, term: Term, w: Value) -> None:
+        heapq.heappush(self._heap, (self.q.sort_key(w), self._seq, term))
         self._seq += 1
 
     def _note_pruned(self, w: Value) -> None:
@@ -177,24 +182,23 @@ class _SideSearch:
                 best = self.best_pruned
         return best
 
-    def pop(self) -> Optional[str]:
-        """Settle and expand the best frontier node; returns its key."""
+    def pop(self) -> Optional[Term]:
+        """Settle and expand the best frontier term; returns it."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
-        dist, terms, settled = self.dist, self._terms, self.settled
+        dist, settled = self.dist, self.settled
         cutoff = self.budget.weight_cutoff
         max_size = self.budget.max_term_size
         while self._heap:
-            _, _, key = heapq.heappop(self._heap)
-            if key in settled:
+            _, _, term = heapq.heappop(self._heap)
+            if term in settled:
                 continue
-            settled.add(key)
-            w, depth, path = dist[key]
-            term = terms[key]
+            settled.add(term)
+            w, depth, path = dist[term]
             if depth >= self.budget.max_depth:
                 self._note_pruned(w)
-                return key
-            for nk, target, sw, step in _relaxations(
+                return term
+            for target, sw, step in _relaxations(
                     self.sys, self.symmetric, term, self.pool):
                 nw = tensor(w, sw)
                 if cutoff is not None and sb(nw, cutoff):
@@ -203,14 +207,13 @@ class _SideSearch:
                 if max_size is not None and term_size(target) > max_size:
                     self._note_pruned(nw)
                     continue
-                old = dist.get(nk)
+                old = dist.get(target)
                 if old is not None and not sb(old[0], nw):
                     continue
-                dist[nk] = (nw, depth + 1, path + [step])
-                terms[nk] = target
-                settled.discard(nk)
-                self._push(nk, nw)
-            return key
+                dist[target] = (nw, depth + 1, path + [step])
+                settled.discard(target)
+                self._push(target, nw)
+            return term
         return None
 
     def truncated(self) -> bool:
@@ -224,22 +227,21 @@ def reduction_distance(
     q = sys.quantale
     pool = subterm_pool(s, t)
     side = _SideSearch(sys, s, False, pool, budget)
-    target = term_key(t)
     expanded = 0
     while expanded < budget.max_expanded:
-        key = side.pop()
-        if key is None:
+        u = side.pop()
+        if u is None:
             break
         expanded += 1
-        if key == target:
-            w, _, path = side.dist[key]
+        if u == t:
+            w, _, path = side.dist[u]
             # a pruned branch might still have beaten this settlement
             if side.best_pruned is not None and q.strictly_below(
                     w, side.best_pruned):
                 return DistanceAnswer(UPPER_BOUND, w, tuple(path), expanded)
             return DistanceAnswer(EXACT, w, tuple(path), expanded)
-    if target in side.dist:
-        w, _, path = side.dist[target]
+    if t in side.dist:
+        w, _, path = side.dist[t]
         return DistanceAnswer(UPPER_BOUND, w, tuple(path), expanded)
     if side.frontier_bound() is None and not side.truncated():
         return DistanceAnswer(UNREACHABLE, None, (), expanded)
@@ -258,14 +260,14 @@ def _meet_search(
     pool = subterm_pool(s, t)
     left = _SideSearch(sys, s, symmetric, pool, budget)
     right = _SideSearch(sys, t, symmetric, pool, budget)
-    best: Optional[Tuple[Value, str]] = None
+    best: Optional[Tuple[Value, Term]] = None
 
-    def consider(key: str) -> None:
+    def consider(u: Term) -> None:
         nonlocal best
-        if key in left.dist and key in right.dist:
-            total = q.tensor(left.dist[key][0], right.dist[key][0])
+        if u in left.dist and u in right.dist:
+            total = q.tensor(left.dist[u][0], right.dist[u][0])
             if best is None or q.strictly_below(best[0], total):
-                best = (total, key)
+                best = (total, u)
 
     def future_meet_bound(include_pruned: bool) -> Optional[Value]:
         """Quantale-largest total any yet-unseen meet could have.
@@ -287,19 +289,19 @@ def _meet_search(
             return lb_l
         return q.tensor(lb_l, lb_r)
 
-    consider(term_key(s))
-    consider(term_key(t))
+    consider(s)
+    consider(t)
     expanded = 0
     exhausted_both = False
     while expanded < budget.max_expanded:
         progressed = False
         for side in (left, right):
-            key = side.pop()
-            if key is None:
+            u = side.pop()
+            if u is None:
                 continue
             progressed = True
             expanded += 1
-            consider(key)
+            consider(u)
         if not progressed:
             exhausted_both = True
             break
@@ -308,12 +310,12 @@ def _meet_search(
             if live is None or not q.strictly_below(best[0], live):
                 break
     # tentative distances may hold meets the settle-time checks missed
-    for key in left.dist.keys() & right.dist.keys():
-        consider(key)
+    for u in left.dist:
+        consider(u)
     if best is not None:
-        total, key = best
-        lpath = left.dist[key][2]
-        rpath = right.dist[key][2]
+        total, meet = best
+        lpath = left.dist[meet][2]
+        rpath = right.dist[meet][2]
         witness = tuple(lpath) + tuple(w.flipped() for w in reversed(rpath))
         bound = future_meet_bound(include_pruned=True)
         if bound is None or not q.strictly_below(total, bound):
@@ -427,44 +429,43 @@ def normalize(
             cur, w = step.target, q.tensor(w, step.weight)
         return NormalizeResult(((cur, w),), False)
 
-    seen: Dict[str, Tuple[Term, Value]] = {term_key(t): (t, q.unit)}
-    frontier = [term_key(t)]
-    nfs: Dict[str, Tuple[Term, Value]] = {}
+    seen: Dict[Term, Value] = {t: q.unit}
+    frontier = [t]
+    nfs: Dict[Term, Value] = {}
     expanded = 0
     exhausted = False
     # layer d holds terms d steps from t: normal forms up to max_depth steps
     # away are found, and terms that could still step at that depth exhaust
     for depth in range(budget.max_depth + 1):
-        nxt: List[str] = []
-        for key in frontier:
-            term, w = seen[key]
+        nxt: List[Term] = []
+        for term in frontier:
+            w = seen[term]
             expanded += 1
             if expanded > budget.max_expanded:
                 exhausted = True
                 break
             steps = one_step(sys, term, pool)
             if not steps:
-                old = nfs.get(key)
-                if old is None or q.strictly_below(old[1], w):
-                    nfs[key] = (term, w)
+                old = nfs.get(term)
+                if old is None or q.strictly_below(old, w):
+                    nfs[term] = w
                 continue
             if depth == budget.max_depth:
                 exhausted = True
                 continue
             for step in steps:
                 nw = q.tensor(w, step.weight)
-                nk = term_key(step.target)
-                old = seen.get(nk)
-                if old is None or q.strictly_below(old[1], nw):
-                    seen[nk] = (step.target, nw)
-                    nxt.append(nk)
+                old = seen.get(step.target)
+                if old is None or q.strictly_below(old, nw):
+                    seen[step.target] = nw
+                    nxt.append(step.target)
         if exhausted or not nxt:
             break
         frontier = nxt
     if not nfs and exhausted:
         return NormalizeResult((), True)
     return NormalizeResult(
-        tuple(nfs[k] for k in sorted(nfs)), exhausted)
+        tuple((u, nfs[u]) for u in sorted(nfs, key=str)), exhausted)
 
 
 def validate_witness(sys: AnySystem, s: Term, t: Term,
@@ -474,15 +475,15 @@ def validate_witness(sys: AnySystem, s: Term, t: Term,
     pool = subterm_pool(s, t)
     cur = s
     for wstep in witness:
-        if term_key(wstep.source) != term_key(cur):
+        if wstep.source != cur:
             return False
         src, tgt = wstep.source, wstep.target
         if wstep.direction != "forward":
             src, tgt = tgt, src
         if not any(c.position == wstep.position
-                   and term_key(c.target) == term_key(tgt)
+                   and c.target == tgt
                    and not q.strictly_below(c.weight, wstep.weight)
                    for c in one_step(sys, src, pool)):
             return False
         cur = wstep.target
-    return term_key(cur) == term_key(t)
+    return cur == t

@@ -6,13 +6,25 @@ tuple addresses the root).  Function symbols may carry rational parameters
 the usage modalities ``!{3}``); in rule patterns those parameter slots may
 hold expressions over schema parameters, while fully concrete terms always
 carry plain ``Fraction`` values.
+
+Applications are hash-consed: constructing ``Application(symbol, args)``
+returns the one live instance with that symbol and those arguments, kept in
+a process-wide table of weak references, so structurally equal applications
+are the same object.  Equality is identity, and the hash and the node count
+are fields computed at construction.  Terms are therefore dictionary keys
+themselves and define no ordering.  The string form is rendered on first
+demand, without recursion, and cached on every node it renders; it is for
+output and for sorts that fix an observable order (``key=str``), and
+``term_key`` names that use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import (ClassVar, Dict, Iterator, List, Optional, Set, Tuple,
+                    Union)
 
 from .ratexpr import Env, Expr, ExprError, Lit, Param, as_expr
 
@@ -36,13 +48,22 @@ class Symbol:
     params: Tuple[ParamSlot, ...] = ()
 
     def __post_init__(self) -> None:
-        # cache the rendering; symbols are interned into many term strings
+        # cache the rendering and the hash; symbols sit in every intern key
         if self.params:
             inner = ",".join(str(p) for p in self.params)
             rendered = f"{self.name}{{{inner}}}"
         else:
             rendered = self.name
         object.__setattr__(self, "_str", rendered)
+        object.__setattr__(self, "_hash",
+                           hash((self.name, self.arity, self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # recompute the cached hash, which string hashing makes per-process
+        return Symbol, (self.name, self.arity, self.params)
 
     def __str__(self) -> str:
         return self._str  # type: ignore[attr-defined]
@@ -52,36 +73,119 @@ class Symbol:
 class Variable:
     name: str
 
+    _size: ClassVar[int] = 1
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+class _Entry(weakref.ref):
+    """An intern-table entry: a weak reference to an application, with the
+    application's hash and the next entry under the same hash."""
+
+    __slots__ = ("hash", "next")
+
+
+def _forget(entry: _Entry) -> None:
+    """Unlink the entry of an application that died."""
+    head = _TABLE.get(entry.hash)
+    if head is entry:
+        if entry.next is None:
+            del _TABLE[entry.hash]
+        else:
+            _TABLE[entry.hash] = entry.next
+        return
+    while head is not None and head.next is not entry:
+        head = head.next
+    if head is not None:
+        head.next = entry.next
+
+
 class Application:
+    """A function symbol applied to argument terms; hash-consed."""
+
+    __slots__ = ("symbol", "args", "_hash", "_size", "_str", "__weakref__")
+
     symbol: Symbol
     args: Tuple["Term", ...]
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.symbol.arity:
+    def __new__(cls, symbol: Symbol, args: Tuple["Term", ...]) -> "Application":
+        if type(args) is not tuple:
+            args = tuple(args)
+        h = hash((symbol, args))
+        entry = _TABLE.get(h)
+        while entry is not None:
+            t = entry()
+            if (t is not None and t.args == args
+                    and (t.symbol is symbol or t.symbol == symbol)):
+                return t
+            entry = entry.next
+        if len(args) != symbol.arity:
             raise TermError(
-                f"symbol {self.symbol} expects {self.symbol.arity} arguments,"
-                f" got {len(self.args)}")
-        # cache the canonical rendering (it doubles as the term's dict key)
-        # and the node count, both queried on every generated search state
-        if self.args:
-            rendered = f"{self.symbol}({','.join(str(a) for a in self.args)})"
-        else:
-            rendered = str(self.symbol)
-        object.__setattr__(self, "_str", rendered)
-        object.__setattr__(self, "_size", 1 + sum(term_size(a) for a in self.args))
+                f"symbol {symbol} expects {symbol.arity} arguments,"
+                f" got {len(args)}")
+        size = 1
+        for a in args:
+            size += a._size
+        t = object.__new__(cls)
+        init = object.__setattr__
+        init(t, "symbol", symbol)
+        init(t, "args", args)
+        init(t, "_hash", h)
+        init(t, "_size", size)
+        init(t, "_str", None)
+        entry = _Entry(t, _forget)
+        entry.hash, entry.next = h, _TABLE.get(h)
+        _TABLE[h] = entry
+        return t
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a term")
+
+    __delattr__ = __setattr__  # type: ignore[assignment]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # copies and unpickled terms go through the table again
+        return Application, (self.symbol, self.args)
+
+    def __repr__(self) -> str:
+        return f"Application({str(self)!r})"
 
     def __str__(self) -> str:
-        return self._str  # type: ignore[attr-defined]
+        s = self._str
+        return s if s is not None else _render(self)
 
 
 Term = Union[Variable, Application]
 
 Substitution = Dict[str, Term]
+
+# hash of (symbol, args) -> the entries of the live applications with that
+# hash, chained through ``_Entry.next``
+_TABLE: Dict[int, _Entry] = {}
+
+
+def _render(t: Application) -> str:
+    """Render ``t`` in post-order without recursion, caching every node."""
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        todo = [a for a in node.args
+                if isinstance(a, Application) and a._str is None]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if node._str is None:
+            s = str(node.symbol)
+            if node.args:
+                s = f"{s}({','.join([str(a) for a in node.args])})"
+            object.__setattr__(node, "_str", s)
+    return t._str  # type: ignore[return-value]
+
 
 HOLE = Variable("□")  # the single hole of a context
 
@@ -91,31 +195,34 @@ def app(symbol: Symbol, *args: Term) -> Application:
 
 
 def term_key(t: Term) -> str:
-    """Canonical string form; used as dictionary key throughout."""
+    """Canonical string form, for output: the keys of public results and
+    the order of sorted output.  Internally terms are their own keys."""
     return str(t)
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Variable):
-        return 1
-    return t._size  # type: ignore[attr-defined]
+    return t._size  # type: ignore[union-attr]
+
+
+def subterms(t: Term) -> Iterator[Tuple[Position, Term]]:
+    """Every (position, subterm) pair of ``t`` in pre-order, left to right;
+    iterative, so term depth is not bounded by the recursion limit."""
+    stack = [(ROOT, t)]
+    while stack:
+        p, s = stack.pop()
+        yield p, s
+        if isinstance(s, Application):
+            args = s.args
+            for i in range(len(args), 0, -1):
+                stack.append((p + (i,), args[i - 1]))
 
 
 def positions(t: Term) -> List[Position]:
-    out: List[Position] = []
-
-    def walk(s: Term, p: Position) -> None:
-        out.append(p)
-        if isinstance(s, Application):
-            for i, a in enumerate(s.args, start=1):
-                walk(a, p + (i,))
-
-    walk(t, ROOT)
-    return out
+    return [p for p, _ in subterms(t)]
 
 
 def function_positions(t: Term) -> List[Position]:
-    return [p for p in positions(t) if isinstance(subterm_at(t, p), Application)]
+    return [p for p, s in subterms(t) if isinstance(s, Application)]
 
 
 def subterm_at(t: Term, p: Position) -> Term:
@@ -127,15 +234,17 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
-    if not p:
-        return s
-    if not isinstance(t, Application) or not 1 <= p[0] <= len(t.args):
-        raise TermError(f"invalid position {p} in {t}")
-    i = p[0]
-    new_args = tuple(
-        replace_at(a, p[1:], s) if j == i else a
-        for j, a in enumerate(t.args, start=1))
-    return Application(t.symbol, new_args)
+    path: List[Application] = []
+    cur = t
+    for i in p:
+        if not isinstance(cur, Application) or not 1 <= i <= len(cur.args):
+            raise TermError(f"invalid position {p} in {t}")
+        path.append(cur)
+        cur = cur.args[i - 1]
+    for node, i in zip(reversed(path), reversed(p)):
+        args = node.args
+        s = Application(node.symbol, args[:i - 1] + (s,) + args[i:])
+    return s
 
 
 def variables(t: Term) -> Set[str]:
@@ -170,18 +279,23 @@ def is_ground(t: Term) -> bool:
 def apply_substitution(t: Term, sigma: Substitution) -> Term:
     if isinstance(t, Variable):
         return sigma.get(t.name, t)
-    return Application(t.symbol, tuple(apply_substitution(a, sigma) for a in t.args))
+    args = tuple([apply_substitution(a, sigma) for a in t.args])
+    return t if args == t.args else Application(t.symbol, args)
 
 
 def instantiate_params(t: Term, env: Env) -> Term:
     """Evaluate every expression-valued symbol parameter under ``env``."""
     if isinstance(t, Variable):
         return t
-    params = tuple(
-        p if isinstance(p, Fraction) else p.evaluate(env)
-        for p in t.symbol.params)
-    sym = Symbol(t.symbol.name, t.symbol.arity, params)
-    return Application(sym, tuple(instantiate_params(a, env) for a in t.args))
+    sym = t.symbol
+    if sym.params and not all(isinstance(p, Fraction) for p in sym.params):
+        sym = Symbol(sym.name, sym.arity, tuple(
+            p if isinstance(p, Fraction) else p.evaluate(env)
+            for p in sym.params))
+    args = tuple([instantiate_params(a, env) for a in t.args])
+    if sym is t.symbol and args == t.args:
+        return t
+    return Application(sym, args)
 
 
 def compose_substitutions(sigma: Substitution, rho: Substitution) -> Substitution:
@@ -340,9 +454,7 @@ class Context:
     hole: Position
 
     def __post_init__(self) -> None:
-        count = sum(
-            1 for p in positions(self.term_with_hole)
-            if subterm_at(self.term_with_hole, p) == HOLE)
+        count = sum(1 for _, s in subterms(self.term_with_hole) if s == HOLE)
         if count != 1 or subterm_at(self.term_with_hole, self.hole) != HOLE:
             raise TermError("a context must contain exactly one hole")
 

@@ -217,6 +217,23 @@ def test_cli_errors_return_one(capsys):
     capsys.readouterr()
 
 
+def test_cli_undefined_rule_instances_and_expression_errors(tmp_path, capsys):
+    inverse = tmp_path / "inverse.qtrs"
+    inverse.write_text("\n".join([
+        "system inverse", "quantale lawvere", "symbol f{e}/1", "symbol a/0",
+        "rule inv: f{e}(x) -[1]-> f{(1 / e)}(x)", "option grid 0 1 2"]))
+    # f{(1 / e)} is undefined at e = 0, so the rule does not fire there
+    assert main(["rewrite", str(inverse), "f{0}(a)"]) == 0
+    assert capsys.readouterr().out == "normal form\n"
+    # a grade undefined at the symbol's parameters is an error, not a crash
+    graded = tmp_path / "graded.qtrs"
+    graded.write_text("\n".join([
+        "system graded", "quantale lawvere",
+        "symbol h{n}/1 grades [(1 / n)]", "symbol a/0"]))
+    assert main(["degree", str(graded), "h{0}(x)", "x"]) == 1
+    assert capsys.readouterr().err == "error: division by zero in (1 / n)\n"
+
+
 def test_cli_library_errors_return_one(capsys):
     bary = str(SAMPLES / "barycentric.qtrs")
     assert main(["critical-pairs", bary, "--grid", " "]) == 1

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from qtrw import qtrs
+from qtrw.cli import main
 from qtrw.dsl import parse_system
-from qtrw.graded import GradedSystem
+from qtrw.graded import GradedSystem, multi_step
 from qtrw.qtrs import Rule, RewriteSystem, SymbolFamily, one_step, subterm_pool
 from qtrw.quantale import LAWVERE
-from qtrw.systems import make_nat
+from qtrw.systems import (app2, make_barycentric, make_graded_combinators,
+                          make_nat, nat_term)
 from qtrw.term import (
     Application,
     Symbol,
@@ -125,18 +128,71 @@ def test_backward_steps_are_transposes_of_forward_steps(name):
     assert missing == []
 
 
+INVERSE = "\n".join([
+    "system inverse", "quantale lawvere", "symbol f{e}/1", "symbol a/0",
+    "rule inv: f{e}(x) -[1]-> f{(1 / e)}(x)"])
+
+
+def _f(e, arg=Variable("x")):
+    return Application(Symbol("f", 1, (Fraction(e),)), (arg,))
+
+
 def test_compound_parameter_rules_without_grid_instances_keep_the_schema():
-    # f{(1 / e)} has no instance at e = 0, and without a grid there are no
-    # instances at all: the inverted schema stays and never fires
-    text = "\n".join([
-        "system inverse", "quantale lawvere", "symbol f{e}/1", "symbol a/0",
-        "rule inv: f{e}(x) -[1]-> f{(1 / e)}(x)"])
-    f = Application(Symbol("f", 1, (Fraction(2),)), (Variable("x"),))
-    for grid in ("", "option grid 0 1 2"):
-        sys = parse_system(text + "\n" + grid)
-        assert sys.stepper.steps(f, backward=True) == []
-    (step,) = one_step(sys, f)
-    assert step.target.symbol.params == (Fraction(1, 2),)
+    # without a grid there are no instances at all: the inverted schema
+    # stays and never fires
+    sys = parse_system(INVERSE)
+    assert sys.stepper.steps(_f(Fraction(1, 2)), backward=True) == []
+    (step,) = one_step(sys, _f(2))
+    assert step.target is _f(Fraction(1, 2))
+    # with a grid, the instances that are defined (e = 1, 2; not 1 / 0)
+    # are inverted, so f{1/2}(x) steps back to f{2}(x)
+    sys = parse_system(INVERSE + "\noption grid 0 1 2")
+    assert sys.stepper.steps(_f(2), backward=True) == []
+    (back,) = sys.stepper.steps(_f(Fraction(1, 2)), backward=True)
+    assert (back.target, back.rule_id, back.weight) == (_f(2), "inv", 1)
+
+
+def test_undefined_rule_instances_do_not_fire():
+    sys = parse_system(INVERSE + "\noption grid 0 1 2")
+    a = Application(Symbol("a", 0), ())
+    assert one_step(sys, _f(0, a)) == []
+    assert [r.rid for r in sys.instantiate().rules] == ["inv[e=1]", "inv[e=2]"]
+
+
+def test_forward_only_callers_leave_the_backward_table_unbuilt(monkeypatch):
+    built = []
+    real = qtrs._inverses
+    monkeypatch.setattr(qtrs, "_inverses",
+                        lambda *args: built.append(args) or real(*args))
+    bary = make_barycentric()
+    peaks = qtrs.critical_pairs(bary)
+    assert qtrs.strongly_closed_check(bary, peaks[0], 2).holds
+    qtrs.confluence_report(make_nat(), [nat_term(2)], 2)
+    gsys = make_graded_combinators()
+    i = Application(Symbol("I", 0), ())
+    assert multi_step(gsys, app2(i, i))
+    for what in ("local-confluence", "strong-closure", "orthogonal"):
+        main(["check", str(SAMPLES / "barycentric.qtrs"), "--what", what,
+              "--depth", "1"])
+    assert built == []
+    assert "backward" not in vars(bary.stepper)
+    assert "backward" not in vars(gsys.stepper)
+    bary.stepper.steps(peaks[0].source, backward=True)
+    assert "backward" in vars(bary.stepper) and built
+
+
+def test_rules_without_parameters_are_used_as_they_are(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qtrs, "instantiate_params",
+                        lambda *args: calls.append(args) or instantiate_params(*args))
+    assert len(one_step(make_nat(), nat_term(3))) == 3
+    assert calls == []
+
+
+def test_steps_on_a_numeral_deeper_than_the_recursion_limit():
+    steps = one_step(make_nat(), nat_term(1200))
+    assert [s.position for s in steps] == [(1,) * k for k in range(1200)]
+    assert all(s.target is nat_term(1199) for s in steps)
 
 
 def test_stepper_is_built_on_the_first_step_and_kept():

@@ -1,12 +1,18 @@
 """Terms, positions, substitution, matching, and unification."""
 
+import copy
+import gc
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qtrw.ratexpr import parse_expr
+from qtrw import term as term_module
+from qtrw.dsl import parse_term
+from qtrw.qtrs import SymbolFamily
+from qtrw.ratexpr import Lit, parse_expr
 from qtrw.term import (
     HOLE,
     Application,
@@ -27,6 +33,7 @@ from qtrw.term import (
     positions,
     replace_at,
     subterm_at,
+    subterms,
     term_key,
     term_size,
     unify,
@@ -185,3 +192,152 @@ def test_match_after_substitution_roundtrip(data):
     m = match(pattern, subject)
     assert m is not None
     assert apply_substitution(pattern, m[0]) == subject
+
+
+# ---------------------------------------------------------------------------
+# the hash-consed term core
+
+
+def reference_str(t):
+    """The rendering, recursively: the string every term once stored."""
+    if isinstance(t, Variable):
+        return t.name
+    head = str(t.symbol)
+    return f"{head}({','.join(reference_str(a) for a in t.args)})" if t.args else head
+
+
+FAMILIES = (SymbolFamily("f", 2), SymbolFamily("g", 1), SymbolFamily("a", 0),
+            SymbolFamily("b", 0), SymbolFamily("p", 1, ("e",)))
+HALVES = (Fraction(1, 2), Fraction(1, 3))
+
+# a ground term as nested tuples: ("a",), ("g", t), ("f", t, t), ("p", e, t)
+specs = st.recursive(
+    st.sampled_from([("a",), ("b",)]),
+    lambda sub: st.one_of(
+        st.tuples(st.just("g"), sub),
+        st.tuples(st.just("f"), sub, sub),
+        st.tuples(st.just("p"), st.sampled_from(HALVES), sub)),
+    max_leaves=6)
+
+
+def build(spec, leaf=None, param=lambda e: e):
+    """The term of ``spec`` by the constructor; ``leaf`` replaces each
+    ``a``, and ``param`` wraps each parameter of ``p``."""
+    head, *rest = spec
+    if head == "a" and leaf is not None:
+        return leaf
+    if head == "p":
+        return Application(Symbol("p", 1, (param(rest[0]),)),
+                           (build(rest[1], leaf, param),))
+    return Application(Symbol(head, len(rest)),
+                       tuple(build(r, leaf, param) for r in rest))
+
+
+def spec_text(spec):
+    head, *rest = spec
+    if head == "p":
+        return f"p{{{rest[0]}}}({spec_text(rest[1])})"
+    return f"{head}({','.join(map(spec_text, rest))})" if rest else head
+
+
+def _spec_at(spec, p):
+    for i in p:
+        spec = spec[1:][i - 1] if spec[0] != "p" else spec[2]
+    return spec
+
+
+def every_route(spec):
+    """The term of ``spec`` built by the parser, the constructor,
+    ``replace_at``, ``apply_substitution`` and ``instantiate_params``."""
+    direct = build(spec)
+    p, _ = random.Random(spec_text(spec)).choice(list(subterms(direct)))
+    return [
+        parse_term(spec_text(spec), FAMILIES),
+        direct,
+        replace_at(app(g, app(b)), (1,), build(spec)).args[0],
+        replace_at(direct, p, parse_term(
+            spec_text(_spec_at(spec, p)), FAMILIES)),
+        apply_substitution(build(spec, leaf=x), {"x": app(a)}),
+        instantiate_params(build(spec, param=Lit), {}),
+    ]
+
+
+@given(specs, specs)
+def test_equal_ground_terms_are_one_object(s1, s2):
+    terms = every_route(s1) + every_route(s2)
+    for u in terms:
+        assert str(u) == reference_str(u)
+        for v in terms:
+            assert (u is v) == (reference_str(u) == reference_str(v))
+            assert (u == v) == (u is v)
+            if u is v:
+                assert hash(u) == hash(v)
+
+
+@given(st.lists(specs, max_size=8))
+def test_sorting_by_rendering_keeps_the_string_order(ss):
+    terms = [build(spec) for spec in ss]
+    assert ([reference_str(t) for t in sorted(terms, key=str)]
+            == sorted(reference_str(t) for t in terms))
+
+
+def _chain(name, depth):
+    t = app(Symbol(name, 0))
+    for _ in range(depth):
+        t = app(Symbol(name, 1), t)
+    return t
+
+
+def test_dropped_terms_leave_the_intern_table():
+    gc.disable()
+    try:
+        before = len(term_module._TABLE)
+        t = _chain("dropped", 5000)
+        assert len(term_module._TABLE) == before + 5001
+        str(t)
+        del t
+        assert len(term_module._TABLE) == before
+    finally:
+        gc.enable()
+
+
+def test_terms_sharing_a_hash_stay_distinct():
+    s1, s2 = Symbol("clash1", 0), Symbol("clash2", 0)
+    object.__setattr__(s2, "_hash", hash(s1))
+    t1, t2 = Application(s1, ()), Application(s2, ())
+    assert hash(t1) == hash(t2) and t1 is not t2
+    assert Application(s1, ()) is t1 and Application(s2, ()) is t2
+    del t1
+    assert Application(s2, ()) is t2
+    t1 = Application(s1, ())
+    del t2
+    assert Application(s1, ()) is t1
+
+
+def test_deep_terms_render_hash_and_compare():
+    t = _chain("S", 5000)
+    assert str(t) == "S(" * 5000 + "S" + ")" * 5000
+    assert term_size(t) == 5001
+    again = _chain("S", 5000)
+    assert again is t and again == t and hash(again) == hash(t)
+    assert again != _chain("S", 4999)
+    assert len(positions(t)) == 5001
+
+
+def test_copies_are_the_same_object_and_fields_are_read_only():
+    sym = Symbol("+", 2, (Fraction(1, 2),))
+    t = app(sym, T, app(a))
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert pickle.loads(pickle.dumps(sym)) == sym
+    with pytest.raises(AttributeError):
+        t.symbol = g
+    with pytest.raises(AttributeError):
+        t.args = ()
+    assert t.symbol is sym
+
+
+def test_subterms_are_the_positions_in_pre_order():
+    assert [p for p, _ in subterms(T)] == positions(T)
+    assert all(s is subterm_at(T, p) for p, s in subterms(T))
