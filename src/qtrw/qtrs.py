@@ -17,6 +17,12 @@ forward step of an inverted rule, so the variables a rule erases become
 fresh variables of its inverse, drawn from the same candidate pool.  A rule
 whose right-hand side matching cannot solve for its parameters (a compound
 slot such as ``+{(1 - e)}``) is inverted instance by instance over the grid.
+A stepper whose rules are closed under inversion, at no better weight, is
+``self_inverse``: its backward steps repeat forward ones, and the distance
+search skips them.  Steps take each subterm's root redexes from a redex memo
+owned by the caller: one search query or one closure check (``join_check``,
+``strongly_closed_check``) shares one memo, so a subterm common to many of
+its terms is matched against the rules once per direction.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 from .quantale import QuantaleError, QuantaleSpec, Value
 from .ratexpr import Comparison, Env, Expr, ExprError, Param
 from .term import (
-    Application,
     Position,
     Renamer,
     Substitution,
@@ -301,6 +306,28 @@ def _inverses(quantale: QuantaleSpec, grid: Sequence[Fraction],
     return [replace(rule, lhs=rule.rhs, rhs=rule.lhs)]
 
 
+def _renamed(*ts: Term) -> Tuple[Term, ...]:
+    """``ts`` with their variables renamed jointly to ``v0``, ``v1``, ... in
+    order of first occurrence, so that two tuples are equal up to a joint
+    renaming exactly when their renamings are equal."""
+    names: Dict[str, Term] = {}
+    for t in ts:
+        for _, s in subterms(t):
+            if isinstance(s, Variable) and s.name not in names:
+                names[s.name] = Variable(f"v{len(names)}")
+    return tuple(apply_substitution(t, names) for t in ts)
+
+
+# How the rules fire at the root of one subterm, in firing order: (rule id,
+# weight, fresh variables, contractum, substitution); for a rule that invents
+# variables the last two are the match and the instantiated right-hand side,
+# since the invented variables' values depend on the caller.
+_Redex = Tuple[str, Value, Tuple[str, ...], object, object]
+
+# the redex memo of one query: (backward?, subterm) -> its root redexes
+RedexMemo = Dict[Tuple[bool, Term], Tuple[_Redex, ...]]
+
+
 class Stepper:
     """A system's one-step relation, compiled for both directions.
 
@@ -310,6 +337,13 @@ class Stepper:
     ``relaxations`` is the distance search's step cache.  The stepper keeps
     no reference to its system, so a dropped system frees its cache at once
     rather than at the next cyclic garbage collection.
+
+    ``steps`` takes each subterm's root redexes from a redex memo that the
+    caller owns: one search query or one closure check shares a single memo,
+    so a subterm common to many of its terms is matched once per direction.
+    The memo holds no more than the query reaches and is dropped with it; a
+    memo on the stepper would keep every query's subterms alive.
+    ``self_inverse`` tells the search when backward steps add nothing.
     """
 
     def __init__(self, sys: RewriteSystem,
@@ -325,8 +359,50 @@ class Stepper:
         return _RuleTable.of([inv for rule in self.rules
                               for inv in _inverses(self.quantale, self.grid, rule)])
 
+    @cached_property
+    def self_inverse(self) -> bool:
+        """Whether every backward step has a forward twin at least as good:
+        no rule is a schema, has conditions or invents variables, and each
+        rule's swapped sides are, up to a joint renaming, the sides of a
+        rule that weighs at least as much in the quantale order.  The twin
+        steps at the same position to the same target, and context scaling
+        is monotone."""
+        q = self.quantale
+        if self.forward.invents or any(r.is_schema or r.conditions
+                                       for r in self.rules):
+            return False
+        weights: Dict[Tuple[Term, ...], List[Value]] = {}
+        for r in self.rules:
+            weights.setdefault(_renamed(r.lhs, r.rhs), []).append(r.weight)
+        return all(any(q.leq(r.weight, w)
+                       for w in weights.get(_renamed(r.rhs, r.lhs), ()))
+                   for r in self.rules)
+
+    def _redexes(self, sub: Term, backward: bool) -> Tuple[_Redex, ...]:
+        """How the rules (with ``backward``, the inverted rules) fire at the
+        root of ``sub``; see ``_Redex``."""
+        table = self.backward if backward else self.forward
+        candidates = table.var_rules
+        if not isinstance(sub, Variable):
+            candidates += table.by_root.get(sub.symbol.name, ())
+        out: List[_Redex] = []
+        for rule, fresh in candidates:
+            for sigma, env, weight, rhs in _rule_matches(
+                    self.quantale, self.grid, rule, sub):
+                rid = rule.rid
+                if env and not backward:
+                    rid = f"{rule.rid}[{','.join(f'{k}={v}' for k, v in sorted(env.items()))}]"
+                if fresh:
+                    out.append((rid, weight, fresh, sigma, rhs))
+                else:
+                    out.append((rid, weight, fresh,
+                                apply_substitution(rhs, sigma),
+                                tuple(sorted(sigma.items()))))
+        return tuple(out)
+
     def steps(self, t: Term, pool: Optional[Sequence[Term]] = None,
-              backward: bool = False) -> List[RewriteStep]:
+              backward: bool = False, *,
+              memo: Optional[RedexMemo] = None) -> List[RewriteStep]:
         """Every single step from ``t``, duplicate-free; with ``backward``,
         every step from ``t`` of the inverse relation.
 
@@ -334,35 +410,31 @@ class Stepper:
         variables the left-hand side does not bind; by default a single fresh
         variable is used.  Forward steps of schema rules name their parameter
         assignment in the rule id; backward steps keep the bare rule id.
+        ``memo`` is the caller's redex memo (by default a fresh one); it must
+        only ever serve this stepper.
         """
         q = self.quantale
-        table = self.backward if backward else self.forward
+        if memo is None:
+            memo = {}
         steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
         for p, sub in subterms(t):
-            candidates = table.var_rules
-            if not isinstance(sub, Variable):
-                candidates += table.by_root.get(sub.symbol.name, ())
-            for rule, fresh in candidates:
-                for sigma, env, weight, rhs in _rule_matches(
-                        q, self.grid, rule, sub):
-                    if self.scale is not None:
-                        weight = self.scale(t, p, weight)
-                    choices = itertools.product(
-                        pool or [_fresh_variable_for(t, set(fresh))],
-                        repeat=len(fresh)) if fresh else [()]
-                    rid = rule.rid
-                    if env and not backward:
-                        rid = f"{rule.rid}[{','.join(f'{k}={v}' for k, v in sorted(env.items()))}]"
-                    for picked in choices:
-                        full_sigma = dict(sigma)
-                        full_sigma.update(zip(fresh, picked))
-                        target = replace_at(t, p, apply_substitution(rhs, full_sigma))
-                        key = (p, rid, target)
-                        old = steps.get(key)
-                        if old is None or q.strictly_below(old.weight, weight):
-                            steps[key] = RewriteStep(
-                                t, target, weight, p, rid,
-                                tuple(sorted(full_sigma.items())))
+            redexes = memo.get((backward, sub))
+            if redexes is None:
+                redexes = memo[backward, sub] = self._redexes(sub, backward)
+            for rid, weight, fresh, a, b in redexes:
+                if self.scale is not None:
+                    weight = self.scale(t, p, weight)
+                # a, b: the contractum and substitution, or, for a rule that
+                # invents variables, the match and the right-hand side
+                contracta = (_invented(t, pool, fresh, a, b) if fresh
+                             else ((a, b),))
+                for contractum, subst in contracta:
+                    target = replace_at(t, p, contractum)
+                    key = (p, rid, target)
+                    old = steps.get(key)
+                    if old is None or q.strictly_below(old.weight, weight):
+                        steps[key] = RewriteStep(t, target, weight, p, rid,
+                                                 subst)
         # by position, rule id and target rendering; targets are compared
         # only where one rule steps at one position to several of them, and
         # then by the part of their rendering from that position on
@@ -380,6 +452,18 @@ class Stepper:
         return [steps[k] for k in sorted(steps, key=order)]
 
 
+def _invented(t: Term, pool: Optional[Sequence[Term]],
+              fresh: Tuple[str, ...], sigma: Substitution, rhs: Term,
+              ) -> Iterator[Tuple[Term, Tuple[Tuple[str, Term], ...]]]:
+    """(contractum, substitution) for each pick of the ``fresh`` variables
+    from ``pool``, or of one variable fresh for ``t``."""
+    for picked in itertools.product(
+            pool or [_fresh_variable_for(t, set(fresh))], repeat=len(fresh)):
+        full = dict(sigma)
+        full.update(zip(fresh, picked))
+        yield apply_substitution(rhs, full), tuple(sorted(full.items()))
+
+
 def _rendering_after(t: Term, p: Position) -> str:
     """The rendering of ``t`` that follows its subterm at ``p``."""
     tails = []
@@ -393,15 +477,19 @@ def one_step(
     sys: RewriteSystem,
     t: Term,
     fresh_pool: Optional[Sequence[Term]] = None,
+    *,
+    memo: Optional[RedexMemo] = None,
 ) -> List[RewriteStep]:
     """Every single rewrite step from ``t``, duplicate-free.
 
     ``fresh_pool`` supplies candidate instantiations for right-hand-side
     variables the left-hand side does not bind; by default a single fresh
     variable is used.  ``sys`` may also be a graded system, whose step
-    weights are scaled by the degree of the surrounding context.
+    weights are scaled by the degree of the surrounding context.  ``memo``
+    is a redex memo shared by the steps of one query of ``sys`` (see
+    ``Stepper``).
     """
-    return sys.stepper.steps(t, fresh_pool)
+    return sys.stepper.steps(t, fresh_pool, memo=memo)
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +516,7 @@ class CriticalPeak:
 
 
 def _canonical_peak_key(peak: CriticalPeak) -> str:
-    mapping: Dict[str, str] = {}
-
-    def canon(t: Term) -> Term:
-        if isinstance(t, Variable):
-            if t.name not in mapping:
-                mapping[t.name] = f"v{len(mapping)}"
-            return Variable(mapping[t.name])
-        return Application(t.symbol, tuple(canon(a) for a in t.args))
-
-    parts = [canon(peak.source), canon(peak.left[0]), canon(peak.right[0])]
+    parts = _renamed(peak.source, peak.left[0], peak.right[0])
     return "|".join(term_key(p) for p in parts) + f"|{peak.left[1]}|{peak.right[1]}"
 
 
@@ -540,6 +619,7 @@ def _layered_relaxation(
     pool: Optional[Sequence[Term]] = None,
     weight_bound: Optional[Value] = None,
     size_bound: Optional[int] = None,
+    memo: Optional[RedexMemo] = None,
 ) -> Iterator[Tuple[Term, Value, List[RewriteStep]]]:
     """Relax reducts of ``t`` layer by layer, up to ``depth`` steps.
 
@@ -548,6 +628,7 @@ def _layered_relaxation(
     previous one improved, at their current best weight.  Paths whose
     weight drops below ``weight_bound`` in the quantale order are pruned
     (sound: tensors only descend), as are reducts larger than ``size_bound``.
+    Steps go through the redex memo ``memo`` of the caller's check.
     """
     q = sys.quantale
     best: Dict[Term, Tuple[Value, List[RewriteStep]]] = {t: (q.unit, [])}
@@ -557,7 +638,7 @@ def _layered_relaxation(
         next_frontier: List[Term] = []
         for term in frontier:
             w, path = best[term]
-            for step in one_step(sys, term, pool):
+            for step in one_step(sys, term, pool, memo=memo):
                 nw = q.tensor(w, step.weight)
                 if weight_bound is not None and not q.leq(weight_bound, nw):
                     continue
@@ -615,8 +696,10 @@ def join_check(
     q = sys.quantale
     pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
     peak_total = peak.tensor(q)
+    memo: RedexMemo = {}
     lred, rred = [{u: (w, path) for u, w, path in _layered_relaxation(
-        sys, side, depth_budget, pool)} for side in (peak.left[0], peak.right[0])]
+        sys, side, depth_budget, pool, memo=memo)}
+        for side in (peak.left[0], peak.right[0])]
     best = None
     for lt, (lw, lp) in lred.items():
         hit = rred.get(lt)
@@ -651,15 +734,16 @@ def _one_sided_closure(
     peak_total: Value,
     depth: int,
     pool: Sequence[Term],
+    memo: RedexMemo,
 ) -> Optional[Tuple[Term, Value]]:
     q = sys.quantale
     candidates = {u: w for u, w, _ in _layered_relaxation(
-        sys, short_side, 1, pool)}
+        sys, short_side, 1, pool, memo=memo)}
     # the sought meet is one of the candidates, so reducts that outgrow them
     # (modulo slack for intermediate reshuffling) can never close the peak
     size_cap = 2 + max(term_size(long_side), *map(term_size, candidates))
     for term, w, _ in _layered_relaxation(
-            sys, long_side, depth, pool, peak_total, size_cap):
+            sys, long_side, depth, pool, peak_total, size_cap, memo):
         # critical pairs are open terms: the sides meet when one is an
         # instance of the other, not only when they are literally equal
         for u, wu in candidates.items():
@@ -684,10 +768,11 @@ def strongly_closed_check(
     q = sys.quantale
     pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
     total = peak.tensor(q)
+    memo: RedexMemo = {}  # both conditions step through one memo
     c1 = _one_sided_closure(sys, peak.left[0], peak.right[0], total,
-                            depth_budget, pool)
+                            depth_budget, pool, memo)
     c2 = _one_sided_closure(sys, peak.right[0], peak.left[0], total,
-                            depth_budget, pool)
+                            depth_budget, pool, memo)
     return StrongClosureVerdict(c1 is not None and c2 is not None, c1, c2)
 
 

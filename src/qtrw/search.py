@@ -12,6 +12,14 @@ right-hand side erases are instantiated from a candidate pool drawn from the
 query terms' subterms.  Each term's deduplicated step list is cached in the
 stepper, so repeated queries over a shared state space amortize.
 
+Each step is generated once per query.  A query owns one redex memo, shared
+by both of its frontiers and dropped with it, so a subterm common to many
+expanded terms is matched against the rules once per direction.  A system
+closed under inversion (``Stepper.self_inverse``, such as the Hamming and
+Levenshtein systems) has a forward twin, as good, for every backward step;
+its conversion search generates forward steps only, with the same answers
+and witnesses, and shares its cached step lists with valley searches.
+
 Terms are hash-consed (see ``qtrw.term``), so the searches key their
 distance tables, settled sets and the step cache by the terms themselves;
 the rendering is taken only where it fixes an order (steps sorted by target)
@@ -28,7 +36,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .quantale import QuantaleError, Value
 from .term import Position, Term, term_size
-from .qtrs import RewriteStep, RewriteSystem, one_step, subterm_pool
+from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, one_step,
+                   subterm_pool)
 from .graded import GradedSystem
 
 AnySystem = Union[RewriteSystem, GradedSystem]
@@ -95,22 +104,30 @@ Relaxation = Tuple[Term, Value, WitnessStep]
 
 
 def _relaxations(sys: AnySystem, symmetric: bool, t: Term,
-                 pool: Sequence[Term]) -> List[Relaxation]:
+                 pool: Sequence[Term],
+                 memo: Optional[RedexMemo] = None) -> List[Relaxation]:
     """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
     per target (best weight kept), ordered by target rendering, and cached
     in the system's stepper under the key (symmetric, t), with the pool's
-    terms added when some rule invents variables."""
+    terms added when some rule invents variables.  ``memo`` is the query's
+    redex memo.
+
+    The first best step per target is kept and forward steps come first,
+    so on a self-inverse system backward steps never win, and are neither
+    generated nor keyed apart."""
     stepper = sys.stepper
+    if symmetric and stepper.self_inverse:
+        symmetric = False
     key: object = (symmetric, t)
     # the pool only fills variables a rule invents; otherwise steps ignore it
     if stepper.forward.invents or (symmetric and stepper.backward.invents):
         key = (symmetric, t, tuple(pool))
     out = stepper.relaxations.get(key)
     if out is None:
-        directions = [("forward", one_step(sys, t, pool))]
+        directions = [("forward", one_step(sys, t, pool, memo=memo))]
         if symmetric:
-            directions.append(
-                ("backward", stepper.steps(t, pool, backward=True)))
+            directions.append(("backward", stepper.steps(
+                t, pool, backward=True, memo=memo)))
         sb = sys.quantale.strictly_below
         best: Dict[Term, Relaxation] = {}
         for direction, steps in directions:
@@ -139,6 +156,7 @@ class _SideSearch:
         symmetric: bool,
         pool: Sequence[Term],
         budget: SearchBudget,
+        memo: RedexMemo,
     ) -> None:
         self.sys = sys
         self.q = sys.quantale
@@ -148,6 +166,7 @@ class _SideSearch:
         self.symmetric = symmetric
         self.pool = pool
         self.budget = budget
+        self.memo = memo
         self.dist: Dict[Term, Tuple[Value, int, List[WitnessStep]]] = {
             start: (self.q.unit, 0, [])}
         self.settled: Set[Term] = set()
@@ -199,7 +218,7 @@ class _SideSearch:
                 self._note_pruned(w)
                 return term
             for target, sw, step in _relaxations(
-                    self.sys, self.symmetric, term, self.pool):
+                    self.sys, self.symmetric, term, self.pool, self.memo):
                 nw = tensor(w, sw)
                 if cutoff is not None and sb(nw, cutoff):
                     self._note_pruned(nw)
@@ -226,7 +245,7 @@ def reduction_distance(
     """Best accumulated weight of a rewrite path from ``s`` to ``t``."""
     q = sys.quantale
     pool = subterm_pool(s, t)
-    side = _SideSearch(sys, s, False, pool, budget)
+    side = _SideSearch(sys, s, False, pool, budget, {})
     expanded = 0
     while expanded < budget.max_expanded:
         u = side.pop()
@@ -258,8 +277,9 @@ def _meet_search(
     """Bidirectional search; meets are scored by the tensor of both sides."""
     q = sys.quantale
     pool = subterm_pool(s, t)
-    left = _SideSearch(sys, s, symmetric, pool, budget)
-    right = _SideSearch(sys, t, symmetric, pool, budget)
+    memo: RedexMemo = {}  # both frontiers step through one memo
+    left = _SideSearch(sys, s, symmetric, pool, budget, memo)
+    right = _SideSearch(sys, t, symmetric, pool, budget, memo)
     best: Optional[Tuple[Value, Term]] = None
 
     def consider(u: Term) -> None:

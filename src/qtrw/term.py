@@ -10,12 +10,12 @@ carry plain ``Fraction`` values.
 Applications are hash-consed: constructing ``Application(symbol, args)``
 returns the one live instance with that symbol and those arguments, kept in
 a process-wide table of weak references, so structurally equal applications
-are the same object.  Equality is identity, and the hash and the node count
-are fields computed at construction.  Terms are therefore dictionary keys
-themselves and define no ordering.  The string form is rendered on first
-demand, without recursion, and cached on every node it renders; it is for
-output and for sorts that fix an observable order (``key=str``), and
-``term_key`` names that use.
+are the same object; symbols are interned the same way.  Equality is
+identity, and the hash and the node count are fields computed at
+construction.  Terms are therefore dictionary keys themselves and define no
+ordering.  The string form is rendered on first demand, without recursion,
+and cached on every node it renders; it is for output and for sorts that fix
+an observable order (``key=str``), and ``term_key`` names that use.
 """
 
 from __future__ import annotations
@@ -39,34 +39,76 @@ class TermError(Exception):
 ParamSlot = Union[Fraction, Expr]
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """A function symbol instance: family name, arity, concrete parameters."""
+    """A function symbol instance: family name, arity, concrete parameters.
+
+    Interned like applications: ``Symbol(name, arity, params)`` returns the
+    one live symbol with those fields, so equality is identity."""
+
+    __slots__ = ("name", "arity", "params", "_hash", "_str", "__weakref__")
 
     name: str
     arity: int
-    params: Tuple[ParamSlot, ...] = ()
+    params: Tuple[ParamSlot, ...]
 
-    def __post_init__(self) -> None:
-        # cache the rendering and the hash; symbols sit in every intern key
-        if self.params:
-            inner = ",".join(str(p) for p in self.params)
-            rendered = f"{self.name}{{{inner}}}"
+    def __new__(cls, name: str, arity: int,
+                params: Tuple[ParamSlot, ...] = ()) -> "Symbol":
+        if type(params) is not tuple:
+            params = tuple(params)
+        key = (name, arity, params)
+        ref = _SYMBOLS.get(key)
+        sym = ref() if ref is not None else None
+        if sym is not None:
+            return sym
+        sym = object.__new__(cls)
+        init = object.__setattr__
+        init(sym, "name", name)
+        init(sym, "arity", arity)
+        init(sym, "params", params)
+        init(sym, "_hash", hash(key))
+        if params:
+            init(sym, "_str", f"{name}{{{','.join(str(p) for p in params)}}}")
         else:
-            rendered = self.name
-        object.__setattr__(self, "_str", rendered)
-        object.__setattr__(self, "_hash",
-                           hash((self.name, self.arity, self.params)))
+            init(sym, "_str", name)
+        ref = _SymbolRef(sym, _forget_symbol)
+        ref.key = key
+        _SYMBOLS[key] = ref
+        return sym
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a symbol")
+
+    __delattr__ = __setattr__  # type: ignore[assignment]
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __reduce__(self):
-        # recompute the cached hash, which string hashing makes per-process
+        # copies and unpickled symbols go through the table again
         return Symbol, (self.name, self.arity, self.params)
 
+    def __repr__(self) -> str:
+        return (f"Symbol(name={self.name!r}, arity={self.arity!r},"
+                f" params={self.params!r})")
+
     def __str__(self) -> str:
-        return self._str  # type: ignore[attr-defined]
+        return self._str
+
+
+class _SymbolRef(weakref.ref):
+    """A symbol-table entry: a weak reference to a symbol and its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget_symbol(ref: _SymbolRef) -> None:
+    """Drop the entry of a symbol that died, unless its key was reused."""
+    if _SYMBOLS.get(ref.key) is ref:
+        del _SYMBOLS[ref.key]
+
+
+# (name, arity, params) -> the live symbol with those fields
+_SYMBOLS: Dict[Tuple[str, int, Tuple[ParamSlot, ...]], _SymbolRef] = {}
 
 
 @dataclass(frozen=True)
@@ -116,8 +158,7 @@ class Application:
         entry = _TABLE.get(h)
         while entry is not None:
             t = entry()
-            if (t is not None and t.args == args
-                    and (t.symbol is symbol or t.symbol == symbol)):
+            if t is not None and t.symbol is symbol and t.args == args:
                 return t
             entry = entry.next
         if len(args) != symbol.arity:
@@ -326,43 +367,45 @@ def match(
     """
     sigma = dict(sigma) if sigma else {}
     env = dict(env) if env else {}
-
-    def walk(p: Term, s: Term) -> bool:
+    # pre-order, left to right, without recursion: an inner ``walk`` closure
+    # would refer to itself, and every call would leave a reference cycle
+    # holding its bindings until the next cyclic garbage collection
+    stack = [(pattern, subject)]
+    while stack:
+        p, s = stack.pop()
         if isinstance(p, Variable):
             bound = sigma.get(p.name)
             if bound is None:
                 sigma[p.name] = s
-                return True
-            return bound == s
+            elif bound != s:
+                return None
+            continue
         if not isinstance(s, Application):
-            return False
+            return None
         if p.symbol.name != s.symbol.name or p.symbol.arity != s.symbol.arity:
-            return False
+            return None
         if len(p.symbol.params) != len(s.symbol.params):
-            return False
+            return None
         for pslot, sval in zip(p.symbol.params, s.symbol.params):
             if not isinstance(sval, Fraction):
-                return False  # subject must be concrete
+                return None  # subject must be concrete
             if isinstance(pslot, Fraction):
                 if pslot != sval:
-                    return False
+                    return None
             elif isinstance(pslot, Param):
                 bound_v = env.get(pslot.name)
                 if bound_v is None:
                     env[pslot.name] = sval
                 elif bound_v != sval:
-                    return False
+                    return None
             else:
                 try:
                     if pslot.evaluate(env) != sval:
-                        return False
+                        return None
                 except ExprError:
-                    return False
-        return all(walk(pa, sa) for pa, sa in zip(p.args, s.args))
-
-    if walk(pattern, subject):
-        return sigma, env
-    return None
+                    return None
+        stack.extend(reversed(tuple(zip(p.args, s.args))))
+    return sigma, env
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ from pathlib import Path
 import pytest
 
 from qtrw import qtrs
+from qtrw import term as term_module
 from qtrw.cli import main
 from qtrw.dsl import parse_system
 from qtrw.graded import GradedSystem, multi_step
 from qtrw.qtrs import Rule, RewriteSystem, SymbolFamily, one_step, subterm_pool
 from qtrw.quantale import LAWVERE
-from qtrw.systems import (app2, make_barycentric, make_graded_combinators,
-                          make_nat, nat_term)
+from qtrw.search import (SearchBudget, WitnessStep, _relaxations,
+                         convertibility_distance)
+from qtrw.systems import (app2, dna_term, make_barycentric, make_dna,
+                          make_graded_combinators, make_nat, nat_term)
 from qtrw.term import (
     Application,
     Symbol,
@@ -236,3 +239,134 @@ def test_graded_steps_scale_both_directions_alike():
     assert term_key(bwd.target) == term_key(source)
     (plain,) = sys.stepper.steps(target, backward=True)
     assert plain.weight == Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# self-inverse systems and the redex memo
+
+SELF_INVERSE = ["dna-hamming", "dna-levenshtein"]
+
+
+def test_self_inverse_holds_exactly_for_the_hamming_and_levenshtein_systems():
+    assert make_dna("hamming").stepper.self_inverse
+    assert make_dna("levenshtein").stepper.self_inverse
+    assert not make_dna("eigen_mccaskill").stepper.self_inverse
+    assert [n for n in NAMES if _load(n)[0].stepper.self_inverse] == SELF_INVERSE
+
+
+def test_self_inverse_needs_every_inverse_to_weigh_no_better_than_its_twin():
+    def pair(back_weight):
+        return parse_system("\n".join([
+            "system pair", "quantale lawvere", "symbol a/0", "symbol b/0",
+            "rule ab: a -[1]-> b", f"rule ba: b -[{back_weight}]-> a"]))
+
+    # b -> a costs 2 forward but 1 backward (as ab inverted): not a twin
+    assert not pair(2).stepper.self_inverse
+    assert pair(1).stepper.self_inverse
+    # a cheaper twin still covers the backward step
+    assert parse_system("\n".join([
+        "system pair", "quantale lawvere", "symbol a/0", "symbol b/0",
+        "rule ab: a -[1]-> b", "rule ba: b -[1/2]-> a",
+        "rule ab2: a -[1/2]-> b"])).stepper.self_inverse
+
+
+def _two_pass_relaxations(sysm, t, pool):
+    """Relaxations as generated before the self-inverse skip: forward steps,
+    then backward ones, the first best step per target kept."""
+    q = sysm.quantale
+    best = {}
+    for direction, steps in (
+            ("forward", one_step(sysm, t, pool)),
+            ("backward", sysm.stepper.steps(t, pool, backward=True))):
+        for s in steps:
+            old = best.get(s.target)
+            if old is None or q.strictly_below(old[1], s.weight):
+                best[s.target] = (s.target, s.weight, WitnessStep(
+                    direction, s.source, s.target, s.position, s.rule_id,
+                    s.weight))
+    return [best[u] for u in sorted(best, key=str)]
+
+
+@pytest.mark.parametrize("name", SELF_INVERSE)
+def test_forward_only_relaxations_equal_forward_plus_backward(name):
+    sysm, _, terms = _seeded_terms(name)
+    compared = 0
+    for t in terms:
+        pool = subterm_pool(t)
+        got = _relaxations(sysm, True, t, pool)
+        assert got == _two_pass_relaxations(sysm, t, pool)
+        assert all(step.direction == "forward" for _, _, step in got)
+        compared += len(got)
+    assert compared > 100
+    # convertibility and valley searches share the cached step lists
+    assert all(key[0] is False for key in sysm.stepper.relaxations)
+
+
+def test_conversions_on_self_inverse_systems_leave_the_backward_table_unbuilt(
+        monkeypatch):
+    built = []
+    real = qtrs._inverses
+    monkeypatch.setattr(qtrs, "_inverses",
+                        lambda *args: built.append(args) or real(*args))
+    for variant, s, t, want in (("hamming", "ACGTAC", "ACCTAG", 2),
+                                ("levenshtein", "ACGTA", "CGTAA", 2)):
+        sysm = make_dna(variant)
+        ans = convertibility_distance(sysm, dna_term(s), dna_term(t))
+        assert (ans.kind, ans.value) == ("exact", want)
+        assert "backward" not in vars(sysm.stepper)
+    assert built == []
+
+
+def _memo_cases(name):
+    sysm, base, terms = _seeded_terms(name)
+    if name == "barycentric":
+        # the fresh variable of perturb is named after the term: w0, w1
+        plus = Symbol("+", 2, (Fraction(1, 2),))
+        a = Application(Symbol("+", 2, (Fraction(1, 3),)),
+                        (Variable("x"), Variable("w0")))
+        terms += [Application(plus, (a, Variable("y"))),
+                  Application(plus, (Variable("x"), Variable("y")))]
+    return sysm, terms
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_shared_redex_memo_returns_what_memo_less_steps_return(name):
+    # graded-combinators scales weights per position after the lookup;
+    # barycentric's perturb picks from the pool or names a fresh variable
+    sysm, terms = _memo_cases(name)
+    memo = {}
+    checked = 0
+    for backward in (False, True):
+        for t in terms:
+            for pool in (subterm_pool(t), None):
+                got = sysm.stepper.steps(t, pool, backward, memo=memo)
+                want = sysm.stepper.steps(t, pool, backward)
+                assert got == want
+                assert [(s.rule_id, s.weight, s.substitution) for s in got] \
+                    == [(s.rule_id, s.weight, s.substitution) for s in want]
+                checked += len(got)
+    assert checked > 20
+    assert {b for b, _ in memo} == {False, True}
+
+
+def test_queries_keep_no_cache_beyond_their_results():
+    bary = make_barycentric()
+    peak = qtrs.critical_pairs(bary)[0]
+    s, t = dna_term("ACGTAC"), dna_term("CCGTCC")
+    budget = SearchBudget(max_expanded=400)
+    bary.stepper  # the stepper holds only the rules' terms
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(term_module._TABLE)
+        verdict = qtrs.strongly_closed_check(bary, peak, 2)
+        assert verdict.holds
+        del verdict
+        assert len(term_module._TABLE) == before
+        for variant in ("levenshtein", "eigen_mccaskill"):
+            ans = convertibility_distance(make_dna(variant), s, t, budget)
+            assert (ans.kind, ans.value) == ("exact", 2)
+            del ans
+            assert len(term_module._TABLE) == before
+    finally:
+        gc.enable()

@@ -341,3 +341,25 @@ def test_copies_are_the_same_object_and_fields_are_read_only():
 def test_subterms_are_the_positions_in_pre_order():
     assert [p for p, _ in subterms(T)] == positions(T)
     assert all(s is subterm_at(T, p) for p, s in subterms(T))
+
+
+def test_symbols_are_interned_and_read_only():
+    gc.disable()
+    try:
+        before = len(term_module._SYMBOLS)
+        half = Symbol("interned", 2, [Fraction(1, 2)])
+        assert Symbol("interned", 2, (Fraction(1, 2),)) is half
+        assert Symbol("interned", 2, (Fraction(1, 3),)) is not half
+        assert copy.deepcopy(half) is half
+        assert pickle.loads(pickle.dumps(half)) is half
+        assert half.params == (Fraction(1, 2),) and str(half) == "interned{1/2}"
+        with pytest.raises(AttributeError):
+            half.arity = 3
+        pattern = Symbol("interned", 2, (parse_expr("e"),))
+        t = app(pattern, Variable("x"), Variable("y"))
+        assert instantiate_params(t, {"e": Fraction(1, 2)}).symbol is half
+        assert len(term_module._SYMBOLS) == before + 2
+        del half, pattern, t
+        assert len(term_module._SYMBOLS) == before
+    finally:
+        gc.enable()
