@@ -4,10 +4,12 @@ Each CLI case runs ``qtrw`` in process on a sample system and compares its
 exit code and its exact standard output with the files under
 ``tests/golden/``: the step lists, critical peaks, check verdicts, distance
 answers with their witnesses (directions and rule ids included), and a
-reduction graph.  Two library goldens cover what the CLI does not print:
+reduction graph.  Three library goldens cover what the CLI does not print:
 ``normalize`` under every strategy at several depths on each sample's seed
-term (``normalize.json``), and ``multi_step`` on seeded graded-combinator
-terms at widths 1, 2 and 4 (``multi-step.json``).
+term (``normalize.json``), ``multi_step`` on seeded graded-combinator
+terms at widths 1, 2 and 4 (``multi-step.json``), and the parser
+(``parse.json``): every sample emitted back as text, a corpus of parsed
+terms, and the exception class and line number of malformed inputs.
 
 To regenerate all goldens after an intended output change, run this file as
 a script: ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from qtrw.cli import main
-from qtrw.dsl import parse_system, parse_term
+from qtrw.dsl import emit_system, parse_system, parse_term
 from qtrw.graded import GradedSystem, multi_step
 from qtrw.search import SearchBudget, normalize
 from qtrw.term import (Application, Symbol, Variable, apply_substitution,
@@ -201,8 +203,101 @@ def _multi_step_golden():
     return out
 
 
+# terms for the parser golden beyond each sample's seed: infix chains,
+# nested parentheses, and parameter expressions with -, / and abs
+PARSE_TERMS = {
+    "barycentric": [
+        "x +{1/3} y +{1/3} z +{1/2} x", "x+{0}y+{1}z",
+        "((x +{1} (y)) +{0} ((z)))", "(((x)))", "x +{1/2} +{1/4}(y, z)",
+        "+{(1 - 1/4)}(x, y)", "+{1 - 1/2 - 1/4}(x, y)", "x +{abs(-1/2)} y",
+        "x +{ 2/4 } y", "x +{1 - e} y", "+{(e1 * e2)}(x, +{e2 / (1 - e1)}(y, z))",
+        "x +{-(1/2 - 1)} y", "x +{abs(1/4 - 3/4) / 2} (y +{0.25} z)",
+        "x +{1/2}(y)"],
+    "graded-combinators": [
+        "delta{1, 2}", "W{1/2, abs(1 - 3)}", "!{2 * 3 / 4}(x)", "!{.5}(x)",
+        "x app y app z", "K app (D app !{1}(B))", "F{-1}", "!{-(1 - 2)}(x)",
+        "!{n}(!{m}(x))", "app(delta{n,m}, !{(n * m)}(x))",
+        "W{n, m} app x app !{n + m}(y)", "!{1.5}((x app y) app (z))"],
+    "nat": ["A(S(Z), A(Z, S(x)))", " A ( Z , Z ) ", "Z()", "x", "(A((Z), x))"],
+    "bck": ["app(app(C, K), B) app K", "B app (C app K) app (K app x)"],
+    "ticking": ["w{abs(0 - 3)}(w{6/3}(nil))", "w{n + m}(w{n}(x))"],
+}
+
+# (sample, term) pairs the parser rejects
+PARSE_BAD_TERMS = [
+    ("nat", t) for t in [
+        "S(Z", "S(Z, Z)", "S(Z) junk(", "", "   ", "(Z", "()", ")", "x(Z)",
+        "q{1}", "S(Z,)", "S(,Z)", "A(Z Z)", "S(Z))", "Z +{1/2} Z",
+        "S{1}(Z)", "A(Z, Z", "A(Z,, Z)", "S(Z)(Z)", "x y", "Z(", "S(Z ,"]
+] + [
+    ("barycentric", t) for t in [
+        "x +{1/2", "x +{1/2,} y", "x +{} y", "x +{1,2} y", "x +{(1} y",
+        "x +{1/0} y", "x +{a b} y", "+{1/2}(x)", "x +{1/2} ", "x +{1/2} y +",
+        "x + y", "x +{1 2} y", "x +{1)} y", "x +{abs(1} y", "x +{-} y",
+        "+{1/2}(x, y, z)", "x +{1/2} (y", "(x +{1/2} y", "x +{1/2}} y",
+        "x +{abs 1} y"]
+] + [
+    ("graded-combinators", t) for t in [
+        "!{1}", "delta{1}", "app(K)", "K app", "!{1 -> 2}(x)", "!(x)",
+        "F{1}(x)", "!{1}(x, y)"]
+]
+
+# system texts the parser rejects
+_HEAD = "system bad\nquantale lawvere\n"
+PARSE_BAD_SYSTEMS = {
+    "term-in-rule": _HEAD + "symbol f/1\nrule bad: f(x x) -[0]-> x",
+    "condition": _HEAD + "symbol f/1\nrule r: f(x) -[1]-> x where 1 <",
+    "directive": _HEAD + "foo bar",
+    "no-quantale": "system bad\nsymbol a/0\n",
+    "quantale": "system bad\nquantale imaginary\n",
+    "symbol": _HEAD + "symbol f",
+    "flags": _HEAD + "symbol f/1 wibble",
+    "grades-arity": _HEAD + "symbol f/1 grades [1, 2]",
+    "grades-bracket": _HEAD + "symbol f/1 grades 1",
+    "weight": _HEAD + "symbol a/0\nrule r: a -[a b]-> a",
+    "option": _HEAD + "option foo 1",
+    "grid": _HEAD + "option grid a",
+    "arrow": _HEAD + "symbol a/0\nrule r: a a",
+    "empty-side": _HEAD + "symbol a/0\nrule r: -[1]-> a",
+    "rule-line": _HEAD + "symbol a/0\nrule : a -[1]-> a",
+    "unknown-symbol": _HEAD + "symbol a/0\n\nrule r: a -[1]-> g(a)",
+    "param-expr": _HEAD + "symbol f{n}/1\nrule r: f{1/0}(x) -[1]-> x",
+    "param-list": _HEAD + "symbol f{n}/1\nrule r: f{1(x) -[1]-> x",
+    "param-count": _HEAD + "symbol f{n}/1\n# c\nrule r: f{1, 2}(x) -[1]-> x",
+    "infix-rhs": _HEAD + "symbol +{e}/2 infix\nrule r: x +{1} -[1]-> x",
+}
+
+
+def _parse_error(parse):
+    try:
+        parse()
+    except Exception as exc:  # noqa: BLE001 - the class is the datum
+        return [type(exc).__name__, getattr(exc, "line", None)]
+    return None
+
+
+def _parse_golden():
+    out = {"systems": {}, "terms": {}, "errors": {}}
+    for name in sorted(SEEDS):
+        sysm = _system(name)
+        out["systems"][name] = emit_system(sysm)
+        sig = _signature(sysm)
+        out["terms"][name] = {
+            text: str(parse_term(text, sig))
+            for text in [SEEDS[name]] + PARSE_TERMS.get(name, [])}
+    for name, text in PARSE_BAD_TERMS:
+        sig = _signature(_system(name))
+        out["errors"][f"{name}: {text}"] = _parse_error(
+            lambda: parse_term(text, sig, 7))
+    for label, text in PARSE_BAD_SYSTEMS.items():
+        out["errors"][f"system {label}"] = _parse_error(
+            lambda: parse_system(text))
+    return out
+
+
 LIBRARY = {"normalize.json": _normalize_golden,
-           "multi-step.json": _multi_step_golden}
+           "multi-step.json": _multi_step_golden,
+           "parse.json": _parse_golden}
 
 
 def _library_text(golden):
