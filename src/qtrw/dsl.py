@@ -15,6 +15,10 @@ Declared binary infix symbols may be written between their arguments
 present in the signature parse as variables and may not be applied.  Weights
 and symbol parameters are exact rational expressions; parameterless ones are
 folded to constants so a parsed file compares equal to its in-memory source.
+
+Terms are read on the scanner of ``ratexpr``, whose expression grammar reads
+symbol parameters in place; the term parser and ``emit_term`` keep their
+work on explicit stacks, so terms may nest as deep as memory allows.
 """
 
 from __future__ import annotations
@@ -24,14 +28,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .quantale import INF, QuantaleError, QuantaleSpec, Value, get_quantale
-from .ratexpr import (
-    Comparison,
-    Expr,
-    ExprError,
-    parse_comparison,
-    parse_expr,
-)
-from .term import Application, Symbol, Term, Variable
+from .ratexpr import (Expr, ExprError, _parse_sum, _Scanner, parse_comparison,
+                      parse_expr)
+from .term import Application, Symbol, Term, Variable, preorder
 from .qtrs import Rule, RewriteSystem, SymbolFamily
 from .graded import GradedSystem
 
@@ -68,132 +67,105 @@ def _parse_weight(text: str) -> Union[Value, Expr]:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\+|!|·")
 
 
-class _TermParser:
-    def __init__(self, text: str, signature: Sequence[SymbolFamily], line: int):
-        self.text = text
-        self.pos = 0
-        self.sig = {f.name: f for f in signature}
-        self.line = line
-
-    def fail(self, msg: str) -> "DslError":
-        return DslError(f"{msg} at column {self.pos + 1} in {self.text!r}",
-                        self.line)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, tok: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(tok, self.pos):
-            self.pos += len(tok)
-            return True
-        return False
-
-    def name(self) -> Optional[str]:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group()
-
-    def params(self) -> Tuple[Union[Fraction, Expr], ...]:
-        if not self.take("{"):
-            return ()
-        out: List[Union[Fraction, Expr]] = []
-        depth_guard = 0
-        while True:
-            start = self.pos
-            depth = 0
-            while self.pos < len(self.text):
-                c = self.text[self.pos]
-                if c == "(":
-                    depth += 1
-                elif c == ")":
-                    depth -= 1
-                elif depth == 0 and c in ",}":
-                    break
-                self.pos += 1
-            chunk = self.text[start:self.pos]
-            try:
-                out.append(_fold(parse_expr(chunk)))
-            except ExprError as exc:
-                raise DslError(str(exc), self.line) from None
-            if self.take("}"):
-                return tuple(out)
-            if not self.take(","):
-                raise self.fail("expected ',' or '}' in parameter list")
-            depth_guard += 1
-            if depth_guard > 64:
-                raise self.fail("unterminated parameter list")
-
-    def atom(self) -> Term:
-        if self.take("("):
-            t = self.term()
-            if not self.take(")"):
-                raise self.fail("expected ')'")
-            return t
-        nm = self.name()
-        if nm is None:
-            raise self.fail("expected a term")
-        params = self.params()
-        fam = self.sig.get(nm)
-        if fam is None:
-            if params or self.peek() == "(":
-                raise self.fail(f"unknown symbol {nm!r}")
-            return Variable(nm)
-        args: List[Term] = []
-        if self.take("("):
-            if not self.take(")"):
-                while True:
-                    args.append(self.term())
-                    if self.take(")"):
-                        break
-                    if not self.take(","):
-                        raise self.fail("expected ',' or ')'")
-        if len(args) != fam.arity:
-            raise DslError(
-                f"symbol {nm!r} has arity {fam.arity}, got {len(args)}",
-                self.line)
-        if len(params) != len(fam.param_names):
-            raise DslError(
-                f"symbol {nm!r} takes {len(fam.param_names)} parameters,"
-                f" got {len(params)}", self.line)
-        return Application(Symbol(nm, fam.arity, params), tuple(args))
-
-    def term(self) -> Term:
-        t = self.atom()
-        while True:
-            save = self.pos
-            nm = self.name()
-            if nm is None:
-                return t
-            fam = self.sig.get(nm)
-            if fam is None or not fam.infix or fam.arity != 2:
-                self.pos = save
-                return t
-            params = self.params()
-            if len(params) != len(fam.param_names):
-                raise DslError(
-                    f"symbol {nm!r} takes {len(fam.param_names)} parameters,"
-                    f" got {len(params)}", self.line)
-            rhs = self.atom()
-            t = Application(Symbol(nm, 2, params), (t, rhs))
-
-
 def parse_term(text: str, signature: Sequence[SymbolFamily],
                line: int = 0) -> Term:
-    p = _TermParser(text, signature, line)
-    t = p.term()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        raise p.fail("trailing input")
-    return t
+    """Parse ``text``: prefix applications ``f{p1, ...}(t1, ...)``,
+    parentheses, and declared binary infix symbols, left-associative.
+
+    Symbol parameters are read in place by the expression grammar on the
+    same scanner.  Constructs still open wait on an explicit stack, so the
+    nesting depth is not bounded by the recursion limit."""
+    sc = _Scanner(text)
+    sig = {f.name: f for f in signature}
+
+    def fail(msg: str) -> DslError:
+        return DslError(f"{msg} at column {sc.pos + 1} in {text!r}", line)
+
+    def params() -> Tuple[Union[Fraction, Expr], ...]:
+        out: List[Union[Fraction, Expr]] = []
+        if sc.take("{"):
+            while True:
+                try:
+                    out.append(_fold(_parse_sum(sc)))
+                except ExprError as exc:
+                    raise DslError(str(exc), line) from None
+                if sc.take("}"):
+                    break
+                if not sc.take(","):
+                    raise fail("expected ',' or '}' in parameter list")
+        return tuple(out)
+
+    def symbol(nm: str, fam: SymbolFamily,
+               ps: Tuple[Union[Fraction, Expr], ...]) -> Symbol:
+        if len(ps) != len(fam.param_names):
+            raise DslError(f"symbol {nm!r} takes {len(fam.param_names)}"
+                           f" parameters, got {len(ps)}", line)
+        return Symbol(nm, fam.arity, ps)
+
+    def apply(nm: str, fam: SymbolFamily,
+              ps: Tuple[Union[Fraction, Expr], ...],
+              args: List[Term]) -> Application:
+        if len(args) != fam.arity:
+            raise DslError(f"symbol {nm!r} has arity {fam.arity},"
+                           f" got {len(args)}", line)
+        return Application(symbol(nm, fam, ps), tuple(args))
+
+    # the constructs still open, innermost last: ("(",) for a parenthesis,
+    # ("args", name, family, parameters, arguments so far) for a prefix
+    # application, and ("infix", symbol, left argument) for an infix
+    # application awaiting its right argument
+    stack: List[tuple] = []
+    while True:
+        # read an atom: a parenthesis or a symbol opens a construct, or the
+        # atom is a variable or a constant
+        if sc.take("("):
+            stack.append(("(",))
+            continue
+        nm = sc.match(_NAME_RE)
+        if nm is None:
+            raise fail("expected a term")
+        ps = params()
+        fam = sig.get(nm)
+        if fam is None:
+            if ps or sc.peek() == "(":
+                raise fail(f"unknown symbol {nm!r}")
+            t: Term = Variable(nm)
+        elif sc.take("(") and not sc.take(")"):
+            stack.append(("args", nm, fam, ps, []))
+            continue
+        else:
+            t = apply(nm, fam, ps, [])
+        while True:
+            # ``t`` is a whole atom: the right argument of a pending infix
+            # application, or else the start of a term
+            if stack and stack[-1][0] == "infix":
+                _, sym, left = stack.pop()
+                t = Application(sym, (left, t))
+            save = sc.pos
+            nm = sc.match(_NAME_RE)
+            fam = sig.get(nm)
+            if fam is not None and fam.infix and fam.arity == 2:
+                stack.append(("infix", symbol(nm, fam, params()), t))
+                break
+            sc.pos = save
+            # ``t`` is a whole term: it closes the innermost construct
+            if not stack:
+                if not sc.at_end():
+                    raise fail("trailing input")
+                return t
+            if stack[-1][0] == "(":
+                if not sc.take(")"):
+                    raise fail("expected ')'")
+                stack.pop()
+                continue
+            _, nm, fam, ps, args = stack[-1]
+            args.append(t)
+            if sc.take(","):
+                break
+            if not sc.take(")"):
+                raise fail("expected ',' or ')'")
+            stack.pop()
+            t = apply(nm, fam, ps, args)
 
 
 # ---------------------------------------------------------------------------
@@ -320,34 +292,35 @@ def parse_system(text: str) -> AnySystem:
 
 
 def _term_params(t: Term) -> set:
-    if isinstance(t, Variable):
-        return set()
-    out = set()
-    for p in t.symbol.params:
-        if not isinstance(p, Fraction):
-            out |= set(p.params())
-    for a in t.args:
-        out |= _term_params(a)
-    return out
+    return {name for s in preorder(t) if isinstance(s, Application)
+            for p in s.symbol.params if not isinstance(p, Fraction)
+            for name in p.params()}
 
 
 # ---------------------------------------------------------------------------
 # emission
 
 
-def _emit_param(p: Union[Fraction, Expr]) -> str:
-    return str(p)
-
-
 def emit_term(t: Term) -> str:
-    if isinstance(t, Variable):
-        return t.name
-    inner = "{" + ",".join(_emit_param(p) for p in t.symbol.params) + "}" \
-        if t.symbol.params else ""
-    if not t.args:
-        return t.symbol.name + inner
-    return (t.symbol.name + inner + "("
-            + ", ".join(emit_term(a) for a in t.args) + ")")
+    """``t`` in prefix form, arguments separated by ", "; written from an
+    explicit stack, so term depth is not bounded by the recursion limit."""
+    out: List[str] = []
+    stack: List[Union[Term, str]] = [t]  # strings are separators
+    while stack:
+        s = stack.pop()
+        if isinstance(s, str):
+            out.append(s)
+        elif isinstance(s, Variable):
+            out.append(s.name)
+        elif not s.args:
+            out.append(str(s.symbol))
+        else:
+            out.append(f"{s.symbol}(")
+            parts: List[Union[Term, str]] = [", "] * (2 * len(s.args) - 1)
+            parts[::2] = s.args
+            stack.append(")")
+            stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def emit_system(sys: AnySystem) -> str:

@@ -35,6 +35,7 @@ from .qtrs import (
     RewriteSystem,
     Stepper,
     _fresh_variable_for,
+    _instances,
     _rule_matches,
     critical_pairs,
     one_step,
@@ -152,38 +153,27 @@ class BalanceEntry:
 def balanced_check(gsys: "GradedSystem") -> List[BalanceEntry]:
     """Per-rule, per-variable degree comparison between the two sides.
 
-    Schema rules are checked at every grid assignment that passes their side
-    conditions; those entries are marked sampled, since parameter-generic
-    equality is only verified pointwise.
+    Schema rules are checked at every grid instance that fires, the ones
+    ``RewriteSystem.instantiate`` keeps; those entries are marked sampled,
+    since parameter-generic equality is only verified pointwise.
     """
-    sig = gsys.signature
+    sig, base = gsys.signature, gsys.system
     entries: List[BalanceEntry] = []
-    for rule in gsys.system.rules:
+    for rule in base.rules:
+        instances = [rule]
         if rule.is_schema:
-            grid = gsys.system.grid
-            if not grid:
+            if not base.grid:
                 raise GradedError(
                     f"rule {rule.rid}: schema needs a grid for balance sampling")
-            envs = [
-                dict(zip(rule.params, combo))
-                for combo in itertools.product(grid, repeat=len(rule.params))
-            ]
-            envs = [e for e in envs if all(c.holds(e) for c in rule.conditions)]
-            sampled = True
-        else:
-            envs = [{}]
-            sampled = False
+            instances = list(_instances(base.quantale, base.grid, rule))
         worst: Dict[str, BalanceEntry] = {}
-        for env in envs:
-            lhs = instantiate_params(rule.lhs, env)
-            rhs = instantiate_params(rule.rhs, env)
-            names = variables(lhs) | variables(rhs)
-            for x in sorted(names):
+        for inst in instances:
+            for x in sorted(variables(inst.lhs) | variables(inst.rhs)):
                 entry = BalanceEntry(
                     rule.rid, x,
-                    degree_of_variable(sig, lhs, x),
-                    degree_of_variable(sig, rhs, x),
-                    sampled)
+                    degree_of_variable(sig, inst.lhs, x),
+                    degree_of_variable(sig, inst.rhs, x),
+                    rule.is_schema)
                 old = worst.get(x)
                 if old is None or (old.balanced and not entry.balanced):
                     worst[x] = entry
@@ -283,8 +273,10 @@ def multi_step(
     fired at the root contributes its weight tensored with each bound
     variable's left-hand-side degree applied to that argument's multi-step
     weight.  Per target, only (weight, redex-count) Pareto optima are kept.
-    Rules are looked up in the system's stepper: those whose left-hand side
-    is a bare variable, then those rooted at the node's symbol.
+    Rules are looked up in the system's stepper by the node's root symbol;
+    a rule whose left-hand side is a bare variable never fires, since its
+    one argument would be the redex itself.  Each distinct subterm is
+    solved once, after its arguments, without recursion.
     """
     if not gsys.balanced:
         raise GradedError("multi-step reduction requires a balanced system")
@@ -293,18 +285,24 @@ def multi_step(
     q = sys.quantale
     rules = gsys.stepper.forward
     memo: Dict[Term, List[MultiStep]] = {}
-
-    def rec(term: Term) -> List[MultiStep]:
+    stack = [t]
+    while stack:
+        term = stack[-1]
         if term in memo:
-            return memo[term]
-        memo[term] = []  # cycle guard; rewriting terms is finite anyway
+            stack.pop()
+            continue
+        if isinstance(term, Application):
+            todo = [a for a in term.args if a not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+        stack.pop()
         table: Dict[Term, List[MultiStep]] = {}
         if isinstance(term, Variable):
             _pareto_insert(table, MultiStep(term, q.unit, 0), q)
         else:
             grades = sig.grades_of(term.symbol)
-            child_opts = [rec(a) for a in term.args]
-            for combo in itertools.product(*child_opts):
+            for combo in itertools.product(*[memo[a] for a in term.args]):
                 n = sum(c.nredex for c in combo)
                 if n > width_budget:
                     continue
@@ -314,13 +312,13 @@ def multi_step(
                 _pareto_insert(table, MultiStep(
                     Application(term.symbol, tuple(c.target for c in combo)),
                     w, n), q)
-            for rule, fresh in (rules.var_rules
-                                + rules.by_root.get(term.symbol.name, ())):
+            for rule, fresh in rules.by_root.get(term.symbol.name, ()):
                 for sigma, env, eps, rhs in _rule_matches(
                         q, sys.grid, rule, term):
                     lhs = instantiate_params(rule.lhs, env)
                     bound = sorted(variables(lhs))
-                    arg_opts = [rec(sigma[x]) for x in bound]
+                    # the bindings are strict subterms, solved already
+                    arg_opts = [memo[sigma[x]] for x in bound]
                     degs = [degree_of_variable(sig, lhs, x) for x in bound]
                     pool = list(fresh_pool) if fresh_pool else (
                         [_fresh_variable_for(term, set(fresh))] if fresh else [])
@@ -338,11 +336,8 @@ def multi_step(
                             full.update(zip(fresh, picks))
                             _pareto_insert(table, MultiStep(
                                 apply_substitution(rhs, full), w, n), q)
-        result = [ms for u in sorted(table, key=str) for ms in table[u]]
-        memo[term] = result
-        return result
-
-    return rec(t)
+        memo[term] = [ms for u in sorted(table, key=str) for ms in table[u]]
+    return memo[t]
 
 
 def multistep_targets(steps: Sequence[MultiStep], q: QuantaleSpec) -> Dict[str, MultiStep]:

@@ -11,6 +11,7 @@ exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -196,22 +197,20 @@ class FiniteQRel:
         return out
 
     def strongly_normalizing_check(self) -> bool:
-        """No infinite reduction sequence = no cycle in the edge graph."""
+        """No infinite reduction sequence = no cycle in the edge graph: nodes
+        that no remaining node steps to are peeled off one by one, and only
+        a node on or below a cycle is never peeled."""
         succ = self._successors()
-        state: Dict[Node, int] = {}  # 1 = on stack, 2 = done
-
-        def dfs(n: Node) -> bool:
-            state[n] = 1
-            for m in succ[n]:
-                s = state.get(m)
-                if s == 1:
-                    return False
-                if s is None and not dfs(m):
-                    return False
-            state[n] = 2
-            return True
-
-        return all(state.get(n) == 2 or dfs(n) for n in self.carrier)
+        preds = Counter(b for bs in succ.values() for b in bs)
+        free = [n for n in self.carrier if not preds[n]]
+        peeled = 0
+        while free:
+            peeled += 1
+            for m in succ[free.pop()]:
+                preds[m] -= 1
+                if not preds[m]:
+                    free.append(m)
+        return peeled == len(self.carrier)
 
     def normal_forms(self) -> Set[Node]:
         succ = self._successors()

@@ -50,6 +50,7 @@ from .term import (
     instantiate_params,
     is_linear,
     match,
+    preorder,
     replace_at,
     subterm_at,
     subterms,
@@ -140,15 +141,17 @@ class RewriteSystem:
                 raise QuantaleError(f"rule {rule.rid}: bottom weight")
 
     def _check_term(self, t: Term, rule: Rule) -> None:
-        if isinstance(t, Variable):
-            return
-        fam = self.family(t.symbol.name)
-        if fam is None:
-            raise TermError(f"rule {rule.rid}: unknown symbol {t.symbol.name!r}")
-        if fam.arity != t.symbol.arity or len(fam.param_names) != len(t.symbol.params):
-            raise TermError(f"rule {rule.rid}: arity/parameter mismatch on {t.symbol}")
-        for a in t.args:
-            self._check_term(a, rule)
+        for s in preorder(t):
+            if isinstance(s, Variable):
+                continue
+            fam = self.family(s.symbol.name)
+            if fam is None:
+                raise TermError(
+                    f"rule {rule.rid}: unknown symbol {s.symbol.name!r}")
+            if (fam.arity != s.symbol.arity
+                    or len(fam.param_names) != len(s.symbol.params)):
+                raise TermError(
+                    f"rule {rule.rid}: arity/parameter mismatch on {s.symbol}")
 
     def family(self, name: str) -> Optional[SymbolFamily]:
         for fam in self.signature:
@@ -277,18 +280,15 @@ def _params_solvable(t: Term) -> bool:
     binds bare parameter slots left to right and checks a compound slot only
     against parameters bound before it."""
     bound: Set[str] = set()
-
-    def walk(s: Term) -> bool:
+    for s in preorder(t):
         if isinstance(s, Variable):
-            return True
+            continue
         for slot in s.symbol.params:
             if isinstance(slot, Param):
                 bound.add(slot.name)
             elif not isinstance(slot, Fraction) and not slot.params() <= bound:
                 return False
-        return all(walk(a) for a in s.args)
-
-    return walk(t)
+    return True
 
 
 def _inverses(quantale: QuantaleSpec, grid: Sequence[Fraction],
@@ -875,13 +875,9 @@ def confluence_report(
         if not cross:
             def sub_seeds(c: RewriteSystem) -> List[Term]:
                 fams = {f.name for f in c.signature}
-
-                def ok(t: Term) -> bool:
-                    if isinstance(t, Variable):
-                        return True
-                    return t.symbol.name in fams and all(ok(a) for a in t.args)
-
-                return [s for s in seeds if ok(s)]
+                return [t for t in seeds if all(
+                    isinstance(s, Variable) or s.symbol.name in fams
+                    for s in preorder(t))]
 
             subs = [
                 confluence_report(c, sub_seeds(c), depth_budget,

@@ -123,9 +123,6 @@ class QuantaleSpec:
         raise QuantaleError(
             f"join of incomparable values in {self.name}")  # pragma: no cover
 
-    def meet2(self, a: Value, b: Value) -> Value:
-        return a if self.leq(a, b) else b
-
     def strictly_below(self, a: Value, b: Value) -> bool:
         return self.leq(a, b) and a != b
 

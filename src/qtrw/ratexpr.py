@@ -9,9 +9,10 @@ with ``fractions.Fraction``; there is no floating point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Pattern, Tuple, Union
 
 Env = Dict[str, Fraction]
 
@@ -132,10 +133,13 @@ class Comparison:
 
 
 # ---------------------------------------------------------------------------
-# parsing (simple recursive descent)
+# parsing: recursive descent over one scanner, which ``dsl`` shares to read
+# terms and the parameter expressions inside their symbols
 
 
 class _Scanner:
+    """A position in ``text``; every read skips whitespace first."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -164,6 +168,15 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
+    def match(self, pattern: Pattern[str]) -> Optional[str]:
+        """Consume and return what ``pattern`` matches here, if anything."""
+        self.skip_ws()
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            return None
+        self.pos = m.end()
+        return m.group()
+
 
 def _parse_number(sc: _Scanner) -> Expr:
     sc.skip_ws()
@@ -175,14 +188,14 @@ def _parse_number(sc: _Scanner) -> Expr:
     return Lit(Fraction(sc.text[start:sc.pos]))
 
 
+_NAME_RE = re.compile(r"\w+")  # the characters of str.isalnum(), and "_"
+
+
 def _parse_name(sc: _Scanner) -> str:
-    sc.skip_ws()
-    start = sc.pos
-    while sc.pos < len(sc.text) and (sc.text[sc.pos].isalnum() or sc.text[sc.pos] == "_"):
-        sc.pos += 1
-    if sc.pos == start:
-        raise ExprError(f"expected name at offset {start} in {sc.text!r}")
-    return sc.text[start:sc.pos]
+    name = sc.match(_NAME_RE)
+    if name is None:
+        raise ExprError(f"expected name at offset {sc.pos} in {sc.text!r}")
+    return name
 
 
 def _parse_atom(sc: _Scanner) -> Expr:

@@ -247,7 +247,9 @@ def term_size(t: Term) -> int:
 
 def subterms(t: Term) -> Iterator[Tuple[Position, Term]]:
     """Every (position, subterm) pair of ``t`` in pre-order, left to right;
-    iterative, so term depth is not bounded by the recursion limit."""
+    iterative, so term depth is not bounded by the recursion limit.  So is
+    every walk in this module but ``apply_substitution`` and
+    ``instantiate_params``: the engine only applies those to rule sides."""
     stack = [(ROOT, t)]
     while stack:
         p, s = stack.pop()
@@ -288,33 +290,36 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
     return s
 
 
+def preorder(t: Term) -> Iterator[Term]:
+    """Every subterm occurrence of ``t`` in pre-order, left to right, like
+    ``subterms`` but without positions."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, Application):
+            stack.extend(reversed(s.args))
+
+
 def variables(t: Term) -> Set[str]:
-    if isinstance(t, Variable):
-        return {t.name}
     out: Set[str] = set()
-    for a in t.args:
-        out |= variables(a)
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Variable):
+            out.add(s.name)
+        else:
+            stack.extend(s.args)
     return out
 
 
 def is_linear(t: Term) -> bool:
-    seen: Set[str] = set()
-
-    def walk(s: Term) -> bool:
-        if isinstance(s, Variable):
-            if s.name in seen:
-                return False
-            seen.add(s.name)
-            return True
-        return all(walk(a) for a in s.args)
-
-    return walk(t)
+    names = [s.name for s in preorder(t) if isinstance(s, Variable)]
+    return len(names) == len(set(names))
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return False
-    return all(is_ground(a) for a in t.args)
+    return not any(isinstance(s, Variable) for s in preorder(t))
 
 
 def apply_substitution(t: Term, sigma: Substitution) -> Term:

@@ -170,6 +170,17 @@ def test_newman_on_acyclic_samples():
             assert r.confluent_check()
 
 
+def test_sn_iff_no_node_reaches_itself_sampled():
+    # a cycle through a is a path of one or more steps from a back to a,
+    # an entry on the diagonal of R;R*
+    rng = random.Random(10)
+    for _ in range(150):
+        r = _random_relation(rng, density=0.2)
+        plus = r.compose(r.star())
+        cyclic = any(plus(a, a) is not INF for a in r.carrier)
+        assert r.strongly_normalizing_check() == (not cyclic)
+
+
 def test_strong_confluence_implies_confluence_sampled():
     rng = random.Random(9)
     for _ in range(150):
