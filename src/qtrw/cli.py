@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
@@ -124,9 +125,9 @@ def _cmd_distance(args) -> int:
 
 def _cmd_critical_pairs(args) -> int:
     _, base = _load(args.file)
-    grid = (tuple(Fraction(g) for g in args.grid.split())
-            if args.grid else None)
-    peaks = critical_pairs(base, grid=grid)
+    if args.grid:
+        base = replace(base, grid=tuple(Fraction(g) for g in args.grid.split()))
+    peaks = critical_pairs(base)
     if args.json:
         print(json.dumps([
             {"source": term_key(p.source),
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical-pairs", help="enumerate critical peaks")
     p.add_argument("file")
     p.add_argument("--grid", default=None,
-                   help="space-separated rationals overriding the file grid")
+                   help="space-separated rationals replacing the file grid")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_critical_pairs)
 

@@ -215,6 +215,9 @@ def parse_system(text: str) -> AnySystem:
                 grid = tuple(Fraction(v) for v in vals.split())
             except ValueError as exc:
                 raise DslError(str(exc), lineno) from None
+            except ZeroDivisionError as exc:
+                raise DslError(f"grid value {exc} has a zero denominator",
+                               lineno) from None
         elif head == "symbol":
             m = _SYMBOL_RE.match(rest)
             if m is None:
@@ -233,7 +236,9 @@ def parse_system(text: str) -> AnySystem:
                     body = flags[len("grades"):].strip()
                     if not body.startswith("["):
                         raise DslError("expected '[' after grades", lineno)
-                    close = body.index("]")
+                    close = body.find("]")
+                    if close < 0:
+                        raise DslError("expected ']' after grades", lineno)
                     items = [g.strip() for g in body[1:close].split(",")]
                     try:
                         grades = tuple(_fold(parse_expr(g)) for g in items)

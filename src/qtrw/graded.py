@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .quantale import INF, QuantaleSpec, Value
 from .term import (
@@ -183,9 +183,12 @@ def balanced_check(gsys: "GradedSystem") -> List[BalanceEntry]:
 
 @dataclass(frozen=True)
 class GradedSystem:
+    """A rewrite system under its grading.  The signature, the balance and
+    orthogonality verdicts, and the stepper are computed once, on first use."""
+
     system: RewriteSystem
 
-    @property
+    @cached_property
     def signature(self) -> GradedSignature:
         return GradedSignature(self.system)
 
@@ -201,7 +204,7 @@ class GradedSystem:
         return Stepper(self.system,
                        lambda t, p, w: degree_at_position(sig, t, p).apply(q, w))
 
-    @property
+    @cached_property
     def balanced(self) -> bool:
         return all(e.balanced for e in balanced_check(self))
 
@@ -209,7 +212,7 @@ class GradedSystem:
     def left_linear(self) -> bool:
         return self.system.left_linear
 
-    @property
+    @cached_property
     def orthogonal(self) -> bool:
         return orthogonality_check(self)[0]
 
@@ -227,14 +230,10 @@ def orthogonality_check(gsys: GradedSystem) -> Tuple[bool, Dict[str, object]]:
     return sys.left_linear and not peaks and not var_lhs, evidence
 
 
-def graded_one_step(
-    gsys: GradedSystem,
-    t: Term,
-    fresh_pool: Optional[Sequence[Term]] = None,
-) -> List[RewriteStep]:
+def graded_one_step(gsys: GradedSystem, t: Term) -> List[RewriteStep]:
     """Single steps whose weight is the rule weight scaled by the degree of
     the surrounding context."""
-    return one_step(gsys, t, fresh_pool)
+    return one_step(gsys, t)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +259,8 @@ def _pareto_insert(
     row.append(ms)
 
 
-def multi_step(
-    gsys: GradedSystem,
-    t: Term,
-    width_budget: int = 4,
-    fresh_pool: Optional[Sequence[Term]] = None,
-) -> List[MultiStep]:
+def multi_step(gsys: GradedSystem, t: Term,
+               width_budget: int = 4) -> List[MultiStep]:
     """All parallel reductions of at most ``width_budget`` redexes.
 
     Weights follow the inductive clauses: a variable reduces to itself at
@@ -273,10 +268,10 @@ def multi_step(
     fired at the root contributes its weight tensored with each bound
     variable's left-hand-side degree applied to that argument's multi-step
     weight.  Per target, only (weight, redex-count) Pareto optima are kept.
-    Rules are looked up in the system's stepper by the node's root symbol;
-    a rule whose left-hand side is a bare variable never fires, since its
-    one argument would be the redex itself.  Each distinct subterm is
-    solved once, after its arguments, without recursion.
+    Rules are looked up in the system's stepper by the node's root symbol.
+    A rule whose left-hand side is a bare variable binds it to the node
+    itself, whose only multi-step there is the identity.  Each distinct
+    subterm is solved once, after its arguments, without recursion.
     """
     if not gsys.balanced:
         raise GradedError("multi-step reduction requires a balanced system")
@@ -298,9 +293,12 @@ def multi_step(
                 continue
         stack.pop()
         table: Dict[Term, List[MultiStep]] = {}
+        identity = MultiStep(term, q.unit, 0)
+        candidates = rules.var_rules
         if isinstance(term, Variable):
-            _pareto_insert(table, MultiStep(term, q.unit, 0), q)
+            _pareto_insert(table, identity, q)
         else:
+            candidates += rules.by_root.get(term.symbol.name, ())
             grades = sig.grades_of(term.symbol)
             for combo in itertools.product(*[memo[a] for a in term.args]):
                 n = sum(c.nredex for c in combo)
@@ -312,30 +310,30 @@ def multi_step(
                 _pareto_insert(table, MultiStep(
                     Application(term.symbol, tuple(c.target for c in combo)),
                     w, n), q)
-            for rule, fresh in rules.by_root.get(term.symbol.name, ()):
-                for sigma, env, eps, rhs in _rule_matches(
-                        q, sys.grid, rule, term):
-                    lhs = instantiate_params(rule.lhs, env)
-                    bound = sorted(variables(lhs))
-                    # the bindings are strict subterms, solved already
-                    arg_opts = [memo[sigma[x]] for x in bound]
-                    degs = [degree_of_variable(sig, lhs, x) for x in bound]
-                    pool = list(fresh_pool) if fresh_pool else (
-                        [_fresh_variable_for(term, set(fresh))] if fresh else [])
-                    for combo in itertools.product(*arg_opts):
-                        n = 1 + sum(c.nredex for c in combo)
-                        if n > width_budget:
-                            continue
-                        w = eps
-                        for deg, c in zip(degs, combo):
-                            w = q.tensor(w, deg.apply(q, c.weight))
-                        tau: Dict[str, Term] = {
-                            x: c.target for x, c in zip(bound, combo)}
-                        for picks in itertools.product(pool, repeat=len(fresh)):
-                            full = dict(tau)
-                            full.update(zip(fresh, picks))
-                            _pareto_insert(table, MultiStep(
-                                apply_substitution(rhs, full), w, n), q)
+        for rule, fresh in candidates:
+            for sigma, env, eps, rhs in _rule_matches(q, sys.grid, rule, term):
+                lhs = instantiate_params(rule.lhs, env)
+                bound = sorted(variables(lhs))
+                # the bindings are strict subterms, solved already, or, for a
+                # bare-variable left-hand side, the node itself
+                arg_opts = [[identity] if sigma[x] is term else memo[sigma[x]]
+                            for x in bound]
+                degs = [degree_of_variable(sig, lhs, x) for x in bound]
+                pool = [_fresh_variable_for(term, set(fresh))] if fresh else []
+                for combo in itertools.product(*arg_opts):
+                    n = 1 + sum(c.nredex for c in combo)
+                    if n > width_budget:
+                        continue
+                    w = eps
+                    for deg, c in zip(degs, combo):
+                        w = q.tensor(w, deg.apply(q, c.weight))
+                    tau: Dict[str, Term] = {
+                        x: c.target for x, c in zip(bound, combo)}
+                    for picks in itertools.product(pool, repeat=len(fresh)):
+                        full = dict(tau)
+                        full.update(zip(fresh, picks))
+                        _pareto_insert(table, MultiStep(
+                            apply_substitution(rhs, full), w, n), q)
         memo[term] = [ms for u in sorted(table, key=str) for ms in table[u]]
     return memo[t]
 
@@ -377,8 +375,7 @@ def multistep_diamond_probe(
     tensor in the quantale order (numerically δ₁+δ₂ ≤ ε₁+ε₂ on cost
     quantales).  Any failure is reported as a violation.
     """
-    ok, _ = orthogonality_check(gsys)
-    if not ok:
+    if not gsys.orthogonal:
         raise GradedError("diamond probe requires an orthogonal system")
     q = gsys.system.quantale
     outs = list(_best_per_target(multi_step(gsys, t, width_budget), q).values())

@@ -7,7 +7,9 @@ the matched symbols; parameters that the left-hand side does not determine
 (and fresh right-hand-side variables) are instantiated lazily — parameters
 from the system's declared grid, fresh variables from a caller-supplied
 candidate pool.  For critical-pair analysis the schemas are instantiated
-over the grid up front, which keeps the enumeration finite.
+over the grid up front, which keeps the enumeration finite.  The grid a
+system declares is the only one its analyses use; to analyse a system over
+another grid, replace it (``dataclasses.replace(sys, grid=...)``).
 
 Each system compiles its one-step relation on its first step into one
 ``Stepper``, kept in the system's ``stepper`` attribute: the rules indexed by
@@ -41,7 +43,6 @@ from .term import (
     Position,
     Renamer,
     Substitution,
-    Symbol,
     Term,
     TermError,
     Variable,
@@ -71,12 +72,6 @@ class SymbolFamily:
     param_names: Tuple[str, ...] = ()
     infix: bool = False
     grades: Optional[Tuple[Expr, ...]] = None  # per-argument sensitivities
-
-    def make(self, *params: Fraction) -> Symbol:
-        if len(params) != len(self.param_names):
-            raise TermError(
-                f"family {self.name} takes {len(self.param_names)} parameters")
-        return Symbol(self.name, self.arity, tuple(Fraction(p) for p in params))
 
 
 WeightSlot = object  # Value or Expr
@@ -117,7 +112,6 @@ class RewriteStep:
     weight: Value
     position: Position
     rule_id: str
-    substitution: Tuple[Tuple[str, Term], ...]
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,13 @@ class RewriteSystem:
         for rule in self.rules:
             for t in (rule.lhs, rule.rhs):
                 self._check_term(t, rule)
-            if not rule.is_schema and rule.weight == self.quantale.bottom:
+            if rule.is_schema:
+                continue
+            try:
+                self.quantale.check_value(rule.weight)
+            except QuantaleError as exc:
+                raise QuantaleError(f"rule {rule.rid}: {exc}") from None
+            if rule.weight == self.quantale.bottom:
                 raise QuantaleError(f"rule {rule.rid}: bottom weight")
 
     def _check_term(self, t: Term, rule: Rule) -> None:
@@ -181,18 +181,17 @@ class RewriteSystem:
 
     # -- schema instantiation ------------------------------------------------
 
-    def instantiate(self, grid: Optional[Sequence[Fraction]] = None) -> "RewriteSystem":
+    def instantiate(self) -> "RewriteSystem":
         """Expand every schema rule over the grid; concrete rules pass through."""
-        grid = tuple(grid) if grid is not None else self.grid
         out: List[Rule] = []
         for rule in self.rules:
             if not rule.is_schema:
                 out.append(rule)
                 continue
-            if not grid:
+            if not self.grid:
                 raise QuantaleError(
                     f"rule {rule.rid} is a schema but no parameter grid is declared")
-            out.extend(_instances(self.quantale, grid, rule))
+            out.extend(_instances(self.quantale, self.grid, rule))
         return replace(self, rules=tuple(out))
 
 
@@ -319,10 +318,10 @@ def _renamed(*ts: Term) -> Tuple[Term, ...]:
 
 
 # How the rules fire at the root of one subterm, in firing order: (rule id,
-# weight, fresh variables, contractum, substitution); for a rule that invents
-# variables the last two are the match and the instantiated right-hand side,
-# since the invented variables' values depend on the caller.
-_Redex = Tuple[str, Value, Tuple[str, ...], object, object]
+# weight, fresh variables, contractum); for a rule that invents variables the
+# contractum is the pair (match, instantiated right-hand side) instead, since
+# the invented variables' values depend on the caller.
+_Redex = Tuple[str, Value, Tuple[str, ...], object]
 
 # the redex memo of one query: (backward?, subterm) -> its root redexes
 RedexMemo = Dict[Tuple[bool, Term], Tuple[_Redex, ...]]
@@ -392,12 +391,8 @@ class Stepper:
                 rid = rule.rid
                 if env and not backward:
                     rid = f"{rule.rid}[{','.join(f'{k}={v}' for k, v in sorted(env.items()))}]"
-                if fresh:
-                    out.append((rid, weight, fresh, sigma, rhs))
-                else:
-                    out.append((rid, weight, fresh,
-                                apply_substitution(rhs, sigma),
-                                tuple(sorted(sigma.items()))))
+                out.append((rid, weight, fresh, (sigma, rhs) if fresh
+                            else apply_substitution(rhs, sigma)))
         return tuple(out)
 
     def steps(self, t: Term, pool: Optional[Sequence[Term]] = None,
@@ -421,20 +416,17 @@ class Stepper:
             redexes = memo.get((backward, sub))
             if redexes is None:
                 redexes = memo[backward, sub] = self._redexes(sub, backward)
-            for rid, weight, fresh, a, b in redexes:
+            for rid, weight, fresh, contractum in redexes:
                 if self.scale is not None:
                     weight = self.scale(t, p, weight)
-                # a, b: the contractum and substitution, or, for a rule that
-                # invents variables, the match and the right-hand side
-                contracta = (_invented(t, pool, fresh, a, b) if fresh
-                             else ((a, b),))
-                for contractum, subst in contracta:
-                    target = replace_at(t, p, contractum)
+                contracta = (_invented(t, pool, fresh, *contractum) if fresh
+                             else (contractum,))
+                for c in contracta:
+                    target = replace_at(t, p, c)
                     key = (p, rid, target)
                     old = steps.get(key)
                     if old is None or q.strictly_below(old.weight, weight):
-                        steps[key] = RewriteStep(t, target, weight, p, rid,
-                                                 subst)
+                        steps[key] = RewriteStep(t, target, weight, p, rid)
         # by position, rule id and target rendering; targets are compared
         # only where one rule steps at one position to several of them, and
         # then by the part of their rendering from that position on
@@ -454,14 +446,14 @@ class Stepper:
 
 def _invented(t: Term, pool: Optional[Sequence[Term]],
               fresh: Tuple[str, ...], sigma: Substitution, rhs: Term,
-              ) -> Iterator[Tuple[Term, Tuple[Tuple[str, Term], ...]]]:
-    """(contractum, substitution) for each pick of the ``fresh`` variables
-    from ``pool``, or of one variable fresh for ``t``."""
+              ) -> Iterator[Term]:
+    """The contractum for each pick of the ``fresh`` variables from
+    ``pool``, or of one variable fresh for ``t``."""
     for picked in itertools.product(
             pool or [_fresh_variable_for(t, set(fresh))], repeat=len(fresh)):
         full = dict(sigma)
         full.update(zip(fresh, picked))
-        yield apply_substitution(rhs, full), tuple(sorted(full.items()))
+        yield apply_substitution(rhs, full)
 
 
 def _rendering_after(t: Term, p: Position) -> str:
@@ -520,18 +512,15 @@ def _canonical_peak_key(peak: CriticalPeak) -> str:
     return "|".join(term_key(p) for p in parts) + f"|{peak.left[1]}|{peak.right[1]}"
 
 
-def critical_pairs(
-    sys: RewriteSystem,
-    grid: Optional[Sequence[Fraction]] = None,
-    pair_filter=None,
-) -> List[CriticalPeak]:
-    """Overlaps of rule instances at function-symbol positions.
+def critical_pairs(sys: RewriteSystem, pair_filter=None) -> List[CriticalPeak]:
+    """Overlaps of rule instances, over the system's grid, at
+    function-symbol positions.
 
     Root overlaps of a rule instance with itself are skipped, as are rules
     whose left-hand side is a bare variable in the inner role (they overlap
     everywhere; reported separately by ``variable_lhs_rules``).
     """
-    conc = sys.instantiate(grid) if (sys.has_schemas or grid is not None) else sys
+    conc = sys.instantiate() if sys.has_schemas else sys
     peaks: Dict[str, CriticalPeak] = {}
     for outer in conc.rules:
         if isinstance(outer.lhs, Variable):
@@ -587,18 +576,14 @@ def sum_systems(sys1: RewriteSystem, sys2: RewriteSystem) -> RewriteSystem:
     )
 
 
-def cross_critical_pairs(
-    sys1: RewriteSystem,
-    sys2: RewriteSystem,
-    grid: Optional[Sequence[Fraction]] = None,
-) -> List[CriticalPeak]:
+def cross_critical_pairs(sys1: RewriteSystem,
+                         sys2: RewriteSystem) -> List[CriticalPeak]:
     """Peaks of the sum whose two rules come from different components."""
-    combined = sum_systems(sys1, sys2)
 
     def different(inner: Rule, outer: Rule) -> bool:
         return inner.origin != outer.origin
 
-    return critical_pairs(combined, grid=grid, pair_filter=different)
+    return critical_pairs(sum_systems(sys1, sys2), pair_filter=different)
 
 
 # ---------------------------------------------------------------------------
@@ -656,22 +641,11 @@ def _layered_relaxation(
 
 
 def bounded_reducts(
-    sys: RewriteSystem,
-    t: Term,
-    depth: int,
-    fresh_pool: Optional[Sequence[Term]] = None,
-    weight_bound: Optional[Value] = None,
-    size_bound: Optional[int] = None,
+    sys: RewriteSystem, t: Term, depth: int,
 ) -> Dict[str, Tuple[Term, Value, List[RewriteStep]]]:
-    """Best-weight reducts within ``depth`` steps, with witnessing paths.
-
-    If ``weight_bound`` is given, paths whose accumulated weight drops below
-    it in the quantale order are pruned (sound: tensors only descend).
-    ``size_bound`` likewise drops reducts larger than the given term size;
-    both prunings shrink the reduct set but never invent spurious entries.
-    """
-    return {term_key(u): (u, w, path) for u, w, path in _layered_relaxation(
-        sys, t, depth, fresh_pool, weight_bound, size_bound)}
+    """Best-weight reducts within ``depth`` steps, with witnessing paths."""
+    return {term_key(u): (u, w, path)
+            for u, w, path in _layered_relaxation(sys, t, depth)}
 
 
 @dataclass(frozen=True)
@@ -784,7 +758,6 @@ def term_graph(
     sys: RewriteSystem,
     seeds: Sequence[Term],
     max_terms: Optional[int] = 2000,
-    fresh_pool: Optional[Sequence[Term]] = None,
     depth: Optional[int] = None,
 ) -> Tuple[_qrel.FiniteQRel, bool]:
     """Explore the reduction graph breadth-first; returns (relation,
@@ -803,7 +776,7 @@ def term_graph(
     while layer and (depth is None or expanded < depth):
         next_layer: List[Term] = []
         for term in layer:
-            for step in one_step(sys, term, fresh_pool):
+            for step in one_step(sys, term):
                 u = step.target
                 if u not in nodes:
                     if max_terms is not None and len(nodes) >= max_terms:
@@ -847,7 +820,6 @@ def confluence_report(
     seeds: Sequence[Term] = (),
     depth_budget: int = 6,
     sn_max_terms: int = 2000,
-    grid: Optional[Sequence[Fraction]] = None,
     components: Optional[Tuple[RewriteSystem, RewriteSystem]] = None,
 ) -> ConfluenceReport:
     """Run the certification pipeline and emit the strongest justified claim.
@@ -870,7 +842,7 @@ def confluence_report(
 
     if components is not None:
         c1, c2 = components
-        cross = cross_critical_pairs(c1, c2, grid=grid)
+        cross = cross_critical_pairs(c1, c2)
         evidence["cross_critical_pairs"] = len(cross)
         if not cross:
             def sub_seeds(c: RewriteSystem) -> List[Term]:
@@ -880,15 +852,14 @@ def confluence_report(
                     for s in preorder(t))]
 
             subs = [
-                confluence_report(c, sub_seeds(c), depth_budget,
-                                  sn_max_terms, grid)
+                confluence_report(c, sub_seeds(c), depth_budget, sn_max_terms)
                 for c in (c1, c2)
             ]
             evidence["component_certificates"] = [s.certificate for s in subs]
             if all(s.certificate != "inconclusive" for s in subs):
                 return ConfluenceReport("confluent by Hindley-Rosen", evidence)
 
-    peaks = critical_pairs(sys, grid=grid)
+    peaks = critical_pairs(sys)
     evidence["critical_pairs"] = len(peaks)
 
     sn_status = sn_probe(sys, seeds, sn_max_terms)[0] if seeds else "skipped"

@@ -267,11 +267,3 @@ def parse_comparison(text: str) -> Comparison:
     if not ops:
         raise ExprError(f"no comparison operator in {text!r}")
     return Comparison(tuple(terms), tuple(ops))
-
-
-def as_expr(x: Union[Expr, Fraction, int, str]) -> Expr:
-    if isinstance(x, (Lit, Param, BinOp, Abs)):
-        return x
-    if isinstance(x, str):
-        return parse_expr(x)
-    return Lit(Fraction(x))

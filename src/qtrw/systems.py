@@ -6,11 +6,10 @@ cross-check the search engine, so they share no code with it.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
-from .quantale import LAWVERE, STRONG_LAWVERE, Value
+from .quantale import LAWVERE, STRONG_LAWVERE
 from .ratexpr import parse_comparison, parse_expr
 from .term import Application, Symbol, Term, Variable, app
 from .qtrs import Rule, RewriteSystem, SymbolFamily
@@ -159,7 +158,7 @@ BARYCENTRIC_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                     Fraction(2, 3), Fraction(3, 4), Fraction(1))
 
 
-def make_barycentric(grid: Sequence[Fraction] = BARYCENTRIC_GRID) -> RewriteSystem:
+def make_barycentric() -> RewriteSystem:
     """Probabilistic choice: projection, commutativity, reassociation, and
     weighted left-perturbation (emitted at its minimal weight e)."""
     x, y, z = _v("x"), _v("y"), _v("z")
@@ -187,7 +186,7 @@ def make_barycentric(grid: Sequence[Fraction] = BARYCENTRIC_GRID) -> RewriteSyst
             Rule("perturb", plus("e", x, y), plus("e", z, y),
                  parse_expr("e"), params=("e",)),
         ),
-        grid=tuple(grid),
+        grid=BARYCENTRIC_GRID,
     )
 
 
@@ -252,8 +251,7 @@ def make_bck_w(base: Optional[RewriteSystem] = None) -> RewriteSystem:
 TICK_GRID = tuple(Fraction(n) for n in range(6))
 
 
-def make_ticking(terminating: bool = False,
-                 grid: Sequence[Fraction] = TICK_GRID) -> RewriteSystem:
+def make_ticking(terminating: bool = False) -> RewriteSystem:
     """Cost-counting writer operations w{n}; recounting from n to m costs
     |n-m|.  The terminating variant only recounts downward (m < n)."""
     x = _v("x")
@@ -274,7 +272,7 @@ def make_ticking(terminating: bool = False,
             Rule("recount", w("n", x), w("m", x), parse_expr("abs(n - m)"),
                  params=("m", "n"), conditions=conds),
         ),
-        grid=tuple(grid),
+        grid=TICK_GRID,
     )
 
 
@@ -316,7 +314,7 @@ def make_semilattice() -> RewriteSystem:
 W_GRID = tuple(Fraction(n) for n in range(4))
 
 
-def make_graded_combinators(grid: Sequence[Fraction] = W_GRID) -> GradedSystem:
+def make_graded_combinators() -> GradedSystem:
     """Graded combinatory logic: the modality !{n} amplifies distances by n;
     combinators manage grades (contraction splits n+m, dereliction uses 1,
     digging factors n·m, promotion distributes over application)."""
@@ -357,7 +355,7 @@ def make_graded_combinators(grid: Sequence[Fraction] = W_GRID) -> GradedSystem:
              params=("m", "n")),
     )
     return GradedSystem(RewriteSystem(
-        "graded-combinators", LAWVERE, sig, rules, grid=tuple(grid)))
+        "graded-combinators", LAWVERE, sig, rules, grid=W_GRID))
 
 
 def make_linearity_example() -> RewriteSystem:

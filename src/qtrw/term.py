@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import (ClassVar, Dict, Iterator, List, Optional, Set, Tuple,
                     Union)
 
-from .ratexpr import Env, Expr, ExprError, Lit, Param, as_expr
+from .ratexpr import Env, Expr, ExprError, Param
 
 Position = Tuple[int, ...]
 ROOT: Position = ()
@@ -356,12 +356,7 @@ def compose_substitutions(sigma: Substitution, rho: Substitution) -> Substitutio
 # matching
 
 
-def match(
-    pattern: Term,
-    subject: Term,
-    sigma: Optional[Substitution] = None,
-    env: Optional[Env] = None,
-) -> Optional[Tuple[Substitution, Env]]:
+def match(pattern: Term, subject: Term) -> Optional[Tuple[Substitution, Env]]:
     """Match ``pattern`` against ``subject``.
 
     Returns bindings for the pattern's variables and for any schema
@@ -370,8 +365,8 @@ def match(
     earlier (left-to-right) bare occurrences; if it still has unbound
     parameters, the match fails.
     """
-    sigma = dict(sigma) if sigma else {}
-    env = dict(env) if env else {}
+    sigma: Substitution = {}
+    env: Env = {}
     # pre-order, left to right, without recursion: an inner ``walk`` closure
     # would refer to itself, and every call would leave a reference cycle
     # holding its bindings until the next cyclic garbage collection

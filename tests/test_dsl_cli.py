@@ -258,3 +258,32 @@ def test_cli_library_errors_return_one(capsys):
                  ["distance", tick, "tick(nil", "nil"]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("directive, message", [
+    ("option grid 0 1/0", "line 3: grid value Fraction(1, 0) has a zero"),
+    ("symbol f/1 grades [1", "line 3: expected ']' after grades")])
+def test_malformed_directives_are_dsl_errors_with_a_line(
+        tmp_path, capsys, directive, message):
+    text = "\n".join(["system bad", "quantale lawvere", directive])
+    with pytest.raises(DslError) as exc:
+        parse_system(text)
+    assert exc.value.line == 3 and str(exc.value).startswith(message)
+    path = tmp_path / "bad.qtrs"
+    path.write_text(text)
+    assert main(["rewrite", str(path), "x"]) == 1
+    assert capsys.readouterr().err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("quantale, weight", [
+    ("lawvere", "-1"), ("nat-inf", "1/2"), ("fuzzy-product", "2"),
+    ("bool", "1")])
+def test_cli_rejects_rule_weights_outside_the_quantale(
+        tmp_path, capsys, quantale, weight):
+    path = tmp_path / "weights.qtrs"
+    path.write_text("\n".join([
+        "system weights", f"quantale {quantale}", "symbol a/0", "symbol b/0",
+        f"rule r: a -[{weight}]-> b"]))
+    assert main(["distance", str(path), "a", "b"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: rule r: Fraction({Fraction(weight).numerator},")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from qtrw.graded import (
     orthogonality_check,
     substitution_lemma_probe,
 )
+from qtrw import graded
+from qtrw.dsl import parse_system
 from qtrw.quantale import LAWVERE
 from qtrw.qtrs import Rule, RewriteSystem, SymbolFamily, one_step
 from qtrw.systems import (
@@ -30,7 +33,18 @@ from qtrw.systems import (
     make_nat,
     nat_term,
 )
-from qtrw.term import Application, Symbol, Variable, context_at, term_key
+from qtrw.term import (
+    Application,
+    Symbol,
+    Variable,
+    apply_substitution,
+    context_at,
+    instantiate_params,
+    term_key,
+    variables,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _app(a, b):
@@ -184,3 +198,61 @@ def test_substitution_lemma_probe():
     component = _app(_c("D"), _bang(1, _c("I")))
     report = substitution_lemma_probe(gsys, [(body, {"x": component})])
     assert report.holds and report.cases_checked > 0
+
+
+def _one_step_terms(gsys, count=20):
+    """Seeded terms of ``gsys``: instances of its rules' left-hand sides over
+    the grid, with leaves or earlier instances as arguments."""
+    base = gsys.system
+    rng = random.Random("one-step-multi-step")
+    grid = base.grid or (Fraction(1),)
+    terms = [Variable("x")] + [
+        Application(Symbol(f.name, 0, tuple(
+            rng.choice(grid) for _ in f.param_names)), ())
+        for f in base.signature if f.arity == 0]
+    for _ in range(count):
+        rule = rng.choice(base.rules)
+        lhs = instantiate_params(
+            rule.lhs, {p: rng.choice(grid) for p in rule.params})
+        terms.append(apply_substitution(
+            lhs, {x: rng.choice(terms) for x in sorted(variables(lhs))}))
+    return terms
+
+
+def test_every_single_step_is_a_one_redex_multi_step():
+    # a bare-variable left-hand side binds the node itself
+    inserting = parse_system("\n".join([
+        "system insert", "quantale lawvere", "symbol g/1 grades [1]",
+        "symbol a/0", "rule ins: x -[1]-> g(x)"]))
+    samples = [parse_system(path.read_text())
+               for path in sorted(SAMPLES.glob("*.qtrs"))]
+    cases = [(g, _one_step_terms(g)) for g in samples
+             if isinstance(g, GradedSystem)] + [
+        (inserting, [_c("a"), Application(Symbol("g", 1), (_c("a"),))])]
+    assert len(cases) > 1
+    checked = 0
+    for gsys, terms in cases:
+        for t in terms:
+            multi = multi_step(gsys, t, width_budget=1)
+            for s in one_step(gsys, t):
+                checked += 1
+                assert any(m.target == s.target and m.nredex == 1
+                           and m.weight == s.weight for m in multi), (t, s)
+    assert checked > 20
+    steps = multi_step(inserting, _c("a"))
+    assert [(term_key(m.target), m.weight, m.nredex) for m in steps] == [
+        ("a", 0, 0), ("g(a)", 1, 1)]
+
+
+def test_graded_facts_are_computed_once(monkeypatch):
+    gsys = make_graded_combinators()
+    t = _app(_c("D"), _bang(1, _c("I")))
+    calls = []
+    monkeypatch.setattr(graded, "critical_pairs",
+                        lambda sys: calls.append(sys) or [])
+    monkeypatch.setattr(graded, "balanced_check",
+                        lambda g: calls.append(g) or [])
+    for _ in range(3):
+        assert multistep_diamond_probe(gsys, t).holds
+        multi_step(gsys, t)
+    assert len(calls) == 2

@@ -4,9 +4,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from qtrw.quantale import LAWVERE
+import pytest
+
+from qtrw.quantale import BOOL, FUZZY_PRODUCT, LAWVERE, NAT_INF, QuantaleError
 from qtrw.qtrs import (
     CriticalPeak,
+    Rule,
+    RewriteSystem,
+    SymbolFamily,
     bounded_reducts,
     confluence_report,
     critical_pairs,
@@ -186,6 +191,17 @@ def test_schema_instantiation():
 
 # ---------------------------------------------------------------------------
 # bounded reducts and term graphs
+
+
+@pytest.mark.parametrize("quantale, weight", [
+    (LAWVERE, Fraction(-1)), (NAT_INF, Fraction(1, 2)),
+    (FUZZY_PRODUCT, Fraction(2)), (BOOL, Fraction(1))],
+    ids=["lawvere", "nat-inf", "fuzzy-product", "bool"])
+def test_rule_weights_outside_the_quantale_are_rejected(quantale, weight):
+    a, b = Application(Symbol("a", 0), ()), Application(Symbol("b", 0), ())
+    sig = (SymbolFamily("a", 0), SymbolFamily("b", 0))
+    with pytest.raises(QuantaleError, match="^rule r: .* is not a value of"):
+        RewriteSystem("w", quantale, sig, (Rule("r", a, b, weight),))
 
 
 def test_bounded_reducts_grow_with_depth():

@@ -342,8 +342,6 @@ def test_a_shared_redex_memo_returns_what_memo_less_steps_return(name):
                 got = sysm.stepper.steps(t, pool, backward, memo=memo)
                 want = sysm.stepper.steps(t, pool, backward)
                 assert got == want
-                assert [(s.rule_id, s.weight, s.substitution) for s in got] \
-                    == [(s.rule_id, s.weight, s.substitution) for s in want]
                 checked += len(got)
     assert checked > 20
     assert {b for b, _ in memo} == {False, True}
