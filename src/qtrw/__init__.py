@@ -37,13 +37,10 @@ from .qtrs import (
     sum_systems,
 )
 from .graded import (
-    GradedSignature,
     GradedSystem,
-    Sensitivity,
     balanced_check,
     degree_at_position,
     degree_of_variable,
-    graded_one_step,
     multi_step,
     multistep_diamond_probe,
     orthogonality_check,

@@ -44,7 +44,7 @@ from .search import (
     strategy_path,
     valley_distance,
 )
-from .dsl import AnySystem, DslError, parse_system, parse_term
+from .dsl import AnySystem, DslError, parse_grid, parse_system, parse_term
 from .term import Variable, subterms
 
 
@@ -126,7 +126,7 @@ def _cmd_distance(args) -> int:
 def _cmd_critical_pairs(args) -> int:
     _, base = _load(args.file)
     if args.grid:
-        base = replace(base, grid=tuple(Fraction(g) for g in args.grid.split()))
+        base = replace(base, grid=parse_grid(args.grid))
     peaks = critical_pairs(base)
     if args.json:
         print(json.dumps([
@@ -146,8 +146,7 @@ def _cmd_critical_pairs(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    sysm, base = _load(args.file)
-    gsys = sysm if isinstance(sysm, GradedSystem) else GradedSystem(base)
+    _, base = _load(args.file)
     seeds = [parse_term(s, base.signature) for s in (args.seed or [])]
     result: Dict[str, object]
     code: int
@@ -165,13 +164,13 @@ def _cmd_check(args) -> int:
         result = {"peaks": len(peaks), "strongly_closed": closed}
         code = 0 if closed == len(peaks) else 1
     elif args.what == "orthogonal":
-        ok, evidence = orthogonality_check(gsys)
+        ok, evidence = orthogonality_check(base)
         result = {"orthogonal": ok, **{k: (list(v) if isinstance(v, tuple)
                                            else v)
                                        for k, v in evidence.items()}}
         code = 0 if ok else 1
     elif args.what == "balanced":
-        entries = balanced_check(gsys)
+        entries = balanced_check(base)
         bad = [e for e in entries if not e.balanced]
         result = {
             "rules_checked": len(entries),
@@ -219,14 +218,12 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_degree(args) -> int:
-    sysm, base = _load(args.file)
-    gsys = sysm if isinstance(sysm, GradedSystem) else GradedSystem(base)
+    _, base = _load(args.file)
     t = parse_term(args.term, base.signature)
-    sig = gsys.signature
     occ = [p for p, s in subterms(t)
            if isinstance(s, Variable) and s.name == args.var]
-    rows = [(p, degree_at_position(sig, t, p)) for p in occ]
-    total = degree_of_variable(sig, t, args.var)
+    rows = [(p, degree_at_position(base, t, p)) for p in occ]
+    total = degree_of_variable(base, t, args.var)
     if args.json:
         print(json.dumps({
             "variable": args.var,

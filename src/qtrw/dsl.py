@@ -12,9 +12,11 @@ A file declares a quantale, optional options, a signature, and rules::
 
 Declared binary infix symbols may be written between their arguments
 (left-associative); everything else is prefix ``f(t1, ..., tn)``.  Names not
-present in the signature parse as variables and may not be applied.  Weights
-and symbol parameters are exact rational expressions; parameterless ones are
-folded to constants so a parsed file compares equal to its in-memory source.
+present in the signature parse as variables and may not be applied.  A rule
+weight is a value of the quantale declared above it (``true`` under
+``bool``, ``inf`` under the cost quantales) or else, like a symbol parameter,
+an exact rational expression; parameterless ones are folded to constants so
+a parsed file compares equal to its in-memory source.
 
 Terms are read on the scanner of ``ratexpr``, whose expression grammar reads
 symbol parameters in place; the term parser and ``emit_term`` keep their
@@ -27,7 +29,7 @@ import re
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .quantale import INF, QuantaleError, QuantaleSpec, Value, get_quantale
+from .quantale import QuantaleError, QuantaleSpec, Value, get_quantale
 from .ratexpr import (Expr, ExprError, _parse_sum, _Scanner, parse_comparison,
                       parse_expr)
 from .term import Application, Symbol, Term, Variable, preorder
@@ -52,12 +54,27 @@ def _fold(e: Expr) -> Union[Fraction, Expr]:
     return e
 
 
-def _parse_weight(text: str) -> Union[Value, Expr]:
-    text = text.strip()
-    if text == "inf":
-        return INF
-    e = parse_expr(text)
-    return _fold(e)
+def _parse_weight(text: str,
+                  quantale: Optional[QuantaleSpec]) -> Union[Value, Expr]:
+    """A rule weight: a value of the quantale declared so far, else a
+    rational expression."""
+    if quantale is not None:
+        try:
+            return quantale.parse_value(text)
+        except (ValueError, ZeroDivisionError, QuantaleError):
+            pass
+    return _fold(parse_expr(text))
+
+
+def parse_grid(text: str, line: Optional[int] = None) -> Tuple[Fraction, ...]:
+    """The space-separated rationals of a parameter grid."""
+    try:
+        return tuple(Fraction(v) for v in text.split())
+    except ValueError as exc:
+        raise DslError(str(exc), line) from None
+    except ZeroDivisionError as exc:
+        raise DslError(f"grid value {exc} has a zero denominator",
+                       line) from None
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +228,7 @@ def parse_system(text: str) -> AnySystem:
             opt, _, vals = rest.partition(" ")
             if opt != "grid":
                 raise DslError(f"unknown option {opt!r}", lineno)
-            try:
-                grid = tuple(Fraction(v) for v in vals.split())
-            except ValueError as exc:
-                raise DslError(str(exc), lineno) from None
-            except ZeroDivisionError as exc:
-                raise DslError(f"grid value {exc} has a zero denominator",
-                               lineno) from None
+            grid = parse_grid(vals, lineno)
         elif head == "symbol":
             m = _SYMBOL_RE.match(rest)
             if m is None:
@@ -272,7 +283,7 @@ def parse_system(text: str) -> AnySystem:
             if not lhs_text or not rhs_text:
                 raise DslError("empty rule side", lineno)
             try:
-                weight = _parse_weight(arrow.group("w"))
+                weight = _parse_weight(arrow.group("w"), quantale)
             except ExprError as exc:
                 raise DslError(str(exc), lineno) from None
             lhs = parse_term(lhs_text, signature, lineno)
@@ -344,7 +355,9 @@ def emit_system(sys: AnySystem) -> str:
             decl += " grades [" + ", ".join(str(g) for g in fam.grades) + "]"
         lines.append("symbol " + decl)
     for rule in base.rules:
-        w = "inf" if rule.weight is INF else str(rule.weight)
+        w = rule.weight
+        if base.quantale.is_value(w):
+            w = base.quantale.format_value(w)
         line = (f"rule {rule.rid}: {emit_term(rule.lhs)}"
                 f" -[{w}]-> {emit_term(rule.rhs)}")
         if rule.conditions:

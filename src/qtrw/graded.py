@@ -1,10 +1,12 @@
 """Graded rewriting: per-argument sensitivities, degrees, balanced rules,
 grade-scaled one-step reduction, parallel multi-steps, and orthogonality.
 
-On additive cost quantales every sensitivity normalizes to a single
-non-negative rational scalar c, acting by ε ↦ c·ε (identity is 1, the
-constant-unit map is 0, composition is product, tensor is sum).  That makes
-balancedness a rational-equality check.  Scalars may not be infinite.
+Grades belong to the rewrite system: each symbol family may declare its
+argument sensitivities, read by ``grades_of``.  On additive cost quantales a
+sensitivity is a non-negative rational c acting by ε ↦ c·ε (``scale``), so
+degrees are rationals: 1 is the identity, 0 the constant-unit map,
+composition is product and tensor is sum.  That makes balancedness a
+rational-equality check.  Sensitivities may not be infinite.
 """
 
 from __future__ import annotations
@@ -31,14 +33,12 @@ from .term import (
     variables,
 )
 from .qtrs import (
-    RewriteStep,
     RewriteSystem,
     Stepper,
     _fresh_variable_for,
     _instances,
     _rule_matches,
     critical_pairs,
-    one_step,
 )
 
 
@@ -46,103 +46,77 @@ class GradedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Sensitivity:
-    """A distance amplification factor: the map ε ↦ scalar·ε."""
-
-    scalar: Fraction
-
-    def __post_init__(self) -> None:
-        if self.scalar < 0:
-            raise GradedError(f"negative sensitivity {self.scalar}")
-
-    def compose(self, other: "Sensitivity") -> "Sensitivity":
-        return Sensitivity(self.scalar * other.scalar)
-
-    def tensor(self, other: "Sensitivity") -> "Sensitivity":
-        return Sensitivity(self.scalar + other.scalar)
-
-    def apply(self, quantale: QuantaleSpec, value: Value) -> Value:
-        quantale.check_value(value)
-        if self.scalar == 0:
-            return quantale.unit
-        if value is INF:
-            return INF
-        return self.scalar * value
-
-    def __str__(self) -> str:
-        return str(self.scalar)
+def scale(quantale: QuantaleSpec, c: Fraction, value: Value) -> Value:
+    """``value`` amplified by the sensitivity ``c``: c = 0 sends every value
+    to the unit, inf stays inf, and otherwise the result is c·value."""
+    quantale.check_value(value)
+    if c == 0:
+        return quantale.unit
+    if value is INF:
+        return INF
+    return c * value
 
 
-IDENTITY = Sensitivity(Fraction(1))
-CONSTANT_UNIT = Sensitivity(Fraction(0))
+def grades_of(sys: RewriteSystem, symbol: Symbol) -> Tuple[Fraction, ...]:
+    """The argument sensitivities of ``symbol``, read from its family.
 
-
-class GradedSignature:
-    """Per-argument sensitivities for each symbol family.
-
-    Grades come from the family declarations; families without declared
-    grades are non-expansive (all arguments graded 1).  Parametric families
-    evaluate their grade expressions against the concrete symbol parameters.
+    Families without declared grades are non-expansive (all arguments
+    graded 1).  Parametric families evaluate their grade expressions against
+    the concrete symbol parameters.
     """
-
-    def __init__(self, system: RewriteSystem) -> None:
-        self.system = system
-
-    def grades_of(self, symbol: Symbol) -> Tuple[Sensitivity, ...]:
-        fam = self.system.family(symbol.name)
-        if fam is None:
-            raise TermError(f"unknown symbol {symbol.name!r}")
-        if fam.grades is None:
-            return (IDENTITY,) * symbol.arity
-        if len(fam.grades) != symbol.arity:
-            raise GradedError(f"{symbol.name}: grade list does not match arity")
-        env = {}
-        for name, val in zip(fam.param_names, symbol.params):
-            if not isinstance(val, Fraction):
-                raise GradedError(
-                    f"{symbol}: grades need concrete symbol parameters")
-            env[name] = val
-        out = []
-        for g in fam.grades:
-            if hasattr(g, "evaluate"):
-                out.append(Sensitivity(g.evaluate(env)))
-            else:
-                out.append(Sensitivity(Fraction(g)))
-        return tuple(out)
+    fam = sys.family(symbol.name)
+    if fam is None:
+        raise TermError(f"unknown symbol {symbol.name!r}")
+    if fam.grades is None:
+        return (Fraction(1),) * symbol.arity
+    if len(fam.grades) != symbol.arity:
+        raise GradedError(f"{symbol.name}: grade list does not match arity")
+    env = {}
+    for name, val in zip(fam.param_names, symbol.params):
+        if not isinstance(val, Fraction):
+            raise GradedError(
+                f"{symbol}: grades need concrete symbol parameters")
+        env[name] = val
+    out = []
+    for g in fam.grades:
+        c = g.evaluate(env) if hasattr(g, "evaluate") else Fraction(g)
+        if c < 0:
+            raise GradedError(f"negative sensitivity {c}")
+        out.append(c)
+    return tuple(out)
 
 
-def degree_at_position(sig: GradedSignature, t: Term, p: Position) -> Sensitivity:
+def degree_at_position(sys: RewriteSystem, t: Term, p: Position) -> Fraction:
     """Product of the argument grades along the path to ``p``."""
-    deg = IDENTITY
+    deg = Fraction(1)
     cur = t
     for i in p:
         if isinstance(cur, Variable):
             raise TermError(f"position {list(p)} runs through a variable")
-        deg = deg.compose(sig.grades_of(cur.symbol)[i - 1])
+        deg *= grades_of(sys, cur.symbol)[i - 1]
         cur = cur.args[i - 1]
     return deg
 
 
-def degree_of_variable(sig: GradedSignature, t: Term, x: str) -> Sensitivity:
+def degree_of_variable(sys: RewriteSystem, t: Term, x: str) -> Fraction:
     """Sum of the position degrees over every occurrence of ``x`` in ``t``."""
-    total = CONSTANT_UNIT
+    total = Fraction(0)
     for p, s in subterms(t):
         if isinstance(s, Variable) and s.name == x:
-            total = total.tensor(degree_at_position(sig, t, p))
+            total += degree_at_position(sys, t, p)
     return total
 
 
-def context_degree(sig: GradedSignature, context: Context) -> Sensitivity:
-    return degree_at_position(sig, context.term_with_hole, context.hole)
+def context_degree(sys: RewriteSystem, context: Context) -> Fraction:
+    return degree_at_position(sys, context.term_with_hole, context.hole)
 
 
 @dataclass(frozen=True)
 class BalanceEntry:
     rule_id: str
     variable: str
-    lhs_degree: Sensitivity
-    rhs_degree: Sensitivity
+    lhs_degree: Fraction
+    rhs_degree: Fraction
     sampled: bool
 
     @property
@@ -150,29 +124,28 @@ class BalanceEntry:
         return self.lhs_degree == self.rhs_degree
 
 
-def balanced_check(gsys: "GradedSystem") -> List[BalanceEntry]:
+def balanced_check(sys: RewriteSystem) -> List[BalanceEntry]:
     """Per-rule, per-variable degree comparison between the two sides.
 
     Schema rules are checked at every grid instance that fires, the ones
     ``RewriteSystem.instantiate`` keeps; those entries are marked sampled,
     since parameter-generic equality is only verified pointwise.
     """
-    sig, base = gsys.signature, gsys.system
     entries: List[BalanceEntry] = []
-    for rule in base.rules:
+    for rule in sys.rules:
         instances = [rule]
         if rule.is_schema:
-            if not base.grid:
+            if not sys.grid:
                 raise GradedError(
                     f"rule {rule.rid}: schema needs a grid for balance sampling")
-            instances = list(_instances(base.quantale, base.grid, rule))
+            instances = list(_instances(sys.quantale, sys.grid, rule))
         worst: Dict[str, BalanceEntry] = {}
         for inst in instances:
             for x in sorted(variables(inst.lhs) | variables(inst.rhs)):
                 entry = BalanceEntry(
                     rule.rid, x,
-                    degree_of_variable(sig, inst.lhs, x),
-                    degree_of_variable(sig, inst.rhs, x),
+                    degree_of_variable(sys, inst.lhs, x),
+                    degree_of_variable(sys, inst.rhs, x),
                     rule.is_schema)
                 old = worst.get(x)
                 if old is None or (old.balanced and not entry.balanced):
@@ -181,45 +154,8 @@ def balanced_check(gsys: "GradedSystem") -> List[BalanceEntry]:
     return entries
 
 
-@dataclass(frozen=True)
-class GradedSystem:
-    """A rewrite system under its grading.  The signature, the balance and
-    orthogonality verdicts, and the stepper are computed once, on first use."""
-
-    system: RewriteSystem
-
-    @cached_property
-    def signature(self) -> GradedSignature:
-        return GradedSignature(self.system)
-
-    @property
-    def quantale(self) -> QuantaleSpec:
-        return self.system.quantale
-
-    @cached_property
-    def stepper(self) -> Stepper:
-        """The rules' one-step relation with every step weight scaled by the
-        degree of its context, built on the first step."""
-        sig, q = self.signature, self.system.quantale
-        return Stepper(self.system,
-                       lambda t, p, w: degree_at_position(sig, t, p).apply(q, w))
-
-    @cached_property
-    def balanced(self) -> bool:
-        return all(e.balanced for e in balanced_check(self))
-
-    @property
-    def left_linear(self) -> bool:
-        return self.system.left_linear
-
-    @cached_property
-    def orthogonal(self) -> bool:
-        return orthogonality_check(self)[0]
-
-
-def orthogonality_check(gsys: GradedSystem) -> Tuple[bool, Dict[str, object]]:
+def orthogonality_check(sys: RewriteSystem) -> Tuple[bool, Dict[str, object]]:
     """Left-linear, no critical pairs, no bare-variable left-hand sides."""
-    sys = gsys.system
     peaks = critical_pairs(sys)
     var_lhs = sys.variable_lhs_rules()
     evidence = {
@@ -230,10 +166,32 @@ def orthogonality_check(gsys: GradedSystem) -> Tuple[bool, Dict[str, object]]:
     return sys.left_linear and not peaks and not var_lhs, evidence
 
 
-def graded_one_step(gsys: GradedSystem, t: Term) -> List[RewriteStep]:
-    """Single steps whose weight is the rule weight scaled by the degree of
-    the surrounding context."""
-    return one_step(gsys, t)
+@dataclass(frozen=True)
+class GradedSystem:
+    """A rewrite system under its grading.  The balance and orthogonality
+    verdicts and the stepper are computed once, on first use."""
+
+    system: RewriteSystem
+
+    @property
+    def quantale(self) -> QuantaleSpec:
+        return self.system.quantale
+
+    @cached_property
+    def stepper(self) -> Stepper:
+        """The rules' one-step relation with every step weight scaled by the
+        degree of its context, built on the first step."""
+        sys, q = self.system, self.system.quantale
+        return Stepper(sys,
+                       lambda t, p, w: scale(q, degree_at_position(sys, t, p), w))
+
+    @cached_property
+    def balanced(self) -> bool:
+        return all(e.balanced for e in balanced_check(self.system))
+
+    @cached_property
+    def orthogonal(self) -> bool:
+        return orthogonality_check(self.system)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +234,6 @@ def multi_step(gsys: GradedSystem, t: Term,
     if not gsys.balanced:
         raise GradedError("multi-step reduction requires a balanced system")
     sys = gsys.system
-    sig = gsys.signature
     q = sys.quantale
     rules = gsys.stepper.forward
     memo: Dict[Term, List[MultiStep]] = {}
@@ -299,14 +256,14 @@ def multi_step(gsys: GradedSystem, t: Term,
             _pareto_insert(table, identity, q)
         else:
             candidates += rules.by_root.get(term.symbol.name, ())
-            grades = sig.grades_of(term.symbol)
+            grades = grades_of(sys, term.symbol)
             for combo in itertools.product(*[memo[a] for a in term.args]):
                 n = sum(c.nredex for c in combo)
                 if n > width_budget:
                     continue
                 w = q.unit
                 for g, c in zip(grades, combo):
-                    w = q.tensor(w, g.apply(q, c.weight))
+                    w = q.tensor(w, scale(q, g, c.weight))
                 _pareto_insert(table, MultiStep(
                     Application(term.symbol, tuple(c.target for c in combo)),
                     w, n), q)
@@ -318,7 +275,7 @@ def multi_step(gsys: GradedSystem, t: Term,
                 # bare-variable left-hand side, the node itself
                 arg_opts = [[identity] if sigma[x] is term else memo[sigma[x]]
                             for x in bound]
-                degs = [degree_of_variable(sig, lhs, x) for x in bound]
+                degs = [degree_of_variable(sys, lhs, x) for x in bound]
                 pool = [_fresh_variable_for(term, set(fresh))] if fresh else []
                 for combo in itertools.product(*arg_opts):
                     n = 1 + sum(c.nredex for c in combo)
@@ -326,7 +283,7 @@ def multi_step(gsys: GradedSystem, t: Term,
                         continue
                     w = eps
                     for deg, c in zip(degs, combo):
-                        w = q.tensor(w, deg.apply(q, c.weight))
+                        w = q.tensor(w, scale(q, deg, c.weight))
                     tau: Dict[str, Term] = {
                         x: c.target for x, c in zip(bound, combo)}
                     for picks in itertools.product(pool, repeat=len(fresh)):
@@ -429,8 +386,8 @@ def substitution_lemma_probe(
     multi-steps of e·σ by the target f·τ at a weight dominating
     ε ⊗ ⊗ₓ deg_x(e)(δₓ).
     """
-    sig = gsys.signature
-    q = gsys.system.quantale
+    sys = gsys.system
+    q = sys.quantale
     checked = 0
     failures: List[Tuple[Term, Term]] = []
     for body, subst in cases:
@@ -441,7 +398,7 @@ def substitution_lemma_probe(
         body_steps = _best_per_target(multi_step(gsys, body, width_budget), q)
         comp_steps = {x: _best_per_target(
             multi_step(gsys, subst[x], width_budget), q) for x in names}
-        degs = {x: degree_of_variable(sig, body, x) for x in names}
+        degs = {x: degree_of_variable(sys, body, x) for x in names}
         for f_ms in body_steps.values():
             for picks in itertools.product(
                     *(list(comp_steps[x].values()) for x in names)):
@@ -452,7 +409,7 @@ def substitution_lemma_probe(
                 claimed = f_ms.weight
                 tau: Dict[str, Term] = {}
                 for x, p in zip(names, picks):
-                    claimed = q.tensor(claimed, degs[x].apply(q, p.weight))
+                    claimed = q.tensor(claimed, scale(q, degs[x], p.weight))
                     tau[x] = p.target
                 expected = apply_substitution(f_ms.target, tau)
                 hit = combined.get(expected)

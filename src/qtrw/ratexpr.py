@@ -185,7 +185,11 @@ def _parse_number(sc: _Scanner) -> Expr:
         sc.pos += 1
     if sc.pos == start:
         raise ExprError(f"expected number at offset {start} in {sc.text!r}")
-    return Lit(Fraction(sc.text[start:sc.pos]))
+    try:
+        return Lit(Fraction(sc.text[start:sc.pos]))
+    except ValueError:
+        raise ExprError(f"bad number {sc.text[start:sc.pos]!r} at offset"
+                        f" {start} in {sc.text!r}") from None
 
 
 _NAME_RE = re.compile(r"\w+")  # the characters of str.isalnum(), and "_"

@@ -9,7 +9,8 @@ import pytest
 
 from qtrw.cli import main
 from qtrw.dsl import DslError, emit_system, emit_term, parse_system, parse_term
-from qtrw.graded import GradedSystem
+from qtrw.graded import GradedError, GradedSystem, degree_of_variable
+from qtrw.qtrs import one_step
 from qtrw.search import strategy_path
 from qtrw.systems import CATALOG
 from qtrw.term import Application, Symbol, Variable
@@ -234,6 +235,19 @@ def test_cli_undefined_rule_instances_and_expression_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "error: division by zero in (1 / n)\n"
 
 
+def test_negative_grades_are_errors(tmp_path, capsys):
+    path = tmp_path / "negative.qtrs"
+    path.write_text("\n".join([
+        "system negative", "quantale lawvere",
+        "symbol g{n}/1 grades [n - 2]", "symbol a/0"]))
+    base = _base(parse_system(path.read_text()))
+    t = parse_term("g{1}(x)", base.signature)
+    with pytest.raises(GradedError, match="^negative sensitivity -1$"):
+        degree_of_variable(base, t, "x")
+    assert main(["degree", str(path), "g{1}(x)", "x"]) == 1
+    assert capsys.readouterr().err == "error: negative sensitivity -1\n"
+
+
 def test_balance_skips_undefined_schema_instances(tmp_path, capsys):
     path = tmp_path / "gr.qtrs"
     path.write_text("\n".join([
@@ -277,7 +291,7 @@ def test_malformed_directives_are_dsl_errors_with_a_line(
 
 @pytest.mark.parametrize("quantale, weight", [
     ("lawvere", "-1"), ("nat-inf", "1/2"), ("fuzzy-product", "2"),
-    ("bool", "1")])
+    ("bool", "2")])
 def test_cli_rejects_rule_weights_outside_the_quantale(
         tmp_path, capsys, quantale, weight):
     path = tmp_path / "weights.qtrs"
@@ -287,3 +301,36 @@ def test_cli_rejects_rule_weights_outside_the_quantale(
     assert main(["distance", str(path), "a", "b"]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: rule r: Fraction({Fraction(weight).numerator},")
+
+
+def test_cli_grid_argument_errors_are_reported(capsys):
+    bary = str(SAMPLES / "barycentric.qtrs")
+    assert main(["critical-pairs", bary, "--grid", "0 1/0"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: grid value Fraction(1, 0) has a zero denominator\n")
+
+
+def test_malformed_numbers_are_dsl_errors_with_a_line(tmp_path, capsys):
+    text = "\n".join(["system bad", "quantale lawvere", "symbol a/0",
+                      "symbol b/0", "rule r: a -[1.2.3]-> b"])
+    with pytest.raises(DslError) as exc:
+        parse_system(text)
+    assert exc.value.line == 5 and "'1.2.3'" in str(exc.value)
+    path = tmp_path / "bad.qtrs"
+    path.write_text(text)
+    assert main(["rewrite", str(path), "a"]) == 1
+    assert capsys.readouterr().err.startswith("error: line 5: ")
+
+
+def test_bool_weights_are_quantale_values(tmp_path, capsys):
+    text = "\n".join(["quantale bool", "symbol a/0", "symbol b/0",
+                      "rule r: a -[true]-> b"])
+    sysm = parse_system(text)
+    assert sysm.rules[0].weight is True
+    assert parse_system(emit_system(sysm)) == sysm
+    (step,) = one_step(sysm, parse_term("a", sysm.signature))
+    assert step.weight is True and str(step.target) == "b"
+    path = tmp_path / "bool.qtrs"
+    path.write_text(text)
+    assert main(["rewrite", str(path), "a"]) == 0
+    assert capsys.readouterr().out.endswith("]-> b   (r at [])\n")

@@ -7,25 +7,22 @@ from pathlib import Path
 import pytest
 
 from qtrw.graded import (
-    CONSTANT_UNIT,
-    IDENTITY,
     GradedError,
     GradedSystem,
-    Sensitivity,
     balanced_check,
     context_degree,
     degree_at_position,
     degree_of_variable,
-    graded_one_step,
     multi_step,
     multistep_diamond_probe,
     multistep_targets,
     orthogonality_check,
+    scale,
     substitution_lemma_probe,
 )
 from qtrw import graded
 from qtrw.dsl import parse_system
-from qtrw.quantale import LAWVERE
+from qtrw.quantale import INF, LAWVERE, QuantaleError
 from qtrw.qtrs import Rule, RewriteSystem, SymbolFamily, one_step
 from qtrw.systems import (
     make_graded_combinators,
@@ -64,26 +61,26 @@ def _c(name):
 
 
 def test_sensitivity_algebra():
-    two, three = Sensitivity(Fraction(2)), Sensitivity(Fraction(3))
-    assert two.compose(three).scalar == Fraction(6)
-    assert two.tensor(three).scalar == Fraction(5)
-    assert IDENTITY.compose(two) == two
-    assert CONSTANT_UNIT.tensor(two) == two
-    assert two.apply(LAWVERE, Fraction(1, 2)) == Fraction(1)
-    assert CONSTANT_UNIT.apply(LAWVERE, Fraction(7)) == LAWVERE.unit
+    two = Fraction(2)
+    assert scale(LAWVERE, two, Fraction(1, 2)) == Fraction(1)
+    assert scale(LAWVERE, Fraction(0), Fraction(7)) == LAWVERE.unit
+    assert scale(LAWVERE, Fraction(0), INF) == LAWVERE.unit
+    assert scale(LAWVERE, two, INF) is INF
+    with pytest.raises(QuantaleError):
+        scale(LAWVERE, two, Fraction(-1))
 
 
 def test_degrees_in_nested_bang_term():
     gsys = make_graded_combinators()
-    sig = gsys.signature
+    sig = gsys.system
     x = Variable("x")
     t = _bang(3, _app(x, _bang(2, _app(_c("I"), x))))
-    assert degree_at_position(sig, t, (1, 1)) == Sensitivity(Fraction(3))
-    assert degree_at_position(sig, t, (1, 2, 1, 2)) == Sensitivity(Fraction(6))
-    assert degree_of_variable(sig, t, "x") == Sensitivity(Fraction(9))
-    assert degree_of_variable(sig, t, "absent") == CONSTANT_UNIT
+    assert degree_at_position(sig, t, (1, 1)) == Fraction(3)
+    assert degree_at_position(sig, t, (1, 2, 1, 2)) == Fraction(6)
+    assert degree_of_variable(sig, t, "x") == Fraction(9)
+    assert degree_of_variable(sig, t, "absent") == Fraction(0)
     ctx = context_at(t, (1, 2))
-    assert context_degree(sig, ctx) == Sensitivity(Fraction(3))
+    assert context_degree(sig, ctx) == Fraction(3)
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +89,19 @@ def test_degrees_in_nested_bang_term():
 
 def test_graded_combinators_balanced():
     gsys = make_graded_combinators()
-    entries = balanced_check(gsys)
+    entries = balanced_check(gsys.system)
     assert entries and all(e.balanced for e in entries)
     assert gsys.balanced
 
 
 def test_duplicating_rule_is_unbalanced():
     gsys = GradedSystem(make_linearity_example())
-    bad = [e for e in balanced_check(gsys) if not e.balanced]
+    bad = [e for e in balanced_check(gsys.system) if not e.balanced]
     assert bad
     entry = bad[0]
     assert entry.rule_id == "collapse" and entry.variable == "x"
-    assert entry.lhs_degree == Sensitivity(Fraction(2))
-    assert entry.rhs_degree == Sensitivity(Fraction(1))
+    assert entry.lhs_degree == Fraction(2)
+    assert entry.rhs_degree == Fraction(1)
     assert not gsys.balanced
     with pytest.raises(GradedError):
         multi_step(gsys, _c("e"))
@@ -115,10 +112,10 @@ def test_duplicating_rule_is_unbalanced():
 
 
 def test_orthogonality():
-    ok, evidence = orthogonality_check(make_graded_combinators())
+    ok, evidence = orthogonality_check(make_graded_combinators().system)
     assert ok
     assert evidence["critical_pairs"] == 0 and evidence["left_linear"]
-    ok, evidence = orthogonality_check(GradedSystem(make_linearity_example()))
+    ok, evidence = orthogonality_check(make_linearity_example())
     assert not ok and not evidence["left_linear"]
 
 
@@ -139,7 +136,7 @@ def test_graded_one_step_scales_by_context_degree():
     )
     gsys = GradedSystem(sys)
     t = Application(Symbol("g", 1), (Application(Symbol("g", 1), (_c("a"),)),))
-    (step,) = graded_one_step(gsys, t)
+    (step,) = one_step(gsys, t)
     assert step.position == (1, 1)
     assert step.weight == Fraction(4)  # two nested contexts of grade 2
     (plain,) = one_step(sys, t)
@@ -156,7 +153,7 @@ def test_trivial_grades_agree_with_plain_steps():
         plain = {(s.position, s.rule_id, term_key(s.target)): s.weight
                  for s in one_step(sys, t)}
         graded = {(s.position, s.rule_id, term_key(s.target)): s.weight
-                  for s in graded_one_step(gsys, t)}
+                  for s in one_step(gsys, t)}
         assert plain == graded
 
 
