@@ -2,9 +2,10 @@
 
 Subpackages: quantale (value algebras), qrel (finite weighted relations and
 their confluence checks), term (first-order terms and unification), qtrs
-(rewrite systems, critical pairs, certification), graded (sensitivity-graded
-rewriting), search (metric word problems), systems (example catalog and
-oracles), dsl (the .qtrs format), cli (command line).
+(rewrite systems and their grades, critical pairs, certification), graded
+(parallel multi-steps and their diamond), search (metric word problems),
+systems (example catalog and oracles), dsl (the .qtrs format), cli (command
+line).
 """
 
 from .quantale import (
@@ -28,23 +29,19 @@ from .qtrs import (
     RewriteSystem,
     Rule,
     SymbolFamily,
+    balanced_check,
     confluence_report,
     critical_pairs,
     cross_critical_pairs,
+    degree_at_position,
+    degree_of_variable,
     join_check,
     one_step,
+    orthogonality_check,
     strongly_closed_check,
     sum_systems,
 )
-from .graded import (
-    GradedSystem,
-    balanced_check,
-    degree_at_position,
-    degree_of_variable,
-    multi_step,
-    multistep_diamond_probe,
-    orthogonality_check,
-)
+from .graded import multi_step, multistep_diamond_probe
 from .qrel import FiniteQRel, SoundnessError, hindley_rosen_check
 from .search import (
     DistanceAnswer,

@@ -10,29 +10,25 @@ import argparse
 import json
 import sys as _sys
 from dataclasses import replace
-from fractions import Fraction
 from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .quantale import INF, QuantaleError, Value
+from .quantale import QuantaleError, QuantaleSpec, Value
 from .ratexpr import ExprError
 from .term import TermError, term_key
 from .qtrs import (
     RewriteSystem,
+    balanced_check,
     confluence_report,
     critical_pairs,
+    degree_at_position,
+    degree_of_variable,
     join_check,
     one_step,
+    orthogonality_check,
     sn_probe,
     strongly_closed_check,
     term_graph,
-)
-from .graded import (
-    GradedSystem,
-    balanced_check,
-    degree_at_position,
-    degree_of_variable,
-    orthogonality_check,
 )
 from .search import (
     EXACT,
@@ -44,29 +40,29 @@ from .search import (
     strategy_path,
     valley_distance,
 )
-from .dsl import AnySystem, DslError, parse_grid, parse_system, parse_term
+from .dsl import DslError, parse_grid, parse_system, parse_term
 from .term import Variable, subterms
 
 
-def _load(path: str) -> Tuple[AnySystem, RewriteSystem]:
-    """The system in ``path``, and the rewrite system under its grading."""
+def _load(path: str) -> RewriteSystem:
     with open(path, "r", encoding="utf-8") as fh:
-        sysm = parse_system(fh.read())
-    return sysm, (sysm.system if isinstance(sysm, GradedSystem) else sysm)
+        return parse_system(fh.read())
 
 
-def _parse_weight_arg(text: str) -> Value:
-    if text == "inf":
-        return INF
-    return Fraction(text)
+def _parse_weight_arg(q: QuantaleSpec, text: str) -> Value:
+    """``text`` read as a value of ``q``."""
+    try:
+        return q.check_value(q.parse_value(text))
+    except ZeroDivisionError:
+        raise QuantaleError(f"weight {text!r} has a zero denominator") from None
 
 
-def _budget(args) -> SearchBudget:
+def _budget(args, q: QuantaleSpec) -> SearchBudget:
     return SearchBudget(
         max_expanded=args.max_expanded,
         max_depth=args.max_depth,
         weight_cutoff=(None if args.weight_cutoff is None
-                       else _parse_weight_arg(args.weight_cutoff)),
+                       else _parse_weight_arg(q, args.weight_cutoff)),
         max_term_size=args.max_term_size,
     )
 
@@ -79,8 +75,9 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_rewrite(args) -> int:
-    sysm, base = _load(args.file)
-    t = parse_term(args.term, base.signature)
+    sysm = _load(args.file)
+    fmt = sysm.quantale.format_value
+    t = parse_term(args.term, sysm.signature)
     if args.steps:
         steps = list(islice(strategy_path(sysm, t, "leftmost-outermost"),
                             max(args.steps, 0)))
@@ -91,11 +88,11 @@ def _cmd_rewrite(args) -> int:
     if args.json:
         print(json.dumps([
             {"rule": s.rule_id, "position": list(s.position),
-             "weight": str(s.weight), "target": term_key(s.target)}
+             "weight": fmt(s.weight), "target": term_key(s.target)}
             for s in steps]))
         return 0
     for s in steps:
-        print(f"-[{s.weight}]-> {s.target}   ({s.rule_id} at"
+        print(f"-[{fmt(s.weight)}]-> {s.target}   ({s.rule_id} at"
               f" {list(s.position)})")
     if footer:
         print(footer)
@@ -103,17 +100,18 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    sysm, base = _load(args.file)
-    s = parse_term(args.source, base.signature)
-    t = parse_term(args.target, base.signature)
+    sysm = _load(args.file)
+    fmt = sysm.quantale.format_value
+    s = parse_term(args.source, sysm.signature)
+    t = parse_term(args.target, sysm.signature)
     fn = {"directed": reduction_distance,
           "convert": convertibility_distance,
           "valley": valley_distance}[args.mode]
-    ans = fn(sysm, s, t, _budget(args))
+    ans = fn(sysm, s, t, _budget(args, sysm.quantale))
     if args.json:
-        print(ans.to_json())
+        print(ans.to_json(fmt))
     else:
-        val = "-" if ans.value is None else str(ans.value)
+        val = "-" if ans.value is None else fmt(ans.value)
         print(f"{ans.kind} {val} ({len(ans.witness)} steps,"
               f" {ans.expanded} expanded)")
     if ans.kind in (EXACT, UPPER_BOUND):
@@ -124,53 +122,54 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_critical_pairs(args) -> int:
-    _, base = _load(args.file)
+    sysm = _load(args.file)
     if args.grid:
-        base = replace(base, grid=parse_grid(args.grid))
-    peaks = critical_pairs(base)
+        sysm = replace(sysm, grid=parse_grid(args.grid))
+    fmt = sysm.quantale.format_value
+    peaks = critical_pairs(sysm)
     if args.json:
         print(json.dumps([
             {"source": term_key(p.source),
-             "left": term_key(p.left[0]), "left_weight": str(p.left[1]),
-             "right": term_key(p.right[0]), "right_weight": str(p.right[1]),
+             "left": term_key(p.left[0]), "left_weight": fmt(p.left[1]),
+             "right": term_key(p.right[0]), "right_weight": fmt(p.right[1]),
              "position": list(p.position),
              "inner_rule": p.inner_rule, "outer_rule": p.outer_rule}
             for p in peaks]))
     else:
         for p in peaks:
-            print(f"{p.left[0]} <-[{p.left[1]}]- {p.source}"
-                  f" -[{p.right[1]}]-> {p.right[0]}"
+            print(f"{p.left[0]} <-[{fmt(p.left[1])}]- {p.source}"
+                  f" -[{fmt(p.right[1])}]-> {p.right[0]}"
                   f"   ({p.inner_rule} at {list(p.position)} / {p.outer_rule})")
         print(f"{len(peaks)} critical pair(s)")
     return 0
 
 
 def _cmd_check(args) -> int:
-    _, base = _load(args.file)
-    seeds = [parse_term(s, base.signature) for s in (args.seed or [])]
+    sysm = _load(args.file)
+    seeds = [parse_term(s, sysm.signature) for s in (args.seed or [])]
     result: Dict[str, object]
     code: int
 
     if args.what == "local-confluence":
-        peaks = critical_pairs(base)
-        verdicts = [join_check(base, p, args.depth) for p in peaks]
+        peaks = critical_pairs(sysm)
+        verdicts = [join_check(sysm, p, args.depth) for p in peaks]
         joinable = sum(v.kind == "joinable" for v in verdicts)
         result = {"peaks": len(peaks), "joinable": joinable}
         code = 0 if joinable == len(peaks) else 2
     elif args.what == "strong-closure":
-        peaks = critical_pairs(base)
-        verdicts = [strongly_closed_check(base, p, args.depth) for p in peaks]
+        peaks = critical_pairs(sysm)
+        verdicts = [strongly_closed_check(sysm, p, args.depth) for p in peaks]
         closed = sum(v.holds for v in verdicts)
         result = {"peaks": len(peaks), "strongly_closed": closed}
         code = 0 if closed == len(peaks) else 1
     elif args.what == "orthogonal":
-        ok, evidence = orthogonality_check(base)
+        ok, evidence = orthogonality_check(sysm)
         result = {"orthogonal": ok, **{k: (list(v) if isinstance(v, tuple)
                                            else v)
                                        for k, v in evidence.items()}}
         code = 0 if ok else 1
     elif args.what == "balanced":
-        entries = balanced_check(base)
+        entries = balanced_check(sysm)
         bad = [e for e in entries if not e.balanced]
         result = {
             "rules_checked": len(entries),
@@ -185,13 +184,13 @@ def _cmd_check(args) -> int:
         if not seeds:
             print("sn-probe needs at least one --seed term", file=_sys.stderr)
             return 2
-        status, rel = sn_probe(base, seeds, args.max_terms)
+        status, rel = sn_probe(sysm, seeds, args.max_terms)
         result = {"sn": status}
         code = {"cycle found": 1, "passes on explored": 0}.get(status, 2)
         if code != 1:
             result["terms"] = len(rel.carrier)
     elif args.what == "confluence-report":
-        report = confluence_report(base, seeds, depth_budget=args.depth,
+        report = confluence_report(sysm, seeds, depth_budget=args.depth,
                                    sn_max_terms=args.max_terms)
         result = {"certificate": report.certificate,
                   "evidence": {k: (list(v) if isinstance(v, tuple) else v)
@@ -210,20 +209,20 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    sysm, base = _load(args.file)
-    t = parse_term(args.term, base.signature)
+    sysm = _load(args.file)
+    t = parse_term(args.term, sysm.signature)
     rel, _ = term_graph(sysm, [t], max_terms=None, depth=args.depth)
     print(rel.to_dot(name="rewriting") if args.dot else rel.to_text())
     return 0
 
 
 def _cmd_degree(args) -> int:
-    _, base = _load(args.file)
-    t = parse_term(args.term, base.signature)
+    sysm = _load(args.file)
+    t = parse_term(args.term, sysm.signature)
     occ = [p for p, s in subterms(t)
            if isinstance(s, Variable) and s.name == args.var]
-    rows = [(p, degree_at_position(base, t, p)) for p in occ]
-    total = degree_of_variable(base, t, args.var)
+    rows = [(p, degree_at_position(sysm, t, p)) for p in occ]
+    total = degree_of_variable(sysm, t, args.var)
     if args.json:
         print(json.dumps({
             "variable": args.var,

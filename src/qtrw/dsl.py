@@ -34,9 +34,6 @@ from .ratexpr import (Expr, ExprError, _parse_sum, _Scanner, parse_comparison,
                       parse_expr)
 from .term import Application, Symbol, Term, Variable, preorder
 from .qtrs import Rule, RewriteSystem, SymbolFamily
-from .graded import GradedSystem
-
-AnySystem = Union[RewriteSystem, GradedSystem]
 
 
 class DslError(Exception):
@@ -203,13 +200,12 @@ _ARROW_RE = re.compile(r"-\[(?P<w>[^\]]*)\]->")
 _WHERE_RE = re.compile(r"\bwhere\b")
 
 
-def parse_system(text: str) -> AnySystem:
+def parse_system(text: str) -> RewriteSystem:
     name = "unnamed"
     quantale: Optional[QuantaleSpec] = None
     grid: Tuple[Fraction, ...] = ()
     signature: List[SymbolFamily] = []
     rules: List[Rule] = []
-    graded = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -255,7 +251,6 @@ def parse_system(text: str) -> AnySystem:
                         grades = tuple(_fold(parse_expr(g)) for g in items)
                     except ExprError as exc:
                         raise DslError(str(exc), lineno) from None
-                    graded = True
                     flags = body[close + 1:].strip()
                 else:
                     raise DslError(f"bad symbol flags {flags!r}", lineno)
@@ -303,8 +298,7 @@ def parse_system(text: str) -> AnySystem:
 
     if quantale is None:
         raise DslError("missing 'quantale' declaration")
-    sys = RewriteSystem(name, quantale, tuple(signature), tuple(rules), grid)
-    return GradedSystem(sys) if graded else sys
+    return RewriteSystem(name, quantale, tuple(signature), tuple(rules), grid)
 
 
 def _term_params(t: Term) -> set:
@@ -339,12 +333,11 @@ def emit_term(t: Term) -> str:
     return "".join(out)
 
 
-def emit_system(sys: AnySystem) -> str:
-    base = sys.system if isinstance(sys, GradedSystem) else sys
-    lines = [f"system {base.name}", f"quantale {base.quantale.name}"]
-    if base.grid:
-        lines.append("option grid " + " ".join(str(g) for g in base.grid))
-    for fam in base.signature:
+def emit_system(sys: RewriteSystem) -> str:
+    lines = [f"system {sys.name}", f"quantale {sys.quantale.name}"]
+    if sys.grid:
+        lines.append("option grid " + " ".join(str(g) for g in sys.grid))
+    for fam in sys.signature:
         decl = fam.name
         if fam.param_names:
             decl += "{" + ",".join(fam.param_names) + "}"
@@ -354,10 +347,10 @@ def emit_system(sys: AnySystem) -> str:
         if fam.grades is not None:
             decl += " grades [" + ", ".join(str(g) for g in fam.grades) + "]"
         lines.append("symbol " + decl)
-    for rule in base.rules:
+    for rule in sys.rules:
         w = rule.weight
-        if base.quantale.is_value(w):
-            w = base.quantale.format_value(w)
+        if sys.quantale.is_value(w):
+            w = sys.quantale.format_value(w)
         line = (f"rule {rule.rid}: {emit_term(rule.lhs)}"
                 f" -[{w}]-> {emit_term(rule.rhs)}")
         if rule.conditions:

@@ -1,12 +1,9 @@
-"""Graded rewriting: per-argument sensitivities, degrees, balanced rules,
-grade-scaled one-step reduction, parallel multi-steps, and orthogonality.
+"""Graded rewriting: parallel multi-steps, the weighted multi-step diamond
+probe and the substitution-lemma probe, over a rewrite system's grades.
 
-Grades belong to the rewrite system: each symbol family may declare its
-argument sensitivities, read by ``grades_of``.  On additive cost quantales a
-sensitivity is a non-negative rational c acting by ε ↦ c·ε (``scale``), so
-degrees are rationals: 1 is the identity, 0 the constant-unit map,
-composition is product and tensor is sum.  That makes balancedness a
-rational-equality check.  Sensitivities may not be infinite.
+Grades, degrees, ``scale`` and the balance and orthogonality checks live in
+``qtrw.qtrs`` beside the symbol families; this module imports and
+re-exports them.
 """
 
 from __future__ import annotations
@@ -14,184 +11,35 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from .quantale import INF, QuantaleSpec, Value
+from .quantale import QuantaleSpec, Value
 from .term import (
     Application,
     Context,
-    Position,
-    Symbol,
     Term,
-    TermError,
     Variable,
     apply_substitution,
     instantiate_params,
-    subterms,
     term_key,
     variables,
 )
-from .qtrs import (
+from .qtrs import (  # noqa: F401 - the grade analyses are re-exported
+    GradedError,
     RewriteSystem,
-    Stepper,
     _fresh_variable_for,
-    _instances,
     _rule_matches,
-    critical_pairs,
+    balanced_check,
+    degree_at_position,
+    degree_of_variable,
+    grades_of,
+    orthogonality_check,
+    scale,
 )
-
-
-class GradedError(ValueError):
-    pass
-
-
-def scale(quantale: QuantaleSpec, c: Fraction, value: Value) -> Value:
-    """``value`` amplified by the sensitivity ``c``: c = 0 sends every value
-    to the unit, inf stays inf, and otherwise the result is c·value."""
-    quantale.check_value(value)
-    if c == 0:
-        return quantale.unit
-    if value is INF:
-        return INF
-    return c * value
-
-
-def grades_of(sys: RewriteSystem, symbol: Symbol) -> Tuple[Fraction, ...]:
-    """The argument sensitivities of ``symbol``, read from its family.
-
-    Families without declared grades are non-expansive (all arguments
-    graded 1).  Parametric families evaluate their grade expressions against
-    the concrete symbol parameters.
-    """
-    fam = sys.family(symbol.name)
-    if fam is None:
-        raise TermError(f"unknown symbol {symbol.name!r}")
-    if fam.grades is None:
-        return (Fraction(1),) * symbol.arity
-    if len(fam.grades) != symbol.arity:
-        raise GradedError(f"{symbol.name}: grade list does not match arity")
-    env = {}
-    for name, val in zip(fam.param_names, symbol.params):
-        if not isinstance(val, Fraction):
-            raise GradedError(
-                f"{symbol}: grades need concrete symbol parameters")
-        env[name] = val
-    out = []
-    for g in fam.grades:
-        c = g.evaluate(env) if hasattr(g, "evaluate") else Fraction(g)
-        if c < 0:
-            raise GradedError(f"negative sensitivity {c}")
-        out.append(c)
-    return tuple(out)
-
-
-def degree_at_position(sys: RewriteSystem, t: Term, p: Position) -> Fraction:
-    """Product of the argument grades along the path to ``p``."""
-    deg = Fraction(1)
-    cur = t
-    for i in p:
-        if isinstance(cur, Variable):
-            raise TermError(f"position {list(p)} runs through a variable")
-        deg *= grades_of(sys, cur.symbol)[i - 1]
-        cur = cur.args[i - 1]
-    return deg
-
-
-def degree_of_variable(sys: RewriteSystem, t: Term, x: str) -> Fraction:
-    """Sum of the position degrees over every occurrence of ``x`` in ``t``."""
-    total = Fraction(0)
-    for p, s in subterms(t):
-        if isinstance(s, Variable) and s.name == x:
-            total += degree_at_position(sys, t, p)
-    return total
 
 
 def context_degree(sys: RewriteSystem, context: Context) -> Fraction:
     return degree_at_position(sys, context.term_with_hole, context.hole)
-
-
-@dataclass(frozen=True)
-class BalanceEntry:
-    rule_id: str
-    variable: str
-    lhs_degree: Fraction
-    rhs_degree: Fraction
-    sampled: bool
-
-    @property
-    def balanced(self) -> bool:
-        return self.lhs_degree == self.rhs_degree
-
-
-def balanced_check(sys: RewriteSystem) -> List[BalanceEntry]:
-    """Per-rule, per-variable degree comparison between the two sides.
-
-    Schema rules are checked at every grid instance that fires, the ones
-    ``RewriteSystem.instantiate`` keeps; those entries are marked sampled,
-    since parameter-generic equality is only verified pointwise.
-    """
-    entries: List[BalanceEntry] = []
-    for rule in sys.rules:
-        instances = [rule]
-        if rule.is_schema:
-            if not sys.grid:
-                raise GradedError(
-                    f"rule {rule.rid}: schema needs a grid for balance sampling")
-            instances = list(_instances(sys.quantale, sys.grid, rule))
-        worst: Dict[str, BalanceEntry] = {}
-        for inst in instances:
-            for x in sorted(variables(inst.lhs) | variables(inst.rhs)):
-                entry = BalanceEntry(
-                    rule.rid, x,
-                    degree_of_variable(sys, inst.lhs, x),
-                    degree_of_variable(sys, inst.rhs, x),
-                    rule.is_schema)
-                old = worst.get(x)
-                if old is None or (old.balanced and not entry.balanced):
-                    worst[x] = entry
-        entries.extend(worst[x] for x in sorted(worst))
-    return entries
-
-
-def orthogonality_check(sys: RewriteSystem) -> Tuple[bool, Dict[str, object]]:
-    """Left-linear, no critical pairs, no bare-variable left-hand sides."""
-    peaks = critical_pairs(sys)
-    var_lhs = sys.variable_lhs_rules()
-    evidence = {
-        "left_linear": sys.left_linear,
-        "critical_pairs": len(peaks),
-        "variable_lhs_rules": var_lhs,
-    }
-    return sys.left_linear and not peaks and not var_lhs, evidence
-
-
-@dataclass(frozen=True)
-class GradedSystem:
-    """A rewrite system under its grading.  The balance and orthogonality
-    verdicts and the stepper are computed once, on first use."""
-
-    system: RewriteSystem
-
-    @property
-    def quantale(self) -> QuantaleSpec:
-        return self.system.quantale
-
-    @cached_property
-    def stepper(self) -> Stepper:
-        """The rules' one-step relation with every step weight scaled by the
-        degree of its context, built on the first step."""
-        sys, q = self.system, self.system.quantale
-        return Stepper(sys,
-                       lambda t, p, w: scale(q, degree_at_position(sys, t, p), w))
-
-    @cached_property
-    def balanced(self) -> bool:
-        return all(e.balanced for e in balanced_check(self.system))
-
-    @cached_property
-    def orthogonal(self) -> bool:
-        return orthogonality_check(self.system)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +65,7 @@ def _pareto_insert(
     row.append(ms)
 
 
-def multi_step(gsys: GradedSystem, t: Term,
+def multi_step(sys: RewriteSystem, t: Term,
                width_budget: int = 4) -> List[MultiStep]:
     """All parallel reductions of at most ``width_budget`` redexes.
 
@@ -231,11 +79,10 @@ def multi_step(gsys: GradedSystem, t: Term,
     itself, whose only multi-step there is the identity.  Each distinct
     subterm is solved once, after its arguments, without recursion.
     """
-    if not gsys.balanced:
+    if not sys.balanced:
         raise GradedError("multi-step reduction requires a balanced system")
-    sys = gsys.system
     q = sys.quantale
-    rules = gsys.stepper.forward
+    rules = sys.stepper.forward
     memo: Dict[Term, List[MultiStep]] = {}
     stack = [t]
     while stack:
@@ -323,7 +170,7 @@ class DiamondReport:
 
 
 def multistep_diamond_probe(
-    gsys: GradedSystem, t: Term, width_budget: int = 4
+    sys: RewriteSystem, t: Term, width_budget: int = 4
 ) -> DiamondReport:
     """Check the weighted diamond for every multi-step peak out of ``t``.
 
@@ -332,15 +179,15 @@ def multistep_diamond_probe(
     tensor in the quantale order (numerically δ₁+δ₂ ≤ ε₁+ε₂ on cost
     quantales).  Any failure is reported as a violation.
     """
-    if not gsys.orthogonal:
+    if not sys.orthogonal:
         raise GradedError("diamond probe requires an orthogonal system")
-    q = gsys.system.quantale
-    outs = list(_best_per_target(multi_step(gsys, t, width_budget), q).values())
+    q = sys.quantale
+    outs = list(_best_per_target(multi_step(sys, t, width_budget), q).values())
     closures: Dict[Term, Dict[Term, MultiStep]] = {}
 
     def closure(u: Term) -> Dict[Term, MultiStep]:
         if u not in closures:
-            closures[u] = _best_per_target(multi_step(gsys, u, width_budget), q)
+            closures[u] = _best_per_target(multi_step(sys, u, width_budget), q)
         return closures[u]
 
     checked = closed = 0
@@ -375,7 +222,7 @@ class SubstitutionLemmaReport:
 
 
 def substitution_lemma_probe(
-    gsys: GradedSystem,
+    sys: RewriteSystem,
     cases: Sequence[Tuple[Term, Dict[str, Term]]],
     width_budget: int = 4,
 ) -> SubstitutionLemmaReport:
@@ -386,7 +233,6 @@ def substitution_lemma_probe(
     multi-steps of e·σ by the target f·τ at a weight dominating
     ε ⊗ ⊗ₓ deg_x(e)(δₓ).
     """
-    sys = gsys.system
     q = sys.quantale
     checked = 0
     failures: List[Tuple[Term, Term]] = []
@@ -394,10 +240,10 @@ def substitution_lemma_probe(
         names = sorted(variables(body) & set(subst))
         whole = apply_substitution(body, {x: subst[x] for x in names})
         combined = _best_per_target(
-            multi_step(gsys, whole, width_budget), q)
-        body_steps = _best_per_target(multi_step(gsys, body, width_budget), q)
+            multi_step(sys, whole, width_budget), q)
+        body_steps = _best_per_target(multi_step(sys, body, width_budget), q)
         comp_steps = {x: _best_per_target(
-            multi_step(gsys, subst[x], width_budget), q) for x in names}
+            multi_step(sys, subst[x], width_budget), q) for x in names}
         degs = {x: degree_of_variable(sys, body, x) for x in names}
         for f_ms in body_steps.values():
             for picks in itertools.product(

@@ -25,6 +25,17 @@ search skips them.  Steps take each subterm's root redexes from a redex memo
 owned by the caller: one search query or one closure check (``join_check``,
 ``strongly_closed_check``) shares one memo, so a subterm common to many of
 its terms is matched against the rules once per direction.
+
+Grades belong to the system: a symbol family may declare its argument
+sensitivities, read by ``grades_of``.  On additive cost quantales a
+sensitivity is a non-negative rational c acting by ε ↦ c·ε (``scale``), so
+degrees are rationals: 1 is the identity, 0 the constant-unit map,
+composition is product and tensor is sum, and balancedness is a
+rational-equality check.  Sensitivities may not be infinite.  In a system
+where some family declares grades, each step weight is the rule weight
+scaled by the degree of the step's context; without grades, it is the rule
+weight.  A system's ``balanced`` and ``orthogonal`` verdicts, like its
+stepper, are computed once, on first use.
 """
 
 from __future__ import annotations
@@ -34,15 +45,16 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
-from .quantale import QuantaleError, QuantaleSpec, Value
+from .quantale import INF, QuantaleError, QuantaleSpec, Value
 from .ratexpr import Comparison, Env, Expr, ExprError, Param
 from .term import (
     Position,
     Renamer,
     Substitution,
+    Symbol,
     Term,
     TermError,
     Variable,
@@ -72,6 +84,84 @@ class SymbolFamily:
     param_names: Tuple[str, ...] = ()
     infix: bool = False
     grades: Optional[Tuple[Expr, ...]] = None  # per-argument sensitivities
+
+
+# ---------------------------------------------------------------------------
+# grades
+
+
+class GradedError(ValueError):
+    pass
+
+
+def scale(quantale: QuantaleSpec, c: Fraction, value: Value) -> Value:
+    """``value`` amplified by the sensitivity ``c``: c = 0 sends every value
+    to the unit, inf stays inf, and otherwise the result is c·value."""
+    quantale.check_value(value)
+    if c == 0:
+        return quantale.unit
+    if value is INF:
+        return INF
+    return c * value
+
+
+def _grades(families: Dict[str, SymbolFamily],
+            symbol: Symbol) -> Tuple[Fraction, ...]:
+    fam = families.get(symbol.name)
+    if fam is None:
+        raise TermError(f"unknown symbol {symbol.name!r}")
+    if fam.grades is None:
+        return (Fraction(1),) * symbol.arity
+    if len(fam.grades) != symbol.arity:
+        raise GradedError(f"{symbol.name}: grade list does not match arity")
+    env = {}
+    for name, val in zip(fam.param_names, symbol.params):
+        if not isinstance(val, Fraction):
+            raise GradedError(
+                f"{symbol}: grades need concrete symbol parameters")
+        env[name] = val
+    out = []
+    for g in fam.grades:
+        c = g.evaluate(env) if hasattr(g, "evaluate") else Fraction(g)
+        if c < 0:
+            raise GradedError(f"negative sensitivity {c}")
+        out.append(c)
+    return tuple(out)
+
+
+def _degree(families: Dict[str, SymbolFamily], t: Term,
+            p: Position) -> Fraction:
+    deg = Fraction(1)
+    for i in p:
+        if isinstance(t, Variable):
+            raise TermError(f"position {list(p)} runs through a variable")
+        deg *= _grades(families, t.symbol)[i - 1]
+        t = t.args[i - 1]
+    return deg
+
+
+def grades_of(sys: RewriteSystem, symbol: Symbol) -> Tuple[Fraction, ...]:
+    """The argument sensitivities of ``symbol``, read from its family.
+
+    Families without declared grades are non-expansive (all arguments
+    graded 1).  Parametric families evaluate their grade expressions against
+    the concrete symbol parameters.
+    """
+    return _grades(sys.families, symbol)
+
+
+def degree_at_position(sys: RewriteSystem, t: Term, p: Position) -> Fraction:
+    """Product of the argument grades along the path to ``p``."""
+    return _degree(sys.families, t, p)
+
+
+def degree_of_variable(sys: RewriteSystem, t: Term, x: str) -> Fraction:
+    """Sum of the position degrees over every occurrence of ``x`` in ``t``."""
+    total = Fraction(0)
+    for p, s in subterms(t):
+        if isinstance(s, Variable) and s.name == x:
+            total += degree_at_position(sys, t, p)
+    return total
 
 
 WeightSlot = object  # Value or Expr
@@ -144,7 +234,7 @@ class RewriteSystem:
         for s in preorder(t):
             if isinstance(s, Variable):
                 continue
-            fam = self.family(s.symbol.name)
+            fam = self.families.get(s.symbol.name)
             if fam is None:
                 raise TermError(
                     f"rule {rule.rid}: unknown symbol {s.symbol.name!r}")
@@ -153,11 +243,10 @@ class RewriteSystem:
                 raise TermError(
                     f"rule {rule.rid}: arity/parameter mismatch on {s.symbol}")
 
-    def family(self, name: str) -> Optional[SymbolFamily]:
-        for fam in self.signature:
-            if fam.name == name:
-                return fam
-        return None
+    @cached_property
+    def families(self) -> Dict[str, SymbolFamily]:
+        """The declared symbol families by name."""
+        return {fam.name: fam for fam in self.signature}
 
     @property
     def linear(self) -> bool:
@@ -178,6 +267,17 @@ class RewriteSystem:
     def stepper(self) -> "Stepper":
         """The compiled one-step relation, built on the first step."""
         return Stepper(self)
+
+    @cached_property
+    def balanced(self) -> bool:
+        """Whether every rule is balanced (``balanced_check``), computed on
+        first use."""
+        return all(e.balanced for e in balanced_check(self))
+
+    @cached_property
+    def orthogonal(self) -> bool:
+        """The ``orthogonality_check`` verdict, computed on first use."""
+        return orthogonality_check(self)[0]
 
     # -- schema instantiation ------------------------------------------------
 
@@ -331,11 +431,13 @@ class Stepper:
     """A system's one-step relation, compiled for both directions.
 
     ``forward`` indexes the rules and ``backward`` the inverted rules, built
-    on the first backward step; ``scale`` maps (term, position, rule weight)
-    to the step weight (graded systems scale by the context degree);
-    ``relaxations`` is the distance search's step cache.  The stepper keeps
-    no reference to its system, so a dropped system frees its cache at once
-    rather than at the next cyclic garbage collection.
+    on the first backward step; ``relaxations`` is the distance search's
+    step cache.  When some symbol family declares grades, ``families`` holds
+    the families by name and every step weight, in both directions, is
+    scaled by the degree of the step's context; otherwise it is ``None``
+    and weights are the rule weights.  The stepper keeps no reference to
+    its system, so a dropped system frees its cache at once rather than at
+    the next cyclic garbage collection.
 
     ``steps`` takes each subterm's root redexes from a redex memo that the
     caller owns: one search query or one closure check shares a single memo,
@@ -345,11 +447,10 @@ class Stepper:
     ``self_inverse`` tells the search when backward steps add nothing.
     """
 
-    def __init__(self, sys: RewriteSystem,
-                 scale: Optional[Callable[[Term, Position, Value], Value]] = None,
-                 ) -> None:
+    def __init__(self, sys: RewriteSystem) -> None:
         self.quantale, self.grid, self.rules = sys.quantale, sys.grid, sys.rules
-        self.scale = scale
+        self.families = (sys.families if any(
+            fam.grades is not None for fam in sys.signature) else None)
         self.forward = _RuleTable.of(sys.rules)
         self.relaxations: Dict[object, list] = {}
 
@@ -417,8 +518,8 @@ class Stepper:
             if redexes is None:
                 redexes = memo[backward, sub] = self._redexes(sub, backward)
             for rid, weight, fresh, contractum in redexes:
-                if self.scale is not None:
-                    weight = self.scale(t, p, weight)
+                if self.families is not None:
+                    weight = scale(q, _degree(self.families, t, p), weight)
                 contracta = (_invented(t, pool, fresh, *contractum) if fresh
                              else (contractum,))
                 for c in contracta:
@@ -476,10 +577,9 @@ def one_step(
 
     ``fresh_pool`` supplies candidate instantiations for right-hand-side
     variables the left-hand side does not bind; by default a single fresh
-    variable is used.  ``sys`` may also be a graded system, whose step
-    weights are scaled by the degree of the surrounding context.  ``memo``
-    is a redex memo shared by the steps of one query of ``sys`` (see
-    ``Stepper``).
+    variable is used.  If ``sys`` declares grades, each step weight is
+    scaled by the degree of the surrounding context.  ``memo`` is a redex
+    memo shared by the steps of one query of ``sys`` (see ``Stepper``).
     """
     return sys.stepper.steps(t, fresh_pool, memo=memo)
 
@@ -584,6 +684,65 @@ def cross_critical_pairs(sys1: RewriteSystem,
         return inner.origin != outer.origin
 
     return critical_pairs(sum_systems(sys1, sys2), pair_filter=different)
+
+
+# ---------------------------------------------------------------------------
+# balance and orthogonality
+
+
+@dataclass(frozen=True)
+class BalanceEntry:
+    rule_id: str
+    variable: str
+    lhs_degree: Fraction
+    rhs_degree: Fraction
+    sampled: bool
+
+    @property
+    def balanced(self) -> bool:
+        return self.lhs_degree == self.rhs_degree
+
+
+def balanced_check(sys: RewriteSystem) -> List[BalanceEntry]:
+    """Per-rule, per-variable degree comparison between the two sides.
+
+    Schema rules are checked at every grid instance that fires, the ones
+    ``RewriteSystem.instantiate`` keeps; those entries are marked sampled,
+    since parameter-generic equality is only verified pointwise.
+    """
+    entries: List[BalanceEntry] = []
+    for rule in sys.rules:
+        instances = [rule]
+        if rule.is_schema:
+            if not sys.grid:
+                raise GradedError(
+                    f"rule {rule.rid}: schema needs a grid for balance sampling")
+            instances = list(_instances(sys.quantale, sys.grid, rule))
+        worst: Dict[str, BalanceEntry] = {}
+        for inst in instances:
+            for x in sorted(variables(inst.lhs) | variables(inst.rhs)):
+                entry = BalanceEntry(
+                    rule.rid, x,
+                    degree_of_variable(sys, inst.lhs, x),
+                    degree_of_variable(sys, inst.rhs, x),
+                    rule.is_schema)
+                old = worst.get(x)
+                if old is None or (old.balanced and not entry.balanced):
+                    worst[x] = entry
+        entries.extend(worst[x] for x in sorted(worst))
+    return entries
+
+
+def orthogonality_check(sys: RewriteSystem) -> Tuple[bool, Dict[str, object]]:
+    """Left-linear, no critical pairs, no bare-variable left-hand sides."""
+    peaks = critical_pairs(sys)
+    var_lhs = sys.variable_lhs_rules()
+    evidence = {
+        "left_linear": sys.left_linear,
+        "critical_pairs": len(peaks),
+        "variable_lhs_rules": var_lhs,
+    }
+    return sys.left_linear and not peaks and not var_lhs, evidence
 
 
 # ---------------------------------------------------------------------------

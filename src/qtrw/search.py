@@ -1,6 +1,6 @@
 """Metric word problems as budgeted best-first searches.
 
-All searches run over the (possibly graded) one-step relation, accumulate
+All searches run over the system's one-step relation, accumulate
 weights by tensor, and compare by the quantale order — so on cost quantales
 they are ordinary shortest-path searches.  Answers are conservative: an
 exact claim is made only when no pruned branch could still beat the
@@ -32,15 +32,13 @@ import heapq
 import json
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .quantale import QuantaleError, Value
 from .term import Position, Term, term_size
 from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, one_step,
                    subterm_pool)
-from .graded import GradedSystem
-
-AnySystem = Union[RewriteSystem, GradedSystem]
 
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
@@ -84,16 +82,18 @@ class DistanceAnswer:
     witness: Tuple[WitnessStep, ...]
     expanded: int = 0
 
-    def to_json(self) -> str:
+    def to_json(self, fmt: Callable[[Value], str] = str) -> str:
+        """The answer as JSON, each weight rendered by ``fmt`` (say, the
+        quantale's ``format_value``)."""
         return json.dumps({
             "kind": self.kind,
-            "value": None if self.value is None else str(self.value),
+            "value": None if self.value is None else fmt(self.value),
             "witness": [
                 {
                     "direction": w.direction,
                     "position": list(w.position),
                     "rule": w.rule_id,
-                    "weight": str(w.weight),
+                    "weight": fmt(w.weight),
                 }
                 for w in self.witness
             ],
@@ -103,7 +103,7 @@ class DistanceAnswer:
 Relaxation = Tuple[Term, Value, WitnessStep]
 
 
-def _relaxations(sys: AnySystem, symmetric: bool, t: Term,
+def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
                  pool: Sequence[Term],
                  memo: Optional[RedexMemo] = None) -> List[Relaxation]:
     """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
@@ -151,7 +151,7 @@ class _SideSearch:
 
     def __init__(
         self,
-        sys: AnySystem,
+        sys: RewriteSystem,
         start: Term,
         symmetric: bool,
         pool: Sequence[Term],
@@ -240,7 +240,7 @@ class _SideSearch:
 
 
 def reduction_distance(
-    sys: AnySystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
+    sys: RewriteSystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
 ) -> DistanceAnswer:
     """Best accumulated weight of a rewrite path from ``s`` to ``t``."""
     q = sys.quantale
@@ -268,7 +268,7 @@ def reduction_distance(
 
 
 def _meet_search(
-    sys: AnySystem,
+    sys: RewriteSystem,
     s: Term,
     t: Term,
     budget: SearchBudget,
@@ -347,21 +347,21 @@ def _meet_search(
 
 
 def convertibility_distance(
-    sys: AnySystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
+    sys: RewriteSystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
 ) -> DistanceAnswer:
     """Best weight of a conversion (steps in either direction) from s to t."""
     return _meet_search(sys, s, t, budget, symmetric=True)
 
 
 def valley_distance(
-    sys: AnySystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
+    sys: RewriteSystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
 ) -> DistanceAnswer:
     """Best tensor over common reducts of forward reductions from s and t."""
     return _meet_search(sys, s, t, budget, symmetric=False)
 
 
 def reachability(
-    sys: AnySystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
+    sys: RewriteSystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
 ) -> str:
     """Tri-state: "reachable", "unreachable", or "unknown"."""
     ans = convertibility_distance(sys, s, t, budget)
@@ -373,7 +373,7 @@ def reachability(
 
 
 def epsilon_reachability(
-    sys: AnySystem, s: Term, t: Term, eps: Value,
+    sys: RewriteSystem, s: Term, t: Term, eps: Value,
     budget: SearchBudget = SearchBudget(),
 ) -> str:
     """Tri-state: is there a conversion of weight dominating ``eps``?"""
@@ -392,7 +392,7 @@ def epsilon_reachability(
 
 
 def strategy_path(
-    sys: AnySystem, t: Term, strategy: str,
+    sys: RewriteSystem, t: Term, strategy: str,
     pool: Optional[Sequence[Term]] = None,
 ) -> Iterator[RewriteStep]:
     """The steps a deterministic strategy takes from ``t``, up to a normal
@@ -427,7 +427,7 @@ class NormalizeResult:
 
 
 def normalize(
-    sys: AnySystem, t: Term, strategy: str = "leftmost-innermost",
+    sys: RewriteSystem, t: Term, strategy: str = "leftmost-innermost",
     budget: SearchBudget = SearchBudget(),
 ) -> NormalizeResult:
     """Drive ``t`` to normal form(s) under the chosen strategy.
@@ -488,7 +488,7 @@ def normalize(
         tuple((u, nfs[u]) for u in sorted(nfs, key=str)), exhausted)
 
 
-def validate_witness(sys: AnySystem, s: Term, t: Term,
+def validate_witness(sys: RewriteSystem, s: Term, t: Term,
                      witness: Sequence[WitnessStep]) -> bool:
     """Re-derive every witness step through the one-step relation."""
     q = sys.quantale

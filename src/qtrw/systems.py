@@ -13,7 +13,6 @@ from .quantale import LAWVERE, STRONG_LAWVERE
 from .ratexpr import parse_comparison, parse_expr
 from .term import Application, Symbol, Term, Variable, app
 from .qtrs import Rule, RewriteSystem, SymbolFamily
-from .graded import GradedSystem
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def make_semilattice() -> RewriteSystem:
 W_GRID = tuple(Fraction(n) for n in range(4))
 
 
-def make_graded_combinators() -> GradedSystem:
+def make_graded_combinators() -> RewriteSystem:
     """Graded combinatory logic: the modality !{n} amplifies distances by n;
     combinators manage grades (contraction splits n+m, dereliction uses 1,
     digging factors n·m, promotion distributes over application)."""
@@ -354,8 +353,8 @@ def make_graded_combinators() -> GradedSystem:
              app2(x, bang("n", y), bang("m", y)), Fraction(0),
              params=("m", "n")),
     )
-    return GradedSystem(RewriteSystem(
-        "graded-combinators", LAWVERE, sig, rules, grid=W_GRID))
+    return RewriteSystem(
+        "graded-combinators", LAWVERE, sig, rules, grid=W_GRID)
 
 
 def make_linearity_example() -> RewriteSystem:

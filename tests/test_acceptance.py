@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from qtrw.graded import (
-    GradedSystem,
     degree_at_position,
     degree_of_variable,
     multistep_diamond_probe,
@@ -273,7 +272,7 @@ def test_criterion_08_newman_at_desk_scale():
 
 
 def test_criterion_09_graded_degrees():
-    base = make_graded_combinators().system
+    base = make_graded_combinators()
     x = Variable("x")
     bang3 = Symbol("!", 1, (Fraction(3),))
     bang2 = Symbol("!", 1, (Fraction(2),))
@@ -327,7 +326,7 @@ def _diamond_seeds() -> list:
 
 def test_criterion_10_multistep_diamond():
     gsys = make_graded_combinators()
-    ok_orth, evidence = orthogonality_check(gsys.system)
+    ok_orth, evidence = orthogonality_check(gsys)
     start = time.monotonic()
     checked = closed = 0
     violations = []

@@ -25,7 +25,7 @@ import pytest
 
 from qtrw.cli import main
 from qtrw.dsl import emit_system, parse_system, parse_term
-from qtrw.graded import GradedSystem, multi_step
+from qtrw.graded import multi_step
 from qtrw.search import SearchBudget, normalize
 from qtrw.term import (Application, Symbol, Variable, apply_substitution,
                        instantiate_params, term_key, variables)
@@ -147,7 +147,7 @@ def _system(name):
 
 
 def _signature(sysm):
-    return (sysm.system if isinstance(sysm, GradedSystem) else sysm).signature
+    return sysm.signature
 
 
 def _normalize_golden():
@@ -171,7 +171,7 @@ def _multi_step_terms(gsys, count=12):
     """Seeded graded-combinator terms holding several redexes: instances of
     the rules' left-hand sides whose arguments are leaves or other redexes,
     and applications of two such terms."""
-    base = gsys.system
+    base = gsys
     rng = random.Random("multi-step")
     leaves = [Variable("x"), Variable("y")] + [
         Application(Symbol(f.name, 0, tuple(

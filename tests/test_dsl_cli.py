@@ -9,17 +9,13 @@ import pytest
 
 from qtrw.cli import main
 from qtrw.dsl import DslError, emit_system, emit_term, parse_system, parse_term
-from qtrw.graded import GradedError, GradedSystem, degree_of_variable
+from qtrw.graded import GradedError, degree_of_variable
 from qtrw.qtrs import one_step
 from qtrw.search import strategy_path
 from qtrw.systems import CATALOG
 from qtrw.term import Application, Symbol, Variable
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
-
-
-def _base(sysm):
-    return sysm.system if isinstance(sysm, GradedSystem) else sysm
 
 
 # ---------------------------------------------------------------------------
@@ -31,15 +27,14 @@ def test_samples_round_trip_catalog(name):
     text = (SAMPLES / f"{name}.qtrs").read_text()
     parsed = parse_system(text)
     built = CATALOG[name]()
-    assert isinstance(parsed, GradedSystem) == isinstance(built, GradedSystem)
-    assert _base(parsed) == _base(built)
+    assert parsed == built
     # emission is itself parseable and stable
     emitted = emit_system(parsed)
-    assert _base(parse_system(emitted)) == _base(built)
+    assert parse_system(emitted) == built
 
 
 def test_parse_term_infix_and_params():
-    sys = _base(parse_system((SAMPLES / "barycentric.qtrs").read_text()))
+    sys = parse_system((SAMPLES / "barycentric.qtrs").read_text())
     t = parse_term("x +{1/2} (y +{1/4} z)", sys.signature)
     assert t.symbol == Symbol("+", 2, (Fraction(1, 2),))
     inner = t.args[1]
@@ -48,7 +43,7 @@ def test_parse_term_infix_and_params():
 
 
 def test_parse_term_errors():
-    sys = _base(parse_system((SAMPLES / "nat.qtrs").read_text()))
+    sys = parse_system((SAMPLES / "nat.qtrs").read_text())
     with pytest.raises(DslError):
         parse_term("S(Z", sys.signature)          # unbalanced
     with pytest.raises(DslError):
@@ -240,7 +235,7 @@ def test_negative_grades_are_errors(tmp_path, capsys):
     path.write_text("\n".join([
         "system negative", "quantale lawvere",
         "symbol g{n}/1 grades [n - 2]", "symbol a/0"]))
-    base = _base(parse_system(path.read_text()))
+    base = parse_system(path.read_text())
     t = parse_term("g{1}(x)", base.signature)
     with pytest.raises(GradedError, match="^negative sensitivity -1$"):
         degree_of_variable(base, t, "x")
@@ -308,6 +303,43 @@ def test_cli_grid_argument_errors_are_reported(capsys):
     assert main(["critical-pairs", bary, "--grid", "0 1/0"]) == 1
     assert capsys.readouterr() == (
         "", "error: grid value Fraction(1, 0) has a zero denominator\n")
+    # a weight cutoff is a value of the system's quantale
+    nat = str(SAMPLES / "nat.qtrs")
+    for cutoff, err in [
+            ("1/0", "error: weight '1/0' has a zero denominator\n"),
+            ("-1", "error: Fraction(-1, 1) is not a value of quantale"
+                   " lawvere\n")]:
+        assert main(["distance", nat, "Z", "Z", "--weight-cutoff", cutoff]) == 1
+        assert capsys.readouterr() == ("", err)
+
+
+def test_cli_prints_weights_as_quantale_literals(tmp_path, capsys):
+    path = tmp_path / "bool.qtrs"
+    path.write_text("\n".join(["quantale bool", "symbol a/0", "symbol b/0",
+                               "rule r: a -[true]-> b"]))
+    bool_file = str(path)
+    assert main(["rewrite", bool_file, "a"]) == 0
+    assert capsys.readouterr().out == "-[true]-> b   (r at [])\n"
+    assert main(["rewrite", bool_file, "a", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"rule": "r", "position": [], "weight": "true", "target": "b"}]
+    assert main(["distance", bool_file, "a", "b", "--json"]) == 0
+    answer = json.loads(capsys.readouterr().out)
+    assert answer["value"] == "true"
+    assert [w["weight"] for w in answer["witness"]] == ["true"]
+    assert main(["distance", bool_file, "a", "b",
+                 "--weight-cutoff", "true"]) == 0
+    assert capsys.readouterr() == ("exact true (1 steps, 2 expanded)\n", "")
+    path.write_text("\n".join(["quantale bool", "symbol a/0", "symbol b/0",
+                               "symbol c/0", "symbol f/1",
+                               "rule r: a -[true]-> b",
+                               "rule s: f(a) -[true]-> c"]))
+    assert main(["critical-pairs", bool_file]) == 0
+    assert capsys.readouterr().out.startswith(
+        "f(b) <-[true]- f(a) -[true]-> c   (r at [1] / s)\n")
+    assert main(["critical-pairs", bool_file, "--json"]) == 0
+    (peak,) = json.loads(capsys.readouterr().out)
+    assert peak["left_weight"] == peak["right_weight"] == "true"
 
 
 def test_malformed_numbers_are_dsl_errors_with_a_line(tmp_path, capsys):

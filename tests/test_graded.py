@@ -1,6 +1,7 @@
 """Tests for graded signatures, degrees, balance, and multi-steps."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,6 @@ import pytest
 
 from qtrw.graded import (
     GradedError,
-    GradedSystem,
     balanced_check,
     context_degree,
     degree_at_position,
@@ -20,7 +20,7 @@ from qtrw.graded import (
     scale,
     substitution_lemma_probe,
 )
-from qtrw import graded
+from qtrw import qtrs
 from qtrw.dsl import parse_system
 from qtrw.quantale import INF, LAWVERE, QuantaleError
 from qtrw.qtrs import Rule, RewriteSystem, SymbolFamily, one_step
@@ -71,8 +71,7 @@ def test_sensitivity_algebra():
 
 
 def test_degrees_in_nested_bang_term():
-    gsys = make_graded_combinators()
-    sig = gsys.system
+    sig = make_graded_combinators()
     x = Variable("x")
     t = _bang(3, _app(x, _bang(2, _app(_c("I"), x))))
     assert degree_at_position(sig, t, (1, 1)) == Fraction(3)
@@ -89,14 +88,14 @@ def test_degrees_in_nested_bang_term():
 
 def test_graded_combinators_balanced():
     gsys = make_graded_combinators()
-    entries = balanced_check(gsys.system)
+    entries = balanced_check(gsys)
     assert entries and all(e.balanced for e in entries)
     assert gsys.balanced
 
 
 def test_duplicating_rule_is_unbalanced():
-    gsys = GradedSystem(make_linearity_example())
-    bad = [e for e in balanced_check(gsys.system) if not e.balanced]
+    gsys = make_linearity_example()
+    bad = [e for e in balanced_check(gsys) if not e.balanced]
     assert bad
     entry = bad[0]
     assert entry.rule_id == "collapse" and entry.variable == "x"
@@ -112,7 +111,7 @@ def test_duplicating_rule_is_unbalanced():
 
 
 def test_orthogonality():
-    ok, evidence = orthogonality_check(make_graded_combinators().system)
+    ok, evidence = orthogonality_check(make_graded_combinators())
     assert ok
     assert evidence["critical_pairs"] == 0 and evidence["left_linear"]
     ok, evidence = orthogonality_check(make_linearity_example())
@@ -134,18 +133,18 @@ def test_graded_one_step_scales_by_context_degree():
         ),
         rules=(Rule("step", _c("a"), _c("b"), Fraction(1)),),
     )
-    gsys = GradedSystem(sys)
     t = Application(Symbol("g", 1), (Application(Symbol("g", 1), (_c("a"),)),))
-    (step,) = one_step(gsys, t)
+    (step,) = one_step(sys, t)
     assert step.position == (1, 1)
     assert step.weight == Fraction(4)  # two nested contexts of grade 2
-    (plain,) = one_step(sys, t)
-    assert plain.weight == Fraction(1)
 
 
 def test_trivial_grades_agree_with_plain_steps():
     sys = make_nat()
-    gsys = GradedSystem(sys)
+    gsys = replace(sys, signature=tuple(
+        replace(f, grades=(Fraction(1), Fraction(1))) if f.name == "A" else f
+        for f in sys.signature))
+    assert gsys.stepper.families is not None  # A declares grades [1, 1]
     rng = random.Random("trivial-grades")
     f = lambda a, b: Application(Symbol("A", 2), (a, b))
     for _ in range(25):
@@ -167,7 +166,7 @@ def test_multi_step_enumeration():
     redex = _app(_c("D"), _bang(1, _c("I")))
     t = _app(redex, redex)
     steps = multi_step(gsys, t, width_budget=4)
-    by_key = multistep_targets(steps, gsys.system.quantale)
+    by_key = multistep_targets(steps, gsys.quantale)
     assert term_key(t) in by_key                       # the empty multi-step
     assert by_key[term_key(t)].nredex == 0
     both = by_key[term_key(_app(_c("I"), _c("I")))]
@@ -185,7 +184,7 @@ def test_multistep_diamond_probe_small():
 
 def test_diamond_probe_rejects_non_orthogonal():
     with pytest.raises(GradedError):
-        multistep_diamond_probe(GradedSystem(make_linearity_example()), _c("e"))
+        multistep_diamond_probe(make_linearity_example(), _c("e"))
 
 
 def test_substitution_lemma_probe():
@@ -200,7 +199,7 @@ def test_substitution_lemma_probe():
 def _one_step_terms(gsys, count=20):
     """Seeded terms of ``gsys``: instances of its rules' left-hand sides over
     the grid, with leaves or earlier instances as arguments."""
-    base = gsys.system
+    base = gsys
     rng = random.Random("one-step-multi-step")
     grid = base.grid or (Fraction(1),)
     terms = [Variable("x")] + [
@@ -224,7 +223,7 @@ def test_every_single_step_is_a_one_redex_multi_step():
     samples = [parse_system(path.read_text())
                for path in sorted(SAMPLES.glob("*.qtrs"))]
     cases = [(g, _one_step_terms(g)) for g in samples
-             if isinstance(g, GradedSystem)] + [
+             if any(f.grades is not None for f in g.signature)] + [
         (inserting, [_c("a"), Application(Symbol("g", 1), (_c("a"),))])]
     assert len(cases) > 1
     checked = 0
@@ -245,9 +244,9 @@ def test_graded_facts_are_computed_once(monkeypatch):
     gsys = make_graded_combinators()
     t = _app(_c("D"), _bang(1, _c("I")))
     calls = []
-    monkeypatch.setattr(graded, "critical_pairs",
+    monkeypatch.setattr(qtrs, "critical_pairs",
                         lambda sys: calls.append(sys) or [])
-    monkeypatch.setattr(graded, "balanced_check",
+    monkeypatch.setattr(qtrs, "balanced_check",
                         lambda g: calls.append(g) or [])
     for _ in range(3):
         assert multistep_diamond_probe(gsys, t).holds

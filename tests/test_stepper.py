@@ -12,7 +12,7 @@ from qtrw import qtrs
 from qtrw import term as term_module
 from qtrw.cli import main
 from qtrw.dsl import parse_system
-from qtrw.graded import GradedSystem, multi_step
+from qtrw.graded import multi_step
 from qtrw.qtrs import Rule, RewriteSystem, SymbolFamily, one_step, subterm_pool
 from qtrw.quantale import LAWVERE
 from qtrw.search import (SearchBudget, WitnessStep, _relaxations,
@@ -37,8 +37,7 @@ NAMES = sorted(p.stem for p in SAMPLES.glob("*.qtrs"))
 
 def _load(name):
     sysm = parse_system((SAMPLES / f"{name}.qtrs").read_text())
-    base = sysm.system if isinstance(sysm, GradedSystem) else sysm
-    return sysm, base
+    return sysm, sysm
 
 
 def _random_term(rng, base, depth):
@@ -209,15 +208,22 @@ def test_stepper_is_built_on_the_first_step_and_kept():
 
 
 def test_dropped_system_frees_its_stepper_at_once():
-    sys = make_nat()
-    one_step(sys, Application(Symbol("S", 1), (Variable("x"),)))
-    stepper = weakref.ref(sys.stepper)
-    gc.disable()
-    try:
-        del sys
-        assert stepper() is None  # no reference cycle keeps the cache alive
-    finally:
-        gc.enable()
+    def combi():
+        return parse_system((SAMPLES / "graded-combinators.qtrs").read_text())
+
+    redex = app2(Application(Symbol("D", 0), ()),
+                 Application(Symbol("!", 1, (Fraction(1),)), (Variable("x"),)))
+    for make, t in [(make_nat, Application(Symbol("S", 1), (Variable("x"),))),
+                    (combi, redex)]:  # grades scale the steps of combi
+        sys = make()
+        assert one_step(sys, t)
+        stepper = weakref.ref(sys.stepper)
+        gc.disable()
+        try:
+            del sys
+            assert stepper() is None  # no reference cycle keeps the cache alive
+        finally:
+            gc.enable()
 
 
 def test_graded_steps_scale_both_directions_alike():
@@ -229,16 +235,13 @@ def test_graded_steps_scale_both_directions_alike():
                    SymbolFamily("a", 0), SymbolFamily("b", 0)),
         rules=(Rule("step", a, b, Fraction(1)),),
     )
-    gsys = GradedSystem(sys)
     g = Symbol("g", 1)
     source = Application(g, (Application(g, (a,)),))
     target = Application(g, (Application(g, (b,)),))
-    (fwd,) = one_step(gsys, source)
-    (bwd,) = gsys.stepper.steps(target, backward=True)
+    (fwd,) = one_step(sys, source)
+    (bwd,) = sys.stepper.steps(target, backward=True)
     assert fwd.weight == bwd.weight == Fraction(4)  # two contexts of grade 2
     assert term_key(bwd.target) == term_key(source)
-    (plain,) = sys.stepper.steps(target, backward=True)
-    assert plain.weight == Fraction(1)
 
 
 # ---------------------------------------------------------------------------

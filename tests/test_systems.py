@@ -5,7 +5,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from qtrw.graded import GradedSystem
 from qtrw.qtrs import RewriteSystem
 from qtrw.systems import (
     CATALOG,
@@ -23,8 +22,7 @@ from qtrw.term import term_key, term_size
 
 def test_catalog_entries_construct():
     for name, make in CATALOG.items():
-        sys = make()
-        base = sys.system if isinstance(sys, GradedSystem) else sys
+        base = make()
         assert isinstance(base, RewriteSystem)
         assert base.rules, name
         rids = [r.rid for r in base.rules]
