@@ -2,8 +2,7 @@
 probe and the substitution-lemma probe, over a rewrite system's grades.
 
 Grades, degrees, ``scale`` and the balance and orthogonality checks live in
-``qtrw.qtrs`` beside the symbol families; this module imports and
-re-exports them.
+``qtrw.qtrs`` beside the symbol families; this module imports what it uses.
 """
 
 from __future__ import annotations
@@ -24,16 +23,14 @@ from .term import (
     term_key,
     variables,
 )
-from .qtrs import (  # noqa: F401 - the grade analyses are re-exported
+from .qtrs import (
     GradedError,
     RewriteSystem,
     _fresh_variable_for,
     _rule_matches,
-    balanced_check,
     degree_at_position,
     degree_of_variable,
     grades_of,
-    orthogonality_check,
     scale,
 )
 

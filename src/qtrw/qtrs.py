@@ -248,6 +248,12 @@ class RewriteSystem:
         """The declared symbol families by name."""
         return {fam.name: fam for fam in self.signature}
 
+    @cached_property
+    def graded(self) -> bool:
+        """Whether some symbol family declares grades; then every step
+        weight is scaled by the degree of the step's context."""
+        return any(fam.grades is not None for fam in self.signature)
+
     @property
     def linear(self) -> bool:
         return all(is_linear(r.lhs) and is_linear(r.rhs) for r in self.rules)
@@ -449,8 +455,7 @@ class Stepper:
 
     def __init__(self, sys: RewriteSystem) -> None:
         self.quantale, self.grid, self.rules = sys.quantale, sys.grid, sys.rules
-        self.families = (sys.families if any(
-            fam.grades is not None for fam in sys.signature) else None)
+        self.families = sys.families if sys.graded else None
         self.forward = _RuleTable.of(sys.rules)
         self.relaxations: Dict[object, list] = {}
 
@@ -618,7 +623,9 @@ def critical_pairs(sys: RewriteSystem, pair_filter=None) -> List[CriticalPeak]:
 
     Root overlaps of a rule instance with itself are skipped, as are rules
     whose left-hand side is a bare variable in the inner role (they overlap
-    everywhere; reported separately by ``variable_lhs_rules``).
+    everywhere; reported separately by ``variable_lhs_rules``).  Each side
+    weighs what the system's step does: in a graded system the inner step
+    is scaled by the degree of its position; the outer one is at the root.
     """
     conc = sys.instantiate() if sys.has_schemas else sys
     peaks: Dict[str, CriticalPeak] = {}
@@ -643,9 +650,13 @@ def critical_pairs(sys: RewriteSystem, pair_filter=None) -> List[CriticalPeak]:
                 source = apply_substitution(outer.lhs, sigma)
                 left = replace_at(source, p, apply_substitution(in_rhs, sigma))
                 right = apply_substitution(outer.rhs, sigma)
+                weight = inner.weight
+                if conc.graded:
+                    weight = scale(conc.quantale,
+                                   _degree(conc.families, source, p), weight)
                 peak = CriticalPeak(
                     source=source,
-                    left=(left, inner.weight),
+                    left=(left, weight),
                     right=(right, outer.weight),
                     position=p,
                     inner_rule=inner.rid,

@@ -82,9 +82,9 @@ class DistanceAnswer:
     witness: Tuple[WitnessStep, ...]
     expanded: int = 0
 
-    def to_json(self, fmt: Callable[[Value], str] = str) -> str:
-        """The answer as JSON, each weight rendered by ``fmt`` (say, the
-        quantale's ``format_value``)."""
+    def to_json(self, fmt: Callable[[Value], str]) -> str:
+        """The answer as JSON, each weight rendered by ``fmt``, the
+        quantale's ``format_value``."""
         return json.dumps({
             "kind": self.kind,
             "value": None if self.value is None else fmt(self.value),

@@ -10,12 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from qtrw.graded import (
-    degree_at_position,
-    degree_of_variable,
-    multistep_diamond_probe,
-    orthogonality_check,
-)
+from qtrw.graded import multistep_diamond_probe
 from qtrw.qrel import FiniteQRel
 from qtrw.quantale import LAWVERE, QUANTALES
 from qtrw.qtrs import (
@@ -23,7 +18,10 @@ from qtrw.qtrs import (
     confluence_report,
     critical_pairs,
     cross_critical_pairs,
+    degree_at_position,
+    degree_of_variable,
     join_check,
+    orthogonality_check,
     strongly_closed_check,
     sum_systems,
 )

@@ -146,15 +146,11 @@ def _system(name):
     return parse_system((SAMPLES / f"{name}.qtrs").read_text())
 
 
-def _signature(sysm):
-    return sysm.signature
-
-
 def _normalize_golden():
     out = {}
     for name, seed in sorted(SEEDS.items()):
         sysm = _system(name)
-        t = parse_term(seed, _signature(sysm))
+        t = parse_term(seed, sysm.signature)
         rows = out[name] = {}
         for strategy in ("leftmost-innermost", "leftmost-outermost", "all"):
             for depth in NORMALIZE_DEPTHS:
@@ -171,17 +167,16 @@ def _multi_step_terms(gsys, count=12):
     """Seeded graded-combinator terms holding several redexes: instances of
     the rules' left-hand sides whose arguments are leaves or other redexes,
     and applications of two such terms."""
-    base = gsys
     rng = random.Random("multi-step")
     leaves = [Variable("x"), Variable("y")] + [
         Application(Symbol(f.name, 0, tuple(
-            rng.choice(base.grid) for _ in f.param_names)), ())
-        for f in base.signature if f.arity == 0]
+            rng.choice(gsys.grid) for _ in f.param_names)), ())
+        for f in gsys.signature if f.arity == 0]
 
     def redex(args):
-        rule = rng.choice(base.rules)
+        rule = rng.choice(gsys.rules)
         lhs = instantiate_params(
-            rule.lhs, {p: rng.choice(base.grid) for p in rule.params})
+            rule.lhs, {p: rng.choice(gsys.grid) for p in rule.params})
         return apply_substitution(
             lhs, {x: rng.choice(args) for x in sorted(variables(lhs))})
 
@@ -281,12 +276,12 @@ def _parse_golden():
     for name in sorted(SEEDS):
         sysm = _system(name)
         out["systems"][name] = emit_system(sysm)
-        sig = _signature(sysm)
+        sig = sysm.signature
         out["terms"][name] = {
             text: str(parse_term(text, sig))
             for text in [SEEDS[name]] + PARSE_TERMS.get(name, [])}
     for name, text in PARSE_BAD_TERMS:
-        sig = _signature(_system(name))
+        sig = _system(name).signature
         out["errors"][f"{name}: {text}"] = _parse_error(
             lambda: parse_term(text, sig, 7))
     for label, text in PARSE_BAD_SYSTEMS.items():

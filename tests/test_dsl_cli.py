@@ -9,8 +9,7 @@ import pytest
 
 from qtrw.cli import main
 from qtrw.dsl import DslError, emit_system, emit_term, parse_system, parse_term
-from qtrw.graded import GradedError, degree_of_variable
-from qtrw.qtrs import one_step
+from qtrw.qtrs import GradedError, degree_of_variable, one_step
 from qtrw.search import strategy_path
 from qtrw.systems import CATALOG
 from qtrw.term import Application, Symbol, Variable

@@ -8,22 +8,27 @@ from pathlib import Path
 import pytest
 
 from qtrw.graded import (
-    GradedError,
-    balanced_check,
     context_degree,
-    degree_at_position,
-    degree_of_variable,
     multi_step,
     multistep_diamond_probe,
     multistep_targets,
-    orthogonality_check,
-    scale,
     substitution_lemma_probe,
 )
 from qtrw import qtrs
 from qtrw.dsl import parse_system
 from qtrw.quantale import INF, LAWVERE, QuantaleError
-from qtrw.qtrs import Rule, RewriteSystem, SymbolFamily, one_step
+from qtrw.qtrs import (
+    GradedError,
+    Rule,
+    RewriteSystem,
+    SymbolFamily,
+    balanced_check,
+    degree_at_position,
+    degree_of_variable,
+    one_step,
+    orthogonality_check,
+    scale,
+)
 from qtrw.systems import (
     make_graded_combinators,
     make_linearity_example,
@@ -139,6 +144,24 @@ def test_graded_one_step_scales_by_context_degree():
     assert step.weight == Fraction(4)  # two nested contexts of grade 2
 
 
+@pytest.mark.parametrize("grade, peak, joins", [
+    ("1/2", Fraction(1), False), ("2", Fraction(4), True)])
+def test_critical_peaks_weigh_the_inner_step_as_it_steps(grade, peak, joins):
+    # the inner step of f(g(a)) sits under g: its weight is 2 scaled by the
+    # grade, and only a peak of weight at least 3/2 is joined by the valley
+    sys = parse_system("\n".join([
+        "system half", "quantale lawvere", "symbol a/0", "symbol b/0",
+        "symbol c/0", "symbol f/1", f"symbol g/1 grades [{grade}]",
+        "rule ab: a -[2]-> b", "rule fga: f(g(a)) -[0]-> c",
+        "rule fgb: f(g(b)) -[3/2]-> c"]))
+    (p,) = qtrs.critical_pairs(sys)
+    assert p.left[1] == peak
+    assert [(s.target, s.weight) for s in one_step(sys, p.source)
+            if s.rule_id == p.inner_rule] == [p.left]
+    assert (qtrs.join_check(sys, p, 3).kind == "joinable") is joins
+    assert qtrs.strongly_closed_check(sys, p, 3).holds is joins
+
+
 def test_trivial_grades_agree_with_plain_steps():
     sys = make_nat()
     gsys = replace(sys, signature=tuple(
@@ -199,15 +222,14 @@ def test_substitution_lemma_probe():
 def _one_step_terms(gsys, count=20):
     """Seeded terms of ``gsys``: instances of its rules' left-hand sides over
     the grid, with leaves or earlier instances as arguments."""
-    base = gsys
     rng = random.Random("one-step-multi-step")
-    grid = base.grid or (Fraction(1),)
+    grid = gsys.grid or (Fraction(1),)
     terms = [Variable("x")] + [
         Application(Symbol(f.name, 0, tuple(
             rng.choice(grid) for _ in f.param_names)), ())
-        for f in base.signature if f.arity == 0]
+        for f in gsys.signature if f.arity == 0]
     for _ in range(count):
-        rule = rng.choice(base.rules)
+        rule = rng.choice(gsys.rules)
         lhs = instantiate_params(
             rule.lhs, {p: rng.choice(grid) for p in rule.params})
         terms.append(apply_substitution(

@@ -243,7 +243,7 @@ def test_answer_json_round_trip():
 
     sys = make_nat()
     ans = convertibility_distance(sys, nat_term(2), nat_term(0), NAT_BUDGET)
-    payload = json.loads(ans.to_json())
+    payload = json.loads(ans.to_json(sys.quantale.format_value))
     assert payload["kind"] in (EXACT, UPPER_BOUND)
     assert payload["value"] == "2"
     assert len(payload["witness"]) == 2

@@ -36,23 +36,22 @@ NAMES = sorted(p.stem for p in SAMPLES.glob("*.qtrs"))
 
 
 def _load(name):
-    sysm = parse_system((SAMPLES / f"{name}.qtrs").read_text())
-    return sysm, sysm
+    return parse_system((SAMPLES / f"{name}.qtrs").read_text())
 
 
-def _random_term(rng, base, depth):
-    leaves = [f for f in base.signature if f.arity == 0]
+def _random_term(rng, sysm, depth):
+    leaves = [f for f in sysm.signature if f.arity == 0]
     if depth == 0 or rng.random() < 0.3:
         if not leaves or rng.random() < 0.4:
             return Variable(rng.choice("xy"))
         fam = rng.choice(leaves)
     else:
-        fam = rng.choice(base.signature)
-    grid = base.grid or (Fraction(1, 2),)
+        fam = rng.choice(sysm.signature)
+    grid = sysm.grid or (Fraction(1, 2),)
     return Application(
         Symbol(fam.name, fam.arity,
                tuple(rng.choice(grid) for _ in fam.param_names)),
-        tuple(_random_term(rng, base, depth - 1) for _ in range(fam.arity)))
+        tuple(_random_term(rng, sysm, depth - 1) for _ in range(fam.arity)))
 
 
 def _params_within(t, grid):
@@ -65,14 +64,14 @@ def _params_within(t, grid):
 def _seeded_terms(name, count=12):
     """Random terms, and instances of each rule's sides in random contexts,
     so that every rule has redexes in both directions."""
-    sysm, base = _load(name)
+    sysm = _load(name)
     rng = random.Random(name)
-    grid = base.grid or (Fraction(1, 2),)
-    terms = [_random_term(rng, base, 3) for _ in range(count)]
-    for rule in base.rules:
+    grid = sysm.grid or (Fraction(1, 2),)
+    terms = [_random_term(rng, sysm, 3) for _ in range(count)]
+    for rule in sysm.rules:
         for side in (rule.lhs, rule.rhs):
             env = {p: rng.choice(grid) for p in rule.params}
-            sigma = {x: _random_term(rng, base, 1)
+            sigma = {x: _random_term(rng, sysm, 1)
                      for x in sorted(variables(side))}
             try:
                 core = apply_substitution(instantiate_params(side, env), sigma)
@@ -80,11 +79,11 @@ def _seeded_terms(name, count=12):
                 continue
             if not _params_within(core, grid):
                 continue  # e.g. w{(n + m)} beyond the declared grid
-            outer = _random_term(rng, base, 2)
+            outer = _random_term(rng, sysm, 2)
             p = rng.choice(positions(outer))
             terms.append(replace_at(outer, p, core))
             terms.append(core)
-    return sysm, base, terms
+    return sysm, terms
 
 
 def _bare(rule_id):
@@ -94,8 +93,8 @@ def _bare(rule_id):
 def _transpose_misses(name):
     """Forward steps missing from their targets' backward steps, and
     backward steps no forward step confirms, as (direction, rule id)."""
-    sysm, base, terms = _seeded_terms(name)
-    q = base.quantale
+    sysm, terms = _seeded_terms(name)
+    q = sysm.quantale
     missing = []
     checked = 0
     for u in terms:
@@ -254,7 +253,7 @@ def test_self_inverse_holds_exactly_for_the_hamming_and_levenshtein_systems():
     assert make_dna("hamming").stepper.self_inverse
     assert make_dna("levenshtein").stepper.self_inverse
     assert not make_dna("eigen_mccaskill").stepper.self_inverse
-    assert [n for n in NAMES if _load(n)[0].stepper.self_inverse] == SELF_INVERSE
+    assert [n for n in NAMES if _load(n).stepper.self_inverse] == SELF_INVERSE
 
 
 def test_self_inverse_needs_every_inverse_to_weigh_no_better_than_its_twin():
@@ -292,7 +291,7 @@ def _two_pass_relaxations(sysm, t, pool):
 
 @pytest.mark.parametrize("name", SELF_INVERSE)
 def test_forward_only_relaxations_equal_forward_plus_backward(name):
-    sysm, _, terms = _seeded_terms(name)
+    sysm, terms = _seeded_terms(name)
     compared = 0
     for t in terms:
         pool = subterm_pool(t)
@@ -321,7 +320,7 @@ def test_conversions_on_self_inverse_systems_leave_the_backward_table_unbuilt(
 
 
 def _memo_cases(name):
-    sysm, base, terms = _seeded_terms(name)
+    sysm, terms = _seeded_terms(name)
     if name == "barycentric":
         # the fresh variable of perturb is named after the term: w0, w1
         plus = Symbol("+", 2, (Fraction(1, 2),))
