@@ -9,18 +9,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .quantale import QuantaleSpec, Value
 from .term import (
     Application,
-    Context,
     Term,
     Variable,
     apply_substitution,
     instantiate_params,
-    term_key,
     variables,
 )
 from .qtrs import (
@@ -28,15 +25,10 @@ from .qtrs import (
     RewriteSystem,
     _fresh_variable_for,
     _rule_matches,
-    degree_at_position,
     degree_of_variable,
     grades_of,
     scale,
 )
-
-
-def context_degree(sys: RewriteSystem, context: Context) -> Fraction:
-    return degree_at_position(sys, context.term_with_hole, context.hole)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +129,6 @@ def multi_step(sys: RewriteSystem, t: Term,
                             apply_substitution(rhs, full), w, n), q)
         memo[term] = [ms for u in sorted(table, key=str) for ms in table[u]]
     return memo[t]
-
-
-def multistep_targets(steps: Sequence[MultiStep], q: QuantaleSpec) -> Dict[str, MultiStep]:
-    """Best (quantale-largest weight) multi-step per target term, keyed by
-    the target's rendering."""
-    return {term_key(u): ms for u, ms in _best_per_target(steps, q).items()}
 
 
 def _best_per_target(steps: Sequence[MultiStep],

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .quantale import QuantaleError, QuantaleSpec, Value, get_quantale, require_lawverian
+from .quantale import QuantaleError, QuantaleSpec, Value, require_lawverian
 
 Node = str
 EdgeMap = Dict[Tuple[Node, Node], Value]
@@ -104,14 +104,6 @@ class FiniteQRel:
 
     def diagonal(self) -> "FiniteQRel":
         return FiniteQRel.identity(self.carrier, self.quantale)
-
-    def iterate(self, n: int) -> "FiniteQRel":
-        if n < 0:
-            raise ValueError("iterate: n must be non-negative")
-        out = self.diagonal()
-        for _ in range(n):
-            out = out.compose(self)
-        return out
 
     def reflexive_closure(self) -> "FiniteQRel":
         return self.join(self.diagonal())
@@ -235,22 +227,6 @@ class FiniteQRel:
         for (a, b), v in sorted(self.edges):
             lines.append(f"{a} {b} {self.quantale.format_value(v)}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "FiniteQRel":
-        lines = [ln.strip() for ln in text.splitlines()
-                 if ln.strip() and not ln.strip().startswith("#")]
-        if not lines or not lines[0].startswith("quantale "):
-            raise QuantaleError("relation text must start with 'quantale <name>'")
-        q = get_quantale(lines[0].split(None, 1)[1].strip())
-        if len(lines) < 2 or not lines[1].startswith("carrier"):
-            raise QuantaleError("second line must be 'carrier <nodes...>'")
-        carrier = lines[1].split()[1:]
-        edges: EdgeMap = {}
-        for ln in lines[2:]:
-            a, b, raw = ln.split()
-            edges[(a, b)] = q.parse_value(raw)
-        return FiniteQRel.make(carrier, edges, q)
 
     def to_dot(self, name: str = "qrel") -> str:
         lines = [f"digraph {name} {{"]

@@ -218,7 +218,11 @@ class RewriteSystem:
             if fam.name in seen:
                 raise TermError(f"duplicate symbol family {fam.name!r}")
             seen.add(fam.name)
+        rids = set()
         for rule in self.rules:
+            if rule.rid in rids:
+                raise TermError(f"duplicate rule id {rule.rid!r}")
+            rids.add(rule.rid)
             for t in (rule.lhs, rule.rhs):
                 self._check_term(t, rule)
             if rule.is_schema:
@@ -808,14 +812,6 @@ def _layered_relaxation(
         if not next_frontier:
             break
         frontier = next_frontier
-
-
-def bounded_reducts(
-    sys: RewriteSystem, t: Term, depth: int,
-) -> Dict[str, Tuple[Term, Value, List[RewriteStep]]]:
-    """Best-weight reducts within ``depth`` steps, with witnessing paths."""
-    return {term_key(u): (u, w, path)
-            for u, w, path in _layered_relaxation(sys, t, depth)}
 
 
 @dataclass(frozen=True)

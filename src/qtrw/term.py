@@ -228,9 +228,6 @@ def _render(t: Application) -> str:
     return t._str  # type: ignore[return-value]
 
 
-HOLE = Variable("□")  # the single hole of a context
-
-
 def app(symbol: Symbol, *args: Term) -> Application:
     return Application(symbol, tuple(args))
 
@@ -342,14 +339,6 @@ def instantiate_params(t: Term, env: Env) -> Term:
     if sym is t.symbol and args == t.args:
         return t
     return Application(sym, args)
-
-
-def compose_substitutions(sigma: Substitution, rho: Substitution) -> Substitution:
-    """The substitution sending t to (t sigma) rho."""
-    out = {x: apply_substitution(s, rho) for x, s in sigma.items()}
-    for x, s in rho.items():
-        out.setdefault(x, s)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -483,27 +472,3 @@ class Renamer:
                     used.add(name)
                     mapping[v] = Variable(name)
         return [apply_substitution(t, mapping) for t in terms], mapping
-
-
-# ---------------------------------------------------------------------------
-# contexts
-
-
-@dataclass(frozen=True)
-class Context:
-    """A term with exactly one hole, remembering where the hole is."""
-
-    term_with_hole: Term
-    hole: Position
-
-    def __post_init__(self) -> None:
-        count = sum(1 for _, s in subterms(self.term_with_hole) if s == HOLE)
-        if count != 1 or subterm_at(self.term_with_hole, self.hole) != HOLE:
-            raise TermError("a context must contain exactly one hole")
-
-    def fill(self, t: Term) -> Term:
-        return replace_at(self.term_with_hole, self.hole, t)
-
-
-def context_at(t: Term, p: Position) -> Context:
-    return Context(replace_at(t, p, HOLE), p)

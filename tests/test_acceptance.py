@@ -40,7 +40,6 @@ from qtrw.systems import (
     dna_term,
     make_barycentric,
     make_bck,
-    make_bck_nat,
     make_bck_w,
     make_dna,
     make_graded_combinators,
@@ -345,7 +344,7 @@ def test_criterion_10_multistep_diamond():
 
 
 def test_criterion_11_trivialisation():
-    sys = make_bck_w(make_bck_nat())
+    sys = make_bck_w()
     budget = SearchBudget(max_expanded=50000, max_depth=30, max_term_size=14)
     s, t = code_term(2), code_term(4)
     ans = convertibility_distance(sys, s, t, budget)

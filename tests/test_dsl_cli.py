@@ -12,7 +12,7 @@ from qtrw.dsl import DslError, emit_system, emit_term, parse_system, parse_term
 from qtrw.qtrs import GradedError, degree_of_variable, one_step
 from qtrw.search import strategy_path
 from qtrw.systems import CATALOG
-from qtrw.term import Application, Symbol, Variable
+from qtrw.term import Application, Symbol, TermError, Variable
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -21,15 +21,16 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 # parsing and emission
 
 
+def test_catalog_names_the_samples():
+    assert sorted(CATALOG) == sorted(p.stem for p in SAMPLES.glob("*.qtrs"))
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_samples_round_trip_catalog(name):
-    text = (SAMPLES / f"{name}.qtrs").read_text()
-    parsed = parse_system(text)
-    built = CATALOG[name]()
-    assert parsed == built
+    parsed = parse_system((SAMPLES / f"{name}.qtrs").read_text())
+    assert CATALOG[name]() == parsed
     # emission is itself parseable and stable
-    emitted = emit_system(parsed)
-    assert parse_system(emitted) == built
+    assert parse_system(emit_system(parsed)) == parsed
 
 
 def test_parse_term_infix_and_params():
@@ -92,6 +93,19 @@ def test_malformed_condition_is_a_dsl_error(tmp_path, capsys):
     path.write_text(text)
     assert main(["rewrite", str(path), "f(x)"]) == 1
     assert capsys.readouterr().err.startswith("error: line 4: ")
+
+
+def test_rules_sharing_an_id_are_rejected(tmp_path, capsys):
+    # one id for two rules would hide their root overlap: a -> b, a -> c
+    text = "\n".join([
+        "system dup", "quantale lawvere", "symbol a/0", "symbol b/0",
+        "symbol c/0", "rule r: a -[0]-> b", "rule r: a -[0]-> c"])
+    with pytest.raises(TermError, match="^duplicate rule id 'r'$"):
+        parse_system(text)
+    path = tmp_path / "dup.qtrs"
+    path.write_text(text)
+    assert main(["check", str(path), "--what", "confluence-report"]) == 1
+    assert capsys.readouterr() == ("", "error: duplicate rule id 'r'\n")
 
 
 def test_parse_system_rejects_unknown_quantale():

@@ -8,10 +8,9 @@ from pathlib import Path
 import pytest
 
 from qtrw.graded import (
-    context_degree,
+    _best_per_target,
     multi_step,
     multistep_diamond_probe,
-    multistep_targets,
     substitution_lemma_probe,
 )
 from qtrw import qtrs
@@ -40,8 +39,8 @@ from qtrw.term import (
     Symbol,
     Variable,
     apply_substitution,
-    context_at,
     instantiate_params,
+    replace_at,
     term_key,
     variables,
 )
@@ -83,8 +82,9 @@ def test_degrees_in_nested_bang_term():
     assert degree_at_position(sig, t, (1, 2, 1, 2)) == Fraction(6)
     assert degree_of_variable(sig, t, "x") == Fraction(9)
     assert degree_of_variable(sig, t, "absent") == Fraction(0)
-    ctx = context_at(t, (1, 2))
-    assert context_degree(sig, ctx) == Fraction(3)
+    # a context's degree is its hole's: the filling does not count
+    ctx = replace_at(t, (1, 2), Variable("hole"))
+    assert degree_at_position(sig, ctx, (1, 2)) == Fraction(3)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +189,9 @@ def test_multi_step_enumeration():
     redex = _app(_c("D"), _bang(1, _c("I")))
     t = _app(redex, redex)
     steps = multi_step(gsys, t, width_budget=4)
-    by_key = multistep_targets(steps, gsys.quantale)
-    assert term_key(t) in by_key                       # the empty multi-step
-    assert by_key[term_key(t)].nredex == 0
-    both = by_key[term_key(_app(_c("I"), _c("I")))]
+    best = _best_per_target(steps, gsys.quantale)
+    assert best[t].nredex == 0                         # the empty multi-step
+    both = best[_app(_c("I"), _c("I"))]
     assert both.nredex == 2                            # contracted in parallel
     assert max(s.nredex for s in steps) <= 4
 

@@ -5,13 +5,23 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 from qtrw.qtrs import RewriteSystem
 from qtrw.systems import (
     CATALOG,
     DNA_BASES,
     dna_string,
     dna_term,
+    make_barycentric,
+    make_bck,
+    make_bck_nat,
+    make_bck_w,
     make_dna,
+    make_graded_combinators,
+    make_linearity_example,
+    make_nat,
+    make_semilattice,
     nat_term,
     oracle_abs_diff,
     oracle_hamming,
@@ -30,6 +40,22 @@ def test_catalog_entries_construct():
         if base.has_schemas:
             ground = base.instantiate()
             assert ground.rules and not ground.has_schemas, name
+
+
+def test_each_call_builds_a_fresh_system():
+    for make in (make_nat, make_barycentric, make_bck, make_bck_nat,
+                 make_bck_w, make_semilattice, make_graded_combinators,
+                 make_linearity_example, make_dna,
+                 lambda: make_dna("hamming"),
+                 lambda: make_dna("eigen_mccaskill")):
+        first, second = make(), make()
+        assert first == second and first is not second, first.name
+        assert first.stepper is not second.stepper, first.name
+
+
+def test_unknown_dna_variant_is_rejected():
+    with pytest.raises(ValueError, match="unknown DNA variant 'rna'"):
+        make_dna("rna")
 
 
 def test_nat_and_dna_encodings():

@@ -14,17 +14,13 @@ from qtrw.dsl import parse_term
 from qtrw.qtrs import SymbolFamily
 from qtrw.ratexpr import Lit, parse_expr
 from qtrw.term import (
-    HOLE,
     Application,
-    Context,
     Renamer,
     Symbol,
     TermError,
     Variable,
     app,
     apply_substitution,
-    compose_substitutions,
-    context_at,
     function_positions,
     instantiate_params,
     is_ground,
@@ -76,11 +72,13 @@ def test_replace_and_contexts():
     assert replace_at(T, (1, 1), app(b)) == app(
         f, app(g, app(b)), app(f, app(a), y))
     assert replace_at(T, (), x) == x
-    ctx = context_at(T, (2, 2))
-    assert ctx.fill(y) == T
-    assert subterm_at(ctx.term_with_hole, (2, 2)) == HOLE
+    # a context is a term with a hole; filling the hole replaces it back
+    hole = Variable("hole")
+    ctx = replace_at(T, (2, 2), hole)
+    assert subterm_at(ctx, (2, 2)) == hole
+    assert replace_at(ctx, (2, 2), y) == T
     with pytest.raises(TermError):
-        Context(T, (1,))  # no hole present
+        replace_at(T, (3,), y)  # no such position
 
 
 def test_linearity_and_groundness():
@@ -94,8 +92,10 @@ def test_substitution():
     sigma = {"x": app(a), "y": app(g, z)}
     assert apply_substitution(T, sigma) == app(
         f, app(g, app(a)), app(f, app(a), app(g, z)))
-    rho = compose_substitutions({"x": y}, {"y": app(b)})
-    assert rho == {"x": app(b), "y": app(b)}
+    # substitutions compose: (t sigma) rho applies both in turn
+    sigma, rho = {"x": y}, {"y": app(b)}
+    assert apply_substitution(apply_substitution(T, sigma), rho) == app(
+        f, app(g, app(b)), app(f, app(a), app(b)))
 
 
 def test_match_basics():
