@@ -454,7 +454,8 @@ class Stepper:
     so a subterm common to many of its terms is matched once per direction.
     The memo holds no more than the query reaches and is dropped with it; a
     memo on the stepper would keep every query's subterms alive.
-    ``self_inverse`` tells the search when backward steps add nothing.
+    ``self_inverse`` tells the search when backward steps add nothing, and
+    ``cheapest_step`` how early a conversion search may stop.
     """
 
     def __init__(self, sys: RewriteSystem) -> None:
@@ -486,6 +487,19 @@ class Stepper:
         return all(any(q.leq(r.weight, w)
                        for w in weights.get(_renamed(r.rhs, r.lhs), ()))
                    for r in self.rules)
+
+    @cached_property
+    def cheapest_step(self) -> Value:
+        """The quantale-largest weight one step can have, in either
+        direction: the join of the rule weights.  It is the unit when some
+        symbol declares grades (a context degree below 1 makes a step
+        cheaper than its rule) or some rule is a schema (its weight is read
+        off the term).  The quantale is integral, so a run of one or more
+        steps weighs no more than this either."""
+        q = self.quantale
+        if self.families is not None or any(r.is_schema for r in self.rules):
+            return q.unit
+        return q.join(r.weight for r in self.rules)
 
     def _redexes(self, sub: Term, backward: bool) -> Tuple[_Redex, ...]:
         """How the rules (with ``backward``, the inverted rules) fire at the

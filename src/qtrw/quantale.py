@@ -4,7 +4,11 @@ A quantity lattice here is a commutative, integral (unit = top), non-trivial
 ordered monoid with finite joins and a residual operation adjoint to the
 tensor.  All shipped instances are totally ordered.  The cost-style instances
 ("lawvere", "strong-lawvere", "nat-inf") carry exact non-negative rationals
-plus a distinguished infinity; no floating point is ever involved.
+plus a distinguished infinity; no floating point is ever involved.  Their
+integral values are made plain ``int``s where this module creates them
+(parsed literals, the unit, residuals), since ``int`` arithmetic is far
+cheaper than ``Fraction``'s; other rationals stay ``Fraction``s, and the two
+types compare, hash and print alike.
 
 Beware the order convention on the cost-style instances: ``leq(a, b)`` holds
 iff ``a >= b`` numerically (smaller costs sit higher in the lattice), joins
@@ -51,7 +55,14 @@ class _Infinity:
 
 INF = _Infinity()
 
-Value = Union[bool, Fraction, _Infinity]
+Value = Union[bool, int, Fraction, _Infinity]
+
+
+def _cost(v: Value) -> Value:
+    """``v``, as an ``int`` when it is a non-negative integer."""
+    if v is not INF and v >= 0 and v.denominator == 1:
+        return int(v)
+    return v
 
 
 def _ext_add(a: Value, b: Value) -> Value:
@@ -67,10 +78,10 @@ def _ext_max(a: Value, b: Value) -> Value:
 def _ext_sub(b: Value, a: Value) -> Value:
     """Truncated subtraction b - a on [0, inf]."""
     if b is INF:
-        return Fraction(0) if a is INF else INF
+        return 0 if a is INF else INF
     if a is INF:
-        return Fraction(0)
-    return b - a if b > a else Fraction(0)
+        return 0
+    return _cost(b - a) if b > a else 0
 
 
 @dataclass(frozen=True)
@@ -138,18 +149,26 @@ def parse_rational(text: str) -> Value:
     return Fraction(text)
 
 
+def _parse_cost(text: str) -> Value:
+    return _cost(parse_rational(text))
+
+
 def _format_cost(v: Value) -> str:
     if v is INF:
         return "inf"
     return str(v)
 
 
+def _is_rational(v: Value) -> bool:
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
 def _is_cost(v: Value) -> bool:
-    return v is INF or (isinstance(v, Fraction) and v >= 0)
+    return v is INF or (_is_rational(v) and v >= 0)
 
 
 def _is_nat_cost(v: Value) -> bool:
-    return v is INF or (isinstance(v, Fraction) and v >= 0 and v.denominator == 1)
+    return v is INF or (_is_rational(v) and v >= 0 and v.denominator == 1)
 
 
 def _is_unit_interval(v: Value) -> bool:
@@ -158,7 +177,7 @@ def _is_unit_interval(v: Value) -> bool:
 
 def _cost_sort_key(v: Value) -> object:
     # ascending numeric = descending lattice order (0 = unit = top first)
-    return (1, Fraction(0)) if v is INF else (0, v)
+    return (1, 0) if v is INF else (0, v)
 
 
 def _fuzzy_sort_key(v: Value) -> object:
@@ -209,9 +228,9 @@ BOOL = QuantaleSpec(
 
 LAWVERE = QuantaleSpec(
     name="lawvere",
-    unit=Fraction(0),
+    unit=0,
     bottom=INF,
-    top=Fraction(0),
+    top=0,
     leq=lambda a, b: a >= b,          # reversed numeric order
     tensor=_ext_add,
     residual=lambda a, b: _ext_sub(b, a),
@@ -221,13 +240,13 @@ LAWVERE = QuantaleSpec(
     sort_key=_cost_sort_key,
     is_value=_is_cost,
     format_value=_format_cost,
-    parse_value=parse_rational,
+    parse_value=_parse_cost,
 )
 
 
 def _strong_residual(a: Value, b: Value) -> Value:
     # join {h | max(a,h) >= b numerically} under reversed order = inf of them
-    return Fraction(0) if a >= b else b
+    return 0 if a >= b else b
 
 
 STRONG_LAWVERE = replace(

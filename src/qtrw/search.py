@@ -20,6 +20,21 @@ Levenshtein systems) has a forward twin, as good, for every backward step;
 its conversion search generates forward steps only, with the same answers
 and witnesses, and shares its cached step lists with valley searches.
 
+Distances between two terms search from both ends at once (``_meet_search``).
+A term labelled by both sides is a meet, checked when its second label is
+set, so the best meet is known at every round.  A conversion search stops
+once no unseen meet can win.  A better conversion would still have a term
+live on each side with at least one step between them, and a run of steps
+weighs no more, in the quantale order, than the cheapest step
+(``Stepper.cheapest_step``: 1 on the Hamming and Levenshtein systems, the
+unit wherever a step may be free).  So the bound is the tensor of the two
+frontier minima with the cheapest step between them.  A
+valley search joins two forward runs at a common reduct that one side may
+have settled cheaply long before the other reaches it, so its bound is the
+join of the two sides' bounds, not their tensor.  Branches the budget pruned
+enter both bounds, so an exact answer stays a proof; the case argument is
+in ``_meet_search``'s docstring.
+
 Terms are hash-consed (see ``qtrw.term``), so the searches key their
 distance tables, settled sets and the step cache by the terms themselves;
 the rendering is taken only where it fixes an order (steps sorted by target)
@@ -35,7 +50,7 @@ from itertools import islice
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
-from .quantale import QuantaleError, Value
+from .quantale import QuantaleError, QuantaleSpec, Value
 from .term import Position, Term, term_size
 from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, one_step,
                    subterm_pool)
@@ -141,12 +156,41 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
     return out
 
 
+class _Meets:
+    """The meets of a bidirectional search, checked whenever either side
+    labels a term the other side has labelled.
+
+    ``best`` holds the best total and its meet.  ``across_cut`` is the best
+    total of a meet one pruned step away: a side pruned a step into a term
+    the other side had labelled.  It is the weight of a real conversion (or
+    valley) that the budget keeps out of the search, so no answer worse
+    than it may be called exact.
+    """
+
+    def __init__(self, q: QuantaleSpec) -> None:
+        self.q = q
+        self.best: Optional[Tuple[Value, Term]] = None
+        self.across_cut: Optional[Value] = None
+
+    def offer(self, total: Value, meet: Term) -> None:
+        if self.best is None or self.q.strictly_below(self.best[0], total):
+            self.best = (total, meet)
+
+    def cut(self, total: Value) -> None:
+        if self.across_cut is None or self.q.strictly_below(
+                self.across_cut, total):
+            self.across_cut = total
+
+
 class _SideSearch:
     """One uniform-cost frontier with budget pruning and prune accounting.
 
     ``best_pruned`` tracks the quantale-largest accumulated weight among
     pruned branches; no unexplored continuation can beat it, so it bounds
-    what the truncated region might still contain.
+    what the truncated region might still contain.  In a meet search,
+    ``opposite`` is the other side's table of labels and ``meets`` the
+    search's shared meets; every label this side sets or cuts is checked
+    against ``opposite`` at once.
     """
 
     def __init__(
@@ -157,6 +201,7 @@ class _SideSearch:
         pool: Sequence[Term],
         budget: SearchBudget,
         memo: RedexMemo,
+        meets: Optional[_Meets] = None,
     ) -> None:
         self.sys = sys
         self.q = sys.quantale
@@ -167,8 +212,10 @@ class _SideSearch:
         self.pool = pool
         self.budget = budget
         self.memo = memo
+        self.meets = meets
         self.dist: Dict[Term, Tuple[Value, int, List[WitnessStep]]] = {
             start: (self.q.unit, 0, [])}
+        self.opposite: Dict[Term, Tuple[Value, int, List[WitnessStep]]] = {}
         self.settled: Set[Term] = set()
         self.best_pruned: Optional[Value] = None
         self._heap: List[Tuple[object, int, Term]] = []
@@ -183,29 +230,19 @@ class _SideSearch:
         if self.best_pruned is None or self.q.strictly_below(self.best_pruned, w):
             self.best_pruned = w
 
-    def frontier_bound(self, include_pruned: bool = True) -> Optional[Value]:
-        """Quantale-largest weight any future settlement could have.
-
-        With ``include_pruned`` the bound also covers continuations of
-        branches the budget cut off (they classify exact vs upper bound);
-        without it, only live frontier nodes count (they alone can still be
-        explored, so they alone decide when searching further is useless).
-        """
+    def frontier_bound(self) -> Optional[Value]:
+        """Quantale-largest weight of a live frontier term, the only terms
+        left to explore; ``None`` once there are none."""
         while self._heap and self._heap[0][2] in self.settled:
             heapq.heappop(self._heap)
-        best = None
-        if self._heap:
-            best = self.dist[self._heap[0][2]][0]
-        if include_pruned and self.best_pruned is not None:
-            if best is None or self.q.strictly_below(best, self.best_pruned):
-                best = self.best_pruned
-        return best
+        return self.dist[self._heap[0][2]][0] if self._heap else None
 
     def pop(self) -> Optional[Term]:
         """Settle and expand the best frontier term; returns it."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
         dist, settled = self.dist, self.settled
+        opposite, meets = self.opposite, self.meets
         cutoff = self.budget.weight_cutoff
         max_size = self.budget.max_term_size
         while self._heap:
@@ -220,11 +257,12 @@ class _SideSearch:
             for target, sw, step in _relaxations(
                     self.sys, self.symmetric, term, self.pool, self.memo):
                 nw = tensor(w, sw)
-                if cutoff is not None and sb(nw, cutoff):
+                if ((cutoff is not None and sb(nw, cutoff))
+                        or (max_size is not None
+                            and term_size(target) > max_size)):
                     self._note_pruned(nw)
-                    continue
-                if max_size is not None and term_size(target) > max_size:
-                    self._note_pruned(nw)
+                    if target in opposite:
+                        meets.cut(tensor(nw, opposite[target][0]))
                     continue
                 old = dist.get(target)
                 if old is not None and not sb(old[0], nw):
@@ -232,6 +270,8 @@ class _SideSearch:
                 dist[target] = (nw, depth + 1, path + [step])
                 settled.discard(target)
                 self._push(target, nw)
+                if target in opposite:
+                    meets.offer(tensor(nw, opposite[target][0]), target)
             return term
         return None
 
@@ -274,70 +314,133 @@ def _meet_search(
     budget: SearchBudget,
     symmetric: bool,
 ) -> DistanceAnswer:
-    """Bidirectional search; meets are scored by the tensor of both sides."""
+    """Bidirectional search: ``left`` from ``s`` and ``right`` from ``t``
+    expand in turn, and a meet scores the tensor of its two labels.
+
+    Every term labelled on both sides has its meet checked when its second
+    label is set or improved (``_Meets``), so no sweep over the labels is
+    needed at the end.  Below, "at least", "better" and their opposites
+    are in the quantale order.  Write ``live`` for the weight of a side's
+    best live frontier term, ``cut`` for its best pruned weight
+    (``best_pruned``), ``lb`` for the join of the two, and ``eps`` for
+    ``Stepper.cheapest_step``, which a run of one or more steps never
+    beats.  An absent bound drops out of a join, and a tensor with an
+    absent factor drops out of the join it is in.  The answer is exact
+    when the best meet is no worse than ``bound``:
+
+    - for conversions, the join of ``live_l (x) eps (x) live_r``,
+      ``cut_l (x) lb_r``, ``lb_l (x) cut_r`` and ``across_cut``, or the
+      other side's ``lb`` when one side has neither ``live`` nor ``cut``;
+    - for valleys, the join of ``lb_l``, ``lb_r`` and ``across_cut``.
+
+    Conversions.  Take a conversion P from ``s`` to ``t`` better than the
+    best meet.  Call a term of P *done* on a side when that side has
+    settled it with a label at least as good as P's part up to it: the
+    prefix from ``s`` on the left, the suffix to ``t`` on the right.  After
+    the first round ``s`` is done on the left and ``t`` on the right.  No
+    term of P is labelled that well on both sides, or its meet would be
+    at least P.  So let ``a`` be the first term of P not done on the left,
+    and ``b`` the last term not done on the right.  The term before ``a``
+    is done on the left: settled with a label at least its prefix, it was
+    expanded unless it lay at the depth limit.  So either ``a`` got a
+    label at least its prefix and, not done, is live (``live_l`` is at
+    least that prefix), or the step to ``a`` was pruned, by the weight
+    cutoff or the term size, or by depth at the term before (``cut_l`` is
+    at least the prefix).  The same holds for ``b`` on the right.
+
+    (a) ``a`` comes before ``b``.  At least one step lies between them, so
+        P is at most ``live_l (x) eps (x) live_r`` when both are live, and
+        at most ``cut_l (x) lb_r`` or ``lb_l (x) cut_r`` when a side
+        pruned.
+    (b) ``a`` is ``b``.  Labelled that well on both sides, it would be
+        met, so a side pruned it, and P is at most ``cut_l (x) lb_r`` or
+        ``lb_l (x) cut_r``.  No ``eps`` here: no step need lie between.
+    (c) ``a`` comes after ``b``.  No term lies between them (it would be
+        done on both sides), so ``b`` is done on the left, ``a`` on the
+        right, and both sides pruned the step between them.  If a side
+        pruned it by depth, P is at most ``cut_l (x) cut_r``.  Otherwise
+        the later of the two prunes found the other end labelled, with its
+        settled label, on the other side, so ``across_cut`` is at least P.
+
+    So P is at most ``bound``, and a best meet no worse than ``bound`` has
+    no better conversion.  A side with neither ``live`` nor ``cut`` has
+    settled every term it can reach, ``t`` too if any conversion exists,
+    so the best meet is then optimal and any bound is safe.
+
+    Valleys.  Each side steps forward only, so a valley better than the
+    best meet joins a run from ``s`` and a run from ``t`` at a common
+    reduct, which one side may have settled cheaply long before the other
+    reaches it.  Let ``a`` be the first term of the left run not done on
+    the left, and ``b`` the first term of the right run not done on the
+    right; not both are missing, or the reduct would be met.  The valley
+    is at most the run up to whichever exists, which is at most that
+    side's ``lb`` as above.  The tensor of the two sides' bounds is no
+    bound here.
+
+    The loop stops when the best meet is no worse than ``bound``, or than
+    the tensor (for valleys, the join) of the two ``live`` bounds, or the
+    other side's alone when one side has none.  After that, the case
+    analysis leaves only conversions through a pruned branch, which no
+    later round explores.  With ``eps`` the unit this is the classic
+    stopping rule; with ``eps`` below it (every Hamming and Levenshtein
+    step costs at least 1) a conversion stops a cheapest step earlier
+    (Holte, Felner, Sharon & Sturtevant, AAAI 2016; Goldberg & Harrelson,
+    SODA 2005).
+    """
     q = sys.quantale
+    eps = sys.stepper.cheapest_step
     pool = subterm_pool(s, t)
     memo: RedexMemo = {}  # both frontiers step through one memo
-    left = _SideSearch(sys, s, symmetric, pool, budget, memo)
-    right = _SideSearch(sys, t, symmetric, pool, budget, memo)
-    best: Optional[Tuple[Value, Term]] = None
+    meets = _Meets(q)
+    left = _SideSearch(sys, s, symmetric, pool, budget, memo, meets)
+    right = _SideSearch(sys, t, symmetric, pool, budget, memo, meets)
+    left.opposite, right.opposite = right.dist, left.dist
+    if s == t:
+        meets.offer(q.unit, s)
 
-    def consider(u: Term) -> None:
-        nonlocal best
-        if u in left.dist and u in right.dist:
-            total = q.tensor(left.dist[u][0], right.dist[u][0])
-            if best is None or q.strictly_below(best[0], total):
-                best = (total, u)
+    def join(a: Optional[Value], b: Optional[Value]) -> Optional[Value]:
+        return b if a is None else a if b is None else q.join2(a, b)
 
-    def future_meet_bound(include_pruned: bool) -> Optional[Value]:
-        """Quantale-largest total any yet-unseen meet could have.
+    def bounds() -> Tuple[Optional[Value], Optional[Value]]:
+        """``bound`` and the live bound, as set out above."""
+        live_l, live_r = left.frontier_bound(), right.frontier_bound()
+        cut_l, cut_r = left.best_pruned, right.best_pruned
+        lb_l, lb_r = join(live_l, cut_l), join(live_r, cut_r)
+        both_live = live_l is not None and live_r is not None
+        if not symmetric or lb_l is None or lb_r is None:
+            exact = join(lb_l, lb_r)
+        else:
+            exact = (q.tensor(q.tensor(live_l, eps), live_r) if both_live
+                     else None)
+            if cut_l is not None:
+                exact = join(exact, q.tensor(cut_l, lb_r))
+            if cut_r is not None:
+                exact = join(exact, q.tensor(lb_l, cut_r))
+        live = (q.tensor(live_l, live_r) if symmetric and both_live
+                else join(live_l, live_r))
+        return join(exact, meets.across_cut), live
 
-        With both frontiers alive the bound is the tensor of the frontier
-        minima (the classic bidirectional stopping bound); once one side has
-        fully settled, only the other side's bound constrains new meets.
-        The pruned-free bound governs loop termination (cut branches cannot
-        be explored, so they cannot justify more work); the pruned-inclusive
-        bound governs the exact/upper-bound classification.
-        """
-        lb_l = left.frontier_bound(include_pruned)
-        lb_r = right.frontier_bound(include_pruned)
-        if lb_l is None and lb_r is None:
-            return None
-        if lb_l is None:
-            return lb_r
-        if lb_r is None:
-            return lb_l
-        return q.tensor(lb_l, lb_r)
-
-    consider(s)
-    consider(t)
     expanded = 0
     exhausted_both = False
     while expanded < budget.max_expanded:
         progressed = False
         for side in (left, right):
-            u = side.pop()
-            if u is None:
-                continue
-            progressed = True
-            expanded += 1
-            consider(u)
+            if side.pop() is not None:
+                progressed = True
+                expanded += 1
         if not progressed:
             exhausted_both = True
             break
-        if best is not None:
-            live = future_meet_bound(include_pruned=False)
-            if live is None or not q.strictly_below(best[0], live):
-                break
-    # tentative distances may hold meets the settle-time checks missed
-    for u in left.dist:
-        consider(u)
-    if best is not None:
-        total, meet = best
+        if meets.best is not None and any(
+                b is None or not q.strictly_below(meets.best[0], b)
+                for b in bounds()):
+            break
+    if meets.best is not None:
+        total, meet = meets.best
         lpath = left.dist[meet][2]
         rpath = right.dist[meet][2]
         witness = tuple(lpath) + tuple(w.flipped() for w in reversed(rpath))
-        bound = future_meet_bound(include_pruned=True)
+        bound = bounds()[0]
         if bound is None or not q.strictly_below(total, bound):
             return DistanceAnswer(EXACT, total, witness, expanded)
         return DistanceAnswer(UPPER_BOUND, total, witness, expanded)

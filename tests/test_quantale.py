@@ -148,6 +148,48 @@ def test_value_parsing_and_formatting():
         QUANTALES["fuzzy-product"].check_value(Fraction(2))
 
 
+COSTS = ("lawvere", "strong-lawvere", "nat-inf")
+
+
+@pytest.mark.parametrize("name", COSTS)
+def test_integral_costs_are_plain_ints(name):
+    q = QUANTALES[name]
+    for v in (q.unit, q.top, q.parse_value("3"), q.parse_value(" 4/2 "),
+              q.residual(Fraction(2), 5), q.residual(Fraction(5), 2),
+              q.residual(INF, INF), q.sort_key(INF)[1]):
+        assert type(v) is int, v
+    if name != "strong-lawvere":  # truncated subtraction
+        assert type(q.residual(Fraction(1, 2), Fraction(5, 2))) is int
+    assert q.parse_value("inf") is INF
+    assert type(q.parse_value("-1")) is Fraction  # rejected with its repr
+    assert not q.is_value(q.parse_value("-1"))
+    assert not q.is_value(True) and not q.is_value(False)
+    assert q.is_value(7) and q.is_value(Fraction(7))
+    if name != "nat-inf":
+        assert q.parse_value("1/2") == Fraction(1, 2)
+        assert q.is_value(Fraction(1, 2))
+    assert q.format_value(q.parse_value("6/3")) == "2"
+
+
+@pytest.mark.parametrize("name", COSTS)
+def test_laws_hold_across_int_and_fraction_costs(name):
+    q = QUANTALES[name]
+    rng = random.Random(f"mixed-{name}")
+    for _ in range(300):
+        a, b, c = (_sample(name, rng) for _ in range(3))
+        a, b = (v if v is INF or v.denominator != 1 else int(v)
+                for v in (a, b))
+        _check_laws(q, a, b, c)
+
+
+def test_other_instances_keep_their_types():
+    assert QUANTALES["bool"].parse_value("1") is True
+    for name in ("fuzzy-product", "fuzzy-lukasiewicz", "fuzzy-godel"):
+        q = QUANTALES[name]
+        assert type(q.unit) is Fraction
+        assert type(q.parse_value("1")) is Fraction
+
+
 def test_instance_registry_and_lawverian_gate():
     assert set(INSTANCES) == {
         "bool", "lawvere", "strong-lawvere", "nat-inf",

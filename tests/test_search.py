@@ -21,6 +21,8 @@ from qtrw.search import (
     validate_witness,
     valley_distance,
 )
+from qtrw.dsl import parse_system
+from qtrw.quantale import INF
 from qtrw.systems import (
     DNA_BASES,
     dna_term,
@@ -30,8 +32,8 @@ from qtrw.systems import (
     oracle_hamming,
     oracle_levenshtein,
 )
-from qtrw.qtrs import one_step
-from qtrw.term import Application, Symbol, term_key
+from qtrw.qtrs import one_step, term_graph
+from qtrw.term import Application, Symbol, term_key, term_size
 
 
 def _add(a, b):
@@ -122,6 +124,120 @@ def test_hamming_distances_and_unreachability():
     ans = convertibility_distance(sys, dna_term("AC"), dna_term("ACG"),
                                   _dna_budget("AC", "ACG"))
     assert ans.kind == UNREACHABLE and ans.value is None
+
+
+def _system(constants, *rules):
+    """A Lawvere system of the ``constants`` and the unary ``f`` and ``g``."""
+    return parse_system("\n".join(
+        ["system test", "quantale lawvere", "symbol f/1", "symbol g/1"]
+        + [f"symbol {c}/0" for c in constants.split()] + list(rules)))
+
+
+def _const(name):
+    return Application(Symbol(name, 0), ())
+
+
+def test_valley_is_not_cut_short_by_a_cheaply_settled_reduct():
+    # s reaches u at 0, but t reaches u only after five steps of 1, while
+    # the valley by w costs 3 + 4: stopping at the tensor of the two
+    # frontier minima would settle for w
+    sys = _system("s t u w y x1 x2 x3 x4",
+                  "rule a: s -[0]-> u", "rule b: s -[3]-> w",
+                  "rule c: s -[10]-> y", "rule d: t -[4]-> w",
+                  "rule e: t -[1]-> x1", "rule h1: x1 -[1]-> x2",
+                  "rule h2: x2 -[1]-> x3", "rule h3: x3 -[1]-> x4",
+                  "rule h4: x4 -[1]-> u")
+    s, t = _const("s"), _const("t")
+    for search in (valley_distance, convertibility_distance):
+        ans = search(sys, s, t)
+        assert (ans.kind, ans.value) == (EXACT, 5), search
+        assert validate_witness(sys, s, t, ans.witness)
+        assert ans.witness[0].rule_id == "a"
+
+
+def test_conversion_behind_a_cutoff_on_both_sides_is_no_proof():
+    # the direct step weighs 7, over the cutoff 5 from either end, so each
+    # side prunes it; the meet m then offers 8, which is no proof
+    sys = _system("s m t", "rule a: s -[4]-> m", "rule b: m -[4]-> t",
+                  "rule c: s -[7]-> t")
+    s, t = _const("s"), _const("t")
+    ans = convertibility_distance(sys, s, t, SearchBudget(weight_cutoff=5))
+    assert (ans.kind, ans.value) == (UPPER_BOUND, 8)
+    assert validate_witness(sys, s, t, ans.witness)
+    assert convertibility_distance(sys, s, t).value == 7
+
+
+def _ground_terms(max_size):
+    out = [_const(c) for c in "abc"]
+    layer = out
+    for _ in range(max_size - 1):
+        layer = [Application(Symbol(f, 1), (u,)) for f in "fg" for u in layer]
+        out = out + layer
+    return out
+
+
+def test_meet_searches_agree_with_closures_of_the_explored_graph():
+    """Random ground systems of rules that never grow a term, so the terms
+    of size at most 3 are closed under forward steps and ``term_graph``
+    explores them all.  A conversion search limited to that size sees the
+    same graph; its exact answers equal ``(R + R^T)*`` on it and its
+    upper bounds are no better.  Valleys answer ``R* ; (R*)^T``."""
+    rng = random.Random("meet-search-oracle")
+    universe = _ground_terms(3)
+    small = [u for u in universe if term_size(u) <= 2]
+    checked = {EXACT: 0, UPPER_BOUND: 0, UNREACHABLE: 0}
+    for trial in range(60):
+        rules = []
+        for i in range(rng.randrange(3, 8)):
+            lhs = rng.choice(small)
+            rhs = rng.choice([u for u in small
+                              if term_size(u) <= term_size(lhs) and u != lhs])
+            weight = rng.choice((1, 2, 3))
+            rules.append(f"rule r{i}: {lhs} -[{weight}]-> {rhs}")
+        sys = _system("a b c", *rules)
+        q = sys.quantale
+        rel, complete = term_graph(sys, universe, max_terms=None)
+        assert complete
+        star = rel.star()
+        oracles = {"convert": rel.equivalence_closure(),
+                   "valley": star.compose(star.transpose())}
+        for _ in range(20):
+            s, t = rng.choice(universe), rng.choice(universe)
+            cutoff = rng.choice((None, 1, 2, 3, 4, 5))
+            budget = SearchBudget(max_term_size=3, weight_cutoff=cutoff)
+            for mode, search in (("convert", convertibility_distance),
+                                 ("valley", valley_distance)):
+                ans = search(sys, s, t, budget)
+                want = oracles[mode](str(s), str(t))
+                case = (trial, mode, str(s), str(t), rules, budget)
+                if ans.kind == EXACT:
+                    assert ans.value == want, case
+                elif ans.kind == UPPER_BOUND:
+                    assert not q.strictly_below(want, ans.value), case
+                elif ans.kind == UNREACHABLE:
+                    assert want is INF, case
+                if ans.value is not None:
+                    assert validate_witness(sys, s, t, ans.witness), case
+                checked[ans.kind] = checked.get(ans.kind, 0) + 1
+    assert min(checked[k] for k in (EXACT, UPPER_BOUND, UNREACHABLE)) > 0
+
+
+def test_hamming_conversions_stop_a_cheapest_step_early():
+    # every Hamming step costs 1, so a conversion stops once no meet one
+    # step past both frontiers can win: 2,908 expansions on these pairs,
+    # against 6,314 when it waits for the frontier minima alone
+    sys = make_dna("hamming")
+    rng = random.Random("hamming-expansions")
+    expanded = 0
+    for _ in range(24):
+        n = rng.randrange(4, 8)
+        s = "".join(rng.choice(DNA_BASES) for _ in range(n))
+        t = "".join(rng.choice(DNA_BASES) for _ in range(n))
+        ans = convertibility_distance(sys, dna_term(s), dna_term(t),
+                                      _dna_budget(s, t))
+        assert (ans.kind, ans.value) == (EXACT, oracle_hamming(s, t))
+        expanded += ans.expanded
+    assert expanded <= 3200, expanded
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,27 @@ def test_self_inverse_holds_exactly_for_the_hamming_and_levenshtein_systems():
     assert [n for n in NAMES if _load(n).stepper.self_inverse] == SELF_INVERSE
 
 
+CHEAPEST_STEP = {"dna-hamming": 1, "dna-levenshtein": 1, "tick": 1}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_cheapest_step_is_the_join_of_the_rule_weights(name):
+    # graded and schema systems get the unit: a context degree can shrink
+    # a step, and a schema's weight is read off the term
+    sysm = _load(name)
+    assert sysm.stepper.cheapest_step == CHEAPEST_STEP.get(name, 0)
+    if sysm.graded or sysm.has_schemas:
+        assert sysm.stepper.cheapest_step == sysm.quantale.unit
+
+
+def test_cheapest_step_of_graded_and_plain_systems():
+    text = ["system g", "quantale lawvere", "symbol a/0", "symbol b/0",
+            "rule r: a -[2]-> b", "rule s: b -[3]-> a"]
+    assert parse_system("\n".join(text)).stepper.cheapest_step == 2
+    graded = text[:2] + ["symbol h/1 grades [1/2]"] + text[2:]
+    assert parse_system("\n".join(graded)).stepper.cheapest_step == 0
+
+
 def test_self_inverse_needs_every_inverse_to_weigh_no_better_than_its_twin():
     def pair(back_weight):
         return parse_system("\n".join([
