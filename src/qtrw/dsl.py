@@ -12,7 +12,8 @@ A file declares a quantale, optional options, a signature, and rules::
 
 Declared binary infix symbols may be written between their arguments
 (left-associative); everything else is prefix ``f(t1, ..., tn)``.  Names not
-present in the signature parse as variables and may not be applied.  A rule
+present in the signature parse as variables and may not be applied; a rule
+may not use as a variable the name of a symbol declared after it.  A rule
 weight is a value of the quantale declared above it (``true`` under
 ``bool``, ``inf`` under the cost quantales) or else, like a symbol parameter,
 an exact rational expression; parameterless ones are folded to constants so
@@ -32,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .quantale import QuantaleError, QuantaleSpec, Value, get_quantale
 from .ratexpr import (Expr, ExprError, _parse_sum, _Scanner, parse_comparison,
                       parse_expr)
-from .term import Application, Symbol, Term, Variable, preorder
+from .term import Application, Symbol, Term, Variable, preorder, variables
 from .qtrs import Rule, RewriteSystem, SymbolFamily
 
 
@@ -206,6 +207,7 @@ def parse_system(text: str) -> RewriteSystem:
     grid: Tuple[Fraction, ...] = ()
     signature: List[SymbolFamily] = []
     rules: List[Rule] = []
+    rule_lines: List[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -293,11 +295,20 @@ def parse_system(text: str) -> RewriteSystem:
             rules.append(Rule(
                 m.group("name"), lhs, rhs, weight,
                 params=tuple(sorted(params)), conditions=conditions))
+            rule_lines.append(lineno)
         else:
             raise DslError(f"unknown directive {head!r}", lineno)
 
     if quantale is None:
         raise DslError("missing 'quantale' declaration")
+    # a name a rule reads as a variable stays one, even if a symbol of that
+    # name is declared later; emit_system would write it as the symbol
+    names = {fam.name for fam in signature}
+    for rule, lineno in zip(rules, rule_lines):
+        clash = sorted((variables(rule.lhs) | variables(rule.rhs)) & names)
+        if clash:
+            raise DslError(f"variable {clash[0]!r} of rule {rule.rid} is"
+                           " declared as a symbol after the rule", lineno)
     return RewriteSystem(name, quantale, tuple(signature), tuple(rules), grid)
 
 

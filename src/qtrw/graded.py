@@ -23,7 +23,7 @@ from .term import (
 from .qtrs import (
     GradedError,
     RewriteSystem,
-    _fresh_variable_for,
+    _invented,
     _rule_matches,
     degree_of_variable,
     grades_of,
@@ -112,7 +112,6 @@ def multi_step(sys: RewriteSystem, t: Term,
                 arg_opts = [[identity] if sigma[x] is term else memo[sigma[x]]
                             for x in bound]
                 degs = [degree_of_variable(sys, lhs, x) for x in bound]
-                pool = [_fresh_variable_for(term, set(fresh))] if fresh else []
                 for combo in itertools.product(*arg_opts):
                     n = 1 + sum(c.nredex for c in combo)
                     if n > width_budget:
@@ -122,11 +121,9 @@ def multi_step(sys: RewriteSystem, t: Term,
                         w = q.tensor(w, scale(q, deg, c.weight))
                     tau: Dict[str, Term] = {
                         x: c.target for x, c in zip(bound, combo)}
-                    for picks in itertools.product(pool, repeat=len(fresh)):
-                        full = dict(tau)
-                        full.update(zip(fresh, picks))
-                        _pareto_insert(table, MultiStep(
-                            apply_substitution(rhs, full), w, n), q)
+                    for u in (_invented(term, None, fresh, tau, rhs) if fresh
+                              else (apply_substitution(rhs, tau),)):
+                        _pareto_insert(table, MultiStep(u, w, n), q)
         memo[term] = [ms for u in sorted(table, key=str) for ms in table[u]]
     return memo[t]
 

@@ -197,11 +197,22 @@ class Rule:
 
 @dataclass(frozen=True)
 class RewriteStep:
+    """One step of a reduction or a conversion: rule ``rule_id`` fires at
+    ``position`` with ``weight``.  A "forward" step rewrites ``source`` to
+    ``target``; a "backward" one rewrites ``target`` to ``source``."""
+
     source: Term
     target: Term
     weight: Value
     position: Position
     rule_id: str
+    direction: str  # "forward" | "backward", relative to the rewrite relation
+
+    def flipped(self) -> "RewriteStep":
+        """The same step read from ``target`` to ``source``."""
+        return RewriteStep(
+            self.target, self.source, self.weight, self.position, self.rule_id,
+            "backward" if self.direction == "forward" else "forward")
 
 
 @dataclass(frozen=True)
@@ -218,6 +229,10 @@ class RewriteSystem:
             if fam.name in seen:
                 raise TermError(f"duplicate symbol family {fam.name!r}")
             seen.add(fam.name)
+        for i, g in enumerate(self.grid):
+            # a repeated value would instantiate each schema instance twice
+            if g in self.grid[:i]:
+                raise TermError(f"repeated grid value {g}")
         rids = set()
         for rule in self.rules:
             if rule.rid in rids:
@@ -305,22 +320,38 @@ class RewriteSystem:
         return replace(self, rules=tuple(out))
 
 
-def _instances(quantale: QuantaleSpec, grid: Sequence[Fraction],
-               rule: Rule) -> Iterator[Rule]:
-    """The instances of schema ``rule`` over ``grid`` that fire: those that
-    meet its conditions, are defined, and weigh more than bottom."""
-    for combo in itertools.product(grid, repeat=len(rule.params)):
-        env = dict(zip(rule.params, combo))
+def _firing(quantale: QuantaleSpec, grid: Sequence[Fraction], rule: Rule,
+            env: Env, sides: Tuple[Term, ...],
+            ) -> Iterator[Tuple[Env, Value, Tuple[Term, ...]]]:
+    """The instances of ``rule`` that fire: ``env`` completed over ``grid``
+    on the parameters it leaves unbound, wherever the conditions hold, the
+    instance is defined, and its weight is above bottom.  Each comes with
+    its weight and ``sides`` under the completed env."""
+    unbound = [p for p in rule.params if p not in env]
+    if unbound and not grid:
+        raise QuantaleError(
+            f"rule {rule.rid} has free parameters {unbound} but no grid")
+    for combo in itertools.product(grid, repeat=len(unbound)):
+        full = dict(env)
+        full.update(zip(unbound, combo))
         try:
-            if not all(c.holds(env) for c in rule.conditions):
+            if not all(c.holds(full) for c in rule.conditions):
                 continue
-            w = rule.weight_value(quantale, env)
-            lhs = instantiate_params(rule.lhs, env)
-            rhs = instantiate_params(rule.rhs, env)
+            w = rule.weight_value(quantale, full)
+            inst = (tuple(instantiate_params(t, full) for t in sides) if full
+                    else sides)
         except ExprError:
             continue  # e.g. (1 / e) at e = 0
         if w == quantale.bottom:
             continue
+        yield full, w, inst
+
+
+def _instances(quantale: QuantaleSpec, grid: Sequence[Fraction],
+               rule: Rule) -> Iterator[Rule]:
+    """The instances of schema ``rule`` over ``grid`` that fire."""
+    for env, w, (lhs, rhs) in _firing(quantale, grid, rule, {},
+                                      (rule.lhs, rule.rhs)):
         tag = ",".join(f"{p}={env[p]}" for p in rule.params)
         yield Rule(rid=f"{rule.rid}[{tag}]", lhs=lhs, rhs=rhs, weight=w,
                    origin=rule.origin)
@@ -339,28 +370,12 @@ def _rule_matches(
 ) -> Iterator[Tuple[Substitution, Env, Value, Term]]:
     """All ways ``rule`` fires on ``sub``: bindings, parameter env, weight
     and the right-hand side under that env; parameters ``sub`` does not
-    determine range over ``grid``.  Instances that are undefined (say
-    ``(1 / e)`` at ``e = 0``) or weigh bottom do not fire."""
+    determine range over ``grid`` (see ``_firing``)."""
     m = match(rule.lhs, sub)
     if m is None:
         return
     sigma, env = m
-    unbound = [p for p in rule.params if p not in env]
-    if unbound and not grid:
-        raise QuantaleError(
-            f"rule {rule.rid} has free parameters {unbound} but no grid")
-    for combo in itertools.product(grid, repeat=len(unbound)):
-        full = dict(env)
-        full.update(zip(unbound, combo))
-        try:
-            if not all(c.holds(full) for c in rule.conditions):
-                continue
-            w = rule.weight_value(quantale, full)
-            rhs = instantiate_params(rule.rhs, full) if full else rule.rhs
-        except ExprError:
-            continue
-        if w == quantale.bottom:
-            continue
+    for full, w, (rhs,) in _firing(quantale, grid, rule, env, (rule.rhs,)):
         yield sigma, full, w, rhs
 
 
@@ -442,7 +457,8 @@ class Stepper:
 
     ``forward`` indexes the rules and ``backward`` the inverted rules, built
     on the first backward step; ``relaxations`` is the distance search's
-    step cache.  When some symbol family declares grades, ``families`` holds
+    step cache, which keeps for each term the ``RewriteStep``s the search
+    relaxes.  When some symbol family declares grades, ``families`` holds
     the families by name and every step weight, in both directions, is
     scaled by the degree of the step's context; otherwise it is ``None``
     and weights are the rule weights.  The stepper keeps no reference to
@@ -462,7 +478,7 @@ class Stepper:
         self.quantale, self.grid, self.rules = sys.quantale, sys.grid, sys.rules
         self.families = sys.families if sys.graded else None
         self.forward = _RuleTable.of(sys.rules)
-        self.relaxations: Dict[object, list] = {}
+        self.relaxations: Dict[object, List[RewriteStep]] = {}
 
     @cached_property
     def backward(self) -> _RuleTable:
@@ -523,7 +539,8 @@ class Stepper:
               backward: bool = False, *,
               memo: Optional[RedexMemo] = None) -> List[RewriteStep]:
         """Every single step from ``t``, duplicate-free; with ``backward``,
-        every step from ``t`` of the inverse relation.
+        every step from ``t`` of the inverse relation, each in the
+        direction "backward".
 
         ``pool`` supplies candidate instantiations for right-hand-side
         variables the left-hand side does not bind; by default a single fresh
@@ -535,6 +552,7 @@ class Stepper:
         q = self.quantale
         if memo is None:
             memo = {}
+        direction = "backward" if backward else "forward"
         steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
         for p, sub in subterms(t):
             redexes = memo.get((backward, sub))
@@ -550,7 +568,8 @@ class Stepper:
                     key = (p, rid, target)
                     old = steps.get(key)
                     if old is None or q.strictly_below(old.weight, weight):
-                        steps[key] = RewriteStep(t, target, weight, p, rid)
+                        steps[key] = RewriteStep(t, target, weight, p, rid,
+                                                 direction)
         # by position, rule id and target rendering; targets are compared
         # only where one rule steps at one position to several of them, and
         # then by the part of their rendering from that position on
@@ -685,12 +704,21 @@ def critical_pairs(sys: RewriteSystem, pair_filter=None) -> List[CriticalPeak]:
 
 
 def sum_systems(sys1: RewriteSystem, sys2: RewriteSystem) -> RewriteSystem:
-    """Disjoint union; the induced relation is the join of the components."""
+    """Disjoint union; the induced relation is the join of the components.
+
+    The sum's grid is the union of the two grids.  A component with a
+    schema rule must declare that whole grid, or the sum would instantiate
+    its free parameters at values the component alone never takes."""
     names1 = {f.name for f in sys1.signature}
     overlap = names1 & {f.name for f in sys2.signature}
     if overlap:
         raise TermError(f"sum requires disjoint signatures; shared: {sorted(overlap)}")
     sys1.quantale.check_same(sys2.quantale)
+    grid = tuple(dict.fromkeys(sys1.grid + sys2.grid))
+    for c in (sys1, sys2):
+        if c.has_schemas and set(c.grid) != set(grid):
+            raise TermError(
+                f"sum would widen the grid of {c.name}, which has schema rules")
 
     def tag(rules: Tuple[Rule, ...], default: str) -> Tuple[Rule, ...]:
         return tuple(
@@ -701,7 +729,7 @@ def sum_systems(sys1: RewriteSystem, sys2: RewriteSystem) -> RewriteSystem:
         quantale=sys1.quantale,
         signature=sys1.signature + sys2.signature,
         rules=tag(sys1.rules, sys1.name) + tag(sys2.rules, sys2.name),
-        grid=tuple(dict.fromkeys(sys1.grid + sys2.grid)),
+        grid=grid,
     )
 
 

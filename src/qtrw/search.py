@@ -9,8 +9,10 @@ returned value; otherwise the best witness is returned as an upper bound.
 Steps come from the system's stepper (see ``qtrw.qtrs.Stepper``): backward
 steps are forward steps of the inverted rules, so variables a rule's
 right-hand side erases are instantiated from a candidate pool drawn from the
-query terms' subterms.  Each term's deduplicated step list is cached in the
-stepper, so repeated queries over a shared state space amortize.
+query terms' subterms.  Each term's deduplicated step list, the
+``RewriteStep``s the search relaxes, is cached in the stepper, so repeated
+queries over a shared state space amortize.  The same records, each with
+its rule, position, direction and weight, make up an answer's witness.
 
 Each step is generated once per query.  A query owns one redex memo, shared
 by both of its frontiers and dropped with it, so a subterm common to many
@@ -51,7 +53,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
 from .quantale import QuantaleError, QuantaleSpec, Value
-from .term import Position, Term, term_size
+from .term import Term, term_size
 from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, one_step,
                    subterm_pool)
 
@@ -76,25 +78,10 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
-class WitnessStep:
-    direction: str  # "forward" | "backward", relative to the rewrite relation
-    source: Term
-    target: Term
-    position: Position
-    rule_id: str
-    weight: Value
-
-    def flipped(self) -> "WitnessStep":
-        return WitnessStep(
-            "backward" if self.direction == "forward" else "forward",
-            self.target, self.source, self.position, self.rule_id, self.weight)
-
-
-@dataclass(frozen=True)
 class DistanceAnswer:
     kind: str
     value: Optional[Value]
-    witness: Tuple[WitnessStep, ...]
+    witness: Tuple[RewriteStep, ...]
     expanded: int = 0
 
     def to_json(self, fmt: Callable[[Value], str]) -> str:
@@ -115,12 +102,9 @@ class DistanceAnswer:
         })
 
 
-Relaxation = Tuple[Term, Value, WitnessStep]
-
-
 def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
                  pool: Sequence[Term],
-                 memo: Optional[RedexMemo] = None) -> List[Relaxation]:
+                 memo: Optional[RedexMemo] = None) -> List[RewriteStep]:
     """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
     per target (best weight kept), ordered by target rendering, and cached
     in the system's stepper under the key (symmetric, t), with the pool's
@@ -139,19 +123,15 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
         key = (symmetric, t, tuple(pool))
     out = stepper.relaxations.get(key)
     if out is None:
-        directions = [("forward", one_step(sys, t, pool, memo=memo))]
+        steps = one_step(sys, t, pool, memo=memo)
         if symmetric:
-            directions.append(("backward", stepper.steps(
-                t, pool, backward=True, memo=memo)))
+            steps += stepper.steps(t, pool, backward=True, memo=memo)
         sb = sys.quantale.strictly_below
-        best: Dict[Term, Relaxation] = {}
-        for direction, steps in directions:
-            for s in steps:
-                old = best.get(s.target)
-                if old is None or sb(old[1], s.weight):
-                    best[s.target] = (s.target, s.weight, WitnessStep(
-                        direction, s.source, s.target, s.position, s.rule_id,
-                        s.weight))
+        best: Dict[Term, RewriteStep] = {}
+        for s in steps:
+            old = best.get(s.target)
+            if old is None or sb(old.weight, s.weight):
+                best[s.target] = s
         out = stepper.relaxations[key] = [best[u] for u in sorted(best, key=str)]
     return out
 
@@ -213,9 +193,9 @@ class _SideSearch:
         self.budget = budget
         self.memo = memo
         self.meets = meets
-        self.dist: Dict[Term, Tuple[Value, int, List[WitnessStep]]] = {
+        self.dist: Dict[Term, Tuple[Value, int, List[RewriteStep]]] = {
             start: (self.q.unit, 0, [])}
-        self.opposite: Dict[Term, Tuple[Value, int, List[WitnessStep]]] = {}
+        self.opposite: Dict[Term, Tuple[Value, int, List[RewriteStep]]] = {}
         self.settled: Set[Term] = set()
         self.best_pruned: Optional[Value] = None
         self._heap: List[Tuple[object, int, Term]] = []
@@ -254,9 +234,10 @@ class _SideSearch:
             if depth >= self.budget.max_depth:
                 self._note_pruned(w)
                 return term
-            for target, sw, step in _relaxations(
+            for step in _relaxations(
                     self.sys, self.symmetric, term, self.pool, self.memo):
-                nw = tensor(w, sw)
+                target = step.target
+                nw = tensor(w, step.weight)
                 if ((cutoff is not None and sb(nw, cutoff))
                         or (max_size is not None
                             and term_size(target) > max_size)):
@@ -592,7 +573,7 @@ def normalize(
 
 
 def validate_witness(sys: RewriteSystem, s: Term, t: Term,
-                     witness: Sequence[WitnessStep]) -> bool:
+                     witness: Sequence[RewriteStep]) -> bool:
     """Re-derive every witness step through the one-step relation."""
     q = sys.quantale
     pool = subterm_pool(s, t)

@@ -1,6 +1,7 @@
 """Tests for the system file format and the command-line interface."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -106,6 +107,41 @@ def test_rules_sharing_an_id_are_rejected(tmp_path, capsys):
     path.write_text(text)
     assert main(["check", str(path), "--what", "confluence-report"]) == 1
     assert capsys.readouterr() == ("", "error: duplicate rule id 'r'\n")
+
+
+def test_repeated_grid_values_are_rejected(tmp_path, capsys):
+    # 2/4 is 1/2: each schema instance at it would be emitted twice
+    grid = "0 1/2 2/4 1"
+    bary = SAMPLES / "barycentric.qtrs"
+    with pytest.raises(TermError, match="^repeated grid value 1/2$"):
+        replace(CATALOG["barycentric"](), grid=tuple(
+            Fraction(g) for g in grid.split()))
+    assert main(["critical-pairs", str(bary), "--grid", grid]) == 1
+    assert capsys.readouterr() == ("", "error: repeated grid value 1/2\n")
+    path = tmp_path / "ticking.qtrs"
+    path.write_text((SAMPLES / "ticking.qtrs").read_text().replace(
+        "option grid 0 1 2 3 4 5", f"option grid {grid}"))
+    with pytest.raises(TermError, match="^repeated grid value 1/2$"):
+        parse_system(path.read_text())
+    assert main(["check", str(path), "--what", "local-confluence"]) == 1
+    assert capsys.readouterr() == ("", "error: repeated grid value 1/2\n")
+
+
+def test_a_rule_variable_may_not_name_a_later_symbol(tmp_path, capsys):
+    lines = ["system late", "quantale lawvere", "symbol g/1",
+             "rule r: g(a) -[1]-> a", "symbol a/0", "symbol b/0"]
+    text = "\n".join(lines)
+    with pytest.raises(DslError, match="^line 4: variable 'a' of rule r is"
+                       " declared as a symbol after the rule$"):
+        parse_system(text)
+    path = tmp_path / "late.qtrs"
+    path.write_text(text)
+    assert main(["rewrite", str(path), "g(b)"]) == 1
+    assert capsys.readouterr().err.startswith("error: line 4: variable 'a'")
+    # declared first, ``a`` is the constant, and emission round-trips
+    early = parse_system("\n".join(lines[:3] + lines[4:] + lines[3:4]))
+    assert one_step(early, parse_term("g(b)", early.signature)) == []
+    assert parse_system(emit_system(early)) == early
 
 
 def test_parse_system_rejects_unknown_quantale():

@@ -23,7 +23,9 @@ from qtrw.qtrs import (
     sum_systems,
     term_graph,
 )
+from qtrw.dsl import parse_system
 from qtrw.systems import (
+    CATALOG,
     DNA_BASES,
     dna_term,
     make_barycentric,
@@ -37,6 +39,7 @@ from qtrw.systems import (
 from qtrw.term import (
     Application,
     Symbol,
+    TermError,
     Variable,
     positions,
     replace_at,
@@ -170,6 +173,23 @@ def test_disjoint_sum_has_no_cross_peaks():
     combined = sum_systems(bck, bary)
     assert len(combined.rules) == len(bck.rules) + len(bary.rules)
     assert cross_critical_pairs(bck, bary) == []
+
+
+def test_a_sum_may_not_widen_a_schema_component_grid():
+    ticking = CATALOG["ticking"]()
+    text = ["system seven", "quantale lawvere", "symbol s/0", "symbol u/0",
+            "rule su: s -[1]-> u"]
+    seven = parse_system("\n".join(text + ["option grid 7"]))
+    # summed with ``seven``, ``recount`` would step w{0}(nil) to w{7}(nil),
+    # which ticking alone cannot
+    for pair in ((ticking, seven), (seven, ticking)):
+        with pytest.raises(TermError, match="widen the grid of ticking"):
+            sum_systems(*pair)
+        with pytest.raises(TermError, match="widen the grid of ticking"):
+            cross_critical_pairs(*pair)
+    # grids are compared as sets: the union here is ordered 5 0 3 1 2 4
+    same = parse_system("\n".join(text + ["option grid 5 0 3"]))
+    assert set(sum_systems(same, ticking).grid) == set(ticking.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for distance search, normalization, and witness checking."""
 
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -96,6 +98,12 @@ def test_valley_distance_on_numerals():
     assert validate_witness(sys, nat_term(2), nat_term(4), ans.witness)
 
 
+def _witness_weight(sys, ans):
+    """The tensor of an answer's witness step weights."""
+    q = sys.quantale
+    return functools.reduce(q.tensor, (w.weight for w in ans.witness), q.unit)
+
+
 def test_levenshtein_small_pairs():
     sys = make_dna("levenshtein")
     rng = random.Random("lev-small")
@@ -108,6 +116,7 @@ def test_levenshtein_small_pairs():
         ans = convertibility_distance(sys, dna_term(s), dna_term(t),
                                       _dna_budget(s, t))
         assert ans.value == Fraction(oracle_levenshtein(s, t)), (s, t)
+        assert _witness_weight(sys, ans) == ans.value, (s, t)
 
 
 def test_hamming_distances_and_unreachability():
@@ -218,6 +227,7 @@ def test_meet_searches_agree_with_closures_of_the_explored_graph():
                     assert want is INF, case
                 if ans.value is not None:
                     assert validate_witness(sys, s, t, ans.witness), case
+                    assert _witness_weight(sys, ans) == ans.value, case
                 checked[ans.kind] = checked.get(ans.kind, 0) + 1
     assert min(checked[k] for k in (EXACT, UPPER_BOUND, UNREACHABLE)) > 0
 
@@ -349,8 +359,8 @@ def test_witness_validation_rejects_tampering():
     ans = reduction_distance(sys, s, t)
     assert validate_witness(sys, s, t, ans.witness)
     assert not validate_witness(sys, s, nat_term(2), ans.witness)
-    cheaper = [w.__class__(w.direction, w.source, w.target, w.position,
-                           w.rule_id, Fraction(0)) for w in ans.witness]
+    cheaper = [dataclasses.replace(w, weight=Fraction(0))
+               for w in ans.witness]
     assert not validate_witness(sys, s, t, cheaper)
 
 

@@ -15,7 +15,7 @@ from qtrw.dsl import parse_system
 from qtrw.graded import multi_step
 from qtrw.qtrs import Rule, RewriteSystem, SymbolFamily, one_step, subterm_pool
 from qtrw.quantale import LAWVERE
-from qtrw.search import (SearchBudget, WitnessStep, _relaxations,
+from qtrw.search import (EXACT, SearchBudget, _relaxations,
                          convertibility_distance)
 from qtrw.systems import (app2, dna_term, make_barycentric, make_dna,
                           make_graded_combinators, make_nat, nat_term)
@@ -241,6 +241,10 @@ def test_graded_steps_scale_both_directions_alike():
     (bwd,) = sys.stepper.steps(target, backward=True)
     assert fwd.weight == bwd.weight == Fraction(4)  # two contexts of grade 2
     assert term_key(bwd.target) == term_key(source)
+    ans = convertibility_distance(sys, target, source)
+    assert (ans.kind, ans.value) == (EXACT, Fraction(4))
+    assert [(w.direction, w.weight) for w in ans.witness] == [
+        ("backward", Fraction(4))]
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +302,11 @@ def _two_pass_relaxations(sysm, t, pool):
     then backward ones, the first best step per target kept."""
     q = sysm.quantale
     best = {}
-    for direction, steps in (
-            ("forward", one_step(sysm, t, pool)),
-            ("backward", sysm.stepper.steps(t, pool, backward=True))):
-        for s in steps:
-            old = best.get(s.target)
-            if old is None or q.strictly_below(old[1], s.weight):
-                best[s.target] = (s.target, s.weight, WitnessStep(
-                    direction, s.source, s.target, s.position, s.rule_id,
-                    s.weight))
+    for s in (one_step(sysm, t, pool)
+              + sysm.stepper.steps(t, pool, backward=True)):
+        old = best.get(s.target)
+        if old is None or q.strictly_below(old.weight, s.weight):
+            best[s.target] = s
     return [best[u] for u in sorted(best, key=str)]
 
 
@@ -318,7 +318,7 @@ def test_forward_only_relaxations_equal_forward_plus_backward(name):
         pool = subterm_pool(t)
         got = _relaxations(sysm, True, t, pool)
         assert got == _two_pass_relaxations(sysm, t, pool)
-        assert all(step.direction == "forward" for _, _, step in got)
+        assert all(step.direction == "forward" for step in got)
         compared += len(got)
     assert compared > 100
     # convertibility and valley searches share the cached step lists
