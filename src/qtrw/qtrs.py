@@ -252,6 +252,10 @@ class RewriteSystem:
     def _check_term(self, t: Term, rule: Rule) -> None:
         for s in preorder(t):
             if isinstance(s, Variable):
+                # emit_system would write it as the symbol
+                if s.name in self.families:
+                    raise TermError(f"rule {rule.rid}: variable {s.name!r}"
+                                    " has the name of a symbol family")
                 continue
             fam = self.families.get(s.symbol.name)
             if fam is None:
@@ -537,7 +541,9 @@ class Stepper:
 
     def steps(self, t: Term, pool: Optional[Sequence[Term]] = None,
               backward: bool = False, *,
-              memo: Optional[RedexMemo] = None) -> List[RewriteStep]:
+              memo: Optional[RedexMemo] = None,
+              within: Optional[Tuple[Value, Value]] = None,
+              ) -> List[RewriteStep]:
         """Every single step from ``t``, duplicate-free; with ``backward``,
         every step from ``t`` of the inverse relation, each in the
         direction "backward".
@@ -548,6 +554,17 @@ class Stepper:
         assignment in the rule id; backward steps keep the bare rule id.
         ``memo`` is the caller's redex memo (by default a fresh one); it must
         only ever serve this stepper.
+
+        ``within``, a pair (weight so far, bound), keeps only the steps
+        whose weight, tensored onto the weight so far, stays at or above
+        the bound in the quantale order; a redex out of bounds (after
+        context scaling) is skipped before its contracta are built.  The
+        result is the unbounded list with the steps out of bounds taken
+        out.  Of the steps sharing a position, rule id and target, only the
+        first heaviest is kept; the quantale is totally ordered and its
+        tensor monotone, so one out of bounds weighs strictly less than any
+        in bounds, and skipping it changes no kept step.  The order is by
+        position, rule id and target, so the rest keep their order.
         """
         q = self.quantale
         if memo is None:
@@ -558,9 +575,17 @@ class Stepper:
             redexes = memo.get((backward, sub))
             if redexes is None:
                 redexes = memo[backward, sub] = self._redexes(sub, backward)
+            if not redexes:
+                continue
+            if self.families is not None:
+                deg = _degree(self.families, t, p)
+                redexes = [(rid, scale(q, deg, weight), fresh, contractum)
+                           for rid, weight, fresh, contractum in redexes]
+            if within is not None:
+                done, bound = within
+                redexes = [r for r in redexes
+                           if q.leq(bound, q.tensor(done, r[1]))]
             for rid, weight, fresh, contractum in redexes:
-                if self.families is not None:
-                    weight = scale(q, _degree(self.families, t, p), weight)
                 contracta = (_invented(t, pool, fresh, *contractum) if fresh
                              else (contractum,))
                 for c in contracta:
@@ -614,6 +639,7 @@ def one_step(
     fresh_pool: Optional[Sequence[Term]] = None,
     *,
     memo: Optional[RedexMemo] = None,
+    within: Optional[Tuple[Value, Value]] = None,
 ) -> List[RewriteStep]:
     """Every single rewrite step from ``t``, duplicate-free.
 
@@ -621,9 +647,11 @@ def one_step(
     variables the left-hand side does not bind; by default a single fresh
     variable is used.  If ``sys`` declares grades, each step weight is
     scaled by the degree of the surrounding context.  ``memo`` is a redex
-    memo shared by the steps of one query of ``sys`` (see ``Stepper``).
+    memo shared by the steps of one query of ``sys`` (see ``Stepper``);
+    ``within`` = (weight so far, bound) keeps only the steps that stay in
+    bounds (see ``Stepper.steps``).
     """
-    return sys.stepper.steps(t, fresh_pool, memo=memo)
+    return sys.stepper.steps(t, fresh_pool, memo=memo, within=within)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +857,11 @@ def _layered_relaxation(
     previous one improved, at their current best weight.  Paths whose
     weight drops below ``weight_bound`` in the quantale order are pruned
     (sound: tensors only descend), as are reducts larger than ``size_bound``.
-    Steps go through the redex memo ``memo`` of the caller's check.
+    The weight bound is applied inside ``one_step`` (its ``within``), so a
+    step it prunes is never built; that step list is the full one with the
+    pruned steps taken out, in the same order, so the yields are those of
+    generating every step and pruning afterwards.  Steps go through the
+    redex memo ``memo`` of the caller's check.
     """
     q = sys.quantale
     best: Dict[Term, Tuple[Value, List[RewriteStep]]] = {t: (q.unit, [])}
@@ -839,10 +871,9 @@ def _layered_relaxation(
         next_frontier: List[Term] = []
         for term in frontier:
             w, path = best[term]
-            for step in one_step(sys, term, pool, memo=memo):
+            within = None if weight_bound is None else (w, weight_bound)
+            for step in one_step(sys, term, pool, memo=memo, within=within):
                 nw = q.tensor(w, step.weight)
-                if weight_bound is not None and not q.leq(weight_bound, nw):
-                    continue
                 u = step.target
                 if size_bound is not None and term_size(u) > size_bound:
                     continue
@@ -909,6 +940,16 @@ class StrongClosureVerdict:
     one_step_right: Optional[Tuple[Term, Value]]  # left ->* v =<- right
 
 
+def _match_root(t: Term) -> Optional[Symbol]:
+    """The root symbol of ``t`` if ``match`` can pair ``t`` only with terms
+    of that very root: ``None`` for a variable, or for a root with a
+    parameter that is not a ``Fraction``, which matching may still solve."""
+    if isinstance(t, Variable):
+        return None
+    sym = t.symbol
+    return sym if all(isinstance(v, Fraction) for v in sym.params) else None
+
+
 def _one_sided_closure(
     sys: RewriteSystem,
     short_side: Term,
@@ -918,17 +959,38 @@ def _one_sided_closure(
     pool: Sequence[Term],
     memo: RedexMemo,
 ) -> Optional[Tuple[Term, Value]]:
+    """The first meet, and the valley weight, of ``short_side`` in at most
+    one step and ``long_side`` in at most ``depth`` steps, whose valley
+    weight dominates ``peak_total``; ``None`` if there is none.
+
+    The long side's search is bounded by ``peak_total``: its steps that
+    would take a path below it are never built (see ``Stepper.steps``), and
+    the terms it reaches are those, in the order, of pruning them after
+    building them.  Each reached term is tried against the short side's
+    reducts (the candidates) in their order, skipping the candidates whose
+    root symbol cannot pair with the term's (``_match_root``): ``match``
+    fails on those both ways, so the first meet found is the same.
+    """
     q = sys.quantale
     candidates = {u: w for u, w, _ in _layered_relaxation(
         sys, short_side, 1, pool, memo=memo)}
     # the sought meet is one of the candidates, so reducts that outgrow them
     # (modulo slack for intermediate reshuffling) can never close the peak
     size_cap = 2 + max(term_size(long_side), *map(term_size, candidates))
+    roots = {u: _match_root(u) for u in candidates}
+    # the candidates in order that may pair with a term of each root
+    paired: Dict[Optional[Symbol], List[Tuple[Term, Value]]] = {
+        None: list(candidates.items())}
     for term, w, _ in _layered_relaxation(
             sys, long_side, depth, pool, peak_total, size_cap, memo):
+        root = _match_root(term)
+        tried = paired.get(root)
+        if tried is None:
+            tried = paired[root] = [(u, wu) for u, wu in candidates.items()
+                                    if roots[u] is None or roots[u] is root]
         # critical pairs are open terms: the sides meet when one is an
         # instance of the other, not only when they are literally equal
-        for u, wu in candidates.items():
+        for u, wu in tried:
             if (term == u
                     or match(term, u) is not None
                     or match(u, term) is not None):

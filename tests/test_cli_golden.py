@@ -4,12 +4,14 @@ Each CLI case runs ``qtrw`` in process on a sample system and compares its
 exit code and its exact standard output with the files under
 ``tests/golden/``: the step lists, critical peaks, check verdicts, distance
 answers with their witnesses (directions and rule ids included), and a
-reduction graph.  Three library goldens cover what the CLI does not print:
+reduction graph.  Four library goldens cover what the CLI does not print:
 ``normalize`` under every strategy at several depths on each sample's seed
 term (``normalize.json``), ``multi_step`` on seeded graded-combinator
-terms at widths 1, 2 and 4 (``multi-step.json``), and the parser
+terms at widths 1, 2 and 4 (``multi-step.json``), the parser
 (``parse.json``): every sample emitted back as text, a corpus of parsed
-terms, and the exception class and line number of malformed inputs.
+terms, and the exception class and line number of malformed inputs, and
+``strongly_closed_check`` on every barycentric peak at depth 6
+(``strong-closure.json``): the verdict and both one-sided meets.
 
 To regenerate all goldens after an intended output change, run this file as
 a script: ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -26,6 +28,7 @@ import pytest
 from qtrw.cli import main
 from qtrw.dsl import emit_system, parse_system, parse_term
 from qtrw.graded import multi_step
+from qtrw.qtrs import critical_pairs, strongly_closed_check
 from qtrw.search import SearchBudget, normalize
 from qtrw.term import (Application, Symbol, Variable, apply_substitution,
                        instantiate_params, term_key, variables)
@@ -290,9 +293,31 @@ def _parse_golden():
     return out
 
 
+STRONG_CLOSURE_DEPTH = 6
+
+
+def _strong_closure_golden():
+    sysm = _system("barycentric")
+
+    def meet(side):
+        return None if side is None else [term_key(side[0]), str(side[1])]
+
+    out = []
+    for peak in critical_pairs(sysm):
+        v = strongly_closed_check(sysm, peak, STRONG_CLOSURE_DEPTH)
+        out.append({
+            "peak": [peak.inner_rule, peak.outer_rule, list(peak.position),
+                     term_key(peak.source)],
+            "holds": v.holds,
+            "one_step_left": meet(v.one_step_left),
+            "one_step_right": meet(v.one_step_right)})
+    return out
+
+
 LIBRARY = {"normalize.json": _normalize_golden,
            "multi-step.json": _multi_step_golden,
-           "parse.json": _parse_golden}
+           "parse.json": _parse_golden,
+           "strong-closure.json": _strong_closure_golden}
 
 
 def _library_text(golden):

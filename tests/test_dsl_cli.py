@@ -10,7 +10,9 @@ import pytest
 
 from qtrw.cli import main
 from qtrw.dsl import DslError, emit_system, emit_term, parse_system, parse_term
-from qtrw.qtrs import GradedError, degree_of_variable, one_step
+from qtrw.qtrs import (GradedError, Rule, RewriteSystem, SymbolFamily,
+                       degree_of_variable, one_step)
+from qtrw.quantale import LAWVERE
 from qtrw.search import strategy_path
 from qtrw.systems import CATALOG
 from qtrw.term import Application, Symbol, TermError, Variable
@@ -142,6 +144,21 @@ def test_a_rule_variable_may_not_name_a_later_symbol(tmp_path, capsys):
     early = parse_system("\n".join(lines[:3] + lines[4:] + lines[3:4]))
     assert one_step(early, parse_term("g(b)", early.signature)) == []
     assert parse_system(emit_system(early)) == early
+
+
+def test_the_library_rejects_a_rule_variable_named_like_a_symbol():
+    # built in Python, the clash would reach emit_system, which writes the
+    # variable as the symbol, so the round trip would change the rule
+    g = Symbol("g", 1)
+    rule = Rule("r", Application(g, (Variable("a"),)),
+                Application(g, (Variable("a"),)), 1)
+    sig = (SymbolFamily("g", 1), SymbolFamily("a", 0))
+    with pytest.raises(TermError, match="^rule r: variable 'a' has the name"
+                       " of a symbol family$"):
+        RewriteSystem("clash", LAWVERE, sig, (rule,))
+    # without the symbol family the system builds and round-trips
+    ok = RewriteSystem("clash", LAWVERE, sig[:1], (rule,))
+    assert parse_system(emit_system(ok)) == ok
 
 
 def test_parse_system_rejects_unknown_quantale():

@@ -20,6 +20,7 @@ from qtrw.qtrs import (
     one_step,
     sn_probe,
     strongly_closed_check,
+    subterm_pool,
     sum_systems,
     term_graph,
 )
@@ -45,6 +46,7 @@ from qtrw.term import (
     replace_at,
     subterm_at,
     term_key,
+    term_size,
 )
 
 
@@ -241,6 +243,77 @@ def test_bounded_reducts_grow_with_depth():
             total = sys.quantale.tensor(total, step.weight)
         assert term_key(cur) == term_key(reduct)
         assert total == weight
+
+
+def _relaxation_pruned_after(sys, t, depth, pool, weight_bound, size_bound):
+    """``_layered_relaxation`` built the plain way: every step of each
+    expanded term is generated, then the bounds prune it."""
+    q = sys.quantale
+    best = {t: (q.unit, [])}
+    yield t, q.unit, []
+    frontier = [t]
+    for _ in range(depth):
+        next_frontier = []
+        for term in frontier:
+            w, path = best[term]
+            for step in one_step(sys, term, pool):
+                nw = q.tensor(w, step.weight)
+                u = step.target
+                if not q.leq(weight_bound, nw) or term_size(u) > size_bound:
+                    continue
+                old = best.get(u)
+                if old is None or q.strictly_below(old[0], nw):
+                    best[u] = (nw, path + [step])
+                    next_frontier.append(u)
+                    yield u, nw, best[u][1]
+        if not next_frontier:
+            break
+        frontier = next_frontier
+
+
+BOUNDED_PEAKS = 100  # the first peaks of each sample
+BOUNDED_DEPTH = 2
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_weight_bounded_steps_are_the_unbounded_steps_filtered(name):
+    sys = CATALOG[name]()
+    q, stepper = sys.quantale, sys.stepper
+    for peak in critical_pairs(sys)[:BOUNDED_PEAKS]:
+        bound = peak.tensor(q)
+        pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
+        for t in (peak.source, peak.left[0], peak.right[0]):
+            every = stepper.steps(t, pool)
+            for done in dict.fromkeys(
+                    (q.unit, peak.left[1], peak.right[1], bound)):
+                kept = [s for s in every
+                        if q.leq(bound, q.tensor(done, s.weight))]
+                assert stepper.steps(t, pool, within=(done, bound)) == kept
+        for side in (peak.left[0], peak.right[0]):
+            size = 2 + term_size(side)
+            assert list(_layered_relaxation(
+                sys, side, BOUNDED_DEPTH, pool, bound, size)) == list(
+                _relaxation_pruned_after(
+                    sys, side, BOUNDED_DEPTH, pool, bound, size))
+
+
+def test_weight_bounded_steps_weigh_the_scaled_step():
+    sys = parse_system("\n".join([
+        "system scaled", "quantale lawvere", "symbol f/1 grades [2]",
+        "symbol g/1 grades [1/2]", "symbol a/0", "symbol b/0",
+        "rule ab: a -[1]-> b", "rule ba: b -[3]-> a"]))
+    q, a, b = sys.quantale, _const("a"), _const("b")
+    for t in (_f("f", a), _f("g", a), _f("g", b), _f("f", _f("g", _f("f", a)))):
+        every = one_step(sys, t)
+        for done, bound in [(0, Fraction(1, 2)), (0, Fraction(3, 2)),
+                            (1, 2), (Fraction(1, 2), 3), (0, 0)]:
+            kept = [s for s in every if q.leq(bound, q.tensor(done, s.weight))]
+            assert one_step(sys, t, within=(done, bound)) == kept
+    # the rule weighs 1; the bound is applied to the step, 2 under f and
+    # 1/2 under g
+    assert one_step(sys, _f("f", a), within=(0, Fraction(3, 2))) == []
+    assert [s.weight for s in one_step(
+        sys, _f("g", a), within=(0, Fraction(1, 2)))] == [Fraction(1, 2)]
 
 
 def test_term_graph_of_nat_is_confluent():
