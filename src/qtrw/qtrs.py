@@ -555,16 +555,14 @@ class Stepper:
         ``memo`` is the caller's redex memo (by default a fresh one); it must
         only ever serve this stepper.
 
-        ``within``, a pair (weight so far, bound), keeps only the steps
-        whose weight, tensored onto the weight so far, stays at or above
-        the bound in the quantale order; a redex out of bounds (after
-        context scaling) is skipped before its contracta are built.  The
-        result is the unbounded list with the steps out of bounds taken
-        out.  Of the steps sharing a position, rule id and target, only the
-        first heaviest is kept; the quantale is totally ordered and its
-        tensor monotone, so one out of bounds weighs strictly less than any
-        in bounds, and skipping it changes no kept step.  The order is by
-        position, rule id and target, so the rest keep their order.
+        ``within`` = (weight so far, bound) keeps only the steps whose
+        weight, tensored onto the weight so far, stays at or above the
+        bound; a redex out of bounds (after context scaling) is skipped
+        before its contracta are built.  The result is the unbounded list
+        with those steps taken out: of the steps sharing a position, rule id
+        and target the first heaviest is kept, and as the quantale is
+        totally ordered and its tensor monotone, one out of bounds weighs
+        less than any in bounds, so the kept steps and their order stay.
         """
         q = self.quantale
         if memo is None:
@@ -857,11 +855,10 @@ def _layered_relaxation(
     previous one improved, at their current best weight.  Paths whose
     weight drops below ``weight_bound`` in the quantale order are pruned
     (sound: tensors only descend), as are reducts larger than ``size_bound``.
-    The weight bound is applied inside ``one_step`` (its ``within``), so a
-    step it prunes is never built; that step list is the full one with the
-    pruned steps taken out, in the same order, so the yields are those of
-    generating every step and pruning afterwards.  Steps go through the
-    redex memo ``memo`` of the caller's check.
+    ``one_step`` applies the weight bound (its ``within``), so a pruned
+    step is never built, and the yields are those of building every step
+    and pruning afterwards.  Steps go through the redex memo ``memo`` of
+    the caller's check.
     """
     q = sys.quantale
     best: Dict[Term, Tuple[Value, List[RewriteStep]]] = {t: (q.unit, [])}
@@ -959,17 +956,15 @@ def _one_sided_closure(
     pool: Sequence[Term],
     memo: RedexMemo,
 ) -> Optional[Tuple[Term, Value]]:
-    """The first meet, and the valley weight, of ``short_side`` in at most
-    one step and ``long_side`` in at most ``depth`` steps, whose valley
-    weight dominates ``peak_total``; ``None`` if there is none.
+    """The first meet of ``short_side`` in at most one step and
+    ``long_side`` in at most ``depth`` steps whose valley weight dominates
+    ``peak_total``, with that weight; ``None`` if there is none.
 
-    The long side's search is bounded by ``peak_total``: its steps that
-    would take a path below it are never built (see ``Stepper.steps``), and
-    the terms it reaches are those, in the order, of pruning them after
-    building them.  Each reached term is tried against the short side's
-    reducts (the candidates) in their order, skipping the candidates whose
-    root symbol cannot pair with the term's (``_match_root``): ``match``
-    fails on those both ways, so the first meet found is the same.
+    The long side never builds a step that takes its path below
+    ``peak_total`` (see ``_layered_relaxation``).  Each term it reaches is
+    tried against the short side's reducts in their order, skipping those
+    whose root symbol cannot pair with the term's (``_match_root``):
+    ``match`` fails on them both ways, so the first meet stays the same.
     """
     q = sys.quantale
     candidates = {u: w for u, w, _ in _layered_relaxation(
