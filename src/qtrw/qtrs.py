@@ -568,6 +568,8 @@ class Stepper:
         if memo is None:
             memo = {}
         direction = "backward" if backward else "forward"
+        if within is not None:
+            done, bound = within
         steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
         for p, sub in subterms(t):
             redexes = memo.get((backward, sub))
@@ -580,7 +582,6 @@ class Stepper:
                 redexes = [(rid, scale(q, deg, weight), fresh, contractum)
                            for rid, weight, fresh, contractum in redexes]
             if within is not None:
-                done, bound = within
                 redexes = [r for r in redexes
                            if q.leq(bound, q.tensor(done, r[1]))]
             for rid, weight, fresh, contractum in redexes:
