@@ -17,7 +17,9 @@ may not use as a variable the name of a symbol declared after it.  A rule
 weight is a value of the quantale declared above it (``true`` under
 ``bool``, ``inf`` under the cost quantales) or else, like a symbol parameter,
 an exact rational expression; parameterless ones are folded to constants so
-a parsed file compares equal to its in-memory source.
+a parsed file compares equal to its in-memory source.  A rule whose symbol
+slots, weight or conditions name a parameter is a schema: ``Rule`` reads its
+parameters off itself, so the parser declares none.
 
 Terms are read on the scanner of ``ratexpr``, whose expression grammar reads
 symbol parameters in place; the term parser and ``emit_term`` keep their
@@ -33,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .quantale import QuantaleError, QuantaleSpec, Value, get_quantale
 from .ratexpr import (Expr, ExprError, _parse_sum, _Scanner, parse_comparison,
                       parse_expr)
-from .term import Application, Symbol, Term, Variable, preorder, variables
+from .term import Application, Symbol, Term, Variable, variables
 from .qtrs import Rule, RewriteSystem, SymbolFamily
 
 
@@ -285,16 +287,7 @@ def parse_system(text: str) -> RewriteSystem:
                 raise DslError(str(exc), lineno) from None
             lhs = parse_term(lhs_text, signature, lineno)
             rhs = parse_term(rhs_text, signature, lineno)
-            params = set()
-            for t in (lhs, rhs):
-                params |= _term_params(t)
-            if hasattr(weight, "params"):
-                params |= weight.params()
-            for c in conditions:
-                params |= c.params()
-            rules.append(Rule(
-                m.group("name"), lhs, rhs, weight,
-                params=tuple(sorted(params)), conditions=conditions))
+            rules.append(Rule(m.group("name"), lhs, rhs, weight, conditions))
             rule_lines.append(lineno)
         else:
             raise DslError(f"unknown directive {head!r}", lineno)
@@ -310,12 +303,6 @@ def parse_system(text: str) -> RewriteSystem:
             raise DslError(f"variable {clash[0]!r} of rule {rule.rid} is"
                            " declared as a symbol after the rule", lineno)
     return RewriteSystem(name, quantale, tuple(signature), tuple(rules), grid)
-
-
-def _term_params(t: Term) -> set:
-    return {name for s in preorder(t) if isinstance(s, Application)
-            for p in s.symbol.params if not isinstance(p, Fraction)
-            for name in p.params()}
 
 
 # ---------------------------------------------------------------------------

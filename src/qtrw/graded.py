@@ -23,6 +23,7 @@ from .term import (
 from .qtrs import (
     GradedError,
     RewriteSystem,
+    _best_per_target,
     _invented,
     _rule_matches,
     degree_of_variable,
@@ -103,7 +104,7 @@ def multi_step(sys: RewriteSystem, t: Term,
                 _pareto_insert(table, MultiStep(
                     Application(term.symbol, tuple(c.target for c in combo)),
                     w, n), q)
-        for rule, fresh in candidates:
+        for rule in candidates:
             for sigma, env, eps, rhs in _rule_matches(q, sys.grid, rule, term):
                 lhs = instantiate_params(rule.lhs, env)
                 bound = sorted(variables(lhs))
@@ -121,21 +122,12 @@ def multi_step(sys: RewriteSystem, t: Term,
                         w = q.tensor(w, scale(q, deg, c.weight))
                     tau: Dict[str, Term] = {
                         x: c.target for x, c in zip(bound, combo)}
-                    for u in (_invented(term, None, fresh, tau, rhs) if fresh
+                    for u in (_invented(term, None, rule.fresh, tau, rhs)
+                              if rule.fresh
                               else (apply_substitution(rhs, tau),)):
                         _pareto_insert(table, MultiStep(u, w, n), q)
         memo[term] = [ms for u in sorted(table, key=str) for ms in table[u]]
     return memo[t]
-
-
-def _best_per_target(steps: Sequence[MultiStep],
-                     q: QuantaleSpec) -> Dict[Term, MultiStep]:
-    best: Dict[Term, MultiStep] = {}
-    for ms in steps:
-        old = best.get(ms.target)
-        if old is None or q.strictly_below(old.weight, ms.weight):
-            best[ms.target] = ms
-    return best
 
 
 @dataclass(frozen=True)

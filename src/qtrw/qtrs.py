@@ -45,8 +45,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, TypeVar)
 
 from .quantale import INF, QuantaleError, QuantaleSpec, Value
 from .ratexpr import Comparison, Env, Expr, ExprError, Param
@@ -169,11 +169,14 @@ WeightSlot = object  # Value or Expr
 
 @dataclass(frozen=True)
 class Rule:
+    """A rule ``lhs -[weight]-> rhs`` that fires where ``conditions`` hold.
+    Its schema parameters and fresh variables are read off the rule itself,
+    so a rule built in code is the same rule loaded from a system file."""
+
     rid: str
     lhs: Term
     rhs: Term
     weight: WeightSlot
-    params: Tuple[str, ...] = ()
     conditions: Tuple[Comparison, ...] = ()
     origin: str = ""
 
@@ -181,11 +184,22 @@ class Rule:
         if isinstance(self.lhs, Variable) and isinstance(self.rhs, Variable):
             raise TermError(f"rule {self.rid}: variable-to-variable rule")
 
+    @cached_property
+    def params(self) -> Tuple[str, ...]:
+        """The schema parameters, sorted: the names in the symbol slots of
+        both sides, in the weight and in the conditions."""
+        exprs = [slot for t in (self.lhs, self.rhs) for s in preorder(t)
+                 if not isinstance(s, Variable) for slot in s.symbol.params]
+        exprs += [self.weight, *self.conditions]
+        return tuple(sorted({name for e in exprs if hasattr(e, "params")
+                             for name in e.params()}))
+
     @property
     def is_schema(self) -> bool:
         return bool(self.params)
 
-    def fresh_rhs_variables(self) -> Tuple[str, ...]:
+    @cached_property
+    def fresh(self) -> Tuple[str, ...]:
         """Right-hand-side variables the left-hand side does not bind."""
         return tuple(sorted(variables(self.rhs) - variables(self.lhs)))
 
@@ -240,8 +254,8 @@ class RewriteSystem:
             rids.add(rule.rid)
             for t in (rule.lhs, rule.rhs):
                 self._check_term(t, rule)
-            if rule.is_schema:
-                continue
+            if rule.is_schema and hasattr(rule.weight, "evaluate"):
+                continue  # checked per instance by ``weight_value``
             try:
                 self.quantale.check_value(rule.weight)
             except QuantaleError as exc:
@@ -356,9 +370,16 @@ def _instances(quantale: QuantaleSpec, grid: Sequence[Fraction],
     """The instances of schema ``rule`` over ``grid`` that fire."""
     for env, w, (lhs, rhs) in _firing(quantale, grid, rule, {},
                                       (rule.lhs, rule.rhs)):
-        tag = ",".join(f"{p}={env[p]}" for p in rule.params)
-        yield Rule(rid=f"{rule.rid}[{tag}]", lhs=lhs, rhs=rhs, weight=w,
+        yield Rule(rid=_instance_id(rule, env), lhs=lhs, rhs=rhs, weight=w,
                    origin=rule.origin)
+
+
+def _instance_id(rule: Rule, env: Env) -> str:
+    """The id of ``rule``'s instance under ``env``: ``rid[p=v,...]`` over the
+    rule's parameters in order, or ``rid`` for a concrete rule."""
+    if not rule.params:
+        return rule.rid
+    return f"{rule.rid}[{','.join(f'{p}={env[p]}' for p in rule.params)}]"
 
 
 def _fresh_variable_for(t: Term, taken: Set[str]) -> Variable:
@@ -383,24 +404,20 @@ def _rule_matches(
         yield sigma, full, w, rhs
 
 
-_Entry = Tuple[Rule, Tuple[str, ...]]  # a rule and its fresh rhs variables
-
-
 class _RuleTable(NamedTuple):
-    var_rules: Tuple[_Entry, ...]            # rules with a bare-variable lhs
-    by_root: Dict[str, Tuple[_Entry, ...]]   # the others, by lhs root symbol
-    invents: bool                            # some rule has fresh variables
+    var_rules: Tuple[Rule, ...]            # rules with a bare-variable lhs
+    by_root: Dict[str, Tuple[Rule, ...]]   # the others, by lhs root symbol
+    invents: bool                          # some rule has fresh variables
 
     @classmethod
     def of(cls, rules: Sequence[Rule]) -> "_RuleTable":
-        entries = [(rule, rule.fresh_rhs_variables()) for rule in rules]
-        by_root: Dict[str, List[_Entry]] = {}
-        for rule, fresh in entries:
+        by_root: Dict[str, List[Rule]] = {}
+        for rule in rules:
             if not isinstance(rule.lhs, Variable):
-                by_root.setdefault(rule.lhs.symbol.name, []).append((rule, fresh))
-        return cls(tuple(e for e in entries if isinstance(e[0].lhs, Variable)),
+                by_root.setdefault(rule.lhs.symbol.name, []).append(rule)
+        return cls(tuple(r for r in rules if isinstance(r.lhs, Variable)),
                    {k: tuple(v) for k, v in by_root.items()},
-                   any(fresh for _, fresh in entries))
+                   any(r.fresh for r in rules))
 
 
 def _params_solvable(t: Term) -> bool:
@@ -529,13 +546,11 @@ class Stepper:
         if not isinstance(sub, Variable):
             candidates += table.by_root.get(sub.symbol.name, ())
         out: List[_Redex] = []
-        for rule, fresh in candidates:
+        for rule in candidates:
             for sigma, env, weight, rhs in _rule_matches(
                     self.quantale, self.grid, rule, sub):
-                rid = rule.rid
-                if env and not backward:
-                    rid = f"{rule.rid}[{','.join(f'{k}={v}' for k, v in sorted(env.items()))}]"
-                out.append((rid, weight, fresh, (sigma, rhs) if fresh
+                rid = rule.rid if backward else _instance_id(rule, env)
+                out.append((rid, weight, rule.fresh, (sigma, rhs) if rule.fresh
                             else apply_substitution(rhs, sigma)))
         return tuple(out)
 
@@ -651,6 +666,21 @@ def one_step(
     bounds (see ``Stepper.steps``).
     """
     return sys.stepper.steps(t, fresh_pool, memo=memo, within=within)
+
+
+_Step = TypeVar("_Step")  # a RewriteStep or a graded MultiStep
+
+
+def _best_per_target(steps: Iterable[_Step],
+                     q: QuantaleSpec) -> Dict[Term, _Step]:
+    """The first heaviest of ``steps`` to each target, keyed by target in
+    the order the targets first occur."""
+    best: Dict[Term, _Step] = {}
+    for s in steps:
+        old = best.get(s.target)
+        if old is None or q.strictly_below(old.weight, s.weight):
+            best[s.target] = s
+    return best
 
 
 # ---------------------------------------------------------------------------

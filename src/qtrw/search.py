@@ -54,8 +54,8 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
 
 from .quantale import QuantaleError, QuantaleSpec, Value
 from .term import Term, term_size
-from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, one_step,
-                   subterm_pool)
+from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, _best_per_target,
+                   one_step, subterm_pool)
 
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
@@ -126,12 +126,7 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
         steps = one_step(sys, t, pool, memo=memo)
         if symmetric:
             steps += stepper.steps(t, pool, backward=True, memo=memo)
-        sb = sys.quantale.strictly_below
-        best: Dict[Term, RewriteStep] = {}
-        for s in steps:
-            old = best.get(s.target)
-            if old is None or sb(old.weight, s.weight):
-                best[s.target] = s
+        best = _best_per_target(steps, sys.quantale)
         out = stepper.relaxations[key] = [best[u] for u in sorted(best, key=str)]
     return out
 

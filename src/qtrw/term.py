@@ -56,8 +56,7 @@ class Symbol:
         if type(params) is not tuple:
             params = tuple(params)
         key = (name, arity, params)
-        ref = _SYMBOLS.get(key)
-        sym = ref() if ref is not None else None
+        sym = _SYMBOLS.get(key)
         if sym is not None:
             return sym
         sym = object.__new__(cls)
@@ -70,9 +69,7 @@ class Symbol:
             init(sym, "_str", f"{name}{{{','.join(str(p) for p in params)}}}")
         else:
             init(sym, "_str", name)
-        ref = _SymbolRef(sym, _forget_symbol)
-        ref.key = key
-        _SYMBOLS[key] = ref
+        _SYMBOLS[key] = sym
         return sym
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -95,20 +92,8 @@ class Symbol:
         return self._str
 
 
-class _SymbolRef(weakref.ref):
-    """A symbol-table entry: a weak reference to a symbol and its key."""
-
-    __slots__ = ("key",)
-
-
-def _forget_symbol(ref: _SymbolRef) -> None:
-    """Drop the entry of a symbol that died, unless its key was reused."""
-    if _SYMBOLS.get(ref.key) is ref:
-        del _SYMBOLS[ref.key]
-
-
 # (name, arity, params) -> the live symbol with those fields
-_SYMBOLS: Dict[Tuple[str, int, Tuple[ParamSlot, ...]], _SymbolRef] = {}
+_SYMBOLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -121,14 +106,14 @@ class Variable:
         return self.name
 
 
-class _Entry(weakref.ref):
+class _AppRef(weakref.ref):
     """An intern-table entry: a weak reference to an application, with the
     application's hash and the next entry under the same hash."""
 
     __slots__ = ("hash", "next")
 
 
-def _forget(entry: _Entry) -> None:
+def _forget(entry: _AppRef) -> None:
     """Unlink the entry of an application that died."""
     head = _TABLE.get(entry.hash)
     if head is entry:
@@ -175,7 +160,7 @@ class Application:
         init(t, "_hash", h)
         init(t, "_size", size)
         init(t, "_str", None)
-        entry = _Entry(t, _forget)
+        entry = _AppRef(t, _forget)
         entry.hash, entry.next = h, _TABLE.get(h)
         _TABLE[h] = entry
         return t
@@ -205,8 +190,8 @@ Term = Union[Variable, Application]
 Substitution = Dict[str, Term]
 
 # hash of (symbol, args) -> the entries of the live applications with that
-# hash, chained through ``_Entry.next``
-_TABLE: Dict[int, _Entry] = {}
+# hash, chained through ``_AppRef.next``
+_TABLE: Dict[int, _AppRef] = {}
 
 
 def _render(t: Application) -> str:

@@ -1,6 +1,7 @@
 """Tests for the system file format and the command-line interface."""
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -12,7 +13,7 @@ from qtrw.cli import main
 from qtrw.dsl import DslError, emit_system, emit_term, parse_system, parse_term
 from qtrw.qtrs import (GradedError, Rule, RewriteSystem, SymbolFamily,
                        degree_of_variable, one_step)
-from qtrw.quantale import LAWVERE
+from qtrw.quantale import LAWVERE, QuantaleError
 from qtrw.search import strategy_path
 from qtrw.systems import CATALOG
 from qtrw.term import Application, Symbol, TermError, Variable
@@ -307,6 +308,24 @@ def test_negative_grades_are_errors(tmp_path, capsys):
         degree_of_variable(base, t, "x")
     assert main(["degree", str(path), "g{1}(x)", "x"]) == 1
     assert capsys.readouterr().err == "error: negative sensitivity -1\n"
+
+
+def test_schema_rules_with_constant_weights_are_checked(tmp_path, capsys):
+    path = tmp_path / "schema.qtrs"
+    head = ["system schema", "quantale lawvere", "option grid 0 1",
+            "symbol f{n}/1", "symbol a/0"]
+    argv = ["distance", str(path), "f{1}(f{0}(a))", "a", "--mode",
+            "directed"]
+    # the schema's instances all weigh the constant, so it is checked once
+    for weight, err in [
+            ("-1", "Fraction(-1, 1) is not a value of quantale lawvere"),
+            ("inf", "bottom weight")]:
+        path.write_text("\n".join(
+            head + [f"rule r: f{{n}}(x) -[{weight}]-> x"]))
+        with pytest.raises(QuantaleError, match=re.escape(f"rule r: {err}")):
+            parse_system(path.read_text())
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: rule r: {err}\n")
 
 
 def test_balance_skips_undefined_schema_instances(tmp_path, capsys):

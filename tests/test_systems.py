@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import pytest
 
-from qtrw.qtrs import RewriteSystem
+from qtrw.dsl import parse_term
+from qtrw.qtrs import Rule, RewriteSystem, critical_pairs, one_step
 from qtrw.systems import (
     CATALOG,
     DNA_BASES,
@@ -29,6 +30,8 @@ from qtrw.systems import (
 )
 from qtrw.term import term_key, term_size
 
+from test_cli_golden import SEEDS
+
 
 def test_catalog_entries_construct():
     for name, make in CATALOG.items():
@@ -40,6 +43,34 @@ def test_catalog_entries_construct():
         if base.has_schemas:
             ground = base.instantiate()
             assert ground.rules and not ground.has_schemas, name
+
+
+def _rendered_peaks(sysm):
+    fmt = sysm.quantale.format_value
+    return [(term_key(p.source), term_key(p.left[0]), fmt(p.left[1]),
+             term_key(p.right[0]), fmt(p.right[1]), p.position,
+             p.inner_rule, p.outer_rule) for p in critical_pairs(sysm)]
+
+
+def _rendered_steps(sysm, t):
+    return [(term_key(s.target), s.weight, s.position, s.rule_id)
+            for s in one_step(sysm, t)]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_rules_built_in_code_behave_like_loaded_ones(name):
+    # a rule reads its schema parameters off itself, so the same rule built
+    # without the parser has the same parameters, peaks and steps
+    loaded = CATALOG[name]()
+    built = RewriteSystem(
+        loaded.name, loaded.quantale, loaded.signature,
+        tuple(Rule(r.rid, r.lhs, r.rhs, r.weight, conditions=r.conditions)
+              for r in loaded.rules),
+        loaded.grid)
+    assert [r.params for r in built.rules] == [r.params for r in loaded.rules]
+    assert _rendered_peaks(built) == _rendered_peaks(loaded)
+    seed = parse_term(SEEDS[name], loaded.signature)
+    assert _rendered_steps(built, seed) == _rendered_steps(loaded, seed)
 
 
 def test_each_call_builds_a_fresh_system():
