@@ -67,6 +67,12 @@ def _budget(args, q: QuantaleSpec) -> SearchBudget:
     )
 
 
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, not {value}")
+    return value
+
+
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-expanded", type=int, default=20000)
     p.add_argument("--max-depth", type=int, default=50)
@@ -78,9 +84,9 @@ def _cmd_rewrite(args) -> int:
     sysm = _load(args.file)
     fmt = sysm.quantale.format_value
     t = parse_term(args.term, sysm.signature)
-    if args.steps:
+    if _at_least(args.steps, 0, "--steps"):
         steps = list(islice(strategy_path(sysm, t, "leftmost-outermost"),
-                            max(args.steps, 0)))
+                            args.steps))
         footer = f"result: {steps[-1].target if steps else t}"
     else:
         steps = one_step(sysm, t)
@@ -145,6 +151,8 @@ def _cmd_critical_pairs(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _at_least(args.depth, 1, "--depth")
+    _at_least(args.max_terms, 1, "--max-terms")
     sysm = _load(args.file)
     seeds = [parse_term(s, sysm.signature) for s in (args.seed or [])]
     result: Dict[str, object]
@@ -211,7 +219,8 @@ def _cmd_check(args) -> int:
 def _cmd_graph(args) -> int:
     sysm = _load(args.file)
     t = parse_term(args.term, sysm.signature)
-    rel, _ = term_graph(sysm, [t], max_terms=None, depth=args.depth)
+    rel, _ = term_graph(sysm, [t], max_terms=None,
+                        depth=_at_least(args.depth, 0, "--depth"))
     print(rel.to_dot(name="rewriting") if args.dot else rel.to_text())
     return 0
 

@@ -155,32 +155,20 @@ def multistep_diamond_probe(
         raise GradedError("diamond probe requires an orthogonal system")
     q = sys.quantale
     outs = list(_best_per_target(multi_step(sys, t, width_budget), q).values())
-    closures: Dict[Term, Dict[Term, MultiStep]] = {}
-
-    def closure(u: Term) -> Dict[Term, MultiStep]:
-        if u not in closures:
-            closures[u] = _best_per_target(multi_step(sys, u, width_budget), q)
-        return closures[u]
-
-    checked = closed = 0
+    closures = {m.target: _best_per_target(
+        multi_step(sys, m.target, width_budget), q) for m in outs}
+    checked = 0
     violations: List[Tuple[Term, Term, Term]] = []
     for i, m1 in enumerate(outs):
-        c1 = closure(m1.target)
+        c1 = closures[m1.target]
         for m2 in outs[i:]:
             checked += 1
-            c2 = closure(m2.target)
+            c2 = closures[m2.target]
             peak = q.tensor(m1.weight, m2.weight)
-            found = False
-            for u, d1 in c1.items():
-                d2 = c2.get(u)
-                if d2 is not None and q.leq(peak, q.tensor(d1.weight, d2.weight)):
-                    found = True
-                    break
-            if found:
-                closed += 1
-            else:
+            if not any(u in c2 and q.leq(peak, q.tensor(d1.weight, c2[u].weight))
+                       for u, d1 in c1.items()):
                 violations.append((t, m1.target, m2.target))
-    return DiamondReport(checked, closed, tuple(violations))
+    return DiamondReport(checked, checked - len(violations), tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ slot such as ``+{(1 - e)}``) is inverted instance by instance over the grid.
 A stepper whose rules are closed under inversion, at no better weight, is
 ``self_inverse``: its backward steps repeat forward ones, and the distance
 search skips them.  Steps take each subterm's root redexes from a redex memo
-owned by the caller: one search query or one closure check (``join_check``,
-``strongly_closed_check``) shares one memo, so a subterm common to many of
+owned by the caller: one search query (``join_check`` runs one) or one
+``strongly_closed_check`` shares one memo, so a subterm common to many of
 its terms is matched against the rules once per direction.
 
 Grades belong to the system: a symbol family may declare its argument
@@ -878,11 +878,11 @@ def _layered_relaxation(
     weight_bound: Optional[Value] = None,
     size_bound: Optional[int] = None,
     memo: Optional[RedexMemo] = None,
-) -> Iterator[Tuple[Term, Value, List[RewriteStep]]]:
+) -> Iterator[Tuple[Term, Value]]:
     """Relax reducts of ``t`` layer by layer, up to ``depth`` steps.
 
-    Yields (term, weight, path) for ``t`` and then for each reduct whose
-    best weight improves, as it improves.  Each layer expands the terms the
+    Yields (term, weight) for ``t`` and then for each reduct whose best
+    weight improves, as it improves.  Each layer expands the terms the
     previous one improved, at their current best weight.  Paths whose
     weight drops below ``weight_bound`` in the quantale order are pruned
     (sound: tensors only descend), as are reducts larger than ``size_bound``.
@@ -892,13 +892,13 @@ def _layered_relaxation(
     the caller's check.
     """
     q = sys.quantale
-    best: Dict[Term, Tuple[Value, List[RewriteStep]]] = {t: (q.unit, [])}
-    yield t, q.unit, []
+    best: Dict[Term, Value] = {t: q.unit}
+    yield t, q.unit
     frontier = [t]
     for _ in range(depth):
         next_frontier: List[Term] = []
         for term in frontier:
-            w, path = best[term]
+            w = best[term]
             within = None if weight_bound is None else (w, weight_bound)
             for step in one_step(sys, term, pool, memo=memo, within=within):
                 nw = q.tensor(w, step.weight)
@@ -906,10 +906,10 @@ def _layered_relaxation(
                 if size_bound is not None and term_size(u) > size_bound:
                     continue
                 old = best.get(u)
-                if old is None or q.strictly_below(old[0], nw):
-                    best[u] = (nw, path + [step])
+                if old is None or q.strictly_below(old, nw):
+                    best[u] = nw
                     next_frontier.append(u)
-                    yield u, nw, best[u][1]
+                    yield u, nw
         if not next_frontier:
             break
         frontier = next_frontier
@@ -917,6 +917,10 @@ def _layered_relaxation(
 
 @dataclass(frozen=True)
 class JoinVerdict:
+    """A joinable verdict carries a valley that dominates the peak, an
+    unknown one the best valley found within the depth and the expansion
+    budget, if any: its paths from the peak's two sides to ``meet``."""
+
     kind: str  # "joinable" | "unknown"
     peak_total: Value
     best_total: Optional[Value]
@@ -931,34 +935,26 @@ def join_check(
     """Search for a valley whose tensor dominates the peak tensor.
 
     "Dominates" is in the quantale order (valley >= peak), i.e. numerically
-    at most the peak total on cost quantales.  An exhausted budget yields
-    "unknown", carrying the best valley found as a certificate.
+    at most the peak total on cost quantales.  The valley search is
+    ``qtrw.search``'s, each side at most ``depth_budget`` steps deep, with
+    variables a step invents drawn from the peak's subterms; it stops at the
+    first valley that dominates the peak.
     """
+    from .search import SearchBudget, _meet_search  # search imports qtrs
+
     q = sys.quantale
-    pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
+    left, right = peak.left[0], peak.right[0]
     peak_total = peak.tensor(q)
-    memo: RedexMemo = {}
-    lred, rred = [{u: (w, path) for u, w, path in _layered_relaxation(
-        sys, side, depth_budget, pool, memo=memo)}
-        for side in (peak.left[0], peak.right[0])]
-    best = None
-    for lt, (lw, lp) in lred.items():
-        hit = rred.get(lt)
-        if hit is None:
-            continue
-        rw, rp = hit
-        total = q.tensor(lw, rw)
-        if best is None or q.strictly_below(best[0], total):
-            best = (total, lt, lp, rp)
-    if best is not None and q.leq(peak_total, best[0]):
-        return JoinVerdict("joinable", peak_total, best[0], best[1],
-                           tuple(best[2]), tuple(best[3]))
-    return JoinVerdict(
-        "unknown", peak_total,
-        best[0] if best else None,
-        best[1] if best else None,
-        tuple(best[2]) if best else (),
-        tuple(best[3]) if best else ())
+    ans = _meet_search(
+        sys, left, right, SearchBudget(max_depth=depth_budget), symmetric=False,
+        pool=subterm_pool(peak.source, left, right), goal=peak_total)
+    lpath = tuple(s for s in ans.witness if s.direction == "forward")
+    rpath = tuple(s.flipped() for s in reversed(ans.witness)
+                  if s.direction == "backward")
+    joins = ans.value is not None and q.leq(peak_total, ans.value)
+    meet = None if ans.value is None else lpath[-1].target if lpath else left
+    return JoinVerdict("joinable" if joins else "unknown", peak_total,
+                       ans.value, meet, lpath, rpath)
 
 
 @dataclass(frozen=True)
@@ -998,8 +994,8 @@ def _one_sided_closure(
     ``match`` fails on them both ways, so the first meet stays the same.
     """
     q = sys.quantale
-    candidates = {u: w for u, w, _ in _layered_relaxation(
-        sys, short_side, 1, pool, memo=memo)}
+    candidates = dict(_layered_relaxation(
+        sys, short_side, 1, pool, memo=memo))
     # the sought meet is one of the candidates, so reducts that outgrow them
     # (modulo slack for intermediate reshuffling) can never close the peak
     size_cap = 2 + max(term_size(long_side), *map(term_size, candidates))
@@ -1007,7 +1003,7 @@ def _one_sided_closure(
     # the candidates in order that may pair with a term of each root
     paired: Dict[Optional[Symbol], List[Tuple[Term, Value]]] = {
         None: list(candidates.items())}
-    for term, w, _ in _layered_relaxation(
+    for term, w in _layered_relaxation(
             sys, long_side, depth, pool, peak_total, size_cap, memo):
         root = _match_root(term)
         tried = paired.get(root)

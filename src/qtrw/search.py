@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple)
@@ -289,9 +289,14 @@ def _meet_search(
     t: Term,
     budget: SearchBudget,
     symmetric: bool,
+    pool: Optional[Sequence[Term]] = None,
+    goal: Optional[Value] = None,
 ) -> DistanceAnswer:
     """Bidirectional search: ``left`` from ``s`` and ``right`` from ``t``
     expand in turn, and a meet scores the tensor of its two labels.
+    ``pool`` fills the variables a step invents (by default the subterms of
+    ``s`` and ``t``); with a ``goal``, the search also stops once its best
+    meet dominates ``goal``.
 
     Every term labelled on both sides has its meet checked when its second
     label is set or improved (``_Meets``), so no sweep over the labels is
@@ -361,11 +366,12 @@ def _meet_search(
     stopping rule; with ``eps`` below it (every Hamming and Levenshtein
     step costs at least 1) a conversion stops a cheapest step earlier
     (Holte, Felner, Sharon & Sturtevant, AAAI 2016; Goldberg & Harrelson,
-    SODA 2005).
+    SODA 2005).  A ``goal`` stop ends the loop earlier but changes no bound:
+    the answer is exact or an upper bound by the same test as above.
     """
     q = sys.quantale
     eps = sys.stepper.cheapest_step
-    pool = subterm_pool(s, t)
+    pool = subterm_pool(s, t) if pool is None else pool
     memo: RedexMemo = {}  # both frontiers step through one memo
     meets = _Meets(q)
     left = _SideSearch(sys, s, symmetric, pool, budget, memo, meets)
@@ -407,9 +413,10 @@ def _meet_search(
         if not progressed:
             exhausted_both = True
             break
-        if meets.best is not None and any(
-                b is None or not q.strictly_below(meets.best[0], b)
-                for b in bounds()):
+        if meets.best is not None and (
+                (goal is not None and q.leq(goal, meets.best[0]))
+                or any(b is None or not q.strictly_below(meets.best[0], b)
+                       for b in bounds())):
             break
     if meets.best is not None:
         total, meet = meets.best
@@ -460,8 +467,7 @@ def epsilon_reachability(
     q.check_value(eps)
     cut = budget.weight_cutoff
     if cut is None or q.strictly_below(eps, cut):
-        budget = SearchBudget(budget.max_expanded, budget.max_depth,
-                              eps, budget.max_term_size)
+        budget = replace(budget, weight_cutoff=eps)
     ans = convertibility_distance(sys, s, t, budget)
     if ans.value is not None and q.leq(eps, ans.value):
         return "true"

@@ -218,9 +218,6 @@ def test_cli_rewrite_steps_follow_the_leftmost_outermost_path(capsys):
     assert lines == [f"-[{s.weight}]-> {s.target}   ({s.rule_id} at"
                      f" {list(s.position)})" for s in full[:2]] + [
         f"result: {full[1].target}"]
-    # a negative count takes no step
-    assert main(["rewrite", str(path), str(t), "--steps", "-1"]) == 0
-    assert capsys.readouterr().out == f"result: {t}\n"
 
 
 def test_cli_critical_pairs(capsys):
@@ -271,6 +268,22 @@ def test_cli_graph_dot(capsys):
                  "--depth", "3", "--dot"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("digraph")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--what", "local-confluence", "--depth", "0"],
+     "--depth must be at least 1, not 0"),
+    (["check", "--what", "sn-probe", "--seed", "Z", "--max-terms", "-1"],
+     "--max-terms must be at least 1, not -1"),
+    (["rewrite", "A(Z, Z)", "--steps", "-2"],
+     "--steps must be at least 0, not -2"),
+    (["graph", "A(Z, Z)", "--depth", "-1"],
+     "--depth must be at least 0, not -1")],
+    ids=["check-depth", "check-max-terms", "rewrite-steps", "graph-depth"])
+def test_cli_bounds_out_of_range_are_errors(argv, message, capsys):
+    command, *rest = argv
+    assert main([command, str(SAMPLES / "nat.qtrs"), *rest]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_errors_return_one(capsys):

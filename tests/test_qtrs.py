@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from qtrw.qtrs import (
     sum_systems,
     term_graph,
 )
-from qtrw.dsl import parse_system
+from qtrw.dsl import parse_grid, parse_system
 from qtrw.systems import (
     CATALOG,
     DNA_BASES,
@@ -165,6 +166,92 @@ def test_nonlinear_overlap_fails_quantitative_join():
     assert verdict.meet is not None and term_key(verdict.meet) == term_key(i)
 
 
+def _reference_join(sys, peak, depth):
+    """The join as a second algorithm: relax each side layer by layer with
+    ``one_step`` to ``depth``, then take the best common reduct.  Returns
+    the verdict's kind and best total."""
+    q = sys.quantale
+    pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
+    tables = []
+    for side in (peak.left[0], peak.right[0]):
+        best, frontier = {side: q.unit}, [side]
+        for _ in range(depth):
+            improved = []
+            for term in frontier:
+                for step in one_step(sys, term, pool):
+                    w = q.tensor(best[term], step.weight)
+                    if step.target not in best or q.strictly_below(
+                            best[step.target], w):
+                        best[step.target] = w
+                        improved.append(step.target)
+            frontier = improved
+        tables.append(best)
+    lred, rred = tables
+    total = None
+    for u in lred.keys() & rred.keys():
+        w = q.tensor(lred[u], rred[u])
+        if total is None or q.strictly_below(total, w):
+            total = w
+    joins = total is not None and q.leq(peak.tensor(q), total)
+    return ("joinable" if joins else "unknown"), total
+
+
+def _assert_valley_replays(sys, peak, verdict):
+    """Both valley paths replay through ``one_step`` with the peak's pool,
+    from the peak's sides to the meet, and tensor to the best total."""
+    q = sys.quantale
+    pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
+    total = q.unit
+    for start, path in ((peak.left[0], verdict.left_path),
+                        (peak.right[0], verdict.right_path)):
+        cur = start
+        for step in path:
+            assert step.source == cur and step.direction == "forward"
+            assert step in one_step(sys, cur, pool)
+            cur, total = step.target, q.tensor(total, step.weight)
+        assert cur == verdict.meet
+    assert total == verdict.best_total
+
+
+# the golden harness's smaller grids for the samples with hundreds of peaks
+SMALL_GRIDS = {"barycentric": "0 1/2 1", "ticking": "0 1 2",
+               "ticking-terminating": "0 1 2"}
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_join_check_agrees_with_the_layered_reference(name, depth):
+    sys = CATALOG[name]()
+    if depth > 1 and name in SMALL_GRIDS:
+        sys = replace(sys, grid=parse_grid(SMALL_GRIDS[name]))
+    for peak in critical_pairs(sys):
+        verdict = join_check(sys, peak, depth)
+        assert (verdict.kind, verdict.best_total) == _reference_join(
+            sys, peak, depth), (peak.inner_rule, peak.outer_rule)
+        if verdict.best_total is None:
+            assert verdict.meet is None
+            assert verdict.left_path == verdict.right_path == ()
+        else:
+            _assert_valley_replays(sys, peak, verdict)
+
+
+# joinable peaks out of all peaks at depth 6; every other sample is all
+# joinable
+DEPTH_6_JOINS = {"barycentric": (293, 293), "semilattice": (4, 4),
+                 "dna-levenshtein": (48, 48), "ticking": (1031, 1031),
+                 "ticking-terminating": (477, 537)}
+
+
+def test_join_check_ends_at_the_default_depth():
+    for name in sorted(CATALOG):
+        sys = CATALOG[name]()
+        peaks = critical_pairs(sys)
+        joinable = sum(join_check(sys, p, 6).kind == "joinable"
+                       for p in peaks)
+        expected = DEPTH_6_JOINS.get(name, (len(peaks), len(peaks)))
+        assert (joinable, len(peaks)) == expected, name
+
+
 # ---------------------------------------------------------------------------
 # sums and modularity
 
@@ -228,44 +315,39 @@ def test_rule_weights_outside_the_quantale_are_rejected(quantale, weight):
 
 def test_bounded_reducts_grow_with_depth():
     sys = make_nat()
+    q = sys.quantale
     t = _f("A", nat_term(2), nat_term(2))
-    # the last yield of a reduct is its best weight within the depth
-    shallow, deep = [{u: (u, w, path) for u, w, path in
-                      _layered_relaxation(sys, t, depth)} for depth in (1, 6)]
-    assert set(shallow) <= set(deep)
-    assert deep[t][1] == sys.quantale.unit
-    # every witnessing path replays to its reduct
-    for reduct, weight, path in deep.values():
-        cur, total = t, sys.quantale.unit
-        for step in path:
-            assert term_key(step.source) == term_key(cur)
-            cur = step.target
-            total = sys.quantale.tensor(total, step.weight)
-        assert term_key(cur) == term_key(reduct)
-        assert total == weight
+    shallow, deep = [list(_layered_relaxation(sys, t, depth))
+                     for depth in (1, 6)]
+    assert {u for u, _ in shallow} <= {u for u, _ in deep}
+    assert deep[0] == (t, q.unit)
+    # every improvement is one step on from a weight yielded before it
+    for i, (u, w) in enumerate(deep[1:], 1):
+        assert any(step.target == u and q.tensor(wv, step.weight) == w
+                   for v, wv in deep[:i] for step in one_step(sys, v))
 
 
 def _relaxation_pruned_after(sys, t, depth, pool, weight_bound, size_bound):
     """``_layered_relaxation`` built the plain way: every step of each
     expanded term is generated, then the bounds prune it."""
     q = sys.quantale
-    best = {t: (q.unit, [])}
-    yield t, q.unit, []
+    best = {t: q.unit}
+    yield t, q.unit
     frontier = [t]
     for _ in range(depth):
         next_frontier = []
         for term in frontier:
-            w, path = best[term]
+            w = best[term]
             for step in one_step(sys, term, pool):
                 nw = q.tensor(w, step.weight)
                 u = step.target
                 if not q.leq(weight_bound, nw) or term_size(u) > size_bound:
                     continue
                 old = best.get(u)
-                if old is None or q.strictly_below(old[0], nw):
-                    best[u] = (nw, path + [step])
+                if old is None or q.strictly_below(old, nw):
+                    best[u] = nw
                     next_frontier.append(u)
-                    yield u, nw, best[u][1]
+                    yield u, nw
         if not next_frontier:
             break
         frontier = next_frontier
