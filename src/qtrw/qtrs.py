@@ -472,6 +472,10 @@ _Redex = Tuple[str, Value, Tuple[str, ...], object]
 # the redex memo of one query: (backward?, subterm) -> its root redexes
 RedexMemo = Dict[Tuple[bool, Term], Tuple[_Redex, ...]]
 
+# a redex that ``within`` kept out of a step list: its position, and the
+# redex with its weight after context scaling
+_Skip = Tuple[Position, _Redex]
+
 
 class Stepper:
     """A system's one-step relation, compiled for both directions.
@@ -558,6 +562,7 @@ class Stepper:
               backward: bool = False, *,
               memo: Optional[RedexMemo] = None,
               within: Optional[Tuple[Value, Value]] = None,
+              _skipped: Optional[List[_Skip]] = None,
               ) -> List[RewriteStep]:
         """Every single step from ``t``, duplicate-free; with ``backward``,
         every step from ``t`` of the inverse relation, each in the
@@ -578,6 +583,9 @@ class Stepper:
         and target the first heaviest is kept, and as the quantale is
         totally ordered and its tensor monotone, one out of bounds weighs
         less than any in bounds, so the kept steps and their order stay.
+        Each redex skipped is appended to ``_skipped``, if given, for a
+        caller that must account for the weight it prunes (see
+        ``_targets``).
         """
         q = self.quantale
         if memo is None:
@@ -597,8 +605,13 @@ class Stepper:
                 redexes = [(rid, scale(q, deg, weight), fresh, contractum)
                            for rid, weight, fresh, contractum in redexes]
             if within is not None:
-                redexes = [r for r in redexes
-                           if q.leq(bound, q.tensor(done, r[1]))]
+                kept = []
+                for r in redexes:
+                    if q.leq(bound, q.tensor(done, r[1])):
+                        kept.append(r)
+                    elif _skipped is not None:
+                        _skipped.append((p, r))
+                redexes = kept
             for rid, weight, fresh, contractum in redexes:
                 contracta = (_invented(t, pool, fresh, *contractum) if fresh
                              else (contractum,))
@@ -624,6 +637,16 @@ class Stepper:
             return p, rid, str(subterm_at(target, p)) + after[p]
 
         return [steps[k] for k in sorted(steps, key=order)]
+
+
+def _targets(t: Term, p: Position, redex: _Redex,
+             pool: Optional[Sequence[Term]]) -> Iterator[Term]:
+    """The targets of the steps ``redex`` at ``p`` makes from ``t``, as
+    ``Stepper.steps`` builds them, one at a time."""
+    _, _, fresh, contractum = redex
+    contracta = (_invented(t, pool, fresh, *contractum) if fresh
+                 else (contractum,))
+    return (replace_at(t, p, c) for c in contracta)
 
 
 def _invented(t: Term, pool: Optional[Sequence[Term]],
@@ -654,6 +677,7 @@ def one_step(
     *,
     memo: Optional[RedexMemo] = None,
     within: Optional[Tuple[Value, Value]] = None,
+    _skipped: Optional[List[_Skip]] = None,
 ) -> List[RewriteStep]:
     """Every single rewrite step from ``t``, duplicate-free.
 
@@ -663,9 +687,10 @@ def one_step(
     scaled by the degree of the surrounding context.  ``memo`` is a redex
     memo shared by the steps of one query of ``sys`` (see ``Stepper``);
     ``within`` = (weight so far, bound) keeps only the steps that stay in
-    bounds (see ``Stepper.steps``).
+    bounds (see ``Stepper.steps``, also for ``_skipped``).
     """
-    return sys.stepper.steps(t, fresh_pool, memo=memo, within=within)
+    return sys.stepper.steps(t, fresh_pool, memo=memo, within=within,
+                             _skipped=_skipped)
 
 
 _Step = TypeVar("_Step")  # a RewriteStep or a graded MultiStep

@@ -11,8 +11,10 @@ steps are forward steps of the inverted rules, so variables a rule's
 right-hand side erases are instantiated from a candidate pool drawn from the
 query terms' subterms.  Each term's deduplicated step list, the
 ``RewriteStep``s the search relaxes, is cached in the stepper, so repeated
-queries over a shared state space amortize.  The same records, each with
-its rule, position, direction and weight, make up an answer's witness.
+queries over a shared state space amortize; a directed search under a
+weight cutoff instead asks for the steps in bounds only, uncached.  The
+same records, each with its rule, position, direction and weight, make up
+an answer's witness.
 
 Each step is generated once per query.  A query owns one redex memo, shared
 by both of its frontiers and dropped with it, so a subterm common to many
@@ -55,7 +57,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
 from .quantale import QuantaleError, QuantaleSpec, Value
 from .term import Term, term_size
 from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, _best_per_target,
-                   one_step, subterm_pool)
+                   _Skip, _targets, one_step, subterm_pool)
 
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
@@ -113,7 +115,13 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
 
     The first best step per target is kept and forward steps come first,
     so on a self-inverse system backward steps never win, and are neither
-    generated nor keyed apart."""
+    generated nor keyed apart.
+
+    Meet searches and cutoff-free directed searches relax these lists, and
+    prune steps out of bounds only after they are built: a meet search
+    checks each pruned target against the other side's labels.  A directed
+    search under a weight cutoff takes the same steps in bounds from
+    ``_SideSearch._steps_within`` instead, which builds no pruned step."""
     stepper = sys.stepper
     if symmetric and stepper.self_inverse:
         symmetric = False
@@ -126,9 +134,16 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
         steps = one_step(sys, t, pool, memo=memo)
         if symmetric:
             steps += stepper.steps(t, pool, backward=True, memo=memo)
-        best = _best_per_target(steps, sys.quantale)
-        out = stepper.relaxations[key] = [best[u] for u in sorted(best, key=str)]
+        out = stepper.relaxations[key] = _by_target(steps, sys.quantale)
     return out
+
+
+def _by_target(steps: List[RewriteStep],
+               q: QuantaleSpec) -> List[RewriteStep]:
+    """The first best of ``steps`` to each target, ordered by target
+    rendering."""
+    best = _best_per_target(steps, q)
+    return [best[u] for u in sorted(best, key=str)]
 
 
 class _Meets:
@@ -213,7 +228,13 @@ class _SideSearch:
         return self.dist[self._heap[0][2]][0] if self._heap else None
 
     def pop(self) -> Optional[Term]:
-        """Settle and expand the best frontier term; returns it."""
+        """Settle and expand the best frontier term; returns it.
+
+        A step out of bounds is pruned: its weight enters ``best_pruned``,
+        and in a meet search its target is checked against ``opposite``, so
+        every pruned target is built.  A one-sided search (no ``meets``)
+        with a weight cutoff uses a pruned step for its weight alone, so it
+        asks the stepper for the steps in bounds only (``_steps_within``)."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
         dist, settled = self.dist, self.settled
@@ -229,8 +250,12 @@ class _SideSearch:
             if depth >= self.budget.max_depth:
                 self._note_pruned(w)
                 return term
-            for step in _relaxations(
-                    self.sys, self.symmetric, term, self.pool, self.memo):
+            if meets is None and cutoff is not None:
+                steps = self._steps_within(term, w, cutoff)
+            else:
+                steps = _relaxations(
+                    self.sys, self.symmetric, term, self.pool, self.memo)
+            for step in steps:
                 target = step.target
                 nw = tensor(w, step.weight)
                 if ((cutoff is not None and sb(nw, cutoff))
@@ -251,6 +276,36 @@ class _SideSearch:
             return term
         return None
 
+    def _steps_within(self, term: Term, w: Value,
+                      cutoff: Value) -> List[RewriteStep]:
+        """The forward steps from ``term``, settled at ``w``, that the weight
+        cutoff keeps, as ``_relaxations`` would order them, with the weight
+        of the best step to each target the cutoff prunes noted.
+
+        The stepper skips each redex out of bounds before building its
+        targets and reports it; the kept steps are the unbounded ones, in
+        order, less the pruned targets (see ``Stepper.steps``), so the same
+        steps are relaxed in the same order.  A skipped redex's targets are
+        built only while its weight could still raise ``best_pruned``, and
+        its weight is noted only for a target no kept step reaches, as the
+        unbounded list keeps one best step per target.  The list depends on
+        ``w``, so it is not cached; a one-sided search expands each term
+        once per query and loses no cache hit."""
+        q = self.q
+        skipped: List[_Skip] = []
+        steps = _by_target(
+            one_step(self.sys, term, self.pool, memo=self.memo,
+                     within=(w, cutoff), _skipped=skipped), q)
+        kept = {step.target for step in steps}
+        for p, redex in skipped:
+            nw = q.tensor(w, redex[1])
+            if ((self.best_pruned is None
+                    or q.strictly_below(self.best_pruned, nw))
+                    and any(u not in kept
+                            for u in _targets(term, p, redex, self.pool))):
+                self._note_pruned(nw)
+        return steps
+
     def truncated(self) -> bool:
         return self.best_pruned is not None
 
@@ -258,7 +313,15 @@ class _SideSearch:
 def reduction_distance(
     sys: RewriteSystem, s: Term, t: Term, budget: SearchBudget = SearchBudget()
 ) -> DistanceAnswer:
-    """Best accumulated weight of a rewrite path from ``s`` to ``t``."""
+    """Best accumulated weight of a rewrite path from ``s`` to ``t``.
+
+    One frontier searches forward from ``s``.  Under a weight cutoff, a
+    pruned step matters to it only through its weight, which bounds what
+    the pruned region might hold; no other side looks its target up.  So
+    the stepper skips the redexes out of bounds before their targets are
+    built, and the search builds one only while its weight could still
+    change that bound (see ``_SideSearch._steps_within``); the answers
+    are those of relaxing every step and pruning afterwards."""
     q = sys.quantale
     pool = subterm_pool(s, t)
     side = _SideSearch(sys, s, False, pool, budget, {})

@@ -184,6 +184,24 @@ def test_cli_distance_json(capsys):
     assert len(out["witness"]) == 2
 
 
+def test_cli_directed_distance_under_a_weight_cutoff(capsys):
+    # the cutoff 0 prunes every sdel step; the witness is addS 20 times,
+    # then addZ, as without the cutoff
+    def numeral(n):
+        return "S(" * n + "Z" + ")" * n
+
+    argv = _nat(f"A({numeral(20)}, {numeral(20)})", numeral(40),
+                "--mode", "directed", "--json")
+    outputs = []
+    for extra in (["--weight-cutoff", "0"], []):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    out = json.loads(outputs[0])
+    assert out["kind"] == "exact" and out["value"] == "0"
+    assert len(out["witness"]) == 21
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_distance_exit_codes(capsys):
     ham = str(SAMPLES / "dna-hamming.qtrs")
     assert main(["distance", ham, "A(nil)", "C(A(nil))",

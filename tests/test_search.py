@@ -4,9 +4,11 @@ import dataclasses
 import functools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qtrw import search
 from qtrw.search import (
     BUDGET_EXHAUSTED,
     EXACT,
@@ -23,11 +25,12 @@ from qtrw.search import (
     validate_witness,
     valley_distance,
 )
-from qtrw.dsl import parse_system
+from qtrw.dsl import parse_system, parse_term
 from qtrw.quantale import INF
 from qtrw.systems import (
     DNA_BASES,
     dna_term,
+    make_barycentric,
     make_dna,
     make_nat,
     nat_term,
@@ -43,6 +46,8 @@ def _add(a, b):
 
 
 NAT_BUDGET = SearchBudget(max_expanded=5000, max_depth=20, max_term_size=8)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def _dna_budget(*strings):
@@ -75,6 +80,127 @@ def test_reduction_distance_unreachable():
     # numerals only shrink under forward rewriting
     ans = reduction_distance(sys, nat_term(1), nat_term(3))
     assert ans.kind == UNREACHABLE and ans.value is None
+
+
+def _bounded_and_unbounded(monkeypatch, sys, s, t, budget):
+    """``reduction_distance`` as it runs, asking the stepper only for the
+    steps in bounds, and with every step from ``_relaxations``, which a
+    side with meets (here never offered) uses.  Checks that each run went
+    its way through ``one_step``."""
+    real = search.one_step
+    bounds = []
+    monkeypatch.setattr(search, "one_step", lambda *args, **kwargs: (
+        bounds.append(kwargs.get("within")) or real(*args, **kwargs)))
+
+    class Unbounded(search._SideSearch):
+        def __init__(self, sys, *args):
+            super().__init__(sys, *args, meets=search._Meets(sys.quantale))
+
+    bounded = reduction_distance(sys, s, t, budget)
+    assert bounds and None not in bounds
+    bounds.clear()
+    with monkeypatch.context() as m:
+        m.setattr(search, "_SideSearch", Unbounded)
+        unbounded = reduction_distance(sys, s, t, budget)
+    assert set(bounds) <= {None}
+    return bounded, unbounded
+
+
+def _agree(monkeypatch, sys, queries, cutoffs, **bounds):
+    """Both paths give equal answers (kind, value, expansions and witness)
+    on every query under every cutoff; returns the answers."""
+    answers = []
+    for s, t in queries:
+        for cutoff in cutoffs:
+            budget = SearchBudget(weight_cutoff=cutoff, **bounds)
+            got, want = _bounded_and_unbounded(monkeypatch, sys, s, t, budget)
+            assert got == want, (str(s), str(t), cutoff)
+            answers.append(got)
+    return answers
+
+
+def test_a_lighter_step_pruned_to_a_kept_target_does_not_truncate(
+        monkeypatch):
+    # f(b) is kept by cheap at 0; dear's step there at 5 is over the
+    # cutoff but no pruned target, so the search is still complete
+    sys = _system("a b c d", "rule cheap: a -[0]-> b", "rule dear: a -[5]-> b",
+                  "rule stop: b -[0]-> c")
+    f_a = parse_term("f(a)", sys.signature)
+    budget = SearchBudget(weight_cutoff=2)
+    ans, _ = _bounded_and_unbounded(monkeypatch, sys, f_a, _const("d"), budget)
+    assert (ans.kind, ans.value, ans.expanded) == (UNREACHABLE, None, 3)
+    f_c = parse_term("f(c)", sys.signature)
+    ans, _ = _bounded_and_unbounded(monkeypatch, sys, f_a, f_c, budget)
+    assert (ans.kind, ans.value) == (EXACT, 0)
+    assert [w.rule_id for w in ans.witness] == ["cheap", "stop"]
+    _agree(monkeypatch, sys, [(f_a, _const("d")), (f_a, f_c)], (0, 2, 5, 6))
+
+
+def test_bounded_additions_on_numerals_match_the_unbounded_search(
+        monkeypatch):
+    sys = make_nat()
+    queries = [(_add(nat_term(n), nat_term(m)), nat_term(k))
+               for n in range(4) for m in range(4)
+               for k in {n + m, max(n + m - 1, 0)}]
+    answers = _agree(monkeypatch, sys, queries, (0, 1), max_depth=30)
+    assert {a.kind for a in answers} == {EXACT, BUDGET_EXHAUSTED}
+    # the size bound prunes steps the cutoff keeps
+    _agree(monkeypatch, sys, queries, (0, 1), max_term_size=6)
+
+
+def test_bounded_graded_search_prunes_by_the_scaled_weight(monkeypatch):
+    # under !{3} the step I -> K weighs 3: over the cutoff 2, though the
+    # rule weighs 1, and noted as 3, so the cost-2 answer is exact
+    text = (SAMPLES / "graded-combinators.qtrs").read_text()
+    sys = parse_system(text + "\nrule i2k: I -[1]-> K\n")
+
+    def term(src):
+        return parse_term(src, sys.signature)
+
+    s = term("(!{3}(I) app I) app I")
+    ans, _ = _bounded_and_unbounded(
+        monkeypatch, sys, s, term("(!{3}(I) app K) app K"),
+        SearchBudget(weight_cutoff=2))
+    assert (ans.kind, ans.value) == (EXACT, 2)
+    targets = [term(src) for src in (
+        "(!{3}(I) app K) app K", "(!{3}(K) app I) app K",
+        "(!{0}(K) app I) app K", "!{2}(K app K)")]
+    sources = [s, term("(!{0}(I) app I) app I"), term("!{2}(I app I)")]
+    answers = _agree(monkeypatch, sys,
+                     [(u, v) for u in sources for v in targets],
+                     (0, 1, 2, 3, 4), max_expanded=500)
+    assert {EXACT, BUDGET_EXHAUSTED} <= {a.kind for a in answers}
+
+
+def test_a_pruned_pool_pick_beside_a_kept_one_truncates(monkeypatch):
+    # pick's z comes from the pool a, d, f(a): g(a) is kept by free, but
+    # g(d) and g(f(a)) are pruned targets, so d may lie behind the cutoff
+    sys = _system("a d", "rule pick: f(x) -[3]-> g(z)",
+                  "rule free: f(a) -[0]-> g(a)")
+    f_a = parse_term("f(a)", sys.signature)
+    ans, _ = _bounded_and_unbounded(monkeypatch, sys, f_a, _const("d"),
+                                    SearchBudget(weight_cutoff=2))
+    assert (ans.kind, ans.expanded) == (BUDGET_EXHAUSTED, 2)
+    _agree(monkeypatch, sys, [(f_a, _const("d")), (f_a, _const("a"))],
+           (0, 2, 3))
+
+
+def test_bounded_barycentric_search_matches_the_unbounded_search(
+        monkeypatch):
+    # perturb invents z, filled from the pool, and weighs its parameter
+    sys = make_barycentric()
+
+    def term(src):
+        return parse_term(src, sys.signature)
+
+    sources = [term("+{1/2}(x, y)"), term("+{1/3}(+{1/2}(x, y), y)")]
+    targets = [term("+{1/2}(y, y)"), term("+{1/2}(x, +{1/2}(x, y))"),
+               term("+{2/3}(y, +{1/2}(x, y))"), term("x")]
+    answers = _agree(monkeypatch, sys,
+                     [(u, v) for u in sources for v in targets],
+                     (0, Fraction(1, 4), Fraction(1, 2), 1),
+                     max_expanded=200)
+    assert {EXACT, BUDGET_EXHAUSTED} <= {a.kind for a in answers}
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +311,15 @@ def _ground_terms(max_size):
     return out
 
 
-def test_meet_searches_agree_with_closures_of_the_explored_graph():
+def _oracle_trials(seed, searches):
     """Random ground systems of rules that never grow a term, so the terms
     of size at most 3 are closed under forward steps and ``term_graph``
-    explores them all.  A conversion search limited to that size sees the
-    same graph; its exact answers equal ``(R + R^T)*`` on it and its
-    upper bounds are no better.  Valleys answer ``R* ; (R*)^T``."""
-    rng = random.Random("meet-search-oracle")
+    explores them all.  A search limited to that size sees the same graph;
+    its exact answers equal the closure that ``searches`` names for it on
+    that graph, its upper bounds are no better, and its witnesses replay.
+    ``searches`` maps a name to the search and its closure of ``R``.
+    Returns how many answers of each kind were checked."""
+    rng = random.Random(seed)
     universe = _ground_terms(3)
     small = [u for u in universe if term_size(u) <= 2]
     checked = {EXACT: 0, UPPER_BOUND: 0, UNREACHABLE: 0}
@@ -207,16 +335,14 @@ def test_meet_searches_agree_with_closures_of_the_explored_graph():
         q = sys.quantale
         rel, complete = term_graph(sys, universe, max_terms=None)
         assert complete
-        star = rel.star()
-        oracles = {"convert": rel.equivalence_closure(),
-                   "valley": star.compose(star.transpose())}
+        oracles = {mode: closure(rel)
+                   for mode, (_, closure) in searches.items()}
         for _ in range(20):
             s, t = rng.choice(universe), rng.choice(universe)
             cutoff = rng.choice((None, 1, 2, 3, 4, 5))
             budget = SearchBudget(max_term_size=3, weight_cutoff=cutoff)
-            for mode, search in (("convert", convertibility_distance),
-                                 ("valley", valley_distance)):
-                ans = search(sys, s, t, budget)
+            for mode, (distance, _) in searches.items():
+                ans = distance(sys, s, t, budget)
                 want = oracles[mode](str(s), str(t))
                 case = (trial, mode, str(s), str(t), rules, budget)
                 if ans.kind == EXACT:
@@ -229,7 +355,29 @@ def test_meet_searches_agree_with_closures_of_the_explored_graph():
                     assert validate_witness(sys, s, t, ans.witness), case
                     assert _witness_weight(sys, ans) == ans.value, case
                 checked[ans.kind] = checked.get(ans.kind, 0) + 1
+    return checked
+
+
+def _valleys(rel):
+    star = rel.star()
+    return star.compose(star.transpose())
+
+
+def test_meet_searches_agree_with_closures_of_the_explored_graph():
+    """Conversions answer ``(R + R^T)*`` and valleys ``R* ; (R*)^T``."""
+    checked = _oracle_trials("meet-search-oracle", {
+        "convert": (convertibility_distance,
+                    lambda rel: rel.equivalence_closure()),
+        "valley": (valley_distance, _valleys)})
     assert min(checked[k] for k in (EXACT, UPPER_BOUND, UNREACHABLE)) > 0
+
+
+def test_directed_searches_agree_with_closures_of_the_explored_graph():
+    """Reductions answer ``R*``, with the weight cutoff applied as the
+    stepper skips redexes."""
+    checked = _oracle_trials("directed-oracle", {
+        "directed": (reduction_distance, lambda rel: rel.star())})
+    assert min(checked[k] for k in (EXACT, UNREACHABLE)) > 0
 
 
 def test_hamming_conversions_stop_a_cheapest_step_early():
