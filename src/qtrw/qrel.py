@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .quantale import QuantaleError, QuantaleSpec, Value, require_lawverian
 
@@ -28,7 +28,7 @@ class SoundnessError(Exception):
 @dataclass(frozen=True)
 class FiniteQRel:
     carrier: Tuple[Node, ...]
-    edges: "FrozenSet[Tuple[Tuple[Node, Node], Value]]"
+    edges: EdgeMap = field(hash=False)  # no bottom entry; built by ``make``
     quantale: QuantaleSpec
 
     # -- construction -------------------------------------------------------
@@ -48,14 +48,10 @@ class FiniteQRel:
                 raise QuantaleError(f"edge endpoint outside carrier: {(a, b)}")
             if v != quantale.bottom:
                 clean[(a, b)] = v
-        return FiniteQRel(carrier_t, frozenset(clean.items()), quantale)
-
-    @property
-    def edge_map(self) -> EdgeMap:
-        return dict(self.edges)
+        return FiniteQRel(carrier_t, clean, quantale)
 
     def value(self, a: Node, b: Node) -> Value:
-        return self.edge_map.get((a, b), self.quantale.bottom)
+        return self.edges.get((a, b), self.quantale.bottom)
 
     def __call__(self, a: Node, b: Node) -> Value:
         return self.value(a, b)
@@ -72,10 +68,10 @@ class FiniteQRel:
         self.quantale.check_same(other.quantale)
         q = self.quantale
         by_src: Dict[Node, List[Tuple[Node, Value]]] = {}
-        for (b, c), v in other.edges:
+        for (b, c), v in other.edges.items():
             by_src.setdefault(b, []).append((c, v))
         out: EdgeMap = {}
-        for (a, b), v in self.edges:
+        for (a, b), v in self.edges.items():
             for c, w in by_src.get(b, ()):  # noqa: B905
                 t = q.tensor(v, w)
                 if t == q.bottom:
@@ -87,13 +83,14 @@ class FiniteQRel:
 
     def transpose(self) -> "FiniteQRel":
         return FiniteQRel.make(
-            self.carrier, {(b, a): v for (a, b), v in self.edges}, self.quantale)
+            self.carrier, {(b, a): v for (a, b), v in self.edges.items()},
+            self.quantale)
 
     def join(self, other: "FiniteQRel") -> "FiniteQRel":
         self._same_base(other)
         q = self.quantale
-        out = self.edge_map
-        for key, v in other.edges:
+        out = dict(self.edges)
+        for key, v in other.edges.items():
             out[key] = q.join2(out[key], v) if key in out else v
         return FiniteQRel.make(self.carrier, out, q)
 
@@ -112,7 +109,7 @@ class FiniteQRel:
         """Join of all finite powers (reflexive-transitive closure)."""
         require_lawverian(self.quantale, "star")
         q = self.quantale
-        dist = self.edge_map
+        dist = dict(self.edges)
         nodes = self.carrier
         for k in nodes:
             into_k = [(a, dist[(a, k)]) for a in nodes if (a, k) in dist]
@@ -135,16 +132,15 @@ class FiniteQRel:
     def box(self) -> "FiniteQRel":
         """Keep only the unit-valued entries (the Boolean core)."""
         q = self.quantale
-        kept = {key: v for key, v in self.edges if v == q.unit}
+        kept = {key: v for key, v in self.edges.items() if v == q.unit}
         return FiniteQRel.make(self.carrier, kept, q)
 
     def leq(self, other: "FiniteQRel") -> bool:
         """Pointwise order: self(a,b) <= other(a,b) everywhere."""
         self._same_base(other)
         q = self.quantale
-        other_map = other.edge_map
-        for key, v in self.edges:
-            if not q.leq(v, other_map.get(key, q.bottom)):
+        for key, v in self.edges.items():
+            if not q.leq(v, other.edges.get(key, q.bottom)):
                 return False
         return True
 
@@ -184,7 +180,7 @@ class FiniteQRel:
 
     def _successors(self) -> Dict[Node, List[Node]]:
         out: Dict[Node, List[Node]] = {a: [] for a in self.carrier}
-        for (a, b), _ in self.edges:
+        for a, b in self.edges:
             out[a].append(b)
         return out
 
@@ -210,12 +206,11 @@ class FiniteQRel:
 
     def weakly_normalizing_check(self) -> bool:
         nfs = self.normal_forms()
-        star = self.star()
-        star_map = star.edge_map
+        star = self.star().edges
         for n in self.carrier:
             if n in nfs:
                 continue
-            if not any((n, m) in star_map for m in nfs):
+            if not any((n, m) in star for m in nfs):
                 return False
         return True
 
@@ -224,7 +219,7 @@ class FiniteQRel:
     def to_text(self) -> str:
         lines = [f"quantale {self.quantale.name}",
                  "carrier " + " ".join(self.carrier)]
-        for (a, b), v in sorted(self.edges):
+        for (a, b), v in sorted(self.edges.items()):
             lines.append(f"{a} {b} {self.quantale.format_value(v)}")
         return "\n".join(lines) + "\n"
 
@@ -232,7 +227,7 @@ class FiniteQRel:
         lines = [f"digraph {name} {{"]
         for n in self.carrier:
             lines.append(f'  "{n}";')
-        for (a, b), v in sorted(self.edges):
+        for (a, b), v in sorted(self.edges.items()):
             lines.append(f'  "{a}" -> "{b}" [label="{self.quantale.format_value(v)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

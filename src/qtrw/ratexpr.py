@@ -9,6 +9,7 @@ with ``fractions.Fraction``; there is no floating point.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,13 @@ Env = Dict[str, Fraction]
 
 class ExprError(Exception):
     pass
+
+
+# the operators by their spelling; "<=" and ">=" are tried before "<" and ">"
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+_CMP = {"<=": operator.le, ">=": operator.ge, "!=": operator.ne,
+        "<": operator.lt, ">": operator.gt, "=": operator.eq}
 
 
 @dataclass(frozen=True)
@@ -59,17 +67,11 @@ class BinOp:
     right: "Expr"
 
     def evaluate(self, env: Env) -> Fraction:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if b == 0:
-            raise ExprError(f"division by zero in {self}")
-        return a / b
+        try:
+            return _ARITH[self.op](self.left.evaluate(env),
+                                   self.right.evaluate(env))
+        except ZeroDivisionError:
+            raise ExprError(f"division by zero in {self}") from None
 
     def params(self) -> FrozenSet[str]:
         return self.left.params() | self.right.params()
@@ -94,8 +96,6 @@ class Abs:
 
 Expr = Union[Lit, Param, BinOp, Abs]
 
-_CMP_OPS = ("<=", ">=", "!=", "<", ">", "=")
-
 
 @dataclass(frozen=True)
 class Comparison:
@@ -106,18 +106,8 @@ class Comparison:
 
     def holds(self, env: Env) -> bool:
         vals = [t.evaluate(env) for t in self.terms]
-        for (a, b), op in zip(zip(vals, vals[1:]), self.ops):
-            ok = {
-                "<": a < b,
-                "<=": a <= b,
-                ">": a > b,
-                ">=": a >= b,
-                "=": a == b,
-                "!=": a != b,
-            }[op]
-            if not ok:
-                return False
-        return True
+        return all(_CMP[op](a, b)
+                   for op, a, b in zip(self.ops, vals, vals[1:]))
 
     def params(self) -> FrozenSet[str]:
         out: FrozenSet[str] = frozenset()
@@ -260,7 +250,7 @@ def parse_comparison(text: str) -> Comparison:
     terms = [_parse_sum(sc)]
     ops = []
     while not sc.at_end():
-        for op in _CMP_OPS:
+        for op in _CMP:
             if sc.take(op):
                 ops.append(op)
                 break

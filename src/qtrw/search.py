@@ -40,9 +40,10 @@ enter both bounds, so an exact answer stays a proof; the case argument is
 in ``_meet_search``'s docstring.
 
 Terms are hash-consed (see ``qtrw.term``), so the searches key their
-distance tables, settled sets and the step cache by the terms themselves;
-the rendering is taken only where it fixes an order (steps sorted by target)
-or leaves the library (``normalize``'s sorted normal forms).
+labels and the step cache by the terms themselves.  A label holds the step
+that set it, and a witness is read back through the labels of the steps'
+sources.  The rendering is taken only where it fixes an order (steps sorted
+by target) or leaves the library (``normalize``'s sorted normal forms).
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import heapq
 import json
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    TypeAlias)
 
 from .quantale import QuantaleError, QuantaleSpec, Value
 from .term import Term, term_size
@@ -172,8 +173,21 @@ class _Meets:
             self.across_cut = total
 
 
+# a term's label: best weight, depth and last step (``None`` at the start);
+# a string, as ``typing`` would cache the alias with this import's classes
+_Label: TypeAlias = "Tuple[Value, int, Optional[RewriteStep]]"
+
+
 class _SideSearch:
     """One uniform-cost frontier with budget pruning and prune accounting.
+
+    ``dist`` holds one ``_Label`` per term, and ``path`` reads its steps
+    back through the labels of their sources.  A label is set only while
+    its step's source is expanded, and that source is settled: popped at
+    its final label, as pops follow the quantale order and, by integrality
+    (``a (x) b <= a``), no popped label is ever strictly improved.  A heap
+    entry holds the label it was pushed with, and is stale once the term's
+    label is another.
 
     ``best_pruned`` tracks the quantale-largest accumulated weight among
     pruned branches; no unexplored continuation can beat it, so it bounds
@@ -203,18 +217,28 @@ class _SideSearch:
         self.budget = budget
         self.memo = memo
         self.meets = meets
-        self.dist: Dict[Term, Tuple[Value, int, List[RewriteStep]]] = {
-            start: (self.q.unit, 0, [])}
-        self.opposite: Dict[Term, Tuple[Value, int, List[RewriteStep]]] = {}
-        self.settled: Set[Term] = set()
+        self.dist: Dict[Term, _Label] = {}
+        self.opposite: Dict[Term, _Label] = {}
         self.best_pruned: Optional[Value] = None
-        self._heap: List[Tuple[object, int, Term]] = []
+        self._heap: List[Tuple[object, int, Term, _Label]] = []
         self._seq = 0
-        self._push(start, self.q.unit)
+        self._push(start, (self.q.unit, 0, None))
 
-    def _push(self, term: Term, w: Value) -> None:
-        heapq.heappush(self._heap, (self.q.sort_key(w), self._seq, term))
+    def _push(self, term: Term, label: _Label) -> None:
+        self.dist[term] = label
+        heapq.heappush(self._heap,
+                       (self.q.sort_key(label[0]), self._seq, term, label))
         self._seq += 1
+
+    def path(self, term: Term) -> List[RewriteStep]:
+        """The steps of ``term``'s label, from the start term to ``term``."""
+        steps = []
+        step = self.dist[term][2]
+        while step is not None:
+            steps.append(step)
+            step = self.dist[step.source][2]
+        steps.reverse()
+        return steps
 
     def _note_pruned(self, w: Value) -> None:
         if self.best_pruned is None or self.q.strictly_below(self.best_pruned, w):
@@ -223,12 +247,13 @@ class _SideSearch:
     def frontier_bound(self) -> Optional[Value]:
         """Quantale-largest weight of a live frontier term, the only terms
         left to explore; ``None`` once there are none."""
-        while self._heap and self._heap[0][2] in self.settled:
-            heapq.heappop(self._heap)
-        return self.dist[self._heap[0][2]][0] if self._heap else None
+        heap, dist = self._heap, self.dist
+        while heap and dist[heap[0][2]] is not heap[0][3]:
+            heapq.heappop(heap)
+        return heap[0][3][0] if heap else None
 
     def pop(self) -> Optional[Term]:
-        """Settle and expand the best frontier term; returns it.
+        """Pop and expand the best frontier term; returns it.
 
         A step out of bounds is pruned: its weight enters ``best_pruned``,
         and in a meet search its target is checked against ``opposite``, so
@@ -237,16 +262,15 @@ class _SideSearch:
         asks the stepper for the steps in bounds only (``_steps_within``)."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
-        dist, settled = self.dist, self.settled
+        dist = self.dist
         opposite, meets = self.opposite, self.meets
         cutoff = self.budget.weight_cutoff
         max_size = self.budget.max_term_size
         while self._heap:
-            _, _, term = heapq.heappop(self._heap)
-            if term in settled:
+            _, _, term, label = heapq.heappop(self._heap)
+            if dist[term] is not label:
                 continue
-            settled.add(term)
-            w, depth, path = dist[term]
+            w, depth, _ = label
             if depth >= self.budget.max_depth:
                 self._note_pruned(w)
                 return term
@@ -268,9 +292,7 @@ class _SideSearch:
                 old = dist.get(target)
                 if old is not None and not sb(old[0], nw):
                     continue
-                dist[target] = (nw, depth + 1, path + [step])
-                settled.discard(target)
-                self._push(target, nw)
+                self._push(target, (nw, depth + 1, step))
                 if target in opposite:
                     meets.offer(tensor(nw, opposite[target][0]), target)
             return term
@@ -278,7 +300,7 @@ class _SideSearch:
 
     def _steps_within(self, term: Term, w: Value,
                       cutoff: Value) -> List[RewriteStep]:
-        """The forward steps from ``term``, settled at ``w``, that the weight
+        """The forward steps from ``term``, popped at ``w``, that the weight
         cutoff keeps, as ``_relaxations`` would order them, with the weight
         of the best step to each target the cutoff prunes noted.
 
@@ -322,25 +344,22 @@ def reduction_distance(
     built, and the search builds one only while its weight could still
     change that bound (see ``_SideSearch._steps_within``); the answers
     are those of relaxing every step and pruning afterwards."""
-    q = sys.quantale
     pool = subterm_pool(s, t)
     side = _SideSearch(sys, s, False, pool, budget, {})
-    expanded = 0
-    while expanded < budget.max_expanded:
+    expanded, popped = 0, False  # popped: t popped, at its final label
+    while not popped and expanded < budget.max_expanded:
         u = side.pop()
         if u is None:
             break
         expanded += 1
-        if u == t:
-            w, _, path = side.dist[u]
-            # a pruned branch might still have beaten this settlement
-            if side.best_pruned is not None and q.strictly_below(
-                    w, side.best_pruned):
-                return DistanceAnswer(UPPER_BOUND, w, tuple(path), expanded)
-            return DistanceAnswer(EXACT, w, tuple(path), expanded)
+        popped = u == t
     if t in side.dist:
-        w, _, path = side.dist[t]
-        return DistanceAnswer(UPPER_BOUND, w, tuple(path), expanded)
+        w = side.dist[t][0]
+        # a pruned branch might still have beaten t's final label
+        exact = popped and (side.best_pruned is None
+                            or not side.q.strictly_below(w, side.best_pruned))
+        return DistanceAnswer(EXACT if exact else UPPER_BOUND, w,
+                              tuple(side.path(t)), expanded)
     if side.frontier_bound() is None and not side.truncated():
         return DistanceAnswer(UNREACHABLE, None, (), expanded)
     return DistanceAnswer(BUDGET_EXHAUSTED, None, (), expanded)
@@ -483,9 +502,8 @@ def _meet_search(
             break
     if meets.best is not None:
         total, meet = meets.best
-        lpath = left.dist[meet][2]
-        rpath = right.dist[meet][2]
-        witness = tuple(lpath) + tuple(w.flipped() for w in reversed(rpath))
+        witness = tuple(left.path(meet)) + tuple(
+            w.flipped() for w in reversed(right.path(meet)))
         bound = bounds()[0]
         if bound is None or not q.strictly_below(total, bound):
             return DistanceAnswer(EXACT, total, witness, expanded)
@@ -638,8 +656,9 @@ def normalize(
 
 def validate_witness(sys: RewriteSystem, s: Term, t: Term,
                      witness: Sequence[RewriteStep]) -> bool:
-    """Re-derive every witness step through the one-step relation."""
-    q = sys.quantale
+    """Re-derive every witness step through the one-step relation: a
+    step at the same position to the same target, at least as heavy."""
+    unit = sys.quantale.unit
     pool = subterm_pool(s, t)
     cur = s
     for wstep in witness:
@@ -648,10 +667,9 @@ def validate_witness(sys: RewriteSystem, s: Term, t: Term,
         src, tgt = wstep.source, wstep.target
         if wstep.direction != "forward":
             src, tgt = tgt, src
-        if not any(c.position == wstep.position
-                   and c.target == tgt
-                   and not q.strictly_below(c.weight, wstep.weight)
-                   for c in one_step(sys, src, pool)):
+        if not any(c.position == wstep.position and c.target == tgt
+                   for c in one_step(sys, src, pool,
+                                     within=(unit, wstep.weight))):
             return False
         cur = wstep.target
     return cur == t

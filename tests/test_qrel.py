@@ -17,7 +17,7 @@ def rel(carrier, edges, q=LAWVERE):
 
 def test_construction_drops_bottom_edges():
     r = FiniteQRel.make("ab", {("a", "b"): F(1), ("b", "a"): INF}, LAWVERE)
-    assert r.edge_map == {("a", "b"): F(1)}
+    assert r.edges == {("a", "b"): F(1)}
     assert r("b", "a") is INF
     with pytest.raises(QuantaleError):
         FiniteQRel.make("ab", {("a", "c"): F(1)}, LAWVERE)
@@ -88,7 +88,7 @@ def test_star_rejects_non_lawverian():
 
 def test_box():
     r = rel("abc", {("a", "b"): 0, ("a", "c"): 1})
-    assert r.box().edge_map == {("a", "b"): F(0)}
+    assert r.box().edges == {("a", "b"): F(0)}
     assert r.box().box().equals(r.box())
     assert r.box().leq(r)
 

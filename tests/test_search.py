@@ -37,7 +37,7 @@ from qtrw.systems import (
     oracle_hamming,
     oracle_levenshtein,
 )
-from qtrw.qtrs import one_step, term_graph
+from qtrw.qtrs import one_step, subterm_pool, term_graph
 from qtrw.term import Application, Symbol, term_key, term_size
 
 
@@ -311,19 +311,12 @@ def _ground_terms(max_size):
     return out
 
 
-def _oracle_trials(seed, searches):
-    """Random ground systems of rules that never grow a term, so the terms
-    of size at most 3 are closed under forward steps and ``term_graph``
-    explores them all.  A search limited to that size sees the same graph;
-    its exact answers equal the closure that ``searches`` names for it on
-    that graph, its upper bounds are no better, and its witnesses replay.
-    ``searches`` maps a name to the search and its closure of ``R``.
-    Returns how many answers of each kind were checked."""
-    rng = random.Random(seed)
-    universe = _ground_terms(3)
-    small = [u for u in universe if term_size(u) <= 2]
-    checked = {EXACT: 0, UPPER_BOUND: 0, UNREACHABLE: 0}
-    for trial in range(60):
+def _ground_systems(rng, trials):
+    """``trials`` random ground systems, with their rules, of rules that
+    never grow a term: the terms of size at most 3 (``_ground_terms(3)``)
+    are closed under their forward steps."""
+    small = _ground_terms(2)
+    for _ in range(trials):
         rules = []
         for i in range(rng.randrange(3, 8)):
             lhs = rng.choice(small)
@@ -331,7 +324,21 @@ def _oracle_trials(seed, searches):
                               if term_size(u) <= term_size(lhs) and u != lhs])
             weight = rng.choice((1, 2, 3))
             rules.append(f"rule r{i}: {lhs} -[{weight}]-> {rhs}")
-        sys = _system("a b c", *rules)
+        yield rules, _system("a b c", *rules)
+
+
+def _oracle_trials(seed, searches):
+    """Random ground systems (``_ground_systems``), whose graph on the
+    terms of size at most 3 ``term_graph`` explores in full.  A search
+    limited to that size sees the same graph; its exact answers equal the
+    closure that ``searches`` names for it on that graph, its upper bounds
+    are no better, and its witnesses replay.  ``searches`` maps a name to
+    the search and its closure of ``R``.  Returns how many answers of each
+    kind were checked."""
+    rng = random.Random(seed)
+    universe = _ground_terms(3)
+    checked = {EXACT: 0, UPPER_BOUND: 0, UNREACHABLE: 0}
+    for trial, (rules, sys) in enumerate(_ground_systems(rng, 60)):
         q = sys.quantale
         rel, complete = term_graph(sys, universe, max_terms=None)
         assert complete
@@ -378,6 +385,80 @@ def test_directed_searches_agree_with_closures_of_the_explored_graph():
     checked = _oracle_trials("directed-oracle", {
         "directed": (reduction_distance, lambda rel: rel.star())})
     assert min(checked[k] for k in (EXACT, UNREACHABLE)) > 0
+
+
+@pytest.fixture
+def sides(monkeypatch):
+    """The ``_SideSearch``es the searches make, each with its start term."""
+    made = []
+
+    class Recorded(search._SideSearch):
+        def __init__(self, sys, start, *args, **kwargs):
+            super().__init__(sys, start, *args, **kwargs)
+            self.start = start
+            made.append(self)
+
+    monkeypatch.setattr(search, "_SideSearch", Recorded)
+    return made
+
+
+def _labels_replay(sys, sides):
+    """Every label of every side replays: its ``path`` chains from the
+    side's start, one step per unit of depth, each a step the stepper
+    makes from its source, and its weights tensor to the label's.  Returns
+    how many labels were checked, and empties ``sides``."""
+    q = sys.quantale
+    checked = 0
+    for side in sides:
+        made = {}  # the steps from a source in a direction, built once
+        for term, (weight, depth, _) in side.dist.items():
+            path = side.path(term)
+            assert len(path) == depth, (str(side.start), str(term))
+            cur, w = side.start, q.unit
+            for step in path:
+                assert step.source == cur, (str(side.start), str(term))
+                key = (cur, step.direction == "backward")
+                if key not in made:
+                    made[key] = set(sys.stepper.steps(
+                        cur, side.pool, backward=key[1]))
+                assert step in made[key]
+                cur, w = step.target, q.tensor(w, step.weight)
+            assert (cur, w) == (term, weight), (str(side.start), str(term))
+            checked += 1
+    sides.clear()
+    return checked
+
+
+def test_every_label_replays_to_its_weight(sides):
+    """Conversions, valleys and reductions, with and without a cutoff, on
+    random ground systems and on barycentric with a larger pool."""
+    rng = random.Random("label-replay")
+    universe = _ground_terms(3)
+    checked = 0
+    for _, sys in _ground_systems(rng, 20):
+        for _ in range(5):
+            s, t = rng.choice(universe), rng.choice(universe)
+            for cutoff in (None, rng.choice((1, 2, 3))):
+                budget = SearchBudget(max_term_size=3, weight_cutoff=cutoff)
+                for distance in (convertibility_distance, valley_distance,
+                                 reduction_distance):
+                    distance(sys, s, t, budget)
+                    checked += _labels_replay(sys, sides)
+    sys = make_barycentric()
+
+    def term(src):
+        return parse_term(src, sys.signature)
+
+    s, t = term("+{1/3}(+{1/2}(x, y), y)"), term("+{1/2}(x, +{1/2}(x, y))")
+    pool = subterm_pool(s, t, term("+{1/2}(y, x)"))
+    for cutoff in (None, Fraction(1, 2)):
+        budget = SearchBudget(max_expanded=60, weight_cutoff=cutoff)
+        for symmetric in (True, False):
+            search._meet_search(sys, s, t, budget, symmetric, pool=pool)
+            checked += _labels_replay(sys, sides)
+        reduction_distance(sys, s, t, budget)
+        checked += _labels_replay(sys, sides)
+    assert checked > 1000, checked
 
 
 def test_hamming_conversions_stop_a_cheapest_step_early():
@@ -510,6 +591,10 @@ def test_witness_validation_rejects_tampering():
     cheaper = [dataclasses.replace(w, weight=Fraction(0))
                for w in ans.witness]
     assert not validate_witness(sys, s, t, cheaper)
+    # a step may claim a worse weight than it has: the claim still holds
+    dearer = [dataclasses.replace(w, weight=w.weight + 1)
+              for w in ans.witness]
+    assert validate_witness(sys, s, t, dearer)
 
 
 def test_answer_json_round_trip():
