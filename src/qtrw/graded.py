@@ -64,7 +64,8 @@ def multi_step(sys: RewriteSystem, t: Term,
     fired at the root contributes its weight tensored with each bound
     variable's left-hand-side degree applied to that argument's multi-step
     weight.  Per target, only (weight, redex-count) Pareto optima are kept.
-    Rules are looked up in the system's stepper by the node's root symbol.
+    Rules are looked up in the system's ``forward`` index by the node's
+    root symbol.
     A rule whose left-hand side is a bare variable binds it to the node
     itself, whose only multi-step there is the identity.  Each distinct
     subterm is solved once, after its arguments, without recursion.
@@ -72,7 +73,7 @@ def multi_step(sys: RewriteSystem, t: Term,
     if not sys.balanced:
         raise GradedError("multi-step reduction requires a balanced system")
     q = sys.quantale
-    rules = sys.stepper.forward
+    rules = sys.forward
     memo: Dict[Term, List[MultiStep]] = {}
     stack = [t]
     while stack:

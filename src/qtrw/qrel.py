@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, TypeAlias
 
 from .quantale import QuantaleError, QuantaleSpec, Value, require_lawverian
 
 Node = str
-EdgeMap = Dict[Tuple[Node, Node], Value]
+# a string, as ``typing`` would cache the alias with this import's classes
+EdgeMap: TypeAlias = "Dict[Tuple[Node, Node], Value]"
 
 
 class SoundnessError(Exception):

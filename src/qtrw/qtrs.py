@@ -11,15 +11,17 @@ over the grid up front, which keeps the enumeration finite.  The grid a
 system declares is the only one its analyses use; to analyse a system over
 another grid, replace it (``dataclasses.replace(sys, grid=...)``).
 
-Each system compiles its one-step relation on its first step into one
-``Stepper``, kept in the system's ``stepper`` attribute: the rules indexed by
-left-hand-side root symbol, the inverted rules (sides swapped) indexed the
-same way, and the distance search's relaxation cache.  A backward step is a
-forward step of an inverted rule, so the variables a rule erases become
-fresh variables of its inverse, drawn from the same candidate pool.  A rule
+A system is its own one-step relation, and ``one_step`` builds every step
+list.  On first use the system indexes its rules by left-hand-side root
+symbol (``forward``), the inverted rules (sides swapped) the same way
+(``backward``), and keeps the distance search's step cache
+(``relaxations``).  None of these refers back to the system, so a dropped
+system frees them at once.  A backward step is a forward step of an
+inverted rule, so the variables a rule erases become fresh variables of its
+inverse, drawn from the same candidate pool.  A rule
 whose right-hand side matching cannot solve for its parameters (a compound
 slot such as ``+{(1 - e)}``) is inverted instance by instance over the grid.
-A stepper whose rules are closed under inversion, at no better weight, is
+A system whose rules are closed under inversion, at no better weight, is
 ``self_inverse``: its backward steps repeat forward ones, and the distance
 search skips them.  Steps take each subterm's root redexes from a redex memo
 owned by the caller: one search query (``join_check`` runs one) or one
@@ -35,7 +37,7 @@ rational-equality check.  Sensitivities may not be infinite.  In a system
 where some family declares grades, each step weight is the rule weight
 scaled by the degree of the step's context; without grades, it is the rule
 weight.  A system's ``balanced`` and ``orthogonal`` verdicts, like its
-stepper, are computed once, on first use.
+rule indexes, are computed once, on first use.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, TypeVar)
+                    Sequence, Set, Tuple, TypeAlias, TypeVar)
 
 from .quantale import INF, QuantaleError, QuantaleSpec, Value
 from .ratexpr import Comparison, Env, Expr, ExprError, Param
@@ -105,9 +107,14 @@ def scale(quantale: QuantaleSpec, c: Fraction, value: Value) -> Value:
     return c * value
 
 
-def _grades(families: Dict[str, SymbolFamily],
-            symbol: Symbol) -> Tuple[Fraction, ...]:
-    fam = families.get(symbol.name)
+def grades_of(sys: RewriteSystem, symbol: Symbol) -> Tuple[Fraction, ...]:
+    """The argument sensitivities of ``symbol``, read from its family.
+
+    Families without declared grades are non-expansive (all arguments
+    graded 1).  Parametric families evaluate their grade expressions against
+    the concrete symbol parameters.
+    """
+    fam = sys.families.get(symbol.name)
     if fam is None:
         raise TermError(f"unknown symbol {symbol.name!r}")
     if fam.grades is None:
@@ -129,30 +136,15 @@ def _grades(families: Dict[str, SymbolFamily],
     return tuple(out)
 
 
-def _degree(families: Dict[str, SymbolFamily], t: Term,
-            p: Position) -> Fraction:
+def degree_at_position(sys: RewriteSystem, t: Term, p: Position) -> Fraction:
+    """Product of the argument grades along the path to ``p``."""
     deg = Fraction(1)
     for i in p:
         if isinstance(t, Variable):
             raise TermError(f"position {list(p)} runs through a variable")
-        deg *= _grades(families, t.symbol)[i - 1]
+        deg *= grades_of(sys, t.symbol)[i - 1]
         t = t.args[i - 1]
     return deg
-
-
-def grades_of(sys: RewriteSystem, symbol: Symbol) -> Tuple[Fraction, ...]:
-    """The argument sensitivities of ``symbol``, read from its family.
-
-    Families without declared grades are non-expansive (all arguments
-    graded 1).  Parametric families evaluate their grade expressions against
-    the concrete symbol parameters.
-    """
-    return _grades(sys.families, symbol)
-
-
-def degree_at_position(sys: RewriteSystem, t: Term, p: Position) -> Fraction:
-    """Product of the argument grades along the path to ``p``."""
-    return _degree(sys.families, t, p)
 
 
 def degree_of_variable(sys: RewriteSystem, t: Term, x: str) -> Fraction:
@@ -307,11 +299,6 @@ class RewriteSystem:
         return tuple(r.rid for r in self.rules if isinstance(r.lhs, Variable))
 
     @cached_property
-    def stepper(self) -> "Stepper":
-        """The compiled one-step relation, built on the first step."""
-        return Stepper(self)
-
-    @cached_property
     def balanced(self) -> bool:
         """Whether every rule is balanced (``balanced_check``), computed on
         first use."""
@@ -321,6 +308,74 @@ class RewriteSystem:
     def orthogonal(self) -> bool:
         """The ``orthogonality_check`` verdict, computed on first use."""
         return orthogonality_check(self)[0]
+
+    # -- the one-step relation, compiled on first use ------------------------
+
+    @cached_property
+    def forward(self) -> _RuleTable:
+        """The rules, indexed for ``one_step``."""
+        return _RuleTable.of(self.rules)
+
+    @cached_property
+    def backward(self) -> _RuleTable:
+        """The inverted rules (``_inverses``), indexed for backward steps;
+        built on the first one."""
+        q, grid = self.quantale, self.grid
+        return _RuleTable.of([inv for rule in self.rules
+                              for inv in _inverses(q, grid, rule)])
+
+    @cached_property
+    def relaxations(self) -> Dict[object, List[RewriteStep]]:
+        """The distance search's step cache: for each term, the
+        ``RewriteStep``s the search relaxes (``search._relaxations``)."""
+        return {}
+
+    @cached_property
+    def self_inverse(self) -> bool:
+        """Whether every backward step has a forward twin at least as good:
+        no rule is a schema, has conditions or invents variables, and each
+        rule's swapped sides are, up to a joint renaming, the sides of a
+        rule that weighs at least as much in the quantale order.  The twin
+        steps at the same position to the same target, and context scaling
+        is monotone."""
+        q = self.quantale
+        if self.forward.invents or any(r.is_schema or r.conditions
+                                       for r in self.rules):
+            return False
+        weights: Dict[Tuple[Term, ...], List[Value]] = {}
+        for r in self.rules:
+            weights.setdefault(_renamed(r.lhs, r.rhs), []).append(r.weight)
+        return all(any(q.leq(r.weight, w)
+                       for w in weights.get(_renamed(r.rhs, r.lhs), ()))
+                   for r in self.rules)
+
+    @cached_property
+    def cheapest_step(self) -> Value:
+        """The quantale-largest weight one step can have, in either
+        direction: the join of the rule weights.  It is the unit when the
+        system is ``graded`` (a context degree below 1 makes a step cheaper
+        than its rule) or has a schema rule (its weight is read off the
+        term).  The quantale is integral, so a run of one or more steps
+        weighs no more than this either."""
+        if self.graded or self.has_schemas:
+            return self.quantale.unit
+        return self.quantale.join(r.weight for r in self.rules)
+
+    def _redexes(self, sub: Term, backward: bool) -> Tuple[_Redex, ...]:
+        """How the rules (with ``backward``, the inverted rules) fire at the
+        root of ``sub``; see ``_Redex``."""
+        table = self.backward if backward else self.forward
+        candidates = table.var_rules
+        if not isinstance(sub, Variable):
+            candidates += table.by_root.get(sub.symbol.name, ())
+        out: List[_Redex] = []
+        for rule in candidates:
+            for sigma, env, weight, rhs in _rule_matches(
+                    self.quantale, self.grid, rule, sub):
+                rid = rule.rid if backward else _instance_id(rule, env)
+                out.append((rid, weight, rule.fresh, (sigma, rhs) if rule.fresh
+                            else apply_substitution(rhs, sigma)))
+        return tuple(out)
 
     # -- schema instantiation ------------------------------------------------
 
@@ -463,186 +518,26 @@ def _renamed(*ts: Term) -> Tuple[Term, ...]:
     return tuple(apply_substitution(t, names) for t in ts)
 
 
+# String aliases, as ``typing`` would cache them with this import's classes.
+
 # How the rules fire at the root of one subterm, in firing order: (rule id,
 # weight, fresh variables, contractum); for a rule that invents variables the
 # contractum is the pair (match, instantiated right-hand side) instead, since
 # the invented variables' values depend on the caller.
-_Redex = Tuple[str, Value, Tuple[str, ...], object]
+_Redex: TypeAlias = "Tuple[str, Value, Tuple[str, ...], object]"
 
 # the redex memo of one query: (backward?, subterm) -> its root redexes
-RedexMemo = Dict[Tuple[bool, Term], Tuple[_Redex, ...]]
+RedexMemo: TypeAlias = "Dict[Tuple[bool, Term], Tuple[_Redex, ...]]"
 
 # a redex that ``within`` kept out of a step list: its position, and the
 # redex with its weight after context scaling
-_Skip = Tuple[Position, _Redex]
-
-
-class Stepper:
-    """A system's one-step relation, compiled for both directions.
-
-    ``forward`` indexes the rules and ``backward`` the inverted rules, built
-    on the first backward step; ``relaxations`` is the distance search's
-    step cache, which keeps for each term the ``RewriteStep``s the search
-    relaxes.  When some symbol family declares grades, ``families`` holds
-    the families by name and every step weight, in both directions, is
-    scaled by the degree of the step's context; otherwise it is ``None``
-    and weights are the rule weights.  The stepper keeps no reference to
-    its system, so a dropped system frees its cache at once rather than at
-    the next cyclic garbage collection.
-
-    ``steps`` takes each subterm's root redexes from a redex memo that the
-    caller owns: one search query or one closure check shares a single memo,
-    so a subterm common to many of its terms is matched once per direction.
-    The memo holds no more than the query reaches and is dropped with it; a
-    memo on the stepper would keep every query's subterms alive.
-    ``self_inverse`` tells the search when backward steps add nothing, and
-    ``cheapest_step`` how early a conversion search may stop.
-    """
-
-    def __init__(self, sys: RewriteSystem) -> None:
-        self.quantale, self.grid, self.rules = sys.quantale, sys.grid, sys.rules
-        self.families = sys.families if sys.graded else None
-        self.forward = _RuleTable.of(sys.rules)
-        self.relaxations: Dict[object, List[RewriteStep]] = {}
-
-    @cached_property
-    def backward(self) -> _RuleTable:
-        return _RuleTable.of([inv for rule in self.rules
-                              for inv in _inverses(self.quantale, self.grid, rule)])
-
-    @cached_property
-    def self_inverse(self) -> bool:
-        """Whether every backward step has a forward twin at least as good:
-        no rule is a schema, has conditions or invents variables, and each
-        rule's swapped sides are, up to a joint renaming, the sides of a
-        rule that weighs at least as much in the quantale order.  The twin
-        steps at the same position to the same target, and context scaling
-        is monotone."""
-        q = self.quantale
-        if self.forward.invents or any(r.is_schema or r.conditions
-                                       for r in self.rules):
-            return False
-        weights: Dict[Tuple[Term, ...], List[Value]] = {}
-        for r in self.rules:
-            weights.setdefault(_renamed(r.lhs, r.rhs), []).append(r.weight)
-        return all(any(q.leq(r.weight, w)
-                       for w in weights.get(_renamed(r.rhs, r.lhs), ()))
-                   for r in self.rules)
-
-    @cached_property
-    def cheapest_step(self) -> Value:
-        """The quantale-largest weight one step can have, in either
-        direction: the join of the rule weights.  It is the unit when some
-        symbol declares grades (a context degree below 1 makes a step
-        cheaper than its rule) or some rule is a schema (its weight is read
-        off the term).  The quantale is integral, so a run of one or more
-        steps weighs no more than this either."""
-        q = self.quantale
-        if self.families is not None or any(r.is_schema for r in self.rules):
-            return q.unit
-        return q.join(r.weight for r in self.rules)
-
-    def _redexes(self, sub: Term, backward: bool) -> Tuple[_Redex, ...]:
-        """How the rules (with ``backward``, the inverted rules) fire at the
-        root of ``sub``; see ``_Redex``."""
-        table = self.backward if backward else self.forward
-        candidates = table.var_rules
-        if not isinstance(sub, Variable):
-            candidates += table.by_root.get(sub.symbol.name, ())
-        out: List[_Redex] = []
-        for rule in candidates:
-            for sigma, env, weight, rhs in _rule_matches(
-                    self.quantale, self.grid, rule, sub):
-                rid = rule.rid if backward else _instance_id(rule, env)
-                out.append((rid, weight, rule.fresh, (sigma, rhs) if rule.fresh
-                            else apply_substitution(rhs, sigma)))
-        return tuple(out)
-
-    def steps(self, t: Term, pool: Optional[Sequence[Term]] = None,
-              backward: bool = False, *,
-              memo: Optional[RedexMemo] = None,
-              within: Optional[Tuple[Value, Value]] = None,
-              _skipped: Optional[List[_Skip]] = None,
-              ) -> List[RewriteStep]:
-        """Every single step from ``t``, duplicate-free; with ``backward``,
-        every step from ``t`` of the inverse relation, each in the
-        direction "backward".
-
-        ``pool`` supplies candidate instantiations for right-hand-side
-        variables the left-hand side does not bind; by default a single fresh
-        variable is used.  Forward steps of schema rules name their parameter
-        assignment in the rule id; backward steps keep the bare rule id.
-        ``memo`` is the caller's redex memo (by default a fresh one); it must
-        only ever serve this stepper.
-
-        ``within`` = (weight so far, bound) keeps only the steps whose
-        weight, tensored onto the weight so far, stays at or above the
-        bound; a redex out of bounds (after context scaling) is skipped
-        before its contracta are built.  The result is the unbounded list
-        with those steps taken out: of the steps sharing a position, rule id
-        and target the first heaviest is kept, and as the quantale is
-        totally ordered and its tensor monotone, one out of bounds weighs
-        less than any in bounds, so the kept steps and their order stay.
-        Each redex skipped is appended to ``_skipped``, if given, for a
-        caller that must account for the weight it prunes (see
-        ``_targets``).
-        """
-        q = self.quantale
-        if memo is None:
-            memo = {}
-        direction = "backward" if backward else "forward"
-        if within is not None:
-            done, bound = within
-        steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
-        for p, sub in subterms(t):
-            redexes = memo.get((backward, sub))
-            if redexes is None:
-                redexes = memo[backward, sub] = self._redexes(sub, backward)
-            if not redexes:
-                continue
-            if self.families is not None:
-                deg = _degree(self.families, t, p)
-                redexes = [(rid, scale(q, deg, weight), fresh, contractum)
-                           for rid, weight, fresh, contractum in redexes]
-            if within is not None:
-                kept = []
-                for r in redexes:
-                    if q.leq(bound, q.tensor(done, r[1])):
-                        kept.append(r)
-                    elif _skipped is not None:
-                        _skipped.append((p, r))
-                redexes = kept
-            for rid, weight, fresh, contractum in redexes:
-                contracta = (_invented(t, pool, fresh, *contractum) if fresh
-                             else (contractum,))
-                for c in contracta:
-                    target = replace_at(t, p, c)
-                    key = (p, rid, target)
-                    old = steps.get(key)
-                    if old is None or q.strictly_below(old.weight, weight):
-                        steps[key] = RewriteStep(t, target, weight, p, rid,
-                                                 direction)
-        # by position, rule id and target rendering; targets are compared
-        # only where one rule steps at one position to several of them, and
-        # then by the part of their rendering from that position on
-        ties = Counter(k[:2] for k in steps)
-        after: Dict[Position, str] = {}
-
-        def order(k: Tuple[Position, str, Term]) -> Tuple[Position, str, str]:
-            p, rid, target = k
-            if ties[p, rid] == 1:
-                return p, rid, ""
-            if p not in after:
-                after[p] = _rendering_after(t, p)
-            return p, rid, str(subterm_at(target, p)) + after[p]
-
-        return [steps[k] for k in sorted(steps, key=order)]
+_Skip: TypeAlias = "Tuple[Position, _Redex]"
 
 
 def _targets(t: Term, p: Position, redex: _Redex,
              pool: Optional[Sequence[Term]]) -> Iterator[Term]:
     """The targets of the steps ``redex`` at ``p`` makes from ``t``, as
-    ``Stepper.steps`` builds them, one at a time."""
+    ``one_step`` builds them, one at a time."""
     _, _, fresh, contractum = redex
     contracta = (_invented(t, pool, fresh, *contractum) if fresh
                  else (contractum,))
@@ -661,36 +556,92 @@ def _invented(t: Term, pool: Optional[Sequence[Term]],
         yield apply_substitution(rhs, full)
 
 
-def _rendering_after(t: Term, p: Position) -> str:
-    """The rendering of ``t`` that follows its subterm at ``p``."""
-    tails = []
-    for i in p:
-        tails.append("".join(["," + str(a) for a in t.args[i:]]) + ")")
-        t = t.args[i - 1]
-    return "".join(reversed(tails))
-
-
 def one_step(
     sys: RewriteSystem,
     t: Term,
     fresh_pool: Optional[Sequence[Term]] = None,
+    backward: bool = False,
     *,
     memo: Optional[RedexMemo] = None,
     within: Optional[Tuple[Value, Value]] = None,
     _skipped: Optional[List[_Skip]] = None,
 ) -> List[RewriteStep]:
-    """Every single rewrite step from ``t``, duplicate-free.
+    """Every single rewrite step from ``t``, duplicate-free; with
+    ``backward``, every step from ``t`` of the inverse relation, each in the
+    direction "backward".
 
     ``fresh_pool`` supplies candidate instantiations for right-hand-side
     variables the left-hand side does not bind; by default a single fresh
-    variable is used.  If ``sys`` declares grades, each step weight is
-    scaled by the degree of the surrounding context.  ``memo`` is a redex
-    memo shared by the steps of one query of ``sys`` (see ``Stepper``);
-    ``within`` = (weight so far, bound) keeps only the steps that stay in
-    bounds (see ``Stepper.steps``, also for ``_skipped``).
+    variable is used.  Forward steps of schema rules name their parameter
+    assignment in the rule id; backward steps keep the bare rule id.  If
+    ``sys`` is ``graded``, each step weight is scaled by the degree of the
+    surrounding context.  ``memo`` is the caller's redex memo (by default a
+    fresh one): one search query or one closure check shares it, so a
+    subterm common to many of its terms is matched once per direction.  It
+    must only ever serve ``sys``, and holds no more than the query reaches;
+    a memo kept on the system would keep every query's subterms alive.
+
+    ``within`` = (weight so far, bound) keeps only the steps whose
+    weight, tensored onto the weight so far, stays at or above the
+    bound; a redex out of bounds (after context scaling) is skipped
+    before its contracta are built.  The result is the unbounded list
+    with those steps taken out: of the steps sharing a position, rule id
+    and target the first heaviest is kept, and as the quantale is
+    totally ordered and its tensor monotone, one out of bounds weighs
+    less than any in bounds, so the kept steps and their order stay.
+    Each redex skipped is appended to ``_skipped``, if given, for a
+    caller that must account for the weight it prunes (see
+    ``_targets``).
     """
-    return sys.stepper.steps(t, fresh_pool, memo=memo, within=within,
-                             _skipped=_skipped)
+    q, graded = sys.quantale, sys.graded
+    if memo is None:
+        memo = {}
+    direction = "backward" if backward else "forward"
+    if within is not None:
+        done, bound = within
+    steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
+    for p, sub in subterms(t):
+        redexes = memo.get((backward, sub))
+        if redexes is None:
+            redexes = memo[backward, sub] = sys._redexes(sub, backward)
+        if not redexes:
+            continue
+        if graded:
+            deg = degree_at_position(sys, t, p)
+            redexes = [(rid, scale(q, deg, weight), fresh, contractum)
+                       for rid, weight, fresh, contractum in redexes]
+        if within is not None:
+            kept = []
+            for r in redexes:
+                if q.leq(bound, q.tensor(done, r[1])):
+                    kept.append(r)
+                elif _skipped is not None:
+                    _skipped.append((p, r))
+            redexes = kept
+        for rid, weight, fresh, contractum in redexes:
+            contracta = (_invented(t, fresh_pool, fresh, *contractum) if fresh
+                         else (contractum,))
+            for c in contracta:
+                target = replace_at(t, p, c)
+                key = (p, rid, target)
+                old = steps.get(key)
+                if old is None or q.strictly_below(old.weight, weight):
+                    steps[key] = RewriteStep(t, target, weight, p, rid,
+                                             direction)
+    # by position, rule id and, where one rule steps at one position to
+    # several targets, the contractum's rendering.  The rest of their
+    # renderings is one string, which starts with "," or ")" or is empty
+    # at the root; it could reorder two contracta only if one rendered as
+    # a proper prefix of the other and the longer went on with "(", that
+    # is, a leaf named like a function symbol of another arity, which no
+    # signature the DSL accepts allows
+    ties = Counter(k[:2] for k in steps)
+
+    def order(k: Tuple[Position, str, Term]) -> Tuple[Position, str, str]:
+        p, rid, target = k
+        return p, rid, str(subterm_at(target, p)) if ties[p, rid] > 1 else ""
+
+    return [steps[k] for k in sorted(steps, key=order)]
 
 
 _Step = TypeVar("_Step")  # a RewriteStep or a graded MultiStep
@@ -772,7 +723,7 @@ def critical_pairs(sys: RewriteSystem, pair_filter=None) -> List[CriticalPeak]:
                 weight = inner.weight
                 if conc.graded:
                     weight = scale(conc.quantale,
-                                   _degree(conc.families, source, p), weight)
+                                   degree_at_position(conc, source, p), weight)
                 peak = CriticalPeak(
                     source=source,
                     left=(left, weight),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, TypeAlias, Union
 
 
 class QuantaleError(Exception):
@@ -55,7 +55,8 @@ class _Infinity:
 
 INF = _Infinity()
 
-Value = Union[bool, int, Fraction, _Infinity]
+# a string, as ``typing`` would cache the alias with this import's classes
+Value: TypeAlias = "Union[bool, int, Fraction, _Infinity]"
 
 
 def _cost(v: Value) -> Value:

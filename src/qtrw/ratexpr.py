@@ -13,7 +13,8 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Optional, Pattern, Tuple, Union
+from typing import (Dict, FrozenSet, Optional, Pattern, Tuple, TypeAlias,
+                    Union)
 
 Env = Dict[str, Fraction]
 
@@ -94,7 +95,8 @@ class Abs:
         return f"abs({self.arg})"
 
 
-Expr = Union[Lit, Param, BinOp, Abs]
+# a string, as ``typing`` would cache the alias with this import's classes
+Expr: TypeAlias = "Union[Lit, Param, BinOp, Abs]"
 
 
 @dataclass(frozen=True)

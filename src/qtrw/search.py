@@ -6,11 +6,11 @@ they are ordinary shortest-path searches.  Answers are conservative: an
 exact claim is made only when no pruned branch could still beat the
 returned value; otherwise the best witness is returned as an upper bound.
 
-Steps come from the system's stepper (see ``qtrw.qtrs.Stepper``): backward
-steps are forward steps of the inverted rules, so variables a rule's
-right-hand side erases are instantiated from a candidate pool drawn from the
-query terms' subterms.  Each term's deduplicated step list, the
-``RewriteStep``s the search relaxes, is cached in the stepper, so repeated
+Steps come from ``qtrw.qtrs.one_step``: backward steps are forward steps of
+the inverted rules, so variables a rule's right-hand side erases are
+instantiated from a candidate pool drawn from the query terms' subterms.
+Each term's deduplicated step list, the ``RewriteStep``s the search relaxes,
+is cached in the system (``RewriteSystem.relaxations``), so repeated
 queries over a shared state space amortize; a directed search under a
 weight cutoff instead asks for the steps in bounds only, uncached.  The
 same records, each with its rule, position, direction and weight, make up
@@ -19,7 +19,7 @@ an answer's witness.
 Each step is generated once per query.  A query owns one redex memo, shared
 by both of its frontiers and dropped with it, so a subterm common to many
 expanded terms is matched against the rules once per direction.  A system
-closed under inversion (``Stepper.self_inverse``, such as the Hamming and
+closed under inversion (``RewriteSystem.self_inverse``, such as the Hamming and
 Levenshtein systems) has a forward twin, as good, for every backward step;
 its conversion search generates forward steps only, with the same answers
 and witnesses, and shares its cached step lists with valley searches.
@@ -30,7 +30,7 @@ set, so the best meet is known at every round.  A conversion search stops
 once no unseen meet can win.  A better conversion would still have a term
 live on each side with at least one step between them, and a run of steps
 weighs no more, in the quantale order, than the cheapest step
-(``Stepper.cheapest_step``: 1 on the Hamming and Levenshtein systems, the
+(``RewriteSystem.cheapest_step``: 1 on the Hamming and Levenshtein systems, the
 unit wherever a step may be free).  So the bound is the tensor of the two
 frontier minima with the cheapest step between them.  A
 valley search joins two forward runs at a common reduct that one side may
@@ -110,7 +110,7 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
                  memo: Optional[RedexMemo] = None) -> List[RewriteStep]:
     """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
     per target (best weight kept), ordered by target rendering, and cached
-    in the system's stepper under the key (symmetric, t), with the pool's
+    in ``sys.relaxations`` under the key (symmetric, t), with the pool's
     terms added when some rule invents variables.  ``memo`` is the query's
     redex memo.
 
@@ -123,19 +123,18 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
     checks each pruned target against the other side's labels.  A directed
     search under a weight cutoff takes the same steps in bounds from
     ``_SideSearch._steps_within`` instead, which builds no pruned step."""
-    stepper = sys.stepper
-    if symmetric and stepper.self_inverse:
+    if symmetric and sys.self_inverse:
         symmetric = False
     key: object = (symmetric, t)
     # the pool only fills variables a rule invents; otherwise steps ignore it
-    if stepper.forward.invents or (symmetric and stepper.backward.invents):
+    if sys.forward.invents or (symmetric and sys.backward.invents):
         key = (symmetric, t, tuple(pool))
-    out = stepper.relaxations.get(key)
+    out = sys.relaxations.get(key)
     if out is None:
         steps = one_step(sys, t, pool, memo=memo)
         if symmetric:
-            steps += stepper.steps(t, pool, backward=True, memo=memo)
-        out = stepper.relaxations[key] = _by_target(steps, sys.quantale)
+            steps += one_step(sys, t, pool, backward=True, memo=memo)
+        out = sys.relaxations[key] = _by_target(steps, sys.quantale)
     return out
 
 
@@ -259,7 +258,7 @@ class _SideSearch:
         and in a meet search its target is checked against ``opposite``, so
         every pruned target is built.  A one-sided search (no ``meets``)
         with a weight cutoff uses a pruned step for its weight alone, so it
-        asks the stepper for the steps in bounds only (``_steps_within``)."""
+        asks ``one_step`` for the steps in bounds only (``_steps_within``)."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
         dist = self.dist
@@ -304,9 +303,9 @@ class _SideSearch:
         cutoff keeps, as ``_relaxations`` would order them, with the weight
         of the best step to each target the cutoff prunes noted.
 
-        The stepper skips each redex out of bounds before building its
+        ``one_step`` skips each redex out of bounds before building its
         targets and reports it; the kept steps are the unbounded ones, in
-        order, less the pruned targets (see ``Stepper.steps``), so the same
+        order, less the pruned targets (see ``one_step``), so the same
         steps are relaxed in the same order.  A skipped redex's targets are
         built only while its weight could still raise ``best_pruned``, and
         its weight is noted only for a target no kept step reaches, as the
@@ -340,7 +339,7 @@ def reduction_distance(
     One frontier searches forward from ``s``.  Under a weight cutoff, a
     pruned step matters to it only through its weight, which bounds what
     the pruned region might hold; no other side looks its target up.  So
-    the stepper skips the redexes out of bounds before their targets are
+    ``one_step`` skips the redexes out of bounds before their targets are
     built, and the search builds one only while its weight could still
     change that bound (see ``_SideSearch._steps_within``); the answers
     are those of relaxing every step and pruning afterwards."""
@@ -386,7 +385,7 @@ def _meet_search(
     are in the quantale order.  Write ``live`` for the weight of a side's
     best live frontier term, ``cut`` for its best pruned weight
     (``best_pruned``), ``lb`` for the join of the two, and ``eps`` for
-    ``Stepper.cheapest_step``, which a run of one or more steps never
+    ``RewriteSystem.cheapest_step``, which a run of one or more steps never
     beats.  An absent bound drops out of a join, and a tensor with an
     absent factor drops out of the join it is in.  The answer is exact
     when the best meet is no worse than ``bound``:
@@ -452,7 +451,7 @@ def _meet_search(
     the answer is exact or an upper bound by the same test as above.
     """
     q = sys.quantale
-    eps = sys.stepper.cheapest_step
+    eps = sys.cheapest_step
     pool = subterm_pool(s, t) if pool is None else pool
     memo: RedexMemo = {}  # both frontiers step through one memo
     meets = _Meets(q)

@@ -25,7 +25,7 @@ stem of each file to a constructor:
   quantitatively.
 
 Each file is parsed once per process; every call returns a fresh copy, so
-each system compiles its own stepper and step caches.
+each system builds its own rule indexes and step cache.
 
 The oracles are deliberately naive, textbook implementations: they exist to
 cross-check the search engine, so they share no code with it.

@@ -24,7 +24,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (ClassVar, Dict, Iterator, List, Optional, Set, Tuple,
-                    Union)
+                    TypeAlias, Union)
 
 from .ratexpr import Env, Expr, ExprError, Param
 
@@ -36,7 +36,8 @@ class TermError(Exception):
     pass
 
 
-ParamSlot = Union[Fraction, Expr]
+# a string, as ``typing`` would cache the alias with this import's classes
+ParamSlot: TypeAlias = "Union[Fraction, Expr]"
 
 
 class Symbol:
@@ -185,9 +186,10 @@ class Application:
         return s if s is not None else _render(self)
 
 
-Term = Union[Variable, Application]
+# a string, as ``typing`` would cache the alias with this import's classes
+Term: TypeAlias = "Union[Variable, Application]"
 
-Substitution = Dict[str, Term]
+Substitution: TypeAlias = "Dict[str, Term]"
 
 # hash of (symbol, args) -> the entries of the live applications with that
 # hash, chained through ``_AppRef.next``

@@ -167,7 +167,7 @@ def test_trivial_grades_agree_with_plain_steps():
     gsys = replace(sys, signature=tuple(
         replace(f, grades=(Fraction(1), Fraction(1))) if f.name == "A" else f
         for f in sys.signature))
-    assert gsys.stepper.families is not None  # A declares grades [1, 1]
+    assert gsys.graded  # A declares grades [1, 1]
     rng = random.Random("trivial-grades")
     f = lambda a, b: Application(Symbol("A", 2), (a, b))
     for _ in range(25):

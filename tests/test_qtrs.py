@@ -360,17 +360,17 @@ BOUNDED_DEPTH = 2
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_weight_bounded_steps_are_the_unbounded_steps_filtered(name):
     sys = CATALOG[name]()
-    q, stepper = sys.quantale, sys.stepper
+    q = sys.quantale
     for peak in critical_pairs(sys)[:BOUNDED_PEAKS]:
         bound = peak.tensor(q)
         pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
         for t in (peak.source, peak.left[0], peak.right[0]):
-            every = stepper.steps(t, pool)
+            every = one_step(sys, t, pool)
             for done in dict.fromkeys(
                     (q.unit, peak.left[1], peak.right[1], bound)):
                 kept = [s for s in every
                         if q.leq(bound, q.tensor(done, s.weight))]
-                assert stepper.steps(t, pool, within=(done, bound)) == kept
+                assert one_step(sys, t, pool, within=(done, bound)) == kept
         for side in (peak.left[0], peak.right[0]):
             size = 2 + term_size(side)
             assert list(_layered_relaxation(

@@ -83,7 +83,7 @@ def test_reduction_distance_unreachable():
 
 
 def _bounded_and_unbounded(monkeypatch, sys, s, t, budget):
-    """``reduction_distance`` as it runs, asking the stepper only for the
+    """``reduction_distance`` as it runs, asking ``one_step`` only for the
     steps in bounds, and with every step from ``_relaxations``, which a
     side with meets (here never offered) uses.  Checks that each run went
     its way through ``one_step``."""
@@ -380,8 +380,8 @@ def test_meet_searches_agree_with_closures_of_the_explored_graph():
 
 
 def test_directed_searches_agree_with_closures_of_the_explored_graph():
-    """Reductions answer ``R*``, with the weight cutoff applied as the
-    stepper skips redexes."""
+    """Reductions answer ``R*``, with the weight cutoff applied as
+    ``one_step`` skips redexes."""
     checked = _oracle_trials("directed-oracle", {
         "directed": (reduction_distance, lambda rel: rel.star())})
     assert min(checked[k] for k in (EXACT, UNREACHABLE)) > 0
@@ -404,7 +404,7 @@ def sides(monkeypatch):
 
 def _labels_replay(sys, sides):
     """Every label of every side replays: its ``path`` chains from the
-    side's start, one step per unit of depth, each a step the stepper
+    side's start, one step per unit of depth, each a step ``one_step``
     makes from its source, and its weights tensor to the label's.  Returns
     how many labels were checked, and empties ``sides``."""
     q = sys.quantale
@@ -419,8 +419,8 @@ def _labels_replay(sys, sides):
                 assert step.source == cur, (str(side.start), str(term))
                 key = (cur, step.direction == "backward")
                 if key not in made:
-                    made[key] = set(sys.stepper.steps(
-                        cur, side.pool, backward=key[1]))
+                    made[key] = set(one_step(
+                        sys, cur, side.pool, backward=key[1]))
                 assert step in made[key]
                 cur, w = step.target, q.tensor(w, step.weight)
             assert (cur, w) == (term, weight), (str(side.start), str(term))
@@ -595,6 +595,20 @@ def test_witness_validation_rejects_tampering():
     dearer = [dataclasses.replace(w, weight=w.weight + 1)
               for w in ans.witness]
     assert validate_witness(sys, s, t, dearer)
+
+
+def test_witness_validation_rejects_a_valid_witness_that_ends_elsewhere():
+    sys = make_nat()
+    s, t = nat_term(1), nat_term(3)
+    ans = convertibility_distance(sys, s, t, NAT_BUDGET)
+    assert [w.direction for w in ans.witness] == ["backward", "backward"]
+    assert validate_witness(sys, s, t, ans.witness)
+    assert validate_witness(sys, s, nat_term(2), ans.witness[:1])
+    for other in (nat_term(2), nat_term(4), s):
+        assert not validate_witness(sys, s, other, ans.witness)
+    assert not validate_witness(sys, s, t, ans.witness[:1])
+    assert validate_witness(sys, s, s, ())
+    assert not validate_witness(sys, s, t, ())
 
 
 def test_answer_json_round_trip():

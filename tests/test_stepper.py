@@ -1,8 +1,11 @@
-"""Tests for the compiled one-step relation of a system (``Stepper``)."""
+"""Tests for a system's one-step relation: ``one_step`` in both directions,
+the rule indexes and the search's step cache the system keeps."""
 
+import dataclasses
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from qtrw.term import (
     instantiate_params,
     positions,
     replace_at,
+    subterm_at,
     term_key,
     variables,
 )
@@ -101,15 +105,15 @@ def _transpose_misses(name):
         pool = subterm_pool(u)
         for fwd in one_step(sysm, u, pool):
             checked += 1
-            back = sysm.stepper.steps(
-                fwd.target, subterm_pool(u, fwd.target), backward=True)
+            back = one_step(
+                sysm, fwd.target, subterm_pool(u, fwd.target), backward=True)
             if not any(b.position == fwd.position
                        and b.rule_id == _bare(fwd.rule_id)
                        and term_key(b.target) == term_key(u)
                        and not q.strictly_below(b.weight, fwd.weight)
                        for b in back):
                 missing.append(("forward", _bare(fwd.rule_id)))
-        for bwd in sysm.stepper.steps(u, pool, backward=True):
+        for bwd in one_step(sysm, u, pool, backward=True):
             checked += 1
             if not any(f.position == bwd.position
                        and _bare(f.rule_id) == bwd.rule_id
@@ -142,14 +146,14 @@ def test_compound_parameter_rules_without_grid_instances_keep_the_schema():
     # without a grid there are no instances at all: the inverted schema
     # stays and never fires
     sys = parse_system(INVERSE)
-    assert sys.stepper.steps(_f(Fraction(1, 2)), backward=True) == []
+    assert one_step(sys, _f(Fraction(1, 2)), backward=True) == []
     (step,) = one_step(sys, _f(2))
     assert step.target is _f(Fraction(1, 2))
     # with a grid, the instances that are defined (e = 1, 2; not 1 / 0)
     # are inverted, so f{1/2}(x) steps back to f{2}(x)
     sys = parse_system(INVERSE + "\noption grid 0 1 2")
-    assert sys.stepper.steps(_f(2), backward=True) == []
-    (back,) = sys.stepper.steps(_f(Fraction(1, 2)), backward=True)
+    assert one_step(sys, _f(2), backward=True) == []
+    (back,) = one_step(sys, _f(Fraction(1, 2)), backward=True)
     assert (back.target, back.rule_id, back.weight) == (_f(2), "inv", 1)
 
 
@@ -176,10 +180,10 @@ def test_forward_only_callers_leave_the_backward_table_unbuilt(monkeypatch):
         main(["check", str(SAMPLES / "barycentric.qtrs"), "--what", what,
               "--depth", "1"])
     assert built == []
-    assert "backward" not in vars(bary.stepper)
-    assert "backward" not in vars(gsys.stepper)
-    bary.stepper.steps(peaks[0].source, backward=True)
-    assert "backward" in vars(bary.stepper) and built
+    assert "backward" not in vars(bary)
+    assert "backward" not in vars(gsys)
+    one_step(bary, peaks[0].source, backward=True)
+    assert "backward" in vars(bary) and built
 
 
 def test_rules_without_parameters_are_used_as_they_are(monkeypatch):
@@ -198,12 +202,14 @@ def test_steps_on_a_numeral_deeper_than_the_recursion_limit():
 
 def test_stepper_is_built_on_the_first_step_and_kept():
     sys = make_nat()
-    assert "stepper" not in vars(sys)
+    assert "forward" not in vars(sys)
     one_step(sys, Application(Symbol("S", 1), (Variable("x"),)))
-    stepper = vars(sys)["stepper"]
-    assert sys.stepper is stepper
-    # the stepper lives beside the fields, not in them
-    assert sys == make_nat()
+    forward = vars(sys)["forward"]
+    assert sys.forward is forward
+    # the rule index lives beside the fields, not in them, and a replaced
+    # system starts without one
+    assert sys == make_nat() and hash(sys) == hash(make_nat())
+    assert "forward" not in vars(dataclasses.replace(sys))
 
 
 def test_dropped_system_frees_its_stepper_at_once():
@@ -216,11 +222,13 @@ def test_dropped_system_frees_its_stepper_at_once():
                     (combi, redex)]:  # grades scale the steps of combi
         sys = make()
         assert one_step(sys, t)
-        stepper = weakref.ref(sys.stepper)
+        assert _relaxations(sys, True, t, subterm_pool(t))
+        assert {"forward", "backward", "relaxations"} <= set(vars(sys))
+        ref = weakref.ref(sys)
         gc.disable()
         try:
             del sys
-            assert stepper() is None  # no reference cycle keeps the cache alive
+            assert ref() is None  # no reference cycle keeps the caches alive
         finally:
             gc.enable()
 
@@ -238,7 +246,7 @@ def test_graded_steps_scale_both_directions_alike():
     source = Application(g, (Application(g, (a,)),))
     target = Application(g, (Application(g, (b,)),))
     (fwd,) = one_step(sys, source)
-    (bwd,) = sys.stepper.steps(target, backward=True)
+    (bwd,) = one_step(sys, target, backward=True)
     assert fwd.weight == bwd.weight == Fraction(4)  # two contexts of grade 2
     assert term_key(bwd.target) == term_key(source)
     ans = convertibility_distance(sys, target, source)
@@ -254,10 +262,10 @@ SELF_INVERSE = ["dna-hamming", "dna-levenshtein"]
 
 
 def test_self_inverse_holds_exactly_for_the_hamming_and_levenshtein_systems():
-    assert make_dna("hamming").stepper.self_inverse
-    assert make_dna("levenshtein").stepper.self_inverse
-    assert not make_dna("eigen_mccaskill").stepper.self_inverse
-    assert [n for n in NAMES if _load(n).stepper.self_inverse] == SELF_INVERSE
+    assert make_dna("hamming").self_inverse
+    assert make_dna("levenshtein").self_inverse
+    assert not make_dna("eigen_mccaskill").self_inverse
+    assert [n for n in NAMES if _load(n).self_inverse] == SELF_INVERSE
 
 
 CHEAPEST_STEP = {"dna-hamming": 1, "dna-levenshtein": 1, "tick": 1}
@@ -268,17 +276,17 @@ def test_cheapest_step_is_the_join_of_the_rule_weights(name):
     # graded and schema systems get the unit: a context degree can shrink
     # a step, and a schema's weight is read off the term
     sysm = _load(name)
-    assert sysm.stepper.cheapest_step == CHEAPEST_STEP.get(name, 0)
+    assert sysm.cheapest_step == CHEAPEST_STEP.get(name, 0)
     if sysm.graded or sysm.has_schemas:
-        assert sysm.stepper.cheapest_step == sysm.quantale.unit
+        assert sysm.cheapest_step == sysm.quantale.unit
 
 
 def test_cheapest_step_of_graded_and_plain_systems():
     text = ["system g", "quantale lawvere", "symbol a/0", "symbol b/0",
             "rule r: a -[2]-> b", "rule s: b -[3]-> a"]
-    assert parse_system("\n".join(text)).stepper.cheapest_step == 2
+    assert parse_system("\n".join(text)).cheapest_step == 2
     graded = text[:2] + ["symbol h/1 grades [1/2]"] + text[2:]
-    assert parse_system("\n".join(graded)).stepper.cheapest_step == 0
+    assert parse_system("\n".join(graded)).cheapest_step == 0
 
 
 def test_self_inverse_needs_every_inverse_to_weigh_no_better_than_its_twin():
@@ -288,13 +296,13 @@ def test_self_inverse_needs_every_inverse_to_weigh_no_better_than_its_twin():
             "rule ab: a -[1]-> b", f"rule ba: b -[{back_weight}]-> a"]))
 
     # b -> a costs 2 forward but 1 backward (as ab inverted): not a twin
-    assert not pair(2).stepper.self_inverse
-    assert pair(1).stepper.self_inverse
+    assert not pair(2).self_inverse
+    assert pair(1).self_inverse
     # a cheaper twin still covers the backward step
     assert parse_system("\n".join([
         "system pair", "quantale lawvere", "symbol a/0", "symbol b/0",
         "rule ab: a -[1]-> b", "rule ba: b -[1/2]-> a",
-        "rule ab2: a -[1/2]-> b"])).stepper.self_inverse
+        "rule ab2: a -[1/2]-> b"])).self_inverse
 
 
 def _two_pass_relaxations(sysm, t, pool):
@@ -303,7 +311,7 @@ def _two_pass_relaxations(sysm, t, pool):
     q = sysm.quantale
     best = {}
     for s in (one_step(sysm, t, pool)
-              + sysm.stepper.steps(t, pool, backward=True)):
+              + one_step(sysm, t, pool, backward=True)):
         old = best.get(s.target)
         if old is None or q.strictly_below(old.weight, s.weight):
             best[s.target] = s
@@ -322,7 +330,7 @@ def test_forward_only_relaxations_equal_forward_plus_backward(name):
         compared += len(got)
     assert compared > 100
     # convertibility and valley searches share the cached step lists
-    assert all(key[0] is False for key in sysm.stepper.relaxations)
+    assert all(key[0] is False for key in sysm.relaxations)
 
 
 def test_conversions_on_self_inverse_systems_leave_the_backward_table_unbuilt(
@@ -336,7 +344,7 @@ def test_conversions_on_self_inverse_systems_leave_the_backward_table_unbuilt(
         sysm = make_dna(variant)
         ans = convertibility_distance(sysm, dna_term(s), dna_term(t))
         assert (ans.kind, ans.value) == ("exact", want)
-        assert "backward" not in vars(sysm.stepper)
+        assert "backward" not in vars(sysm)
     assert built == []
 
 
@@ -362,8 +370,8 @@ def test_a_shared_redex_memo_returns_what_memo_less_steps_return(name):
     for backward in (False, True):
         for t in terms:
             for pool in (subterm_pool(t), None):
-                got = sysm.stepper.steps(t, pool, backward, memo=memo)
-                want = sysm.stepper.steps(t, pool, backward)
+                got = one_step(sysm, t, pool, backward, memo=memo)
+                want = one_step(sysm, t, pool, backward)
                 assert got == want
                 checked += len(got)
     assert checked > 20
@@ -375,7 +383,7 @@ def test_queries_keep_no_cache_beyond_their_results():
     peak = qtrs.critical_pairs(bary)[0]
     s, t = dna_term("ACGTAC"), dna_term("CCGTCC")
     budget = SearchBudget(max_expanded=400)
-    bary.stepper  # the stepper holds only the rules' terms
+    bary.forward  # the rule index holds only the rules' terms
     gc.collect()
     gc.disable()
     try:
@@ -391,3 +399,74 @@ def test_queries_keep_no_cache_beyond_their_results():
             assert len(term_module._TABLE) == before
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the order of tied steps
+
+
+def _rendering_after(t, p):
+    """The rendering of ``t`` that follows its subterm at ``p``."""
+    tails = []
+    for i in p:
+        tails.append("".join(["," + str(a) for a in t.args[i:]]) + ")")
+        t = t.args[i - 1]
+    return "".join(reversed(tails))
+
+
+def _tie_reference(steps):
+    """``steps`` by position and rule id, and steps of one rule at one
+    position by the rendering of the target from that position on, the
+    rest of the term included: the contractum with the suffix that
+    ``one_step``'s order leaves out."""
+    ties = Counter((s.position, s.rule_id) for s in steps)
+
+    def key(s):
+        p, rid = s.position, s.rule_id
+        if ties[p, rid] == 1:
+            return p, rid, ""
+        return p, rid, str(subterm_at(s.target, p)) + _rendering_after(
+            s.source, p)
+
+    return sorted(steps, key=key)
+
+
+def test_tied_steps_keep_the_order_of_their_whole_renderings():
+    # the first peaks of every sample, their sides and seeded terms, then
+    # their reducts, in both directions, with and without a pool
+    compared = tied = 0
+    for name in NAMES:
+        sysm, layer = _seeded_terms(name)
+        layer += [t for peak in qtrs.critical_pairs(sysm)[:20]
+                  for t in (peak.source, peak.left[0], peak.right[0])]
+        for _ in range(2):
+            reducts = []
+            for t in dict.fromkeys(layer):
+                for backward in (False, True):
+                    for pool in (subterm_pool(t), None):
+                        steps = one_step(sysm, t, pool, backward)
+                        assert steps == _tie_reference(steps), (name, str(t))
+                        compared += len(steps)
+                        tied += sum(n for n in Counter(
+                            (s.position, s.rule_id) for s in steps).values()
+                            if n > 1)
+                        if pool is None and not backward:
+                            reducts += [s.target for s in steps]
+            layer = reducts[:200]
+    assert compared > 80000 and tied > 30000
+
+
+def test_tied_steps_on_a_deep_barycentric_chain():
+    # perturb invents a variable: each of its redexes steps to one target
+    # per pool term, all tied at one position
+    x, y = Variable("x"), Variable("y")
+    third = Symbol("+", 2, (Fraction(1, 3),))
+    t = x
+    for _ in range(60):
+        t = Application(third, (x, t))
+    pool = [x, y, Application(third, (x, y))]
+    steps = one_step(make_barycentric(), t, pool)
+    assert len(steps) == 240
+    assert Counter(Counter((s.position, s.rule_id) for s in steps).values()) == {
+        1: 60, 3: 60}
+    assert steps == _tie_reference(steps)

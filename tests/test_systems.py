@@ -81,7 +81,7 @@ def test_each_call_builds_a_fresh_system():
                  lambda: make_dna("eigen_mccaskill")):
         first, second = make(), make()
         assert first == second and first is not second, first.name
-        assert first.stepper is not second.stepper, first.name
+        assert first.relaxations is not second.relaxations, first.name
 
 
 def test_unknown_dna_variant_is_rejected():

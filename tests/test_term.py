@@ -2,9 +2,13 @@
 
 import copy
 import gc
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +124,11 @@ def test_match_symbol_parameters():
     assert match(pat2, sub2) is not None
     # concrete slots must agree exactly
     assert match(bang(Fraction(1), x), bang(Fraction(2), app(a))) is None
+    # a parameter bound twice must be bound to one value
+    pat3 = bang(parse_expr("n"), bang(parse_expr("n"), x))
+    assert match(pat3, bang(Fraction(1), bang(Fraction(2), app(a)))) is None
+    assert match(pat3, bang(Fraction(2), bang(Fraction(2), app(a))))[1] == {
+        "n": Fraction(2)}
 
 
 def test_unify_basics():
@@ -314,6 +323,44 @@ def test_terms_sharing_a_hash_stay_distinct():
     assert Application(s1, ()) is t1
 
 
+def _chain_at(h):
+    """The live applications on the intern table's chain for hash ``h``,
+    newest first; every entry is live and filed under ``h``."""
+    out, entry = [], term_module._TABLE.get(h)
+    while entry is not None:
+        assert entry.hash == h and entry() is not None
+        out.append(entry())
+        entry = entry.next
+    return out
+
+
+def test_dropping_the_head_or_the_tail_of_a_hash_chain_keeps_the_rest():
+    # hash(-1) == hash(-2) == hash(-(2**61 + 1)) for CPython's ints, so the
+    # three symbols, and the three applications, share one hash
+    leaf = app(Symbol("chained", 0))
+
+    def make(v):
+        return Application(Symbol("chained", 1, (Fraction(v),)), (leaf,))
+
+    gc.disable()
+    try:
+        t1, t2, t3 = make(-1), make(-2), make(-(2**61 + 1))
+        h = hash(t1)
+        assert hash(t2) == hash(t3) == h
+        assert _chain_at(h) == [t3, t2, t1]
+        del t1  # the tail of a chain of three
+        assert _chain_at(h) == [t3, t2]
+        del t3  # the head, with an entry behind it
+        assert _chain_at(h) == [t2]
+        assert make(-2) is t2
+        t1 = make(-1)
+        assert t1 is not t2 and _chain_at(h) == [t1, t2]
+        del t1, t2
+        assert h not in term_module._TABLE
+    finally:
+        gc.enable()
+
+
 def test_deep_terms_render_hash_and_compare():
     t = _chain("S", 5000)
     assert str(t) == "S(" * 5000 + "S" + ")" * 5000
@@ -363,3 +410,29 @@ def test_symbols_are_interned_and_read_only():
         assert len(term_module._SYMBOLS) == before
     finally:
         gc.enable()
+
+
+REIMPORT = """
+import gc, importlib, sys
+for _ in range(9):
+    for name in [m for m in sys.modules if m.partition(".")[0] == "qtrw"]:
+        del sys.modules[name]
+    for name in ("qtrw", "qtrw.systems", "qtrw.cli"):
+        importlib.import_module(name)
+gc.collect()
+print(sum(type(o) is dict and o.get("__name__") == "qtrw.term"
+          for o in gc.get_objects()))
+"""
+
+
+def test_a_reimported_package_leaves_no_earlier_module_alive():
+    # ``typing`` caches a type alias subscripted over qtrw classes, and with
+    # them their module; counted in a fresh interpreter, as re-importing
+    # qtrw here would leave the other tests with stale classes
+    src = Path(term_module.__file__).resolve().parent.parent
+    path = os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", REIMPORT], check=True,
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["1"]
