@@ -10,7 +10,7 @@ term (``normalize.json``), ``multi_step`` on seeded graded-combinator
 terms at widths 1, 2 and 4 (``multi-step.json``), the parser
 (``parse.json``): every sample emitted back as text, a corpus of parsed
 terms, and the exception class and line number of malformed inputs, and
-``strongly_closed_check`` on every barycentric peak at depth 6
+``strongly_closed_check`` on every critical peak of every sample at depth 6
 (``strong-closure.json``): the verdict and both one-sided meets.
 
 To regenerate all goldens after an intended output change, run this file as
@@ -297,20 +297,21 @@ STRONG_CLOSURE_DEPTH = 6
 
 
 def _strong_closure_golden():
-    sysm = _system("barycentric")
-
     def meet(side):
         return None if side is None else [term_key(side[0]), str(side[1])]
 
-    out = []
-    for peak in critical_pairs(sysm):
-        v = strongly_closed_check(sysm, peak, STRONG_CLOSURE_DEPTH)
-        out.append({
-            "peak": [peak.inner_rule, peak.outer_rule, list(peak.position),
-                     term_key(peak.source)],
-            "holds": v.holds,
-            "one_step_left": meet(v.one_step_left),
-            "one_step_right": meet(v.one_step_right)})
+    out = {}
+    for name in sorted(SEEDS):
+        sysm = _system(name)
+        out[name] = []
+        for peak in critical_pairs(sysm):
+            v = strongly_closed_check(sysm, peak, STRONG_CLOSURE_DEPTH)
+            out[name].append({
+                "peak": [peak.inner_rule, peak.outer_rule,
+                         list(peak.position), term_key(peak.source)],
+                "holds": v.holds,
+                "one_step_left": meet(v.one_step_left),
+                "one_step_right": meet(v.one_step_right)})
     return out
 
 
