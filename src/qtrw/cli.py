@@ -27,7 +27,7 @@ from .qtrs import (
     one_step,
     orthogonality_check,
     sn_probe,
-    strongly_closed_check,
+    strong_closure_pass,
     term_graph,
 )
 from .search import (
@@ -166,7 +166,7 @@ def _cmd_check(args) -> int:
         code = 0 if joinable == len(peaks) else 2
     elif args.what == "strong-closure":
         peaks = critical_pairs(sysm)
-        verdicts = [strongly_closed_check(sysm, p, args.depth) for p in peaks]
+        verdicts = strong_closure_pass(sysm, peaks, args.depth)
         closed = sum(v.holds for v in verdicts)
         result = {"peaks": len(peaks), "strongly_closed": closed}
         code = 0 if closed == len(peaks) else 1

@@ -106,7 +106,8 @@ def multi_step(sys: RewriteSystem, t: Term,
                     Application(term.symbol, tuple(c.target for c in combo)),
                     w, n), q)
         for rule in candidates:
-            for sigma, env, eps, rhs in _rule_matches(q, sys.grid, rule, term):
+            for sigma, env, eps, rhs, _ in _rule_matches(q, sys.grid, rule,
+                                                          term):
                 lhs = instantiate_params(rule.lhs, env)
                 bound = sorted(variables(lhs))
                 # the bindings are strict subterms, solved already, or, for a

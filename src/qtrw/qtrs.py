@@ -26,7 +26,12 @@ A system whose rules are closed under inversion, at no better weight, is
 search skips them.  Steps take each subterm's root redexes from a redex memo
 owned by the caller: one search query (``join_check`` runs one) or one
 ``strongly_closed_check`` shares one memo, so a subterm common to many of
-its terms is matched against the rules once per direction.
+its terms is matched against the rules once per direction.  A firing memo
+holds the instances a schema rule fires for the parameter values its
+left-hand side matched; one ``strong_closure_pass`` over a system's peaks
+shares one, and a lone ``strongly_closed_check`` owns one.  Plain rules
+skip it, as firing one costs less than the lookup.  Neither memo outlives
+its query or pass.
 
 Grades belong to the system: a symbol family may declare its argument
 sensitivities, read by ``grades_of``.  On additive cost quantales a
@@ -361,18 +366,20 @@ class RewriteSystem:
             return self.quantale.unit
         return self.quantale.join(r.weight for r in self.rules)
 
-    def _redexes(self, sub: Term, backward: bool) -> Tuple[_Redex, ...]:
+    def _redexes(self, sub: Term, backward: bool,
+                 firings: Optional[FiringMemo] = None) -> Tuple[_Redex, ...]:
         """How the rules (with ``backward``, the inverted rules) fire at the
-        root of ``sub``; see ``_Redex``."""
+        root of ``sub``; see ``_Redex``.  Schema rules fire through the
+        firing memo ``firings``, if given (see ``_rule_matches``)."""
         table = self.backward if backward else self.forward
         candidates = table.var_rules
         if not isinstance(sub, Variable):
             candidates += table.by_root.get(sub.symbol.name, ())
         out: List[_Redex] = []
         for rule in candidates:
-            for sigma, env, weight, rhs in _rule_matches(
-                    self.quantale, self.grid, rule, sub):
-                rid = rule.rid if backward else _instance_id(rule, env)
+            for sigma, _, weight, rhs, iid in _rule_matches(
+                    self.quantale, self.grid, rule, sub, firings):
+                rid = rule.rid if backward else iid
                 out.append((rid, weight, rule.fresh, (sigma, rhs) if rule.fresh
                             else apply_substitution(rhs, sigma)))
         return tuple(out)
@@ -446,17 +453,35 @@ def _fresh_variable_for(t: Term, taken: Set[str]) -> Variable:
 
 
 def _rule_matches(
-    quantale: QuantaleSpec, grid: Sequence[Fraction], rule: Rule, sub: Term
-) -> Iterator[Tuple[Substitution, Env, Value, Term]]:
-    """All ways ``rule`` fires on ``sub``: bindings, parameter env, weight
-    and the right-hand side under that env; parameters ``sub`` does not
-    determine range over ``grid`` (see ``_firing``)."""
+    quantale: QuantaleSpec, grid: Sequence[Fraction], rule: Rule, sub: Term,
+    firings: Optional[FiringMemo] = None,
+) -> Iterator[Tuple[Substitution, Env, Value, Term, str]]:
+    """All ways ``rule`` fires on ``sub``: bindings, parameter env, weight,
+    the right-hand side under that env and the instance id; parameters
+    ``sub`` does not determine range over ``grid`` (see ``_firing``).
+
+    A schema rule's firings depend on ``sub`` only through the parameter
+    values its left-hand side matched, so with a firing memo ``firings``
+    they are read from it, or built and kept there.  The memo is keyed by
+    the rule itself: an inverted rule keeps the bare rule id.  Its env
+    dicts are shared by every later reader, so none may mutate them.
+    """
     m = match(rule.lhs, sub)
     if m is None:
         return
     sigma, env = m
-    for full, w, (rhs,) in _firing(quantale, grid, rule, env, (rule.rhs,)):
-        yield sigma, full, w, rhs
+    if firings is None or not rule.params:
+        for full, w, (rhs,) in _firing(quantale, grid, rule, env, (rule.rhs,)):
+            yield sigma, full, w, rhs, _instance_id(rule, full)
+        return
+    key = (rule, tuple(env.get(p) for p in rule.params))
+    fired = firings.get(key)
+    if fired is None:
+        fired = firings[key] = [
+            (full, w, rhs, _instance_id(rule, full)) for full, w, (rhs,)
+            in _firing(quantale, grid, rule, env, (rule.rhs,))]
+    for full, w, rhs, iid in fired:
+        yield sigma, full, w, rhs, iid
 
 
 class _RuleTable(NamedTuple):
@@ -529,6 +554,12 @@ _Redex: TypeAlias = "Tuple[str, Value, Tuple[str, ...], object]"
 # the redex memo of one query: (backward?, subterm) -> its root redexes
 RedexMemo: TypeAlias = "Dict[Tuple[bool, Term], Tuple[_Redex, ...]]"
 
+# the firing memo of one strong-closure pass: (schema rule, the values its
+# left-hand side matched for ``Rule.params``, None where unbound) -> its
+# firings, (env, weight, right-hand side, instance id)
+FiringMemo: TypeAlias = ("Dict[Tuple[Rule, Tuple[object, ...]],"
+                         " List[Tuple[Env, Value, Term, str]]]")
+
 # a redex that ``within`` kept out of a step list: its position, and the
 # redex with its weight after context scaling
 _Skip: TypeAlias = "Tuple[Position, _Redex]"
@@ -563,6 +594,7 @@ def one_step(
     backward: bool = False,
     *,
     memo: Optional[RedexMemo] = None,
+    firings: Optional[FiringMemo] = None,
     within: Optional[Tuple[Value, Value]] = None,
     _skipped: Optional[List[_Skip]] = None,
 ) -> List[RewriteStep]:
@@ -580,6 +612,10 @@ def one_step(
     subterm common to many of its terms is matched once per direction.  It
     must only ever serve ``sys``, and holds no more than the query reaches;
     a memo kept on the system would keep every query's subterms alive.
+    ``firings`` is the caller's firing memo (by default none): a subterm
+    the redex memo has not seen fires its schema rules through it (see
+    ``_rule_matches``), so one strong-closure pass builds each schema
+    instance once.  It too must only ever serve ``sys``.
 
     ``within`` = (weight so far, bound) keeps only the steps whose
     weight, tensored onto the weight so far, stays at or above the
@@ -603,7 +639,8 @@ def one_step(
     for p, sub in subterms(t):
         redexes = memo.get((backward, sub))
         if redexes is None:
-            redexes = memo[backward, sub] = sys._redexes(sub, backward)
+            redexes = memo[backward, sub] = sys._redexes(sub, backward,
+                                                         firings)
         if not redexes:
             continue
         if graded:
@@ -854,6 +891,7 @@ def _layered_relaxation(
     weight_bound: Optional[Value] = None,
     size_bound: Optional[int] = None,
     memo: Optional[RedexMemo] = None,
+    firings: Optional[FiringMemo] = None,
 ) -> Iterator[Tuple[Term, Value]]:
     """Relax reducts of ``t`` layer by layer, up to ``depth`` steps.
 
@@ -865,7 +903,7 @@ def _layered_relaxation(
     ``one_step`` applies the weight bound (its ``within``), so a pruned
     step is never built, and the yields are those of building every step
     and pruning afterwards.  Steps go through the redex memo ``memo`` of
-    the caller's check.
+    the caller's check and the firing memo ``firings`` of its pass.
     """
     q = sys.quantale
     best: Dict[Term, Value] = {t: q.unit}
@@ -876,7 +914,8 @@ def _layered_relaxation(
         for term in frontier:
             w = best[term]
             within = None if weight_bound is None else (w, weight_bound)
-            for step in one_step(sys, term, pool, memo=memo, within=within):
+            for step in one_step(sys, term, pool, memo=memo, firings=firings,
+                                 within=within):
                 nw = q.tensor(w, step.weight)
                 u = step.target
                 if size_bound is not None and term_size(u) > size_bound:
@@ -958,29 +997,38 @@ def _one_sided_closure(
     depth: int,
     pool: Sequence[Term],
     memo: RedexMemo,
+    firings: FiringMemo,
 ) -> Optional[Tuple[Term, Value]]:
     """The first meet of ``short_side`` in at most one step and
     ``long_side`` in at most ``depth`` steps whose valley weight dominates
     ``peak_total``, with that weight; ``None`` if there is none.
 
-    The long side never builds a step that takes its path below
-    ``peak_total`` (see ``_layered_relaxation``).  Each term it reaches is
-    tried against the short side's reducts in their order, skipping those
-    whose root symbol cannot pair with the term's (``_match_root``):
-    ``match`` fails on them both ways, so the first meet stays the same.
+    Neither side builds a step that takes its path below ``peak_total``
+    (see ``_layered_relaxation``).  On the short side that loses no meet:
+    the quantale is integral, so a valley weighs at most its short half,
+    and a candidate below ``peak_total`` never closes the peak.  The kept
+    candidates are the unbounded ones that dominate the peak, in their
+    order, but for a target first reached by a step out of bounds: it
+    moves to its first step in bounds, which can change the meet found
+    first.  Each term the long side reaches is tried against the
+    candidates in order, skipping those whose root symbol cannot pair with
+    the term's (``_match_root``): ``match`` fails on them both ways, so the
+    first meet stays the same.
     """
     q = sys.quantale
     candidates = dict(_layered_relaxation(
-        sys, short_side, 1, pool, memo=memo))
-    # the sought meet is one of the candidates, so reducts that outgrow them
-    # (modulo slack for intermediate reshuffling) can never close the peak
+        sys, short_side, 1, pool, peak_total, memo=memo, firings=firings))
+    # the sought meet is one of the kept candidates, so reducts that outgrow
+    # them (modulo slack for intermediate reshuffling) can never close the
+    # peak; the cap prunes only the long side, so it cannot make a closure
+    # unsound
     size_cap = 2 + max(term_size(long_side), *map(term_size, candidates))
     roots = {u: _match_root(u) for u in candidates}
     # the candidates in order that may pair with a term of each root
     paired: Dict[Optional[Symbol], List[Tuple[Term, Value]]] = {
         None: list(candidates.items())}
     for term, w in _layered_relaxation(
-            sys, long_side, depth, pool, peak_total, size_cap, memo):
+            sys, long_side, depth, pool, peak_total, size_cap, memo, firings):
         root = _match_root(term)
         tried = paired.get(root)
         if tried is None:
@@ -999,23 +1047,39 @@ def _one_sided_closure(
 
 
 def strongly_closed_check(
-    sys: RewriteSystem, peak: CriticalPeak, depth_budget: int
+    sys: RewriteSystem, peak: CriticalPeak, depth_budget: int, *,
+    firings: Optional[FiringMemo] = None,
 ) -> StrongClosureVerdict:
     """Both one-sided valley conditions for the peak, weight-aware.
 
     Condition one: some u with left ->= u and right ->* u.  Condition two:
     some v with left ->* v and right ->= v.  Each valley tensor must dominate
     the peak tensor in the quantale order.
+
+    ``firings`` is the firing memo of the caller's pass over ``sys``'s
+    peaks (see ``strong_closure_pass``); by default the check owns one.
+    The redex memo is always the check's own.
     """
     q = sys.quantale
     pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
     total = peak.tensor(q)
     memo: RedexMemo = {}  # both conditions step through one memo
+    if firings is None:
+        firings = {}
     c1 = _one_sided_closure(sys, peak.left[0], peak.right[0], total,
-                            depth_budget, pool, memo)
+                            depth_budget, pool, memo, firings)
     c2 = _one_sided_closure(sys, peak.right[0], peak.left[0], total,
-                            depth_budget, pool, memo)
+                            depth_budget, pool, memo, firings)
     return StrongClosureVerdict(c1 is not None and c2 is not None, c1, c2)
+
+
+def strong_closure_pass(sys: RewriteSystem, peaks: Sequence[CriticalPeak],
+                        depth_budget: int) -> List[StrongClosureVerdict]:
+    """``strongly_closed_check`` on each of ``peaks``, in order, all
+    sharing one firing memo that ends with the pass."""
+    firings: FiringMemo = {}
+    return [strongly_closed_check(sys, p, depth_budget, firings=firings)
+            for p in peaks]
 
 
 # ---------------------------------------------------------------------------
@@ -1141,7 +1205,7 @@ def confluence_report(
                 "confluent by CP+Newman at explored scale", evidence)
 
     if gate_ok:
-        strong = [strongly_closed_check(sys, p, depth_budget) for p in peaks]
+        strong = strong_closure_pass(sys, peaks, depth_budget)
         evidence["strongly_closed_peaks"] = sum(v.holds for v in strong)
         if all(v.holds for v in strong):
             return ConfluenceReport("confluent by strong closure", evidence)

@@ -10,8 +10,9 @@ term (``normalize.json``), ``multi_step`` on seeded graded-combinator
 terms at widths 1, 2 and 4 (``multi-step.json``), the parser
 (``parse.json``): every sample emitted back as text, a corpus of parsed
 terms, and the exception class and line number of malformed inputs, and
-``strongly_closed_check`` on every critical peak of every sample at depth 6
-(``strong-closure.json``): the verdict and both one-sided meets.
+``strong_closure_pass`` over every critical peak of every sample at depth 6,
+the pass that ``qtrw check --what strong-closure`` and the confluence
+report run (``strong-closure.json``): the verdict and both one-sided meets.
 
 To regenerate all goldens after an intended output change, run this file as
 a script: ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -28,7 +29,7 @@ import pytest
 from qtrw.cli import main
 from qtrw.dsl import emit_system, parse_system, parse_term
 from qtrw.graded import multi_step
-from qtrw.qtrs import critical_pairs, strongly_closed_check
+from qtrw.qtrs import critical_pairs, strong_closure_pass
 from qtrw.search import SearchBudget, normalize
 from qtrw.term import (Application, Symbol, Variable, apply_substitution,
                        instantiate_params, term_key, variables)
@@ -303,9 +304,10 @@ def _strong_closure_golden():
     out = {}
     for name in sorted(SEEDS):
         sysm = _system(name)
+        peaks = critical_pairs(sysm)
         out[name] = []
-        for peak in critical_pairs(sysm):
-            v = strongly_closed_check(sysm, peak, STRONG_CLOSURE_DEPTH)
+        for peak, v in zip(peaks, strong_closure_pass(
+                sysm, peaks, STRONG_CLOSURE_DEPTH)):
             out[name].append({
                 "peak": [peak.inner_rule, peak.outer_rule,
                          list(peak.position), term_key(peak.source)],

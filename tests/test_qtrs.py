@@ -20,6 +20,7 @@ from qtrw.qtrs import (
     join_check,
     one_step,
     sn_probe,
+    strong_closure_pass,
     strongly_closed_check,
     subterm_pool,
     sum_systems,
@@ -377,6 +378,61 @@ def test_weight_bounded_steps_are_the_unbounded_steps_filtered(name):
                 sys, side, BOUNDED_DEPTH, pool, bound, size)) == list(
                 _relaxation_pruned_after(
                     sys, side, BOUNDED_DEPTH, pool, bound, size))
+
+
+def _barycentric_peak(inner, outer, position):
+    sys = make_barycentric()
+    return sys, next(p for p in critical_pairs(sys)
+                     if (p.inner_rule, p.outer_rule, p.position)
+                     == (inner, outer, position))
+
+
+def _candidates(sys, peak, side, bound=None):
+    """The short side's candidates as ``_one_sided_closure`` relaxes them:
+    one step deep, under ``bound``."""
+    pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
+    return list(dict(_layered_relaxation(sys, side, 1, pool, bound,
+                                         memo={})).items())
+
+
+@pytest.mark.parametrize("inner, outer, position", [
+    ("assoc[e1=1/2,e2=1/2]", "assoc[e1=1/2,e2=1/2]", (1,)),
+    ("perturb[e=0]", "comm[e=0]", ())])
+def test_bounded_candidates_are_the_dominating_unbounded_ones(
+        inner, outer, position):
+    sys, peak = _barycentric_peak(inner, outer, position)
+    q, total = sys.quantale, peak.tensor(sys.quantale)
+    assert total == 0
+    dropped = 0
+    for side in (peak.left[0], peak.right[0]):
+        every = _candidates(sys, peak, side)
+        kept = [(u, w) for u, w in every if q.leq(total, w)]
+        assert _candidates(sys, peak, side, total) == kept
+        dropped += len(every) - len(kept)
+    assert dropped > 0  # perturb's contracta weigh e > 0 or assoc's do
+
+
+def test_bounded_candidates_reorder_only_where_a_heavier_step_came_first():
+    # perturb[e=1/2] at the root reaches +{1/2}(+{1/3}(x0,y1),z) at weight
+    # 1/2, out of bounds, before perturb[e=1/3] at (1,) reaches it at 1/3
+    sys, peak = _barycentric_peak("perturb[e=1/3]", "assoc[e1=1/3,e2=1/2]",
+                                  (1,))
+    q, total = sys.quantale, peak.tensor(sys.quantale)
+    side = peak.left[0]
+    kept = [(u, w) for u, w in _candidates(sys, peak, side)
+            if q.leq(total, w)]
+    bounded = _candidates(sys, peak, side, total)
+    assert bounded != kept and dict(bounded) == dict(kept)
+    # the order of the candidates picks the meet, not whether one exists
+    assert strongly_closed_check(sys, peak, 6).holds
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_a_shared_firing_memo_changes_no_strong_closure_verdict(name):
+    sys = CATALOG[name]()
+    peaks = critical_pairs(sys)
+    lone = [strongly_closed_check(sys, p, 2) for p in peaks]
+    assert strong_closure_pass(sys, peaks, 2) == lone
 
 
 def test_weight_bounded_steps_weigh_the_scaled_step():

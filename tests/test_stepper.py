@@ -378,6 +378,23 @@ def test_a_shared_redex_memo_returns_what_memo_less_steps_return(name):
     assert {b for b, _ in memo} == {False, True}
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_a_shared_firing_memo_returns_what_memo_less_steps_return(name):
+    # one firing memo serves both directions: an inverted rule keeps the
+    # bare rule id, so only the rule itself tells its firings apart
+    sysm, terms = _memo_cases(name)
+    firings = {}
+    for backward in (False, True):
+        for t in terms:
+            for pool in (subterm_pool(t), None):
+                got = one_step(sysm, t, pool, backward, firings=firings)
+                assert got == one_step(sysm, t, pool, backward)
+    rules = {rule for rule, _ in firings}
+    assert all(rule.params for rule in rules)  # plain rules skip the memo
+    if sysm.has_schemas:
+        assert rules & set(sysm.rules) and rules - set(sysm.rules)
+
+
 def test_queries_keep_no_cache_beyond_their_results():
     bary = make_barycentric()
     peak = qtrs.critical_pairs(bary)[0]
