@@ -412,7 +412,7 @@ def test_bounded_candidates_are_the_dominating_unbounded_ones(
     assert dropped > 0  # perturb's contracta weigh e > 0 or assoc's do
 
 
-def test_bounded_candidates_reorder_only_where_a_heavier_step_came_first():
+def test_bounded_candidates_move_a_target_first_reached_out_of_bounds():
     # perturb[e=1/2] at the root reaches +{1/2}(+{1/3}(x0,y1),z) at weight
     # 1/2, out of bounds, before perturb[e=1/3] at (1,) reaches it at 1/3
     sys, peak = _barycentric_peak("perturb[e=1/3]", "assoc[e1=1/3,e2=1/2]",
