@@ -206,7 +206,7 @@ class Rule:
         return self.weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewriteStep:
     """One step of a reduction or a conversion: rule ``rule_id`` fires at
     ``position`` with ``weight``.  A "forward" step rewrites ``source`` to
@@ -330,9 +330,11 @@ class RewriteSystem:
                               for inv in _inverses(q, grid, rule)])
 
     @cached_property
-    def relaxations(self) -> Dict[object, List[RewriteStep]]:
+    def relaxations(self) -> Dict[object, Tuple[List[RewriteStep],
+                                                 Optional[Value]]]:
         """The distance search's step cache: for each term, the
-        ``RewriteStep``s the search relaxes (``search._relaxations``)."""
+        ``RewriteStep``s the search relaxes and the best weight of those a
+        term-size bound skipped (``search._relaxations``)."""
         return {}
 
     @cached_property
@@ -597,6 +599,8 @@ def one_step(
     firings: Optional[FiringMemo] = None,
     within: Optional[Tuple[Value, Value]] = None,
     _skipped: Optional[List[_Skip]] = None,
+    max_size: Optional[int] = None,
+    _oversized: Optional[List[Value]] = None,
 ) -> List[RewriteStep]:
     """Every single rewrite step from ``t``, duplicate-free; with
     ``backward``, every step from ``t`` of the inverse relation, each in the
@@ -628,6 +632,13 @@ def one_step(
     Each redex skipped is appended to ``_skipped``, if given, for a
     caller that must account for the weight it prunes (see
     ``_targets``).
+
+    ``max_size`` keeps only the steps to targets of at most that many
+    symbols.  A target's size is known before it is built, that of ``t``
+    less the redex's plus the contractum's, so a step past it is never
+    built; its weight (after context scaling) is appended to
+    ``_oversized``, if given.  Skipping a target drops only the steps to
+    it, so the kept steps and their order stay.
     """
     q, graded = sys.quantale, sys.graded
     if memo is None:
@@ -655,10 +666,16 @@ def one_step(
                 elif _skipped is not None:
                     _skipped.append((p, r))
             redexes = kept
+        if max_size is not None:
+            room = max_size - term_size(t) + term_size(sub)
         for rid, weight, fresh, contractum in redexes:
             contracta = (_invented(t, fresh_pool, fresh, *contractum) if fresh
                          else (contractum,))
             for c in contracta:
+                if max_size is not None and c._size > room:  # type: ignore[union-attr]
+                    if _oversized is not None:
+                        _oversized.append(weight)
+                    continue
                 target = replace_at(t, p, c)
                 key = (p, rid, target)
                 old = steps.get(key)

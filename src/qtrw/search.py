@@ -12,9 +12,12 @@ instantiated from a candidate pool drawn from the query terms' subterms.
 Each term's deduplicated step list, the ``RewriteStep``s the search relaxes,
 is cached in the system (``RewriteSystem.relaxations``), so repeated
 queries over a shared state space amortize; a directed search under a
-weight cutoff instead asks for the steps in bounds only, uncached.  The
-same records, each with its rule, position, direction and weight, make up
-an answer's witness.
+weight cutoff instead asks for the steps in bounds only, uncached.  No
+search builds a step to a term larger than its term-size cap and both of
+its ends (``_skip_limit``): no label holds such a term, so only the best
+weight of such steps counts, as a pruned branch.  The same records, each
+with its rule, position, direction and weight, make up an answer's
+witness.
 
 Each step is generated once per query.  A query owns one redex memo, shared
 by both of its frontiers and dropped with it, so a subterm common to many
@@ -106,36 +109,66 @@ class DistanceAnswer:
 
 
 def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
-                 pool: Sequence[Term],
-                 memo: Optional[RedexMemo] = None) -> List[RewriteStep]:
+                 pool: Sequence[Term], memo: Optional[RedexMemo] = None,
+                 limit: Optional[int] = None,
+                 ) -> Tuple[List[RewriteStep], Optional[Value]]:
     """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
-    per target (best weight kept), ordered by target rendering, and cached
-    in ``sys.relaxations`` under the key (symmetric, t), with the pool's
-    terms added when some rule invents variables.  ``memo`` is the query's
-    redex memo.
+    per target (best weight kept) and ordered by target rendering, less
+    the steps to targets of more than ``limit`` symbols, which are never
+    built; with the join of those steps' weights (``None`` if there are
+    none).  ``memo`` is the query's redex memo.
 
     The first best step per target is kept and forward steps come first,
     so on a self-inverse system backward steps never win, and are neither
     generated nor keyed apart.
 
-    Meet searches and cutoff-free directed searches relax these lists, and
-    prune steps out of bounds only after they are built: a meet search
-    checks each pruned target against the other side's labels.  A directed
-    search under a weight cutoff takes the same steps in bounds from
-    ``_SideSearch._steps_within`` instead, which builds no pruned step."""
+    The result is cached in ``sys.relaxations`` under the key (symmetric,
+    t), with the pool's terms added when some rule invents variables, if
+    the limit left nothing out: that is the full list, which serves every
+    limit.  Otherwise it is cached under (that key, limit).  The full
+    list is looked up first, so queries under different limits share the
+    lists of every term no limit cuts, such as all Hamming terms.
+
+    Meet searches and cutoff-free directed searches relax these lists.  A
+    directed search under a weight cutoff takes the same steps in bounds
+    from ``_SideSearch._steps_within`` instead, which builds no step its
+    cutoff prunes either."""
     if symmetric and sys.self_inverse:
         symmetric = False
     key: object = (symmetric, t)
     # the pool only fills variables a rule invents; otherwise steps ignore it
     if sys.forward.invents or (symmetric and sys.backward.invents):
         key = (symmetric, t, tuple(pool))
-    out = sys.relaxations.get(key)
+    cache = sys.relaxations
+    out = cache.get(key)
+    if out is None and limit is not None:
+        out = cache.get((key, limit))
     if out is None:
-        steps = one_step(sys, t, pool, memo=memo)
+        over: List[Value] = []
+        steps = one_step(sys, t, pool, memo=memo, max_size=limit,
+                         _oversized=over)
         if symmetric:
-            steps += one_step(sys, t, pool, backward=True, memo=memo)
-        out = sys.relaxations[key] = _by_target(steps, sys.quantale)
+            steps += one_step(sys, t, pool, backward=True, memo=memo,
+                              max_size=limit, _oversized=over)
+        q = sys.quantale
+        out = (_by_target(steps, q), q.join(over) if over else None)
+        cache[(key, limit) if over else key] = out
     return out
+
+
+def _skip_limit(budget: SearchBudget, s: Term, t: Term) -> Optional[int]:
+    """The term size past which a search from ``s`` and ``t`` builds no
+    step: the budget's term-size cap, raised to the size of either end.
+
+    A step past the cap is pruned, and only its weight enters the prune
+    accounting; but a meet search checks each pruned target against the
+    other side's labels, which hold terms within the cap and the other
+    side's start, which may be larger.  No term past all three is ever
+    labelled, so a step to one is pruned by its weight alone, and is not
+    built.  A step up to this limit but past the cap is built, and pruned
+    in ``_SideSearch.pop``."""
+    cap = budget.max_term_size
+    return None if cap is None else max(cap, term_size(s), term_size(t))
 
 
 def _by_target(steps: List[RewriteStep],
@@ -190,7 +223,9 @@ class _SideSearch:
 
     ``best_pruned`` tracks the quantale-largest accumulated weight among
     pruned branches; no unexplored continuation can beat it, so it bounds
-    what the truncated region might still contain.  In a meet search,
+    what the truncated region might still contain.  ``limit`` is the
+    search's ``_skip_limit``: ``one_step`` builds no step past it, and
+    reports the best weight it skipped instead.  In a meet search,
     ``opposite`` is the other side's table of labels and ``meets`` the
     search's shared meets; every label this side sets or cuts is checked
     against ``opposite`` at once.
@@ -204,6 +239,7 @@ class _SideSearch:
         pool: Sequence[Term],
         budget: SearchBudget,
         memo: RedexMemo,
+        limit: Optional[int],
         meets: Optional[_Meets] = None,
     ) -> None:
         self.sys = sys
@@ -215,6 +251,7 @@ class _SideSearch:
         self.pool = pool
         self.budget = budget
         self.memo = memo
+        self.limit = limit
         self.meets = meets
         self.dist: Dict[Term, _Label] = {}
         self.opposite: Dict[Term, _Label] = {}
@@ -255,10 +292,13 @@ class _SideSearch:
         """Pop and expand the best frontier term; returns it.
 
         A step out of bounds is pruned: its weight enters ``best_pruned``,
-        and in a meet search its target is checked against ``opposite``, so
-        every pruned target is built.  A one-sided search (no ``meets``)
-        with a weight cutoff uses a pruned step for its weight alone, so it
-        asks ``one_step`` for the steps in bounds only (``_steps_within``)."""
+        and in a meet search its target is checked against ``opposite``.
+        Steps past ``limit`` are never built, as no ``opposite`` holds
+        their targets; the best of their weights is noted once per term,
+        which notes them all, as the tensor distributes over joins.  A
+        one-sided search (no ``meets``) with a weight cutoff uses a pruned
+        step for its weight alone, so it asks ``one_step`` for the steps in
+        bounds only (``_steps_within``)."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
         dist = self.dist
@@ -276,8 +316,10 @@ class _SideSearch:
             if meets is None and cutoff is not None:
                 steps = self._steps_within(term, w, cutoff)
             else:
-                steps = _relaxations(
-                    self.sys, self.symmetric, term, self.pool, self.memo)
+                steps, over = _relaxations(self.sys, self.symmetric, term,
+                                           self.pool, self.memo, self.limit)
+                if over is not None:
+                    self._note_pruned(tensor(w, over))
             for step in steps:
                 target = step.target
                 nw = tensor(w, step.weight)
@@ -300,8 +342,8 @@ class _SideSearch:
     def _steps_within(self, term: Term, w: Value,
                       cutoff: Value) -> List[RewriteStep]:
         """The forward steps from ``term``, popped at ``w``, that the weight
-        cutoff keeps, as ``_relaxations`` would order them, with the weight
-        of the best step to each target the cutoff prunes noted.
+        cutoff and ``limit`` keep, as ``_relaxations`` would order them,
+        with the weight of the best step to each target they prune noted.
 
         ``one_step`` skips each redex out of bounds before building its
         targets and reports it; the kept steps are the unbounded ones, in
@@ -309,14 +351,21 @@ class _SideSearch:
         steps are relaxed in the same order.  A skipped redex's targets are
         built only while its weight could still raise ``best_pruned``, and
         its weight is noted only for a target no kept step reaches, as the
-        unbounded list keeps one best step per target.  The list depends on
-        ``w``, so it is not cached; a one-sided search expands each term
-        once per query and loses no cache hit."""
+        unbounded list keeps one best step per target.  A step in bounds
+        but past ``limit`` is skipped unbuilt, and its weight noted; one
+        out of bounds to the same target weighs less, so noting it too
+        changes nothing.  The list depends on ``w``, so it is not cached; a
+        one-sided search expands each term once per query and loses no
+        cache hit."""
         q = self.q
         skipped: List[_Skip] = []
+        over: List[Value] = []
         steps = _by_target(
             one_step(self.sys, term, self.pool, memo=self.memo,
-                     within=(w, cutoff), _skipped=skipped), q)
+                     within=(w, cutoff), _skipped=skipped,
+                     max_size=self.limit, _oversized=over), q)
+        if over:
+            self._note_pruned(q.tensor(w, q.join(over)))
         kept = {step.target for step in steps}
         for p, redex in skipped:
             nw = q.tensor(w, redex[1])
@@ -344,7 +393,8 @@ def reduction_distance(
     change that bound (see ``_SideSearch._steps_within``); the answers
     are those of relaxing every step and pruning afterwards."""
     pool = subterm_pool(s, t)
-    side = _SideSearch(sys, s, False, pool, budget, {})
+    side = _SideSearch(sys, s, False, pool, budget, {},
+                       _skip_limit(budget, s, t))
     expanded, popped = 0, False  # popped: t popped, at its final label
     while not popped and expanded < budget.max_expanded:
         u = side.pop()
@@ -455,8 +505,9 @@ def _meet_search(
     pool = subterm_pool(s, t) if pool is None else pool
     memo: RedexMemo = {}  # both frontiers step through one memo
     meets = _Meets(q)
-    left = _SideSearch(sys, s, symmetric, pool, budget, memo, meets)
-    right = _SideSearch(sys, t, symmetric, pool, budget, memo, meets)
+    limit = _skip_limit(budget, s, t)
+    left = _SideSearch(sys, s, symmetric, pool, budget, memo, limit, meets)
+    right = _SideSearch(sys, t, symmetric, pool, budget, memo, limit, meets)
     left.opposite, right.opposite = right.dist, left.dist
     if s == t:
         meets.offer(q.unit, s)

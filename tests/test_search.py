@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qtrw import search
+from qtrw import qtrs, search
 from qtrw.search import (
     BUDGET_EXHAUSTED,
     EXACT,
@@ -204,6 +204,136 @@ def test_bounded_barycentric_search_matches_the_unbounded_search(
 
 
 # ---------------------------------------------------------------------------
+# the term-size limit: no step past it is built
+
+
+DISTANCES = (convertibility_distance, valley_distance, reduction_distance)
+
+
+def _rand_dna(rng, n):
+    return "".join(rng.choice(DNA_BASES) for _ in range(n))
+
+
+def _skip_agrees(monkeypatch, make, queries):
+    """Runs every query (distance, s, t, budget) in turn on one fresh system
+    built by ``make``, building no step past ``_skip_limit``, then again on
+    another with the limit forced to None, so that the per-step size check
+    in ``_SideSearch.pop`` prunes every step past the cap.  Checks that the
+    answers are equal (kind, value, expansions and witness) and that the
+    first runs built fewer steps (``replace_at`` calls in ``qtrs``)."""
+    real = qtrs.replace_at
+    runs = []
+    for skip in (True, False):
+        built = []
+        sys = make()
+        with monkeypatch.context() as m:
+            m.setattr(qtrs, "replace_at",
+                      lambda *args: built.append(None) or real(*args))
+            if not skip:
+                m.setattr(search, "_skip_limit", lambda *args: None)
+            answers = [distance(sys, s, t, budget)
+                       for distance, s, t, budget in queries]
+        runs.append((answers, len(built)))
+    (got, skipping), (want, pruning) = runs
+    for query, a, b in zip(queries, got, want):
+        assert a == b, (query[0].__name__, str(query[1]), str(query[2]))
+    assert skipping < pruning
+    return got
+
+
+def _capped_queries(s, t, caps, cutoffs=(None,), **bounds):
+    return [(distance, s, t, SearchBudget(max_term_size=cap,
+                                          weight_cutoff=cutoff, **bounds))
+            for distance in DISTANCES for cap in caps for cutoff in cutoffs]
+
+
+def test_no_step_past_the_size_limit_is_built_and_answers_stay(monkeypatch):
+    rng = random.Random("size-limit")
+    queries = []
+    for ls, lt in ((2, 3), (3, 3), (4, 3), (5, 2)):
+        s, t = (_rand_dna(rng, n) for n in (ls, lt))
+        # caps one above the larger term's size, at it, and below s's
+        caps = {max(ls, lt) + 2, max(ls, lt) + 1, ls}
+        queries += _capped_queries(dna_term(s), dna_term(t), caps, (None, 2),
+                                   max_expanded=300, max_depth=8)
+    answers = _skip_agrees(monkeypatch, lambda: make_dna("levenshtein"),
+                           queries)
+    assert {EXACT, UPPER_BOUND, BUDGET_EXHAUSTED} <= {a.kind for a in answers}
+    assert any(term_size(s) > b.max_term_size for _, s, _, b in queries)
+
+    queries = []
+    for n, m, k in ((2, 1, 3), (1, 2, 2), (3, 0, 1)):
+        queries += _capped_queries(_add(nat_term(n), nat_term(m)),
+                                   nat_term(k), (4, 6, 8), (None, 1),
+                                   max_expanded=500, max_depth=20)
+    answers = _skip_agrees(monkeypatch, make_nat, queries)
+    assert {EXACT, UPPER_BOUND, BUDGET_EXHAUSTED} <= {a.kind for a in answers}
+
+
+def test_no_step_past_the_size_limit_is_built_on_invented_variables_and_grades(
+        monkeypatch):
+    bary = make_barycentric()
+
+    def term(sys, src):
+        return parse_term(src, sys.signature)
+
+    # perturb invents z, filled from the pool
+    pairs = [("+{1/3}(+{1/2}(x, y), y)", "+{1/2}(x, +{1/2}(x, y))"),
+             ("+{1/2}(x, y)", "+{1/2}(y, y)")]
+    queries = [q for s, t in pairs
+               for q in _capped_queries(term(bary, s), term(bary, t), (3, 5),
+                                        (None, Fraction(1, 2)),
+                                        max_expanded=60)]
+    answers = _skip_agrees(monkeypatch, make_barycentric, queries)
+    assert {EXACT, UPPER_BOUND, BUDGET_EXHAUSTED} <= {a.kind for a in answers}
+
+    # grades scale the weights the limit skips; wrap grows a term
+    text = (SAMPLES / "graded-combinators.qtrs").read_text() + "\n".join((
+        "", "rule i2k: I -[1]-> K", "rule k2i: K -[1]-> I",
+        "rule wrap: I -[1]-> !{1}(I)", ""))
+    combi = parse_system(text)
+    pairs = [("(!{3}(I) app I) app I", "(!{3}(I) app K) app K"),
+             ("!{2}(I app I)", "!{2}(K app K)")]
+    queries = [q for s, t in pairs
+               for q in _capped_queries(term(combi, s), term(combi, t),
+                                        (5, 7), (None, 3), max_expanded=200)]
+    answers = _skip_agrees(monkeypatch, lambda: parse_system(text), queries)
+    assert {EXACT, UPPER_BOUND, BUDGET_EXHAUSTED} <= {a.kind for a in answers}
+
+
+def test_step_lists_a_size_limit_cut_are_cached_apart():
+    # criterion 3's shape: Hamming pairs of equal and of unequal lengths,
+    # under caps one above each pair's longer string, share one system.  No
+    # Hamming step changes a term's size, so no limit cuts a list, and
+    # every list is cached under the key every cap shares
+    sys = make_dna("hamming")
+    rng = random.Random("size-limit-keys")
+    for n in range(1, 6):
+        for lt in (n, n + 1):
+            s, t = _rand_dna(rng, n), _rand_dna(rng, lt)
+            convertibility_distance(sys, dna_term(s), dna_term(t),
+                                    _dna_budget(s, t))
+    assert sys.relaxations
+    assert all(isinstance(key[0], bool) for key in sys.relaxations)
+
+    # a Levenshtein term at the limit: its insertions are left out, and
+    # their best weight is reported
+    sys = make_dna("levenshtein")
+    q = sys.quantale
+    t = dna_term("ACG")
+    limit = term_size(t)
+    steps, over = search._relaxations(sys, True, t, [], limit=limit)
+    full, none = search._relaxations(sys, True, t, [])
+    assert none is None
+    dropped = [step for step in full if term_size(step.target) > limit]
+    assert dropped
+    assert steps == [step for step in full
+                     if term_size(step.target) <= limit]
+    assert over == q.join(step.weight for step in dropped)
+    assert set(sys.relaxations) == {(False, t), ((False, t), limit)}
+
+
+# ---------------------------------------------------------------------------
 # convertibility and valley distances
 
 
@@ -300,6 +430,19 @@ def test_conversion_behind_a_cutoff_on_both_sides_is_no_proof():
     assert (ans.kind, ans.value) == (UPPER_BOUND, 8)
     assert validate_witness(sys, s, t, ans.witness)
     assert convertibility_distance(sys, s, t).value == 7
+
+
+def test_conversion_past_the_cap_between_the_two_ends_is_no_proof():
+    # both ends are past the cap, and the direct step between them, pruned
+    # by size from either end, still ends at the other side's start; so it
+    # is built (see ``_skip_limit``), and the meet m at 3/2 is no proof
+    sys = _system("s m t", "rule a: f(s) -[1/2]-> m", "rule b: g(t) -[1]-> m",
+                  "rule c: f(s) -[1]-> g(t)")
+    s, t = parse_term("f(s)", sys.signature), parse_term("g(t)", sys.signature)
+    ans = convertibility_distance(sys, s, t, SearchBudget(max_term_size=1))
+    assert (ans.kind, ans.value) == (UPPER_BOUND, Fraction(3, 2))
+    assert validate_witness(sys, s, t, ans.witness)
+    assert convertibility_distance(sys, s, t).value == 1
 
 
 def _ground_terms(max_size):
