@@ -2,7 +2,8 @@
 
 Subpackages: quantale (value algebras), qrel (finite weighted relations and
 their confluence checks), term (first-order terms and unification), qtrs
-(rewrite systems and their grades, critical pairs, certification), graded
+(rewrite systems and their grades, critical pairs, certification),
+invariants (symbol-count invariants that prove unreachability), graded
 (parallel multi-steps and their diamond), search (metric word problems),
 systems (example catalog and oracles), dsl (the .qtrs format), cli (command
 line).

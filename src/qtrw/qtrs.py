@@ -42,7 +42,8 @@ rational-equality check.  Sensitivities may not be infinite.  In a system
 where some family declares grades, each step weight is the rule weight
 scaled by the degree of the step's context; without grades, it is the rule
 weight.  A system's ``balanced`` and ``orthogonal`` verdicts, like its
-rule indexes, are computed once, on first use.
+rule indexes and the basis of its symbol-count invariants (``invariants``,
+see ``qtrw.invariants``), are computed once, on first use.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .term import (
     unify,
     variables,
 )
+from . import invariants as _invariants
 from . import qrel as _qrel
 
 
@@ -199,6 +201,15 @@ class Rule:
     def fresh(self) -> Tuple[str, ...]:
         """Right-hand-side variables the left-hand side does not bind."""
         return tuple(sorted(variables(self.rhs) - variables(self.lhs)))
+
+    @cached_property
+    def delta(self) -> Optional[Dict[_invariants.Family, int]]:
+        """How a step of this rule, in any instance, changes a term's count
+        of each symbol family, keyed by name: the counts of the right-hand
+        side less those of the left, nonzero only.  ``None`` when
+        some variable occurs more often on one side, as the step then also
+        moves the counts of what it binds."""
+        return _invariants.delta(self.lhs, self.rhs)
 
     def weight_value(self, quantale: QuantaleSpec, env: Env) -> Value:
         if hasattr(self.weight, "evaluate"):
@@ -367,6 +378,20 @@ class RewriteSystem:
         if self.graded or self.has_schemas:
             return self.quantale.unit
         return self.quantale.join(r.weight for r in self.rules)
+
+    @cached_property
+    def invariants(self) -> Optional[Tuple[Dict[_invariants.Family, int],
+                                           ...]]:
+        """An integer basis, each vector its nonzero entries by family
+        name, of the symbol-count invariants: the vectors over the
+        signature's families that every rule's ``Rule.delta`` is orthogonal
+        to.  ``None`` when some rule erases, duplicates or invents a
+        variable.  Weights, grades, conditions and the quantale play no
+        part; see ``qtrw.invariants``."""
+        deltas = [rule.delta for rule in self.rules]
+        if any(d is None for d in deltas):
+            return None
+        return _invariants.basis([f.name for f in self.signature], deltas)
 
     def _redexes(self, sub: Term, backward: bool,
                  firings: Optional[FiringMemo] = None) -> Tuple[_Redex, ...]:

@@ -5,6 +5,10 @@ weights by tensor, and compare by the quantale order — so on cost quantales
 they are ordinary shortest-path searches.  Answers are conservative: an
 exact claim is made only when no pruned branch could still beat the
 returned value; otherwise the best witness is returned as an upper bound.
+An ``unreachable`` answer is a proof too: either a symbol-count invariant
+of the system tells the two terms apart (``qtrw.invariants``), which every
+search checks first, under any budget and with no expansion, or a search
+ran out of terms without pruning any.
 
 Steps come from ``qtrw.qtrs.one_step``: backward steps are forward steps of
 the inverted rules, so variables a rule's right-hand side erases are
@@ -62,6 +66,7 @@ from .quantale import QuantaleError, QuantaleSpec, Value
 from .term import Term, term_size
 from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, _best_per_target,
                    _Skip, _targets, one_step, subterm_pool)
+from . import invariants
 
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
@@ -391,7 +396,14 @@ def reduction_distance(
     ``one_step`` skips the redexes out of bounds before their targets are
     built, and the search builds one only while its weight could still
     change that bound (see ``_SideSearch._steps_within``); the answers
-    are those of relaxing every step and pruning afterwards."""
+    are those of relaxing every step and pruning afterwards.
+
+    First, a symbol-count invariant that differs on ``s`` and ``t``
+    (``invariants.differ``) proves the answer ``unreachable`` after no
+    expansion, under any budget: every step moves the counts by a vector
+    the invariant is orthogonal to."""
+    if invariants.differ(sys.invariants, s, t):
+        return DistanceAnswer(UNREACHABLE, None, (), 0)
     pool = subterm_pool(s, t)
     side = _SideSearch(sys, s, False, pool, budget, {},
                        _skip_limit(budget, s, t))
@@ -499,7 +511,15 @@ def _meet_search(
     (Holte, Felner, Sharon & Sturtevant, AAAI 2016; Goldberg & Harrelson,
     SODA 2005).  A ``goal`` stop ends the loop earlier but changes no bound:
     the answer is exact or an upper bound by the same test as above.
+
+    Before any of this, a symbol-count invariant that differs on ``s`` and
+    ``t`` (``invariants.differ``) proves the answer ``unreachable``
+    after no expansion, under any budget: every step, forward or backward,
+    moves the counts by a vector the invariant is orthogonal to, so it
+    takes one value along any conversion or valley.
     """
+    if invariants.differ(sys.invariants, s, t):
+        return DistanceAnswer(UNREACHABLE, None, (), 0)
     q = sys.quantale
     eps = sys.cheapest_step
     pool = subterm_pool(s, t) if pool is None else pool

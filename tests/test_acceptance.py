@@ -120,6 +120,7 @@ def test_criterion_02_levenshtein():
 def test_criterion_03_hamming():
     sys = make_dna("hamming")
     rng = random.Random("acceptance-hamming")
+    start = time.monotonic()
     bad = []
     for _ in range(200):
         n = rng.randrange(1, 9)
@@ -136,9 +137,11 @@ def test_criterion_03_hamming():
                                       _dna_budget(s, t))
         if ans.kind != UNREACHABLE:
             unequal.append((s, t, ans.kind))
-    _report(3, not bad and not unequal,
+    elapsed = time.monotonic() - start
+    _report(3, not bad and not unequal and elapsed < 60.0,
             "200 equal-length pairs exact vs the mismatch-count oracle,"
-            f" 20 unequal-length pairs unreachable; failures: {bad + unequal}")
+            f" 20 unequal-length pairs unreachable, {elapsed:.2f}s (< 60s);"
+            f" failures: {bad + unequal}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qtrw import qtrs, search
+from qtrw import invariants, qtrs, search
 from qtrw.search import (
     BUDGET_EXHAUSTED,
     EXACT,
@@ -28,6 +28,7 @@ from qtrw.search import (
 from qtrw.dsl import parse_system, parse_term
 from qtrw.quantale import INF
 from qtrw.systems import (
+    CATALOG,
     DNA_BASES,
     dna_term,
     make_barycentric,
@@ -38,7 +39,7 @@ from qtrw.systems import (
     oracle_levenshtein,
 )
 from qtrw.qtrs import one_step, subterm_pool, term_graph
-from qtrw.term import Application, Symbol, term_key, term_size
+from qtrw.term import Application, Symbol, Variable, term_key, term_size
 
 
 def _add(a, b):
@@ -86,7 +87,9 @@ def _bounded_and_unbounded(monkeypatch, sys, s, t, budget):
     """``reduction_distance`` as it runs, asking ``one_step`` only for the
     steps in bounds, and with every step from ``_relaxations``, which a
     side with meets (here never offered) uses.  Checks that each run went
-    its way through ``one_step``."""
+    its way through ``one_step``.  The symbol-count invariants are forced
+    off, so that a query they would settle still runs both searches."""
+    monkeypatch.setattr(invariants, "differ", lambda *args: False)
     real = search.one_step
     bounds = []
     monkeypatch.setattr(search, "one_step", lambda *args, **kwargs: (
@@ -127,6 +130,9 @@ def test_a_lighter_step_pruned_to_a_kept_target_does_not_truncate(
                   "rule stop: b -[0]-> c")
     f_a = parse_term("f(a)", sys.signature)
     budget = SearchBudget(weight_cutoff=2)
+    # the count of f tells f(a) from d without a search
+    ans = reduction_distance(sys, f_a, _const("d"), budget)
+    assert (ans.kind, ans.value, ans.expanded) == (UNREACHABLE, None, 0)
     ans, _ = _bounded_and_unbounded(monkeypatch, sys, f_a, _const("d"), budget)
     assert (ans.kind, ans.value, ans.expanded) == (UNREACHABLE, None, 3)
     f_c = parse_term("f(c)", sys.signature)
@@ -513,21 +519,33 @@ def _valleys(rel):
     return star.compose(star.transpose())
 
 
-def test_meet_searches_agree_with_closures_of_the_explored_graph():
+def _oracle_trials_both_ways(monkeypatch, seed, searches):
+    """``_oracle_trials`` as the searches run, then again with the
+    symbol-count invariants forced off, so that every query they settle
+    without a search is searched too.  Returns both runs' counts."""
+    first = _oracle_trials(seed, searches)
+    with monkeypatch.context() as m:
+        m.setattr(invariants, "differ", lambda *args: False)
+        return first, _oracle_trials(seed, searches)
+
+
+def test_meet_searches_agree_with_closures_of_the_explored_graph(
+        monkeypatch):
     """Conversions answer ``(R + R^T)*`` and valleys ``R* ; (R*)^T``."""
-    checked = _oracle_trials("meet-search-oracle", {
-        "convert": (convertibility_distance,
-                    lambda rel: rel.equivalence_closure()),
-        "valley": (valley_distance, _valleys)})
-    assert min(checked[k] for k in (EXACT, UPPER_BOUND, UNREACHABLE)) > 0
+    for checked in _oracle_trials_both_ways(monkeypatch, "meet-search-oracle", {
+            "convert": (convertibility_distance,
+                        lambda rel: rel.equivalence_closure()),
+            "valley": (valley_distance, _valleys)}):
+        assert min(checked[k] for k in (EXACT, UPPER_BOUND, UNREACHABLE)) > 0
 
 
-def test_directed_searches_agree_with_closures_of_the_explored_graph():
+def test_directed_searches_agree_with_closures_of_the_explored_graph(
+        monkeypatch):
     """Reductions answer ``R*``, with the weight cutoff applied as
     ``one_step`` skips redexes."""
-    checked = _oracle_trials("directed-oracle", {
-        "directed": (reduction_distance, lambda rel: rel.star())})
-    assert min(checked[k] for k in (EXACT, UNREACHABLE)) > 0
+    for checked in _oracle_trials_both_ways(monkeypatch, "directed-oracle", {
+            "directed": (reduction_distance, lambda rel: rel.star())}):
+        assert min(checked[k] for k in (EXACT, UNREACHABLE)) > 0
 
 
 @pytest.fixture
@@ -572,9 +590,12 @@ def _labels_replay(sys, sides):
     return checked
 
 
-def test_every_label_replays_to_its_weight(sides):
+def test_every_label_replays_to_its_weight(sides, monkeypatch):
     """Conversions, valleys and reductions, with and without a cutoff, on
-    random ground systems and on barycentric with a larger pool."""
+    random ground systems and on barycentric with a larger pool.  The
+    symbol-count invariants are forced off, as they would settle many of
+    the ground queries before any label is set."""
+    monkeypatch.setattr(invariants, "differ", lambda *args: False)
     rng = random.Random("label-replay")
     universe = _ground_terms(3)
     checked = 0
@@ -620,6 +641,136 @@ def test_hamming_conversions_stop_a_cheapest_step_early():
         assert (ans.kind, ans.value) == (EXACT, oracle_hamming(s, t))
         expanded += ans.expanded
     assert expanded <= 3200, expanded
+
+
+# ---------------------------------------------------------------------------
+# symbol-count invariants
+
+
+_ONE_VARIABLE = ("f(x)", "g(x)", "f(g(x))", "g(f(x))", "f(f(x))", "g(g(x))")
+
+
+def _separated(sys, s, t):
+    return invariants.differ(sys.invariants, s, t)
+
+
+def _symbols(src):
+    return sum(ch.isalpha() for ch in src)
+
+
+def _balanced_systems(rng, trials):
+    """``trials`` random systems of 1 to 4 rules over ``a b c``, ``f`` and
+    ``g``, with their rules, in which every variable occurs as often on
+    both sides: ground rules, rules on one variable such as ``f(x) ->
+    g(x)`` and ``f(g(x)) -> x``, and variable left-hand sides such as ``x
+    -> f(x)``.  Only a variable left-hand side has a right-hand side larger
+    than itself."""
+    ground = [str(u) for u in _ground_terms(2)]
+    for _ in range(trials):
+        rules = []
+        for i in range(rng.randrange(1, 5)):
+            kind = rng.random()
+            if kind < 0.9:
+                lhs = rng.choice(ground if kind < 0.4 else _ONE_VARIABLE)
+                sides = ground if kind < 0.4 else ("x",) + _ONE_VARIABLE
+                rhs = rng.choice([u for u in sides if u != lhs
+                                  and _symbols(u) <= _symbols(lhs)])
+            else:
+                lhs, rhs = "x", rng.choice(_ONE_VARIABLE)
+            rules.append(f"rule r{i}: {lhs} -[{rng.choice((1, 2))}]-> {rhs}")
+        yield rules, _system("a b c", *rules)
+
+
+def test_symbol_count_invariants_never_separate_convertible_terms():
+    """Every pair of ground terms of size at most 3 that the invariants
+    separate has no path in the equivalence closure of the graph
+    ``term_graph`` explores from all of them: in full, or one step deep where
+    a variable left-hand side grows terms without end.  The searches answer
+    each such pair ``unreachable`` after no expansion."""
+    rng = random.Random("invariant-oracle")
+    universe = _ground_terms(3)
+    separated = complete = 0
+    for rules, sys in _balanced_systems(rng, 40):
+        assert sys.invariants is not None, rules
+        rel, exhausted = term_graph(
+            sys, universe, max_terms=None,
+            depth=1 if sys.variable_lhs_rules() else None)
+        complete += exhausted
+        closure = rel.equivalence_closure()
+        for s in universe:
+            for t in universe:
+                if not _separated(sys, s, t):
+                    continue
+                separated += 1
+                assert closure(str(s), str(t)) is INF, (rules, str(s), str(t))
+                for distance in DISTANCES:
+                    assert distance(sys, s, t) == DistanceAnswer(
+                        UNREACHABLE, None, (), 0)
+    print(f"{separated} separated pairs, {complete} of 40 graphs in full")
+    assert separated > 0 and 0 < complete < 40
+
+
+def test_invariants_are_none_exactly_on_samples_with_an_unbalanced_rule():
+    # proj erases y, collapse duplicates nothing but keeps one of two x,
+    # and the combinators erase and duplicate their arguments
+    unbalanced = {"barycentric", "bck", "bck-nat", "bck-nat-w",
+                  "graded-combinators", "linearity-example", "semilattice"}
+    for name, make in CATALOG.items():
+        sys = make()
+        assert ((sys.invariants is None)
+                == any(r.delta is None for r in sys.rules)
+                == (name in unbalanced)), name
+    rules = {r.rid: r for r in make_barycentric().rules}
+    assert rules["proj"].delta is None and rules["comm"].delta == {}
+    sys = CATALOG["linearity-example"]()
+    e, i = (Application(Symbol(c, 0), ()) for c in "ei")
+    assert not _separated(sys, e, Application(Symbol("f", 2), (e, i)))
+
+
+def test_a_rule_that_invents_a_variable_has_no_invariants():
+    sys = _system("a b", "rule r: a -[1]-> f(x)")
+    assert sys.rules[0].delta is None and sys.invariants is None
+    assert not _separated(sys, _const("b"), _const("a"))
+    sys = _system("a b", "rule r: f(x) -[1]-> g(x)")
+    assert sys.invariants == ({"f": 1, "g": 1}, {"a": 1},
+                              {"b": 1})
+
+
+def test_hamming_invariants_count_length_and_levenshtein_only_nil():
+    ham, lev = make_dna("hamming"), make_dna("levenshtein")
+    assert lev.invariants == ({"nil": 1},)
+    rng = random.Random("invariant-dna")
+    for _ in range(50):
+        s, t = (_rand_dna(rng, rng.randrange(0, 8)) for _ in range(2))
+        assert _separated(ham, dna_term(s), dna_term(t)) == (
+            len(s) != len(t)), (s, t)
+        assert not _separated(lev, dna_term(s), dna_term(t))
+    ans = convertibility_distance(ham, dna_term("ACGTAC"), dna_term("TTGCAAG"))
+    assert ans == DistanceAnswer(UNREACHABLE, None, (), 0)
+
+
+def test_schema_families_are_counted_without_their_parameters():
+    sys = CATALOG["ticking"]()
+    s, t = (parse_term(src, sys.signature) for src in ("w{7}(nil)", "w{0}(nil)"))
+    assert sys.invariants == ({"nil": 1},)
+    assert not _separated(sys, s, t)
+    ans = reduction_distance(sys, s, t)
+    assert (ans.kind, ans.value) == (EXACT, 7)
+
+
+def test_invariants_walk_terms_deeper_than_the_recursion_limit():
+    ham = make_dna("hamming")
+    s, t = dna_term("A" * 5000), dna_term("C" * 5001)
+    assert _separated(ham, s, t)
+    assert not _separated(ham, s, dna_term("C" * 5000))
+    assert valley_distance(ham, s, t).expanded == 0
+    # #A - #Z is the one invariant of nat, and x is no Z
+    nat = make_nat()
+    deep = nat_term(5000)
+    assert nat.invariants == ({"A": 1, "Z": -1},)
+    assert not _separated(nat, _add(deep, nat_term(3)), deep)
+    ans = reduction_distance(nat, _add(Variable("x"), deep), deep)
+    assert ans == DistanceAnswer(UNREACHABLE, None, (), 0)
 
 
 # ---------------------------------------------------------------------------
