@@ -18,12 +18,19 @@ elimination over the integers, and ``RewriteSystem.invariants`` keeps it
 (``None`` when some rule erases, duplicates or invents a variable).
 ``differ`` reads two terms' counts off one walk each, without recursion;
 every distance search asks it first.
+
+The same deltas also price a term's size.  A step changes it by the sum
+of its delta, Δ, fixed by the rule up to sign.  Where the tensor adds and
+each step costs what its rule does, at least λ·|Δ|, every conversion
+from u to v costs at least λ·|size(u) − size(v)|.  ``size_rate`` finds the largest such λ,
+and the distance searches charge it to the branches they prune.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Optional, Sequence, Tuple, TypeAlias
+from typing import Dict, Optional, Sequence, Tuple, TypeAlias, Union
 
 from .term import Application, Term, Variable
 
@@ -134,3 +141,23 @@ def differ(invariants: Optional[Tuple[Dict[Family, int], ...]],
     diff = _occurrences((s, -1), (t, 1))
     return any(sum(y.get(k, 0) * n for k, n in diff.items())
                for y in invariants)
+
+
+def size_rate(rules: Sequence) -> Optional[Union[int, Fraction]]:
+    """The largest λ with λ·|Δ| ≤ w for every rule of ``rules``, each with
+    a ``delta`` and a rational weight w, Δ the sum of its ``delta``: an
+    ``int`` when integral, ``None`` when some ``delta`` is ``None``, no
+    rule changes size, or λ = 0.  Each rule caches its delta, so a copy
+    of a system pays one pass over its rules."""
+    w, d = None, 1  # the least ratio w/|Δ|, compared crosswise
+    for rule in rules:
+        delta = rule.delta
+        if delta is None:
+            return None
+        change = abs(sum(delta.values()))
+        if change and (w is None or rule.weight * d < w * change):
+            w, d = rule.weight, change
+    if not w:
+        return None
+    rate = Fraction(w) / d
+    return int(rate) if rate.denominator == 1 else rate

@@ -56,7 +56,7 @@ from functools import cached_property
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Set, Tuple, TypeAlias, TypeVar)
 
-from .quantale import INF, QuantaleError, QuantaleSpec, Value
+from .quantale import INF, LAWVERE, QuantaleError, QuantaleSpec, Value
 from .ratexpr import Comparison, Env, Expr, ExprError, Param
 from .term import (
     Position,
@@ -392,6 +392,16 @@ class RewriteSystem:
         if any(d is None for d in deltas):
             return None
         return _invariants.basis([f.name for f in self.signature], deltas)
+
+    @cached_property
+    def size_rate(self) -> Optional[Value]:
+        """``qtrw.invariants.size_rate`` of the rules where the tensor adds
+        (``lawvere``, ``nat-inf``) and a step weighs what its rule does (no
+        grades, no schema rule); ``None`` elsewhere."""
+        if (self.quantale.tensor is not LAWVERE.tensor or self.graded
+                or self.has_schemas):
+            return None
+        return _invariants.size_rate(self.rules)
 
     def _redexes(self, sub: Term, backward: bool,
                  firings: Optional[FiringMemo] = None) -> Tuple[_Redex, ...]:

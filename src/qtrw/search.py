@@ -5,6 +5,12 @@ weights by tensor, and compare by the quantale order — so on cost quantales
 they are ordinary shortest-path searches.  Answers are conservative: an
 exact claim is made only when no pruned branch could still beat the
 returned value; otherwise the best witness is returned as an upper bound.
+A meet search charges each pruned branch, besides its weight, for the size
+it must still recover: on a system with a ``size_rate`` λ, a run from u to
+v costs at least λ·|size(u) − size(v)|, so a branch pruned at u costs at
+least that much more on its way to the other end (``_SideSearch``).  So a
+meet as heavy as the pruned branches' exits is exact, though the search
+never looked past the cap.
 An ``unreachable`` answer is a proof too: either a symbol-count invariant
 of the system tells the two terms apart (``qtrw.invariants``), which every
 search checks first, under any budget and with no expansion, or a search
@@ -234,6 +240,14 @@ class _SideSearch:
     ``opposite`` is the other side's table of labels and ``meets`` the
     search's shared meets; every label this side sets or cuts is checked
     against ``opposite`` at once.
+
+    A meet search also names the ``other`` end.  Where the system has a
+    ``size_rate`` λ, ``best_exit`` tracks the join, over the pruned
+    branches, of g (x) λ·|size(u) − size(other)|: g the branch's weight
+    and u its term, which a run on to ``other`` must still resize at a
+    cost of at least λ a symbol.  u is the pruned target, the term at the
+    depth limit, or, for the steps ``limit`` leaves unbuilt, a term of
+    ``limit + 1`` symbols, no further from ``other`` than the real ones.
     """
 
     def __init__(
@@ -246,6 +260,7 @@ class _SideSearch:
         memo: RedexMemo,
         limit: Optional[int],
         meets: Optional[_Meets] = None,
+        other: Optional[Term] = None,
     ) -> None:
         self.sys = sys
         self.q = sys.quantale
@@ -261,6 +276,9 @@ class _SideSearch:
         self.dist: Dict[Term, _Label] = {}
         self.opposite: Dict[Term, _Label] = {}
         self.best_pruned: Optional[Value] = None
+        self.best_exit: Optional[Value] = None
+        self.rate = None if other is None else sys.size_rate
+        self.other_size = 0 if other is None else term_size(other)
         self._heap: List[Tuple[object, int, Term, _Label]] = []
         self._seq = 0
         self._push(start, (self.q.unit, 0, None))
@@ -281,9 +299,18 @@ class _SideSearch:
         steps.reverse()
         return steps
 
-    def _note_pruned(self, w: Value) -> None:
+    def _note_pruned(self, w: Value, size: Optional[int] = None) -> None:
+        """Note a branch pruned at weight ``w`` into a term of ``size``
+        symbols, which only a search without a ``rate`` may leave out."""
         if self.best_pruned is None or self.q.strictly_below(self.best_pruned, w):
             self.best_pruned = w
+        rate = self.rate
+        if rate is not None:
+            # a rate means the tensor adds: a weight is a cost, lower is better
+            e = w + rate * abs(size - self.other_size)
+            best = self.best_exit
+            if best is None or e < best:
+                self.best_exit = e
 
     def frontier_bound(self) -> Optional[Value]:
         """Quantale-largest weight of a live frontier term, the only terms
@@ -316,7 +343,7 @@ class _SideSearch:
                 continue
             w, depth, _ = label
             if depth >= self.budget.max_depth:
-                self._note_pruned(w)
+                self._note_pruned(w, term_size(term))
                 return term
             if meets is None and cutoff is not None:
                 steps = self._steps_within(term, w, cutoff)
@@ -324,14 +351,14 @@ class _SideSearch:
                 steps, over = _relaxations(self.sys, self.symmetric, term,
                                            self.pool, self.memo, self.limit)
                 if over is not None:
-                    self._note_pruned(tensor(w, over))
+                    self._note_pruned(tensor(w, over), self.limit + 1)
             for step in steps:
                 target = step.target
                 nw = tensor(w, step.weight)
                 if ((cutoff is not None and sb(nw, cutoff))
                         or (max_size is not None
                             and term_size(target) > max_size)):
-                    self._note_pruned(nw)
+                    self._note_pruned(nw, term_size(target))
                     if target in opposite:
                         meets.cut(tensor(nw, opposite[target][0]))
                     continue
@@ -446,16 +473,20 @@ def _meet_search(
     needed at the end.  Below, "at least", "better" and their opposites
     are in the quantale order.  Write ``live`` for the weight of a side's
     best live frontier term, ``cut`` for its best pruned weight
-    (``best_pruned``), ``lb`` for the join of the two, and ``eps`` for
-    ``RewriteSystem.cheapest_step``, which a run of one or more steps never
-    beats.  An absent bound drops out of a join, and a tensor with an
-    absent factor drops out of the join it is in.  The answer is exact
-    when the best meet is no worse than ``bound``:
+    (``best_pruned``), ``lb`` for the join of the two, ``exit`` for its
+    pruned branches' best weight with their size left to recover
+    (``best_exit``, or ``cut`` when the system has no ``size_rate``), and
+    ``eps`` for ``RewriteSystem.cheapest_step``, which a run of one or more
+    steps never beats.  An absent bound drops out of a join, and a tensor
+    with an absent factor drops out of the join it is in.  The answer is
+    exact when the best meet is no worse than ``bound``:
 
-    - for conversions, the join of ``live_l (x) eps (x) live_r``,
-      ``cut_l (x) lb_r``, ``lb_l (x) cut_r`` and ``across_cut``, or the
-      other side's ``lb`` when one side has neither ``live`` nor ``cut``;
-    - for valleys, the join of ``lb_l``, ``lb_r`` and ``across_cut``.
+    - for conversions, the join of ``live_l (x) eps (x) live_r``, the meet
+      of ``cut_l (x) lb_r`` and ``exit_l``, the meet of ``lb_l (x) cut_r``
+      and ``exit_r``, and ``across_cut``, or the other side's ``lb`` when
+      one side has neither ``live`` nor ``cut``;
+    - for valleys, the join of ``live_l``, ``exit_l``, ``live_r``,
+      ``exit_r`` and ``across_cut``.
 
     Conversions.  Take a conversion P from ``s`` to ``t`` better than the
     best meet.  Call a term of P *done* on a side when that side has
@@ -486,6 +517,19 @@ def _meet_search(
         the later of the two prunes found the other end labelled, with its
         settled label, on the other side, so ``across_cut`` is at least P.
 
+    Size.  With a ``size_rate`` λ the tensor adds, and a step of a rule
+    r, in either direction, changes a term's size by ±Δ_r and costs at
+    least λ·|Δ_r| (so weighs at most that, in the quantale order).  So a
+    conversion from u to v weighs at most λ·|size(u) − size(v)|.  Where a
+    side pruned P, in (a), (b) or by depth in (c), P's part on that side
+    up to the pruned branch's term u weighs at most the branch's weight,
+    and the rest of P, from u to the other end, at most
+    λ·|size(u) − size(other end)|; so P is at most that side's ``exit``
+    too, and at most the meet of its two bounds.  A step left unbuilt past
+    ``limit`` ends in a term of more than ``limit`` symbols, and neither
+    end has more, so a term of ``limit + 1`` symbols is no further from
+    the other end.
+
     So P is at most ``bound``, and a best meet no worse than ``bound`` has
     no better conversion.  A side with neither ``live`` nor ``cut`` has
     settled every term it can reach, ``t`` too if any conversion exists,
@@ -498,8 +542,11 @@ def _meet_search(
     the left, and ``b`` the first term of the right run not done on the
     right; not both are missing, or the reduct would be met.  The valley
     is at most the run up to whichever exists, which is at most that
-    side's ``lb`` as above.  The tensor of the two sides' bounds is no
-    bound here.
+    side's ``live`` or ``cut`` as above.  If that side pruned it, the
+    valley is at most its ``exit`` too: with the other run read back from
+    the reduct, the rest of the valley is a conversion from the pruned
+    term to the other end, so the size argument above holds.  The tensor
+    of the two sides' bounds is no bound here.
 
     The loop stops when the best meet is no worse than ``bound``, or than
     the tensor (for valleys, the join) of the two ``live`` bounds, or the
@@ -526,8 +573,8 @@ def _meet_search(
     memo: RedexMemo = {}  # both frontiers step through one memo
     meets = _Meets(q)
     limit = _skip_limit(budget, s, t)
-    left = _SideSearch(sys, s, symmetric, pool, budget, memo, limit, meets)
-    right = _SideSearch(sys, t, symmetric, pool, budget, memo, limit, meets)
+    left = _SideSearch(sys, s, symmetric, pool, budget, memo, limit, meets, t)
+    right = _SideSearch(sys, t, symmetric, pool, budget, memo, limit, meets, s)
     left.opposite, right.opposite = right.dist, left.dist
     if s == t:
         meets.offer(q.unit, s)
@@ -540,16 +587,26 @@ def _meet_search(
         live_l, live_r = left.frontier_bound(), right.frontier_bound()
         cut_l, cut_r = left.best_pruned, right.best_pruned
         lb_l, lb_r = join(live_l, cut_l), join(live_r, cut_r)
+        # an exit is kept only where the tensor adds, so it is a cost, and
+        # with one the meet of two bounds is the larger cost
+        exit_l, exit_r = left.best_exit, right.best_exit
         both_live = live_l is not None and live_r is not None
-        if not symmetric or lb_l is None or lb_r is None:
+        if not symmetric:
+            exact = join(join(live_l, cut_l if exit_l is None else exit_l),
+                         join(live_r, cut_r if exit_r is None else exit_r))
+        elif lb_l is None or lb_r is None:
             exact = join(lb_l, lb_r)
         else:
             exact = (q.tensor(q.tensor(live_l, eps), live_r) if both_live
                      else None)
             if cut_l is not None:
-                exact = join(exact, q.tensor(cut_l, lb_r))
+                b = q.tensor(cut_l, lb_r)
+                exact = join(exact, exit_l if exit_l is not None
+                             and exit_l > b else b)
             if cut_r is not None:
-                exact = join(exact, q.tensor(lb_l, cut_r))
+                b = q.tensor(lb_l, cut_r)
+                exact = join(exact, exit_r if exit_r is not None
+                             and exit_r > b else b)
         live = (q.tensor(live_l, live_r) if symmetric and both_live
                 else join(live_l, live_r))
         return join(exact, meets.across_cut), live

@@ -26,7 +26,7 @@ from qtrw.search import (
     valley_distance,
 )
 from qtrw.dsl import parse_system, parse_term
-from qtrw.quantale import INF
+from qtrw.quantale import INF, get_quantale
 from qtrw.systems import (
     CATALOG,
     DNA_BASES,
@@ -531,11 +531,17 @@ def _oracle_trials_both_ways(monkeypatch, seed, searches):
 
 def test_meet_searches_agree_with_closures_of_the_explored_graph(
         monkeypatch):
-    """Conversions answer ``(R + R^T)*`` and valleys ``R* ; (R*)^T``."""
-    for checked in _oracle_trials_both_ways(monkeypatch, "meet-search-oracle", {
-            "convert": (convertibility_distance,
-                        lambda rel: rel.equivalence_closure()),
-            "valley": (valley_distance, _valleys)}):
+    """Conversions answer ``(R + R^T)*`` and valleys ``R* ; (R*)^T``, also
+    with the size potential off, where only the prunes' weights bound."""
+    searches = {"convert": (convertibility_distance,
+                            lambda rel: rel.equivalence_closure()),
+                "valley": (valley_distance, _valleys)}
+    runs = _oracle_trials_both_ways(monkeypatch, "meet-search-oracle",
+                                    searches)
+    with monkeypatch.context() as m:
+        _no_size_rate(m)
+        runs += (_oracle_trials("meet-search-oracle", searches),)
+    for checked in runs:
         assert min(checked[k] for k in (EXACT, UPPER_BOUND, UNREACHABLE)) > 0
 
 
@@ -771,6 +777,102 @@ def test_invariants_walk_terms_deeper_than_the_recursion_limit():
     assert not _separated(nat, _add(deep, nat_term(3)), deep)
     ans = reduction_distance(nat, _add(Variable("x"), deep), deep)
     assert ans == DistanceAnswer(UNREACHABLE, None, (), 0)
+
+
+# ---------------------------------------------------------------------------
+# the size potential
+
+
+def _no_size_rate(m):
+    """Forces ``RewriteSystem.size_rate`` to ``None`` under the monkeypatch
+    context ``m``, on systems that have cached it too."""
+    m.setattr(qtrs.RewriteSystem, "size_rate", property(lambda self: None))
+
+
+def test_capped_dna_searches_agree_with_the_oracles(monkeypatch):
+    """Levenshtein and Hamming conversions and valleys under caps that
+    keep them from ever leaving the ends' lengths, or one symbol past, or
+    none.  Every inverse of a rule is a rule of the same weight, so a
+    valley is a conversion and the edit or mismatch distance too."""
+    rng = random.Random("size-potential-oracle")
+    queries = []
+    for _ in range(30):
+        variant = rng.choice(("levenshtein", "hamming"))
+        ls = rng.randrange(7)
+        lt = ls if variant == "hamming" else rng.randrange(7)
+        s, t = _rand_dna(rng, ls), _rand_dna(rng, lt)
+        want = (oracle_levenshtein if variant == "levenshtein"
+                else oracle_hamming)(s, t)
+        for cap in (max(ls, lt) + 1, max(ls, lt) + 2, None):
+            budget = SearchBudget(max_expanded=400, max_depth=30,
+                                  max_term_size=cap)
+            queries.append((variant, s, t, want, budget))
+
+    def answers():
+        out = []
+        for variant, s, t, want, budget in queries:
+            sys = make_dna(variant)
+            for distance in (convertibility_distance, valley_distance):
+                ans = distance(sys, dna_term(s), dna_term(t), budget)
+                case = (distance.__name__, variant, s, t, budget)
+                if ans.kind == EXACT:
+                    assert ans.value == want, case
+                elif ans.kind == UPPER_BOUND:
+                    assert ans.value >= want, case
+                if ans.value is not None:
+                    assert validate_witness(sys, dna_term(s), dna_term(t),
+                                            ans.witness), case
+                    assert _witness_weight(sys, ans) == ans.value, case
+                out.append(ans.kind)
+        return out
+
+    with_potential = answers()
+    with monkeypatch.context() as m:
+        _no_size_rate(m)
+        without = answers()
+    promoted = sum(a == EXACT and b == UPPER_BOUND
+                   for a, b in zip(with_potential, without))
+    assert not any(a != EXACT and b == EXACT
+                   for a, b in zip(with_potential, without))
+    print(f"{promoted} of {len(without)} answers promoted to exact")
+    assert promoted > 0
+
+
+def test_size_rate_prices_a_symbol_on_additive_ungraded_plain_systems():
+    lev = make_dna("levenshtein")
+    assert lev.size_rate == 1 and type(lev.size_rate) is int
+    assert make_dna("hamming").size_rate is None  # no rule changes size
+    for name in ("barycentric",  # a schema
+                 "graded-combinators",  # graded
+                 "linearity-example"):  # a duplicating rule
+        assert CATALOG[name]().size_rate is None, name
+    strong = dataclasses.replace(lev, quantale=get_quantale("strong-lawvere"))
+    assert strong.size_rate is None
+    free = _system("a b", "rule r: f(a) -[1]-> b", "rule s: g(a) -[0]-> a")
+    assert free.size_rate is None
+    # -1 at 3/2 and +2 at 1: one symbol is worth 1/2
+    sys = _system("a", "rule r: f(a) -[3/2]-> a", "rule s: a -[1]-> f(g(a))")
+    assert [sum(r.delta.values()) for r in sys.rules] == [-1, 2]
+    assert sys.size_rate == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("s, t", [("CACG", "CCGCGG"), ("GATT", "TTAGTT"),
+                                  ("CACGTC", "GCACC"), ("ACTACT", "ATTGT")])
+def test_the_size_potential_proves_levenshtein_pairs_past_the_cap(
+        s, t, monkeypatch):
+    # a branch the cap prunes weighs less than 3, but ends in a term larger
+    # than both ends, which the rest of a conversion must shrink back at 1
+    # a symbol; without that charge the same search stops at an upper bound
+    sys = make_dna("levenshtein")
+    u, v = dna_term(s), dna_term(t)
+    ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
+    assert (ans.kind, ans.value) == (EXACT, 3)
+    assert ans.expanded <= 10, ans.expanded
+    assert validate_witness(sys, u, v, ans.witness)
+    with monkeypatch.context() as m:
+        _no_size_rate(m)
+        ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
+    assert (ans.kind, ans.value) == (UPPER_BOUND, 3)
 
 
 # ---------------------------------------------------------------------------
