@@ -4,7 +4,7 @@ Subpackages: quantale (value algebras), qrel (finite weighted relations and
 their confluence checks), term (first-order terms and unification), qtrs
 (rewrite systems and their grades, critical pairs, certification),
 invariants (symbol-count invariants that prove unreachability, and the
-size rate that prices pruned branches), graded (parallel multi-steps and
+count potential that prices pruned branches), graded (parallel multi-steps and
 their diamond), search (metric word problems), systems (example catalog and
 oracles), dsl (the .qtrs format), cli (command line).
 """

@@ -19,11 +19,21 @@ elimination over the integers, and ``RewriteSystem.invariants`` keeps it
 ``differ`` reads two terms' counts off one walk each, without recursion;
 every distance search asks it first.
 
-The same deltas also price a term's size.  A step changes it by the sum
-of its delta, Δ, fixed by the rule up to sign.  Where the tensor adds and
-each step costs what its rule does, at least λ·|Δ|, every conversion
-from u to v costs at least λ·|size(u) − size(v)|.  ``size_rate`` finds the largest such λ,
-and the distance searches charge it to the branches they prune.
+The same deltas also price the counts a conversion must still fix.  Where
+the tensor adds and each step costs what its rule does, a conversion from
+u to v that takes n_r steps of each rule r, either way, moves the counts
+by d = #v − #u = Σ ±n_r δ_r and costs Σ n_r w_r.  Any y with
+|y·δ_r| ≤ w_r for every rule, a point of the dual of that marking
+equation's LP, then gives a cost of at least |y·d|.  ``potential`` finds
+two such families of points in one pass over the rules: y = λ·1, with λ
+the largest rate at which every rule pays for the size it changes, and
+y = μ on the families where d is positive (or negative) and 0 elsewhere,
+with μ the largest rate at which every rule pays for the larger of the
+counts it adds and removes.  So every conversion costs at least
+h(d) = max(λ·|P − N|, μ·max(P, N)), P and N the sums of d's positive and
+negative entries (Goldberg & Harrelson, SODA 2005, use such bounds as A*
+potentials), and the distance searches charge it to the branches they
+prune.
 """
 
 from __future__ import annotations
@@ -41,11 +51,14 @@ from .term import Application, Term, Variable
 Family: TypeAlias = str
 
 
-def _occurrences(*signed: Tuple[Term, int]) -> Dict[object, int]:
+def _occurrences(*signed: Tuple[Term, int],
+                 into: Optional[Dict[object, int]] = None,
+                 ) -> Dict[object, int]:
     """How often each symbol family, by name, and each variable occurs in
-    the terms, each term's occurrences counted with its sign.  Names are
-    strings, whose hash is cached, so the count of a node costs no call."""
-    counts: Dict[object, int] = {}
+    the terms, each term's occurrences counted with its sign, added to
+    ``into`` in place if given.  Names are strings, whose hash is cached,
+    so the count of a node costs no call."""
+    counts: Dict[object, int] = {} if into is None else into
     get = counts.get
     for root, sign in signed:
         stack = [root]
@@ -143,21 +156,101 @@ def differ(invariants: Optional[Tuple[Dict[Family, int], ...]],
                for y in invariants)
 
 
-def size_rate(rules: Sequence) -> Optional[Union[int, Fraction]]:
-    """The largest λ with λ·|Δ| ≤ w for every rule of ``rules``, each with
-    a ``delta`` and a rational weight w, Δ the sum of its ``delta``: an
-    ``int`` when integral, ``None`` when some ``delta`` is ``None``, no
-    rule changes size, or λ = 0.  Each rule caches its delta, so a copy
-    of a system pays one pass over its rules."""
-    w, d = None, 1  # the least ratio w/|Δ|, compared crosswise
+def counts(t: Term, sign: int = 1,
+           start: Optional[Dict[Family, int]] = None) -> Dict[Family, int]:
+    """The family counts of ``t``, times ``sign``, added to a copy of
+    ``start``; its variables are not counted."""
+    out = _occurrences((t, sign), into=dict(start) if start else None)
+    for v in [k for k in out if type(k) is not str]:
+        del out[v]
+    return out  # type: ignore[return-value]
+
+
+# d(u) as a potential reads it: the family counts of u less those of the
+# other end, and the sums of its positive and of its negative entries
+Gap: TypeAlias = "Tuple[Dict[Family, int], int, int]"
+
+
+def gap(u: Term, other: Dict[Family, int]) -> Gap:
+    """d(u), the family counts of ``u`` less ``other``'s, which a side
+    gets once from ``counts(other end, -1)``."""
+    d = counts(u, 1, other)
+    p = sum(k for k in d.values() if k > 0)
+    return d, p, p - sum(d.values())
+
+
+class Potential:
+    """h(d) = max(λ·|P − N|, μ·max(P, N)), a lower bound on the weight of
+    every conversion whose family counts change by d, P and N the sums of
+    d's positive and negative entries (see the module docstring)."""
+
+    __slots__ = ("size_rate", "count_rate", "deltas")
+
+    def __init__(self, size_rate: Union[int, Fraction],
+                 count_rate: Union[int, Fraction],
+                 deltas: Dict[str, Dict[Family, int]]) -> None:
+        self.size_rate = size_rate  # λ, 0 where no rule changes size
+        self.count_rate = count_rate  # μ, 0 where a free rule moves counts
+        self.deltas = deltas  # each rule's ``delta``, by rule id
+
+    def __call__(self, g: Gap, move: Optional[Tuple[str, bool]] = None,
+                 ) -> Union[int, Fraction]:
+        """h at the gap ``g``, or, with ``move`` = (rule id, backward), at
+        the gap of the term a step of that rule in that direction makes
+        from it, read off the rule's delta in O(|delta|)."""
+        d, p, n = g
+        if move is not None:
+            rid, backward = move
+            for f, k in self.deltas[rid].items():
+                old = d.get(f, 0)
+                new = old - k if backward else old + k
+                p += max(new, 0) - max(old, 0)
+                n += max(-new, 0) - max(-old, 0)
+        h = self.count_rate * max(p, n)
+        s = self.size_rate * abs(p - n)
+        return s if s > h else h
+
+
+def _rate(least: Optional[Tuple[object, int]]) -> Union[int, Fraction]:
+    """w/c of the pair (w, c), an ``int`` when integral; 0 for ``None``."""
+    if least is None:
+        return 0
+    w, c = least
+    if type(w) is int and w % c == 0:
+        return w // c
+    rate = Fraction(w) / c
+    return int(rate) if rate.denominator == 1 else rate
+
+
+def potential(rules: Sequence) -> Optional[Potential]:
+    """The ``Potential`` of ``rules``, each with a ``delta`` and a rational
+    weight w, or ``None`` when some ``delta`` is ``None`` or neither rate
+    is positive.  One pass over the rules finds both rates: λ the largest
+    with λ·|P_r − N_r| ≤ w_r and μ the largest with μ·max(P_r, N_r) ≤ w_r
+    for every rule r, P_r and N_r the sums of its delta's positive and
+    negative entries.  A rate no rule constrains is 0.  Each rule caches
+    its delta, so a copy of a system pays one pass over its rules."""
+    size = count = None  # the least ratios (w, c) of w/c, compared crosswise
+    deltas = {}
     for rule in rules:
         delta = rule.delta
         if delta is None:
             return None
-        change = abs(sum(delta.values()))
-        if change and (w is None or rule.weight * d < w * change):
-            w, d = rule.weight, change
-    if not w:
+        deltas[rule.rid] = delta
+        w = rule.weight
+        p = n = 0
+        for k in delta.values():
+            if k > 0:
+                p += k
+            else:
+                n -= k
+        c = p - n if p > n else n - p
+        if c and (size is None or w * size[1] < size[0] * c):
+            size = (w, c)
+        c = p if p > n else n
+        if c and (count is None or w * count[1] < count[0] * c):
+            count = (w, c)
+    lam, mu = _rate(size), _rate(count)
+    if not (lam or mu):
         return None
-    rate = Fraction(w) / d
-    return int(rate) if rate.denominator == 1 else rate
+    return Potential(lam, mu, deltas)

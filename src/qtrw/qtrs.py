@@ -342,10 +342,11 @@ class RewriteSystem:
 
     @cached_property
     def relaxations(self) -> Dict[object, Tuple[List[RewriteStep],
-                                                 Optional[Value]]]:
+                                                 Tuple[_Unbuilt, ...]]]:
         """The distance search's step cache: for each term, the
-        ``RewriteStep``s the search relaxes and the best weight of those a
-        term-size bound skipped (``search._relaxations``)."""
+        ``RewriteStep``s the search relaxes and, for each rule and
+        direction, the best weight of those a term-size bound skipped
+        (``search._relaxations``)."""
         return {}
 
     @cached_property
@@ -394,14 +395,14 @@ class RewriteSystem:
         return _invariants.basis([f.name for f in self.signature], deltas)
 
     @cached_property
-    def size_rate(self) -> Optional[Value]:
-        """``qtrw.invariants.size_rate`` of the rules where the tensor adds
+    def potential(self) -> Optional[_invariants.Potential]:
+        """``qtrw.invariants.potential`` of the rules where the tensor adds
         (``lawvere``, ``nat-inf``) and a step weighs what its rule does (no
         grades, no schema rule); ``None`` elsewhere."""
         if (self.quantale.tensor is not LAWVERE.tensor or self.graded
                 or self.has_schemas):
             return None
-        return _invariants.size_rate(self.rules)
+        return _invariants.potential(self.rules)
 
     def _redexes(self, sub: Term, backward: bool,
                  firings: Optional[FiringMemo] = None) -> Tuple[_Redex, ...]:
@@ -601,6 +602,10 @@ FiringMemo: TypeAlias = ("Dict[Tuple[Rule, Tuple[object, ...]],"
 # redex with its weight after context scaling
 _Skip: TypeAlias = "Tuple[Position, _Redex]"
 
+# the steps of one rule in one direction that ``max_size`` left unbuilt:
+# (rule id, backward), and the best of their weights
+_Unbuilt: TypeAlias = "Tuple[Tuple[str, bool], Value]"
+
 
 def _targets(t: Term, p: Position, redex: _Redex,
              pool: Optional[Sequence[Term]]) -> Iterator[Term]:
@@ -635,7 +640,7 @@ def one_step(
     within: Optional[Tuple[Value, Value]] = None,
     _skipped: Optional[List[_Skip]] = None,
     max_size: Optional[int] = None,
-    _oversized: Optional[List[Value]] = None,
+    _oversized: Optional[Dict[Tuple[str, bool], Value]] = None,
 ) -> List[RewriteStep]:
     """Every single rewrite step from ``t``, duplicate-free; with
     ``backward``, every step from ``t`` of the inverse relation, each in the
@@ -671,9 +676,10 @@ def one_step(
     ``max_size`` keeps only the steps to targets of at most that many
     symbols.  A target's size is known before it is built, that of ``t``
     less the redex's plus the contractum's, so a step past it is never
-    built; its weight (after context scaling) is appended to
-    ``_oversized``, if given.  Skipping a target drops only the steps to
-    it, so the kept steps and their order stay.
+    built; its weight (after context scaling) is joined into
+    ``_oversized``, if given, under its (rule id, ``backward``).  Skipping
+    a target drops only the steps to it, so the kept steps and their order
+    stay.
     """
     q, graded = sys.quantale, sys.graded
     if memo is None:
@@ -709,7 +715,9 @@ def one_step(
             for c in contracta:
                 if max_size is not None and c._size > room:  # type: ignore[union-attr]
                     if _oversized is not None:
-                        _oversized.append(weight)
+                        old = _oversized.get((rid, backward))
+                        if old is None or q.strictly_below(old, weight):
+                            _oversized[rid, backward] = weight
                     continue
                 target = replace_at(t, p, c)
                 key = (p, rid, target)

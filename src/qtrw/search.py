@@ -5,12 +5,14 @@ weights by tensor, and compare by the quantale order — so on cost quantales
 they are ordinary shortest-path searches.  Answers are conservative: an
 exact claim is made only when no pruned branch could still beat the
 returned value; otherwise the best witness is returned as an upper bound.
-A meet search charges each pruned branch, besides its weight, for the size
-it must still recover: on a system with a ``size_rate`` λ, a run from u to
-v costs at least λ·|size(u) − size(v)|, so a branch pruned at u costs at
-least that much more on its way to the other end (``_SideSearch``).  So a
-meet as heavy as the pruned branches' exits is exact, though the search
-never looked past the cap.
+A meet search charges each pruned branch, besides its weight, for the
+symbol counts it must still fix: on a system with a ``potential`` h, a run
+from u to v costs at least h(#u − #v), the count vectors' difference priced
+by the rates at which the rules change size and counts
+(``qtrw.invariants``), so a branch pruned at u costs at least that much
+more on its way to the other end (``_SideSearch``).  So a meet as heavy as
+the pruned branches' exits is exact, though the search never looked past
+the cap.
 An ``unreachable`` answer is a proof too: either a symbol-count invariant
 of the system tells the two terms apart (``qtrw.invariants``), which every
 search checks first, under any budget and with no expansion, or a search
@@ -25,9 +27,9 @@ queries over a shared state space amortize; a directed search under a
 weight cutoff instead asks for the steps in bounds only, uncached.  No
 search builds a step to a term larger than its term-size cap and both of
 its ends (``_skip_limit``): no label holds such a term, so only the best
-weight of such steps counts, as a pruned branch.  The same records, each
-with its rule, position, direction and weight, make up an answer's
-witness.
+weight of such steps of each rule and direction counts, as a pruned
+branch.  The same records, each with its rule, position, direction and
+weight, make up an answer's witness.
 
 Each step is generated once per query.  A query owns one redex memo, shared
 by both of its frontiers and dropped with it, so a subterm common to many
@@ -71,7 +73,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 from .quantale import QuantaleError, QuantaleSpec, Value
 from .term import Term, term_size
 from .qtrs import (RedexMemo, RewriteStep, RewriteSystem, _best_per_target,
-                   _Skip, _targets, one_step, subterm_pool)
+                   _Skip, _targets, _Unbuilt, one_step, subterm_pool)
 from . import invariants
 
 EXACT = "exact"
@@ -122,12 +124,13 @@ class DistanceAnswer:
 def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
                  pool: Sequence[Term], memo: Optional[RedexMemo] = None,
                  limit: Optional[int] = None,
-                 ) -> Tuple[List[RewriteStep], Optional[Value]]:
+                 ) -> Tuple[List[RewriteStep], Tuple[_Unbuilt, ...]]:
     """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
     per target (best weight kept) and ordered by target rendering, less
     the steps to targets of more than ``limit`` symbols, which are never
-    built; with the join of those steps' weights (``None`` if there are
-    none).  ``memo`` is the query's redex memo.
+    built; with the best weight of those steps for each distinct (rule id,
+    backward) they take (none if there are none).  ``memo`` is the query's
+    redex memo.
 
     The first best step per target is kept and forward steps come first,
     so on a self-inverse system backward steps never win, and are neither
@@ -155,14 +158,13 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
     if out is None and limit is not None:
         out = cache.get((key, limit))
     if out is None:
-        over: List[Value] = []
+        over: Dict[Tuple[str, bool], Value] = {}
         steps = one_step(sys, t, pool, memo=memo, max_size=limit,
                          _oversized=over)
         if symmetric:
             steps += one_step(sys, t, pool, backward=True, memo=memo,
                               max_size=limit, _oversized=over)
-        q = sys.quantale
-        out = (_by_target(steps, q), q.join(over) if over else None)
+        out = (_by_target(steps, sys.quantale), tuple(over.items()))
         cache[(key, limit) if over else key] = out
     return out
 
@@ -242,12 +244,15 @@ class _SideSearch:
     against ``opposite`` at once.
 
     A meet search also names the ``other`` end.  Where the system has a
-    ``size_rate`` λ, ``best_exit`` tracks the join, over the pruned
-    branches, of g (x) λ·|size(u) − size(other)|: g the branch's weight
-    and u its term, which a run on to ``other`` must still resize at a
-    cost of at least λ a symbol.  u is the pruned target, the term at the
-    depth limit, or, for the steps ``limit`` leaves unbuilt, a term of
-    ``limit + 1`` symbols, no further from ``other`` than the real ones.
+    ``potential`` h, ``best_exit`` tracks the join, over the pruned
+    branches, of g (x) h(d(u)): g the branch's weight, u its term and d(u)
+    the family counts of u less those of ``other``, which a run on to
+    ``other`` must still fix at a cost of at least h(d(u)).  u is the
+    pruned target or the term at the depth limit.  A pruned step from x
+    moves the counts by its rule's delta, so d(u) is d(x) plus that delta,
+    signed by the step's direction: the steps ``limit`` leaves unbuilt are
+    charged by their rule and direction alone.  d(x) is read off x only
+    when some branch from x could still lower ``best_exit``.
     """
 
     def __init__(
@@ -277,8 +282,14 @@ class _SideSearch:
         self.opposite: Dict[Term, _Label] = {}
         self.best_pruned: Optional[Value] = None
         self.best_exit: Optional[Value] = None
-        self.rate = None if other is None else sys.size_rate
-        self.other_size = 0 if other is None else term_size(other)
+        self.potential = None if other is None else sys.potential
+        self.other = other
+        # read on the first prune: the other end's counts, negated so that
+        # ``invariants.gap`` subtracts them, and the last term whose gap
+        # was read, with that gap
+        self._other_counts: Optional[Dict[invariants.Family, int]] = None
+        self._gap: Tuple[Optional[Term], Optional[invariants.Gap]] = (None,
+                                                                       None)
         self._heap: List[Tuple[object, int, Term, _Label]] = []
         self._seq = 0
         self._push(start, (self.q.unit, 0, None))
@@ -299,17 +310,24 @@ class _SideSearch:
         steps.reverse()
         return steps
 
-    def _note_pruned(self, w: Value, size: Optional[int] = None) -> None:
-        """Note a branch pruned at weight ``w`` into a term of ``size``
-        symbols, which only a search without a ``rate`` may leave out."""
+    def _note_pruned(self, w: Value, at: Optional[Term] = None,
+                     move: Optional[Tuple[str, bool]] = None) -> None:
+        """Note a branch pruned at weight ``w`` into the term ``at``, or,
+        with ``move`` = (rule id, backward), into the term a step of that
+        rule in that direction makes from ``at``.  Only a search without a
+        ``potential`` may leave ``at`` out."""
         if self.best_pruned is None or self.q.strictly_below(self.best_pruned, w):
             self.best_pruned = w
-        rate = self.rate
-        if rate is not None:
-            # a rate means the tensor adds: a weight is a cost, lower is better
-            e = w + rate * abs(size - self.other_size)
-            best = self.best_exit
-            if best is None or e < best:
+        h = self.potential
+        # a potential means the tensor adds: a weight is a cost, lower is
+        # better, and h >= 0, so only a branch below best_exit can lower it
+        if h is not None and (self.best_exit is None or w < self.best_exit):
+            if self._gap[0] is not at:
+                if self._other_counts is None:
+                    self._other_counts = invariants.counts(self.other, -1)
+                self._gap = (at, invariants.gap(at, self._other_counts))
+            e = w + h(self._gap[1], move)
+            if self.best_exit is None or e < self.best_exit:
                 self.best_exit = e
 
     def frontier_bound(self) -> Optional[Value]:
@@ -326,11 +344,12 @@ class _SideSearch:
         A step out of bounds is pruned: its weight enters ``best_pruned``,
         and in a meet search its target is checked against ``opposite``.
         Steps past ``limit`` are never built, as no ``opposite`` holds
-        their targets; the best of their weights is noted once per term,
-        which notes them all, as the tensor distributes over joins.  A
-        one-sided search (no ``meets``) with a weight cutoff uses a pruned
-        step for its weight alone, so it asks ``one_step`` for the steps in
-        bounds only (``_steps_within``)."""
+        their targets; the best of their weights is noted once per term for
+        each rule and direction, which notes them all, as the tensor
+        distributes over joins and the steps of one rule and direction
+        move the counts alike.  A one-sided search (no ``meets``) with a
+        weight cutoff uses a pruned step for its weight alone, so it asks
+        ``one_step`` for the steps in bounds only (``_steps_within``)."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
         dist = self.dist
@@ -343,22 +362,23 @@ class _SideSearch:
                 continue
             w, depth, _ = label
             if depth >= self.budget.max_depth:
-                self._note_pruned(w, term_size(term))
+                self._note_pruned(w, term)
                 return term
             if meets is None and cutoff is not None:
                 steps = self._steps_within(term, w, cutoff)
             else:
-                steps, over = _relaxations(self.sys, self.symmetric, term,
-                                           self.pool, self.memo, self.limit)
-                if over is not None:
-                    self._note_pruned(tensor(w, over), self.limit + 1)
+                steps, unbuilt = _relaxations(self.sys, self.symmetric, term,
+                                              self.pool, self.memo, self.limit)
+                for move, uw in unbuilt:
+                    self._note_pruned(tensor(w, uw), term, move)
             for step in steps:
                 target = step.target
                 nw = tensor(w, step.weight)
                 if ((cutoff is not None and sb(nw, cutoff))
                         or (max_size is not None
                             and term_size(target) > max_size)):
-                    self._note_pruned(nw, term_size(target))
+                    self._note_pruned(nw, term, (step.rule_id,
+                                                 step.direction == "backward"))
                     if target in opposite:
                         meets.cut(tensor(nw, opposite[target][0]))
                     continue
@@ -391,13 +411,13 @@ class _SideSearch:
         cache hit."""
         q = self.q
         skipped: List[_Skip] = []
-        over: List[Value] = []
+        over: Dict[Tuple[str, bool], Value] = {}
         steps = _by_target(
             one_step(self.sys, term, self.pool, memo=self.memo,
                      within=(w, cutoff), _skipped=skipped,
                      max_size=self.limit, _oversized=over), q)
         if over:
-            self._note_pruned(q.tensor(w, q.join(over)))
+            self._note_pruned(q.tensor(w, q.join(over.values())))
         kept = {step.target for step in steps}
         for p, redex in skipped:
             nw = q.tensor(w, redex[1])
@@ -474,8 +494,8 @@ def _meet_search(
     are in the quantale order.  Write ``live`` for the weight of a side's
     best live frontier term, ``cut`` for its best pruned weight
     (``best_pruned``), ``lb`` for the join of the two, ``exit`` for its
-    pruned branches' best weight with their size left to recover
-    (``best_exit``, or ``cut`` when the system has no ``size_rate``), and
+    pruned branches' best weight with the counts they must still fix
+    (``best_exit``, or ``cut`` when the system has no ``potential``), and
     ``eps`` for ``RewriteSystem.cheapest_step``, which a run of one or more
     steps never beats.  An absent bound drops out of a join, and a tensor
     with an absent factor drops out of the join it is in.  The answer is
@@ -517,18 +537,20 @@ def _meet_search(
         the later of the two prunes found the other end labelled, with its
         settled label, on the other side, so ``across_cut`` is at least P.
 
-    Size.  With a ``size_rate`` λ the tensor adds, and a step of a rule
-    r, in either direction, changes a term's size by ±Δ_r and costs at
-    least λ·|Δ_r| (so weighs at most that, in the quantale order).  So a
-    conversion from u to v weighs at most λ·|size(u) − size(v)|.  Where a
-    side pruned P, in (a), (b) or by depth in (c), P's part on that side
-    up to the pruned branch's term u weighs at most the branch's weight,
-    and the rest of P, from u to the other end, at most
-    λ·|size(u) − size(other end)|; so P is at most that side's ``exit``
-    too, and at most the meet of its two bounds.  A step left unbuilt past
-    ``limit`` ends in a term of more than ``limit`` symbols, and neither
-    end has more, so a term of ``limit + 1`` symbols is no further from
-    the other end.
+    Counts.  With a ``potential`` h the tensor adds, and a step of a rule
+    r, in either direction, changes a term's family counts by ±δ_r and
+    costs at least w_r (so weighs at most that, in the quantale order).
+    For each of the vectors y that h maximises over, |y·δ_r| <= w_r for
+    every rule, so a conversion from u to v, whose steps' signed deltas
+    sum to #v − #u, costs at least |y·(#v − #u)|, and so at least
+    h(#u − #v) (``qtrw.invariants``).  Where a side pruned P, in (a), (b)
+    or by depth in (c), P's part on that side up to the pruned branch's
+    term u weighs at most the branch's weight, and the rest of P, from u
+    to the other end, at most h(#u − #other end); so P is at most that
+    side's ``exit`` too, and at most the meet of its two bounds.  A step
+    left unbuilt past ``limit`` ends in a term whose counts are those of
+    its source moved by its rule's delta, signed by its direction, so it
+    is charged exactly, unbuilt.
 
     So P is at most ``bound``, and a best meet no worse than ``bound`` has
     no better conversion.  A side with neither ``live`` nor ``cut`` has
@@ -545,7 +567,7 @@ def _meet_search(
     side's ``live`` or ``cut`` as above.  If that side pruned it, the
     valley is at most its ``exit`` too: with the other run read back from
     the reduct, the rest of the valley is a conversion from the pruned
-    term to the other end, so the size argument above holds.  The tensor
+    term to the other end, so the counts argument above holds.  The tensor
     of the two sides' bounds is no bound here.
 
     The loop stops when the best meet is no worse than ``bound``, or than

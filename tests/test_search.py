@@ -330,13 +330,25 @@ def test_step_lists_a_size_limit_cut_are_cached_apart():
     limit = term_size(t)
     steps, over = search._relaxations(sys, True, t, [], limit=limit)
     full, none = search._relaxations(sys, True, t, [])
-    assert none is None
+    assert none == ()
     dropped = [step for step in full if term_size(step.target) > limit]
     assert dropped
     assert steps == [step for step in full
                      if term_size(step.target) <= limit]
-    assert over == q.join(step.weight for step in dropped)
+    # the best skipped weight of each rule and direction, the insertions
+    best = {}
+    for step in dropped:
+        key = (step.rule_id, step.direction == "backward")
+        best[key] = q.join2(best.get(key, q.bottom), step.weight)
+    assert dict(over) == best == {(f"ins{b}", False): 1 for b in DNA_BASES}
     assert set(sys.relaxations) == {(False, t), ((False, t), limit)}
+    # the 28 insertions into a length-6 term fold to 4 entries in one_step
+    t = dna_term("ACGTAC")
+    over = {}
+    assert len(one_step(sys, t)) == 28 + 6 + 18
+    assert len(one_step(sys, t, max_size=term_size(t),
+                        _oversized=over)) == 6 + 18
+    assert over == {(f"ins{b}", False): 1 for b in DNA_BASES}
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +544,14 @@ def _oracle_trials_both_ways(monkeypatch, seed, searches):
 def test_meet_searches_agree_with_closures_of_the_explored_graph(
         monkeypatch):
     """Conversions answer ``(R + R^T)*`` and valleys ``R* ; (R*)^T``, also
-    with the size potential off, where only the prunes' weights bound."""
+    with the potential off, where only the prunes' weights bound."""
     searches = {"convert": (convertibility_distance,
                             lambda rel: rel.equivalence_closure()),
                 "valley": (valley_distance, _valleys)}
     runs = _oracle_trials_both_ways(monkeypatch, "meet-search-oracle",
                                     searches)
     with monkeypatch.context() as m:
-        _no_size_rate(m)
+        _no_potential(m)
         runs += (_oracle_trials("meet-search-oracle", searches),)
     for checked in runs:
         assert min(checked[k] for k in (EXACT, UPPER_BOUND, UNREACHABLE)) > 0
@@ -780,80 +792,105 @@ def test_invariants_walk_terms_deeper_than_the_recursion_limit():
 
 
 # ---------------------------------------------------------------------------
-# the size potential
+# the count potential
 
 
-def _no_size_rate(m):
-    """Forces ``RewriteSystem.size_rate`` to ``None`` under the monkeypatch
-    context ``m``, on systems that have cached it too."""
-    m.setattr(qtrs.RewriteSystem, "size_rate", property(lambda self: None))
+def _no_potential(m, keep_size=False):
+    """Turns ``RewriteSystem.potential`` off under the monkeypatch context
+    ``m``, on systems that have cached it too; with ``keep_size``, keeps
+    its size term alone, λ·|P − N|, where λ is positive."""
+    full = qtrs.RewriteSystem.potential.func
+
+    def patched(sys):
+        h = full(sys) if keep_size else None
+        if h is None or not h.size_rate:
+            return None
+        return invariants.Potential(h.size_rate, 0, h.deltas)
+
+    m.setattr(qtrs.RewriteSystem, "potential", property(patched))
 
 
 def test_capped_dna_searches_agree_with_the_oracles(monkeypatch):
     """Levenshtein and Hamming conversions and valleys under caps that
     keep them from ever leaving the ends' lengths, or one symbol past, or
-    none.  Every inverse of a rule is a rule of the same weight, so a
-    valley is a conversion and the edit or mismatch distance too."""
+    none, with the full potential, its size term alone and none.  Every
+    inverse of a rule is a rule of the same weight, so a valley is a
+    conversion and the edit or mismatch distance too."""
     rng = random.Random("size-potential-oracle")
     queries = []
-    for _ in range(30):
-        variant = rng.choice(("levenshtein", "hamming"))
-        ls = rng.randrange(7)
-        lt = ls if variant == "hamming" else rng.randrange(7)
+    for i in range(42):
+        # the last 12 are Levenshtein conversions of equal lengths 3 to 6,
+        # which an exit from either end leaves with a symbol to shed, so
+        # that the size term alone bounds their exits at the cap lowest
+        variant = rng.choice(("levenshtein", "hamming")) if i < 30 else (
+            "levenshtein")
+        ls = rng.randrange(7) if i < 30 else rng.randrange(3, 7)
+        lt = ls if variant == "hamming" or i >= 30 else rng.randrange(7)
         s, t = _rand_dna(rng, ls), _rand_dna(rng, lt)
         want = (oracle_levenshtein if variant == "levenshtein"
                 else oracle_hamming)(s, t)
+        distances = ((convertibility_distance, valley_distance) if i < 30
+                     else (convertibility_distance,))
         for cap in (max(ls, lt) + 1, max(ls, lt) + 2, None):
             budget = SearchBudget(max_expanded=400, max_depth=30,
                                   max_term_size=cap)
-            queries.append((variant, s, t, want, budget))
+            queries.append((variant, s, t, want, budget, distances))
 
-    def answers():
-        out = []
-        for variant, s, t, want, budget in queries:
+    def exact():
+        """The answers that are exact, each checked."""
+        out = set()
+        for variant, s, t, want, budget, distances in queries:
             sys = make_dna(variant)
-            for distance in (convertibility_distance, valley_distance):
+            for distance in distances:
                 ans = distance(sys, dna_term(s), dna_term(t), budget)
                 case = (distance.__name__, variant, s, t, budget)
                 if ans.kind == EXACT:
                     assert ans.value == want, case
+                    out.add(case)
                 elif ans.kind == UPPER_BOUND:
                     assert ans.value >= want, case
                 if ans.value is not None:
                     assert validate_witness(sys, dna_term(s), dna_term(t),
                                             ans.witness), case
                     assert _witness_weight(sys, ans) == ans.value, case
-                out.append(ans.kind)
         return out
 
-    with_potential = answers()
+    full = exact()
     with monkeypatch.context() as m:
-        _no_size_rate(m)
-        without = answers()
-    promoted = sum(a == EXACT and b == UPPER_BOUND
-                   for a, b in zip(with_potential, without))
-    assert not any(a != EXACT and b == EXACT
-                   for a, b in zip(with_potential, without))
-    print(f"{promoted} of {len(without)} answers promoted to exact")
-    assert promoted > 0
+        _no_potential(m, keep_size=True)
+        size = exact()
+    with monkeypatch.context() as m:
+        _no_potential(m)
+        off = exact()
+    # nothing is demoted, and the count term promotes past the size term
+    assert full >= size >= off
+    print(f"exact: {len(full)} full, {len(size)} size term, {len(off)} off,"
+          f" of {sum(len(q[-1]) for q in queries)}")
+    assert len(full) > len(size) > len(off)
 
 
 def test_size_rate_prices_a_symbol_on_additive_ungraded_plain_systems():
     lev = make_dna("levenshtein")
-    assert lev.size_rate == 1 and type(lev.size_rate) is int
-    assert make_dna("hamming").size_rate is None  # no rule changes size
-    for name in ("barycentric",  # a schema
+    assert lev.potential.size_rate == 1
+    assert type(lev.potential.size_rate) is int
+    # no rule changes size, but each substitution moves two counts
+    ham = make_dna("hamming").potential
+    assert (ham.size_rate, ham.count_rate) == (0, 1)
+    for name in ("nat",  # a free rule changes size
+                 "barycentric",  # a schema
                  "graded-combinators",  # graded
                  "linearity-example"):  # a duplicating rule
-        assert CATALOG[name]().size_rate is None, name
+        assert CATALOG[name]().potential is None, name
     strong = dataclasses.replace(lev, quantale=get_quantale("strong-lawvere"))
-    assert strong.size_rate is None
+    assert strong.potential is None
     free = _system("a b", "rule r: f(a) -[1]-> b", "rule s: g(a) -[0]-> a")
-    assert free.size_rate is None
-    # -1 at 3/2 and +2 at 1: one symbol is worth 1/2
+    assert free.potential is None
+    # -1 at 3/2 and +2 at 1: one symbol is worth 1/2, and the larger of
+    # the counts a step adds and removes, 2 and 2, is worth 1/2 too
     sys = _system("a", "rule r: f(a) -[3/2]-> a", "rule s: a -[1]-> f(g(a))")
     assert [sum(r.delta.values()) for r in sys.rules] == [-1, 2]
-    assert sys.size_rate == Fraction(1, 2)
+    assert sys.potential.size_rate == Fraction(1, 2)
+    assert sys.potential.count_rate == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("s, t", [("CACG", "CCGCGG"), ("GATT", "TTAGTT"),
@@ -870,9 +907,32 @@ def test_the_size_potential_proves_levenshtein_pairs_past_the_cap(
     assert ans.expanded <= 10, ans.expanded
     assert validate_witness(sys, u, v, ans.witness)
     with monkeypatch.context() as m:
-        _no_size_rate(m)
+        _no_potential(m)
         ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
     assert (ans.kind, ans.value) == (UPPER_BOUND, 3)
+
+
+@pytest.mark.parametrize("s, t, kind", [("AACG", "CTTG", EXACT),
+                                        ("ACCG", "CATG", UPPER_BOUND)])
+def test_the_count_potential_proves_equal_length_pairs_past_the_cap(
+        s, t, kind, monkeypatch):
+    # an insertion from either end leaves the cap at cost 1 with a symbol
+    # to shed, so the size term bounds that exit at 2.  AACG and CTTG
+    # differ in 2 more counts (A, A, C against C, T, T), which the rest
+    # must fix at 1 each, so the exit costs 3 and the answer is exact.
+    # ACCG and CATG differ in 1 (C against A, T), so the exit stays at 2
+    # and the answer an honest upper bound
+    sys = make_dna("levenshtein")
+    u, v = dna_term(s), dna_term(t)
+    ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
+    assert (ans.kind, ans.value) == (kind, oracle_levenshtein(s, t))
+    assert validate_witness(sys, u, v, ans.witness)
+    if kind == EXACT:
+        assert ans.expanded <= 10, ans.expanded
+        with monkeypatch.context() as m:
+            _no_potential(m, keep_size=True)
+            ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
+        assert (ans.kind, ans.value) == (UPPER_BOUND, 3)
 
 
 # ---------------------------------------------------------------------------
