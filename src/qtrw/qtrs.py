@@ -350,6 +350,14 @@ class RewriteSystem:
         return {}
 
     @cached_property
+    def steps_past(self) -> Dict[object, List[RewriteStep]]:
+        """The meet search's cache of the steps a term-size limit leaves
+        unbuilt, for the terms whose steps its proof builds: for each key
+        of ``relaxations`` and limit, the steps to targets past that limit
+        (``search._steps_past``)."""
+        return {}
+
+    @cached_property
     def self_inverse(self) -> bool:
         """Whether every backward step has a forward twin at least as good:
         no rule is a schema, has conditions or invents variables, and each
@@ -641,6 +649,7 @@ def one_step(
     _skipped: Optional[List[_Skip]] = None,
     max_size: Optional[int] = None,
     _oversized: Optional[Dict[Tuple[str, bool], Value]] = None,
+    beyond: Optional[int] = None,
 ) -> List[RewriteStep]:
     """Every single rewrite step from ``t``, duplicate-free; with
     ``backward``, every step from ``t`` of the inverse relation, each in the
@@ -679,7 +688,8 @@ def one_step(
     built; its weight (after context scaling) is joined into
     ``_oversized``, if given, under its (rule id, ``backward``).  Skipping
     a target drops only the steps to it, so the kept steps and their order
-    stay.
+    stay.  ``beyond`` keeps the other steps, those to targets of more than
+    that many symbols, and builds no target it drops.
     """
     q, graded = sys.quantale, sys.graded
     if memo is None:
@@ -709,6 +719,8 @@ def one_step(
             redexes = kept
         if max_size is not None:
             room = max_size - term_size(t) + term_size(sub)
+        if beyond is not None:
+            floor = beyond - term_size(t) + term_size(sub)
         for rid, weight, fresh, contractum in redexes:
             contracta = (_invented(t, fresh_pool, fresh, *contractum) if fresh
                          else (contractum,))
@@ -718,6 +730,8 @@ def one_step(
                         old = _oversized.get((rid, backward))
                         if old is None or q.strictly_below(old, weight):
                             _oversized[rid, backward] = weight
+                    continue
+                if beyond is not None and c._size <= floor:  # type: ignore[union-attr]
                     continue
                 target = replace_at(t, p, c)
                 key = (p, rid, target)

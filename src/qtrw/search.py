@@ -12,7 +12,16 @@ by the rates at which the rules change size and counts
 (``qtrw.invariants``), so a branch pruned at u costs at least that much
 more on its way to the other end (``_SideSearch``).  So a meet as heavy as
 the pruned branches' exits is exact, though the search never looked past
-the cap.
+the cap.  A branch pruned past the cap ends in a term no side labels, so a
+better conversion through it either takes a step from there to the other
+side's part, or is met past the cap: both sides step into that one term.
+The proof builds those steps of the few branches cheap enough to make such
+a meet, to look for one (``_meets_past_limit``); with none, each pruned
+branch is a step further from the other side.  The same potential breaks
+ties: of two frontier terms of one weight, a side expands first the one
+whose counts are cheaper to fix, as A* would, so a search meets sooner
+and its cost varies less with the strings; the weight order every proof
+rests on stays.
 An ``unreachable`` answer is a proof too: either a symbol-count invariant
 of the system tells the two terms apart (``qtrw.invariants``), which every
 search checks first, under any budget and with no expansion, or a search
@@ -28,8 +37,9 @@ weight cutoff instead asks for the steps in bounds only, uncached.  No
 search builds a step to a term larger than its term-size cap and both of
 its ends (``_skip_limit``): no label holds such a term, so only the best
 weight of such steps of each rule and direction counts, as a pruned
-branch.  The same records, each with its rule, position, direction and
-weight, make up an answer's witness.
+branch, until a meet search's proof asks for the few it needs.  The same
+records, each with its rule, position, direction and weight, make up an
+answer's witness.
 
 Each step is generated once per query.  A query owns one redex memo, shared
 by both of its frontiers and dropped with it, so a subterm common to many
@@ -121,6 +131,19 @@ class DistanceAnswer:
         })
 
 
+def _relaxation_key(sys: RewriteSystem, symmetric: bool, t: Term,
+                    pool: Sequence[Term]) -> Tuple[bool, object]:
+    """Whether steps from ``t`` take backward ones too, which a
+    self-inverse system never needs, and the key of ``t``'s steps in the
+    system's caches (see ``_relaxations``)."""
+    if symmetric and sys.self_inverse:
+        symmetric = False
+    # the pool only fills variables a rule invents; otherwise steps ignore it
+    if sys.forward.invents or (symmetric and sys.backward.invents):
+        return symmetric, (symmetric, t, tuple(pool))
+    return symmetric, (symmetric, t)
+
+
 def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
                  pool: Sequence[Term], memo: Optional[RedexMemo] = None,
                  limit: Optional[int] = None,
@@ -147,12 +170,7 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
     directed search under a weight cutoff takes the same steps in bounds
     from ``_SideSearch._steps_within`` instead, which builds no step its
     cutoff prunes either."""
-    if symmetric and sys.self_inverse:
-        symmetric = False
-    key: object = (symmetric, t)
-    # the pool only fills variables a rule invents; otherwise steps ignore it
-    if sys.forward.invents or (symmetric and sys.backward.invents):
-        key = (symmetric, t, tuple(pool))
+    symmetric, key = _relaxation_key(sys, symmetric, t, pool)
     cache = sys.relaxations
     out = cache.get(key)
     if out is None and limit is not None:
@@ -253,6 +271,16 @@ class _SideSearch:
     signed by the step's direction: the steps ``limit`` leaves unbuilt are
     charged by their rule and direction alone.  d(x) is read off x only
     when some branch from x could still lower ``best_exit``.
+
+    A heap entry is keyed by its weight's ``sort_key``, then, with a
+    ``potential``, by h at the term's gap, read off its source's gap and
+    its step's rule, then by the order pushed.
+
+    ``best_pruned_within`` is ``best_pruned`` over the branches not left
+    unbuilt past ``limit``, which alone may end in a term the other side
+    labels.  The terms expanded with steps left unbuilt are listed, with
+    their weights, for ``_meets_past_limit``, which builds those steps of
+    the cheapest into ``beyond``.
     """
 
     def __init__(
@@ -281,24 +309,40 @@ class _SideSearch:
         self.dist: Dict[Term, _Label] = {}
         self.opposite: Dict[Term, _Label] = {}
         self.best_pruned: Optional[Value] = None
+        self.best_pruned_within: Optional[Value] = None
         self.best_exit: Optional[Value] = None
+        # the terms expanded with steps past ``limit`` left unbuilt, with
+        # their labels' weights, in the order expanded; the targets of
+        # those steps, with the best branch weight into each, built by
+        # ``_meets_past_limit`` for the first ``_beyond_read`` of them
+        self._unbuilt_from: List[Tuple[Value, Term]] = []
+        self.beyond: Dict[Term, Value] = {}
+        self._beyond_read = 0
         self.potential = None if other is None else sys.potential
         self.other = other
-        # read on the first prune: the other end's counts, negated so that
+        # read on first use: the other end's counts, negated so that
         # ``invariants.gap`` subtracts them, and the last term whose gap
         # was read, with that gap
         self._other_counts: Optional[Dict[invariants.Family, int]] = None
         self._gap: Tuple[Optional[Term], Optional[invariants.Gap]] = (None,
                                                                        None)
-        self._heap: List[Tuple[object, int, Term, _Label]] = []
+        self._heap: List[Tuple[object, object, int, Term, _Label]] = []
         self._seq = 0
         self._push(start, (self.q.unit, 0, None))
 
-    def _push(self, term: Term, label: _Label) -> None:
+    def _push(self, term: Term, label: _Label, tie: object = 0) -> None:
         self.dist[term] = label
-        heapq.heappush(self._heap,
-                       (self.q.sort_key(label[0]), self._seq, term, label))
+        heapq.heappush(self._heap, (self.q.sort_key(label[0]), tie,
+                                    self._seq, term, label))
         self._seq += 1
+
+    def _gap_of(self, term: Term) -> invariants.Gap:
+        """d(term), kept for the last term it was read for."""
+        if self._gap[0] is not term:
+            if self._other_counts is None:
+                self._other_counts = invariants.counts(self.other, -1)
+            self._gap = (term, invariants.gap(term, self._other_counts))
+        return self._gap[1]  # type: ignore[return-value]
 
     def path(self, term: Term) -> List[RewriteStep]:
         """The steps of ``term``'s label, from the start term to ``term``."""
@@ -311,22 +355,24 @@ class _SideSearch:
         return steps
 
     def _note_pruned(self, w: Value, at: Optional[Term] = None,
-                     move: Optional[Tuple[str, bool]] = None) -> None:
+                     move: Optional[Tuple[str, bool]] = None,
+                     past_limit: bool = False) -> None:
         """Note a branch pruned at weight ``w`` into the term ``at``, or,
         with ``move`` = (rule id, backward), into the term a step of that
-        rule in that direction makes from ``at``.  Only a search without a
+        rule in that direction makes from ``at``; ``past_limit`` if that
+        step was left unbuilt past ``limit``.  Only a search without a
         ``potential`` may leave ``at`` out."""
-        if self.best_pruned is None or self.q.strictly_below(self.best_pruned, w):
+        sb = self.q.strictly_below
+        if self.best_pruned is None or sb(self.best_pruned, w):
             self.best_pruned = w
+        if not past_limit and (self.best_pruned_within is None
+                               or sb(self.best_pruned_within, w)):
+            self.best_pruned_within = w
         h = self.potential
         # a potential means the tensor adds: a weight is a cost, lower is
         # better, and h >= 0, so only a branch below best_exit can lower it
         if h is not None and (self.best_exit is None or w < self.best_exit):
-            if self._gap[0] is not at:
-                if self._other_counts is None:
-                    self._other_counts = invariants.counts(self.other, -1)
-                self._gap = (at, invariants.gap(at, self._other_counts))
-            e = w + h(self._gap[1], move)
+            e = w + h(self._gap_of(at), move)
             if self.best_exit is None or e < self.best_exit:
                 self.best_exit = e
 
@@ -334,9 +380,9 @@ class _SideSearch:
         """Quantale-largest weight of a live frontier term, the only terms
         left to explore; ``None`` once there are none."""
         heap, dist = self._heap, self.dist
-        while heap and dist[heap[0][2]] is not heap[0][3]:
+        while heap and dist[heap[0][3]] is not heap[0][4]:
             heapq.heappop(heap)
-        return heap[0][3][0] if heap else None
+        return heap[0][4][0] if heap else None
 
     def pop(self) -> Optional[Term]:
         """Pop and expand the best frontier term; returns it.
@@ -356,8 +402,9 @@ class _SideSearch:
         opposite, meets = self.opposite, self.meets
         cutoff = self.budget.weight_cutoff
         max_size = self.budget.max_term_size
+        h = self.potential
         while self._heap:
-            _, _, term, label = heapq.heappop(self._heap)
+            term, label = heapq.heappop(self._heap)[3:]
             if dist[term] is not label:
                 continue
             w, depth, _ = label
@@ -369,8 +416,10 @@ class _SideSearch:
             else:
                 steps, unbuilt = _relaxations(self.sys, self.symmetric, term,
                                               self.pool, self.memo, self.limit)
+                if unbuilt:
+                    self._unbuilt_from.append((w, term))
                 for move, uw in unbuilt:
-                    self._note_pruned(tensor(w, uw), term, move)
+                    self._note_pruned(tensor(w, uw), term, move, True)
             for step in steps:
                 target = step.target
                 nw = tensor(w, step.weight)
@@ -385,7 +434,9 @@ class _SideSearch:
                 old = dist.get(target)
                 if old is not None and not sb(old[0], nw):
                     continue
-                self._push(target, (nw, depth + 1, step))
+                self._push(target, (nw, depth + 1, step), 0 if h is None
+                           else h(self._gap_of(term), (
+                               step.rule_id, step.direction == "backward")))
                 if target in opposite:
                     meets.offer(tensor(nw, opposite[target][0]), target)
             return term
@@ -473,6 +524,64 @@ def reduction_distance(
     return DistanceAnswer(BUDGET_EXHAUSTED, None, (), expanded)
 
 
+def _steps_past(side: _SideSearch, term: Term) -> List[RewriteStep]:
+    """The steps from ``term`` that ``side`` leaves unbuilt past its
+    ``limit``, built, and cached in ``sys.steps_past`` under the key of
+    ``_relaxations`` and the limit."""
+    sys, limit = side.sys, side.limit
+    symmetric, key = _relaxation_key(sys, side.symmetric, term, side.pool)
+    steps = sys.steps_past.get((key, limit))
+    if steps is None:
+        steps = one_step(sys, term, side.pool, memo=side.memo, beyond=limit)
+        if symmetric:
+            steps += one_step(sys, term, side.pool, backward=True,
+                              memo=side.memo, beyond=limit)
+        sys.steps_past[key, limit] = steps
+    return steps
+
+
+def _meets_past_limit(left: _SideSearch, right: _SideSearch, meets: _Meets,
+                      total: Value, eps: Value) -> bool:
+    """Cut every meet past the two sides' ``limit`` that could beat
+    ``total``: a term both sides step into, unbuilt, from terms they
+    expanded.  Returns whether some side has a ``limit``: only then may
+    ``_meet_search`` go on to tell a branch pruned past it, which no side
+    can label, from the others.
+
+    A branch past the limit, of weight g, makes a meet better than
+    ``total`` only if g (x) eps is better, as every branch weighs at
+    least a step; and g is the weight w of the term it leaves, tensored
+    with a step.  So each side builds the steps past the limit of the
+    terms it expanded at a w with w (x) eps (x) eps better than
+    ``total``, once each: they are a prefix of ``_unbuilt_from``, as
+    expansions go in the quantale order and ``total`` only improves.  A
+    target whose g (x) eps is better than ``total`` enters the side's
+    ``beyond``, and if the other side's ``beyond`` holds it too, the
+    tensor of their two weights enters ``meets.cut``."""
+    if left.limit is None:  # both sides share it
+        return False
+    q = left.q
+    tensor, sb = q.tensor, q.strictly_below
+    for side, other in ((left, right), (right, left)):
+        todo, i = side._unbuilt_from, side._beyond_read
+        while i < len(todo):
+            w, term = todo[i]
+            if not sb(total, tensor(tensor(w, eps), eps)):
+                break
+            i += 1
+            for step in _steps_past(side, term):
+                g = tensor(w, step.weight)
+                u = step.target
+                old = side.beyond.get(u)
+                if sb(total, tensor(g, eps)) and (old is None
+                                                  or sb(old, g)):
+                    side.beyond[u] = g
+                    if u in other.beyond:
+                        meets.cut(tensor(g, other.beyond[u]))
+        side._beyond_read = i
+    return True
+
+
 def _meet_search(
     sys: RewriteSystem,
     s: Term,
@@ -497,14 +606,21 @@ def _meet_search(
     pruned branches' best weight with the counts they must still fix
     (``best_exit``, or ``cut`` when the system has no ``potential``), and
     ``eps`` for ``RewriteSystem.cheapest_step``, which a run of one or more
-    steps never beats.  An absent bound drops out of a join, and a tensor
-    with an absent factor drops out of the join it is in.  The answer is
-    exact when the best meet is no worse than ``bound``:
+    steps never beats.  Write ``within`` for a side's best weight of the
+    branches it pruned other than past ``limit`` (``best_pruned_within``),
+    and ``apart`` for ``cut (x) eps (x) lb`` joined with
+    ``within (x) lb``, the other side's ``lb``.  An absent bound drops out
+    of a join, and a tensor with an absent factor drops out of the join it
+    is in.  The answer is exact when the best meet is no worse than
+    ``bound``:
 
     - for conversions, the join of ``live_l (x) eps (x) live_r``, the meet
       of ``cut_l (x) lb_r`` and ``exit_l``, the meet of ``lb_l (x) cut_r``
       and ``exit_r``, and ``across_cut``, or the other side's ``lb`` when
-      one side has neither ``live`` nor ``cut``;
+      one side has neither ``live`` nor ``cut``; once every meet past the
+      limit that could beat the best meet is in ``across_cut``
+      (``_meets_past_limit``), each side's ``cut (x) lb`` may be its
+      ``apart`` instead;
     - for valleys, the join of ``live_l``, ``exit_l``, ``live_r``,
       ``exit_r`` and ``across_cut``.
 
@@ -525,17 +641,27 @@ def _meet_search(
 
     (a) ``a`` comes before ``b``.  At least one step lies between them, so
         P is at most ``live_l (x) eps (x) live_r`` when both are live, and
-        at most ``cut_l (x) lb_r`` or ``lb_l (x) cut_r`` when a side
-        pruned.
+        at most ``cut_l (x) eps (x) lb_r`` or ``lb_l (x) eps (x) cut_r``
+        when a side pruned.
     (b) ``a`` is ``b``.  Labelled that well on both sides, it would be
         met, so a side pruned it, and P is at most ``cut_l (x) lb_r`` or
         ``lb_l (x) cut_r``.  No ``eps`` here: no step need lie between.
+        If the left pruned the step into ``a`` past the limit, no side
+        can label ``a``, so the right pruned its step into ``a`` past the
+        limit too, and P is at most the tensor of those two branches'
+        weights: a meet past the limit, in ``across_cut`` if it beats the
+        best meet.  Otherwise P is at most ``within_l (x) lb_r``; and the
+        same holds with the sides swapped.  So where a side pruned ``a``,
+        P is at most its ``apart`` as well.
     (c) ``a`` comes after ``b``.  No term lies between them (it would be
         done on both sides), so ``b`` is done on the left, ``a`` on the
         right, and both sides pruned the step between them.  If a side
         pruned it by depth, P is at most ``cut_l (x) cut_r``.  Otherwise
         the later of the two prunes found the other end labelled, with its
         settled label, on the other side, so ``across_cut`` is at least P.
+        Settled terms are within the limit, so neither prune was past it:
+        P is at most ``within_l (x) lb_r`` or ``lb_l (x) within_r`` by
+        depth, and so at most that side's ``apart``.
 
     Counts.  With a ``potential`` h the tensor adds, and a step of a rule
     r, in either direction, changes a term's family counts by ±δ_r and
@@ -604,13 +730,29 @@ def _meet_search(
     def join(a: Optional[Value], b: Optional[Value]) -> Optional[Value]:
         return b if a is None else a if b is None else q.join2(a, b)
 
-    def bounds() -> Tuple[Optional[Value], Optional[Value]]:
+    def pruned(side: _SideSearch, lb: Value, apart: bool) -> Value:
+        """The bound on a conversion ``side`` pruned, with ``lb`` the
+        other side's, in the order ``cut`` then ``lb``: ``cut (x) lb``,
+        or, when every meet past the limit is cut (``apart``), the join
+        of ``cut (x) eps (x) lb`` and ``within (x) lb``; then the meet
+        of that and ``exit``."""
+        cut, within = side.best_pruned, side.best_pruned_within
+        if apart:
+            b = q.tensor(q.tensor(cut, eps), lb)
+            if within is not None:
+                b = join(b, q.tensor(within, lb))
+        else:
+            b = q.tensor(cut, lb)
+        # an exit is kept only where the tensor adds, so it is a cost, and
+        # with one the meet of two bounds is the larger cost
+        e = side.best_exit
+        return e if e is not None and e > b else b
+
+    def side_bounds(apart: bool) -> Tuple[Optional[Value], Optional[Value]]:
         """``bound`` and the live bound, as set out above."""
         live_l, live_r = left.frontier_bound(), right.frontier_bound()
         cut_l, cut_r = left.best_pruned, right.best_pruned
         lb_l, lb_r = join(live_l, cut_l), join(live_r, cut_r)
-        # an exit is kept only where the tensor adds, so it is a cost, and
-        # with one the meet of two bounds is the larger cost
         exit_l, exit_r = left.best_exit, right.best_exit
         both_live = live_l is not None and live_r is not None
         if not symmetric:
@@ -622,16 +764,29 @@ def _meet_search(
             exact = (q.tensor(q.tensor(live_l, eps), live_r) if both_live
                      else None)
             if cut_l is not None:
-                b = q.tensor(cut_l, lb_r)
-                exact = join(exact, exit_l if exit_l is not None
-                             and exit_l > b else b)
+                exact = join(exact, pruned(left, lb_r, apart))
             if cut_r is not None:
-                b = q.tensor(lb_l, cut_r)
-                exact = join(exact, exit_r if exit_r is not None
-                             and exit_r > b else b)
+                # every quantale commutes (``qtrw.quantale``)
+                exact = join(exact, pruned(right, lb_l, apart))
         live = (q.tensor(live_l, live_r) if symmetric and both_live
                 else join(live_l, live_r))
         return join(exact, meets.across_cut), live
+
+    def bounds() -> Tuple[Optional[Value], Optional[Value]]:
+        """``side_bounds``; where it leaves the best meet short of exact
+        but would not with ``apart``, the meets past the limit are cut
+        first, which can only lower it, and ``apart`` is taken."""
+        out = side_bounds(False)
+        if not symmetric or meets.best is None:
+            return out
+        best, sb = meets.best[0], q.strictly_below
+        if out[0] is None or not sb(best, out[0]):
+            return out
+        hope = side_bounds(True)[0]
+        if ((hope is not None and sb(best, hope))
+                or not _meets_past_limit(left, right, meets, best, eps)):
+            return out
+        return side_bounds(True)
 
     expanded = 0
     exhausted_both = False

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import heapq
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -810,11 +811,19 @@ def _no_potential(m, keep_size=False):
     m.setattr(qtrs.RewriteSystem, "potential", property(patched))
 
 
+def _no_apart(m):
+    """Keeps meet searches, under the monkeypatch context ``m``, from
+    telling a branch pruned past the limit from the others, as if they
+    never cut the meets past it (``search._meets_past_limit``)."""
+    m.setattr(search, "_meets_past_limit", lambda *args: False)
+
+
 def test_capped_dna_searches_agree_with_the_oracles(monkeypatch):
     """Levenshtein and Hamming conversions and valleys under caps that
     keep them from ever leaving the ends' lengths, or one symbol past, or
-    none, with the full potential, its size term alone and none.  Every
-    inverse of a rule is a rule of the same weight, so a valley is a
+    none, with the full potential, its size term alone and none, and with
+    the full potential but the branches past the limit not told apart.
+    Every inverse of a rule is a rule of the same weight, so a valley is a
     conversion and the edit or mismatch distance too."""
     rng = random.Random("size-potential-oracle")
     queries = []
@@ -862,11 +871,18 @@ def test_capped_dna_searches_agree_with_the_oracles(monkeypatch):
     with monkeypatch.context() as m:
         _no_potential(m)
         off = exact()
+    with monkeypatch.context() as m:
+        _no_apart(m)
+        together = exact()
+    print(f"exact: {len(full)} full, {len(size)} size term, {len(off)} off,"
+          f" {len(together)} full with the branches past the limit not"
+          f" apart, of {sum(len(q[-1]) for q in queries)}")
     # nothing is demoted, and the count term promotes past the size term
     assert full >= size >= off
-    print(f"exact: {len(full)} full, {len(size)} size term, {len(off)} off,"
-          f" of {sum(len(q[-1]) for q in queries)}")
     assert len(full) > len(size) > len(off)
+    # nor by telling the branches past the limit apart, which promotes
+    # past the full potential
+    assert full > together
 
 
 def test_size_rate_prices_a_symbol_on_additive_ungraded_plain_systems():
@@ -899,14 +915,16 @@ def test_the_size_potential_proves_levenshtein_pairs_past_the_cap(
         s, t, monkeypatch):
     # a branch the cap prunes weighs less than 3, but ends in a term larger
     # than both ends, which the rest of a conversion must shrink back at 1
-    # a symbol; without that charge the same search stops at an upper bound
+    # a symbol; without that charge, and with the branches past the limit
+    # not told apart, the same search stops at an upper bound
     sys = make_dna("levenshtein")
     u, v = dna_term(s), dna_term(t)
-    ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
-    assert (ans.kind, ans.value) == (EXACT, 3)
-    assert ans.expanded <= 10, ans.expanded
-    assert validate_witness(sys, u, v, ans.witness)
     with monkeypatch.context() as m:
+        _no_apart(m)
+        ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
+        assert (ans.kind, ans.value) == (EXACT, 3)
+        assert ans.expanded <= 10, ans.expanded
+        assert validate_witness(sys, u, v, ans.witness)
         _no_potential(m)
         ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
     assert (ans.kind, ans.value) == (UPPER_BOUND, 3)
@@ -920,19 +938,146 @@ def test_the_count_potential_proves_equal_length_pairs_past_the_cap(
     # to shed, so the size term bounds that exit at 2.  AACG and CTTG
     # differ in 2 more counts (A, A, C against C, T, T), which the rest
     # must fix at 1 each, so the exit costs 3 and the answer is exact.
-    # ACCG and CATG differ in 1 (C against A, T), so the exit stays at 2
-    # and the answer an honest upper bound
+    # ACCG and CATG differ in 1 (C against A, T), so the exit stays at 2,
+    # and with the branches past the limit not told apart the answer is an
+    # honest upper bound
+    sys = make_dna("levenshtein")
+    u, v = dna_term(s), dna_term(t)
+    with monkeypatch.context() as m:
+        _no_apart(m)
+        ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
+        assert (ans.kind, ans.value) == (kind, oracle_levenshtein(s, t))
+        assert validate_witness(sys, u, v, ans.witness)
+        if kind == EXACT:
+            assert ans.expanded <= 10, ans.expanded
+            _no_potential(m, keep_size=True)
+            ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
+            assert (ans.kind, ans.value) == (UPPER_BOUND, 3)
+
+
+@pytest.mark.parametrize("s, t", [("ACCG", "CATG"), ("GAAAG", "GAGGA"),
+                                  ("TCGCTG", "ACGTTC")])
+def test_equal_length_pairs_past_the_cap_are_exact_with_the_branches_apart(
+        s, t, monkeypatch):
+    # the counts of each pair differ in 1 (C against A, T; A against G),
+    # so an insertion from either end exits at 1 + 1 = 2.  A conversion
+    # past the cap leaves it on one side and comes back on the other.  If
+    # the two terms past the cap differ, at least a step lies between
+    # them, and the conversion costs at least 1 + 1 + 1.  If they are one
+    # term, both ends step into it, but no insertion into one end is one
+    # into the other, or their distance would be 2.  So 3 is exact
     sys = make_dna("levenshtein")
     u, v = dna_term(s), dna_term(t)
     ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
-    assert (ans.kind, ans.value) == (kind, oracle_levenshtein(s, t))
+    assert (ans.kind, ans.value) == (EXACT, 3) == (EXACT, oracle_levenshtein(s, t))
     assert validate_witness(sys, u, v, ans.witness)
-    if kind == EXACT:
-        assert ans.expanded <= 10, ans.expanded
-        with monkeypatch.context() as m:
-            _no_potential(m, keep_size=True)
-            ans = convertibility_distance(sys, u, v, _dna_budget(s, t))
-        assert (ans.kind, ans.value) == (UPPER_BOUND, 3)
+    with monkeypatch.context() as m:
+        _no_apart(m)
+        slow = convertibility_distance(make_dna("levenshtein"), u, v,
+                                       _dna_budget(s, t))
+    assert (slow.kind, slow.value) == (UPPER_BOUND, 3)
+    assert slow.witness == ans.witness
+    assert ans.expanded < slow.expanded
+
+
+def test_a_side_breaks_weight_ties_toward_the_other_end():
+    # every step weighs 1, so after the start each frontier term ties at
+    # weight 1; the side pops them by the potential of their counts'
+    # difference from the other end, least first, and keeps weight order
+    sys = make_dna("levenshtein")
+    s, t = dna_term("ACGT"), dna_term("TTGA")
+    budget = _dna_budget("ACGT", "TTGA")
+    side = search._SideSearch(sys, s, True, subterm_pool(s, t), budget, {},
+                              search._skip_limit(budget, s, t),
+                              search._Meets(sys.quantale), t)
+    assert side.pop() == s
+    other = invariants.counts(t, -1)
+    h = {u: sys.potential(invariants.gap(u, other))
+         for u, label in side.dist.items() if label[0] == 1}
+    assert len(set(h.values())) > 1
+    popped = [side.pop() for _ in h]
+    assert sorted(popped, key=h.__getitem__) == popped
+    assert set(popped) == set(h)
+
+
+def test_a_meet_past_the_cap_is_no_proof(monkeypatch):
+    # a and b each step at 1 into f(c), past the cap and both ends, so no
+    # side builds it before the proof; between two terms past the cap a
+    # step of at least 1 lies, but this is one term, a meet at 2, so the
+    # direct step at 5/2 is no proof
+    rules = ("rule r: a -[1]-> f(c)", "rule s: b -[1]-> f(c)",
+             "rule d: a -[5/2]-> b")
+    a, b = _const("a"), _const("b")
+    budget = SearchBudget(max_term_size=1)
+    ans = convertibility_distance(_system("a b c", *rules), a, b, budget)
+    assert (ans.kind, ans.value) == (UPPER_BOUND, Fraction(5, 2))
+    assert convertibility_distance(_system("a b c", *rules), a, b).value == 2
+    # a bound that took every two branches past the cap for two terms
+    # would call 5/2 exact
+    with monkeypatch.context() as m:
+        m.setattr(search, "_meets_past_limit", lambda *args: True)
+        ans = convertibility_distance(_system("a b c", *rules), a, b, budget)
+    assert (ans.kind, ans.value) == (EXACT, Fraction(5, 2))
+
+
+def _distance_up_to(sys, s, t, max_size):
+    """The conversion distance of ``s`` and ``t`` over the terms of at most
+    ``max_size`` symbols, by Dijkstra over every step either way."""
+    pool = subterm_pool(s, t)
+    dist, heap, seq = {s: 0}, [(0, 0, s)], 1
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if u == t:
+            return d
+        if d > dist[u]:
+            continue
+        for step in one_step(sys, u, pool) + one_step(sys, u, pool,
+                                                      backward=True):
+            v, nd = step.target, d + step.weight
+            if term_size(v) <= max_size and (v not in dist or nd < dist[v]):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, seq, v))
+                seq += 1
+    return None
+
+
+def test_capped_conversions_agree_with_a_search_past_the_cap():
+    """Ground systems that lift constants into terms past a cap of 1 or
+    2 and may rewrite them there more cheaply; half of them lift two
+    constants into one term, more cheaply than a step between the two,
+    which the first query asks for.  Every exact answer is no worse than
+    a Dijkstra search over the terms of up to 5 symbols."""
+    rng = random.Random("meets-past-the-cap")
+    shapes = ["a", "b", "c", "f(a)", "f(b)", "g(a)", "f(c)", "g(c)",
+              "f(f(a))"]
+    weights = (1, 2, 3, "1/2", "5/2")
+    checked = {EXACT: 0, UPPER_BOUND: 0}
+    for trial in range(80):
+        rules = [f"rule r{i}: {lhs} -[{rng.choice(weights)}]-> {rhs}"
+                 for i in range(rng.randrange(1, 5))
+                 for lhs, rhs in [rng.sample(shapes, 2)]]
+        pairs = [tuple(rng.choice("abc") for _ in range(2)) for _ in range(6)]
+        if trial % 2:
+            lifted, (x, y) = rng.choice(shapes[3:]), rng.sample("abc", 2)
+            rules += [f"rule m1: {x} -[{rng.choice((1, '1/2'))}]-> {lifted}",
+                      f"rule m2: {y} -[{rng.choice((1, '1/2'))}]-> {lifted}",
+                      f"rule m3: {x} -[{rng.choice((2, '5/2', 3))}]-> {y}"]
+            pairs[0] = (x, y)
+        for s, t in pairs:
+            s, t = _const(s), _const(t)
+            budget = SearchBudget(max_term_size=rng.choice((1, 1, 2)),
+                                  max_expanded=300, max_depth=40)
+            sys = _system("a b c", *rules)
+            ans = convertibility_distance(sys, s, t, budget)
+            case = (rules, str(s), str(t), budget.max_term_size)
+            if ans.kind in (EXACT, UPPER_BOUND):
+                assert validate_witness(sys, s, t, ans.witness), case
+                assert _witness_weight(sys, ans) == ans.value, case
+                checked[ans.kind] += 1
+            if ans.kind == EXACT:
+                want = _distance_up_to(sys, s, t, 5)
+                assert want is not None and ans.value <= want, case
+    assert min(checked.values()) > 0, checked
 
 
 # ---------------------------------------------------------------------------
