@@ -14,8 +14,11 @@ another grid, replace it (``dataclasses.replace(sys, grid=...)``).
 A system is its own one-step relation, and ``one_step`` builds every step
 list.  On first use the system indexes its rules by left-hand-side root
 symbol (``forward``), the inverted rules (sides swapped) the same way
-(``backward``), and keeps the distance search's step cache
-(``relaxations``).  None of these refers back to the system, so a dropped
+(``backward``), each with the heaviest weight a rule can fire with at
+each root, and keeps the distance search's step cache
+(``relaxations``).  Without grades a step weighs what its rule weighs, so
+a step list under a weight bound matches no rule at a subterm whose root
+cannot fire within it.  None of these refers back to the system, so a dropped
 system frees them at once.  A backward step is a forward step of an
 inverted rule, so the variables a rule erases become fresh variables of its
 inverse, drawn from the same candidate pool.  A rule
@@ -330,7 +333,7 @@ class RewriteSystem:
     @cached_property
     def forward(self) -> _RuleTable:
         """The rules, indexed for ``one_step``."""
-        return _RuleTable.of(self.rules)
+        return _RuleTable.of(self.rules, self.quantale)
 
     @cached_property
     def backward(self) -> _RuleTable:
@@ -338,7 +341,7 @@ class RewriteSystem:
         built on the first one."""
         q, grid = self.quantale, self.grid
         return _RuleTable.of([inv for rule in self.rules
-                              for inv in _inverses(q, grid, rule)])
+                              for inv in _inverses(q, grid, rule)], q)
 
     @cached_property
     def relaxations(self) -> Dict[object, Tuple[List[RewriteStep],
@@ -531,19 +534,34 @@ def _rule_matches(
 
 
 class _RuleTable(NamedTuple):
+    """Rules indexed by left-hand-side root symbol.  ``bounds`` holds, for
+    each root in ``by_root``, the quantale-largest weight a rule can fire
+    with at a subterm of that root: the join of the static weights of the
+    rules rooted there and of ``var_rules``.  A static weight is the rule's
+    weight, or the unit when that is an expression read off the term.
+    Without grades no step at such a subterm weighs more, so ``one_step``
+    matches no rule there when the bound is already out of its bounds."""
+
     var_rules: Tuple[Rule, ...]            # rules with a bare-variable lhs
     by_root: Dict[str, Tuple[Rule, ...]]   # the others, by lhs root symbol
     invents: bool                          # some rule has fresh variables
+    bounds: Dict[str, Value]               # per root in by_root, see above
 
     @classmethod
-    def of(cls, rules: Sequence[Rule]) -> "_RuleTable":
+    def of(cls, rules: Sequence[Rule], q: QuantaleSpec) -> "_RuleTable":
         by_root: Dict[str, List[Rule]] = {}
         for rule in rules:
             if not isinstance(rule.lhs, Variable):
                 by_root.setdefault(rule.lhs.symbol.name, []).append(rule)
-        return cls(tuple(r for r in rules if isinstance(r.lhs, Variable)),
-                   {k: tuple(v) for k, v in by_root.items()},
-                   any(r.fresh for r in rules))
+        var_rules = tuple(r for r in rules if isinstance(r.lhs, Variable))
+
+        def static(rule: Rule) -> Value:
+            return q.unit if hasattr(rule.weight, "evaluate") else rule.weight
+
+        return cls(var_rules, {k: tuple(v) for k, v in by_root.items()},
+                   any(r.fresh for r in rules),
+                   {k: q.join(map(static, (*v, *var_rules)))
+                    for k, v in by_root.items()})
 
 
 def _params_solvable(t: Term) -> bool:
@@ -647,6 +665,7 @@ def one_step(
     firings: Optional[FiringMemo] = None,
     within: Optional[Tuple[Value, Value]] = None,
     _skipped: Optional[List[_Skip]] = None,
+    _floor: Optional[Value] = None,
     max_size: Optional[int] = None,
     _oversized: Optional[Dict[Tuple[str, bool], Value]] = None,
     beyond: Optional[int] = None,
@@ -680,7 +699,14 @@ def one_step(
     less than any in bounds, so the kept steps and their order stay.
     Each redex skipped is appended to ``_skipped``, if given, for a
     caller that must account for the weight it prunes (see
-    ``_targets``).
+    ``_targets``), unless its weight, tensored onto the weight so far,
+    does not strictly beat ``_floor``: a caller that discards such a
+    redex anyway passes the weight it would discard up to.  Unless
+    ``sys`` is graded, a step weighs at most its root's bound in the rule
+    table (``_RuleTable``), so a subterm whose root's bound is out of
+    bounds, and whose redexes would not be appended to ``_skipped``
+    either, is skipped before any rule is matched there.  Where no root
+    is skipped, the walk is that of an unbounded call.
 
     ``max_size`` keeps only the steps to targets of at most that many
     symbols.  A target's size is known before it is built, that of ``t``
@@ -695,10 +721,25 @@ def one_step(
     if memo is None:
         memo = {}
     direction = "backward" if backward else "forward"
+    skip: Set[str] = set()
     if within is not None:
         done, bound = within
+
+        def dropped(weight: Value) -> bool:
+            """Whether a redex of ``weight`` is out of bounds, and not for
+            ``_skipped`` either."""
+            w = q.tensor(done, weight)
+            return not q.leq(bound, w) and (_skipped is None or (
+                _floor is not None and not q.strictly_below(_floor, w)))
+
+        if not graded:
+            table = sys.backward if backward else sys.forward
+            skip = {root for root, most in table.bounds.items()
+                    if dropped(most)}
     steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
     for p, sub in subterms(t):
+        if skip and not isinstance(sub, Variable) and sub.symbol.name in skip:
+            continue
         redexes = memo.get((backward, sub))
         if redexes is None:
             redexes = memo[backward, sub] = sys._redexes(sub, backward,
@@ -714,7 +755,7 @@ def one_step(
             for r in redexes:
                 if q.leq(bound, q.tensor(done, r[1])):
                     kept.append(r)
-                elif _skipped is not None:
+                elif _skipped is not None and not dropped(r[1]):
                     _skipped.append((p, r))
             redexes = kept
         if max_size is not None:

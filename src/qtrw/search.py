@@ -454,7 +454,10 @@ class _SideSearch:
         steps are relaxed in the same order.  A skipped redex's targets are
         built only while its weight could still raise ``best_pruned``, and
         its weight is noted only for a target no kept step reaches, as the
-        unbounded list keeps one best step per target.  A step in bounds
+        unbounded list keeps one best step per target.  So ``one_step``
+        reports only the redexes above ``best_pruned`` (its ``_floor``),
+        and matches no rule at a subterm whose root's rules weigh too
+        little to be kept or reported.  A step in bounds
         but past ``limit`` is skipped unbuilt, and its weight noted; one
         out of bounds to the same target weighs less, so noting it too
         changes nothing.  The list depends on ``w``, so it is not cached; a
@@ -466,6 +469,7 @@ class _SideSearch:
         steps = _by_target(
             one_step(self.sys, term, self.pool, memo=self.memo,
                      within=(w, cutoff), _skipped=skipped,
+                     _floor=self.best_pruned,
                      max_size=self.limit, _oversized=over), q)
         if over:
             self._note_pruned(q.tensor(w, q.join(over.values())))
@@ -493,8 +497,10 @@ def reduction_distance(
     the pruned region might hold; no other side looks its target up.  So
     ``one_step`` skips the redexes out of bounds before their targets are
     built, and the search builds one only while its weight could still
-    change that bound (see ``_SideSearch._steps_within``); the answers
-    are those of relaxing every step and pruning afterwards.
+    change that bound (see ``_SideSearch._steps_within``); on a system
+    without grades, no rule is even matched at a subterm whose root's
+    rules cannot change it.  The answers are those of relaxing every step
+    and pruning afterwards.
 
     First, a symbol-count invariant that differs on ``s`` and ``t``
     (``invariants.differ``) proves the answer ``unreachable`` after no

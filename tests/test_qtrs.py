@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qtrw.quantale import BOOL, FUZZY_PRODUCT, LAWVERE, NAT_INF, QuantaleError
+from qtrw import qtrs
 from qtrw.qtrs import (
     CriticalPeak,
     Rule,
@@ -17,8 +18,10 @@ from qtrw.qtrs import (
     confluence_report,
     critical_pairs,
     cross_critical_pairs,
+    degree_at_position,
     join_check,
     one_step,
+    scale,
     sn_probe,
     strong_closure_pass,
     strongly_closed_check,
@@ -26,7 +29,7 @@ from qtrw.qtrs import (
     sum_systems,
     term_graph,
 )
-from qtrw.dsl import parse_grid, parse_system
+from qtrw.dsl import parse_grid, parse_system, parse_term
 from qtrw.systems import (
     CATALOG,
     DNA_BASES,
@@ -44,9 +47,11 @@ from qtrw.term import (
     Symbol,
     TermError,
     Variable,
+    match,
     positions,
     replace_at,
     subterm_at,
+    subterms,
     term_key,
     term_size,
 )
@@ -358,6 +363,39 @@ BOUNDED_PEAKS = 100  # the first peaks of each sample
 BOUNDED_DEPTH = 2
 
 
+def _redexes_scaled(sys, t):
+    """Every (position, redex) of ``t`` in pre-order, its weight scaled by
+    the context's degree where ``sys`` is graded: what ``one_step`` under
+    ``within`` keeps or skips, read off the rule table directly."""
+    q = sys.quantale
+    out = []
+    for p, sub in subterms(t):
+        for rid, w, fresh, contractum in sys._redexes(sub, False):
+            if sys.graded:
+                w = scale(q, degree_at_position(sys, t, p), w)
+            out.append((p, (rid, w, fresh, contractum)))
+    return out
+
+
+def _assert_bounded_steps_filter(sys, t, pool, done, bound):
+    """``one_step`` under ``within`` = (done, bound), with each floor the
+    redexes suggest, returns the unbounded steps in bounds, and reports the
+    redexes out of bounds that beat the floor, in pre-order."""
+    q = sys.quantale
+    every = one_step(sys, t, pool)
+    kept = [s for s in every if q.leq(bound, q.tensor(done, s.weight))]
+    assert one_step(sys, t, pool, within=(done, bound)) == kept
+    redexes = _redexes_scaled(sys, t)
+    out = [(p, r) for p, r in redexes
+           if not q.leq(bound, q.tensor(done, r[1]))]
+    for floor in (None, *dict.fromkeys(r[1] for _, r in redexes)):
+        skipped = []
+        assert one_step(sys, t, pool, within=(done, bound),
+                        _skipped=skipped, _floor=floor) == kept
+        assert skipped == [(p, r) for p, r in out if floor is None
+                           or q.strictly_below(floor, q.tensor(done, r[1]))]
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_weight_bounded_steps_are_the_unbounded_steps_filtered(name):
     sys = CATALOG[name]()
@@ -366,18 +404,108 @@ def test_weight_bounded_steps_are_the_unbounded_steps_filtered(name):
         bound = peak.tensor(q)
         pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
         for t in (peak.source, peak.left[0], peak.right[0]):
-            every = one_step(sys, t, pool)
             for done in dict.fromkeys(
                     (q.unit, peak.left[1], peak.right[1], bound)):
-                kept = [s for s in every
-                        if q.leq(bound, q.tensor(done, s.weight))]
-                assert one_step(sys, t, pool, within=(done, bound)) == kept
+                _assert_bounded_steps_filter(sys, t, pool, done, bound)
         for side in (peak.left[0], peak.right[0]):
             size = 2 + term_size(side)
             assert list(_layered_relaxation(
                 sys, side, BOUNDED_DEPTH, pool, bound, size)) == list(
                 _relaxation_pruned_after(
                     sys, side, BOUNDED_DEPTH, pool, bound, size))
+
+
+def _nat_sums(k, n, m):
+    """S^k(A(S^n(Z), S^m(Z)))."""
+    t = _f("A", nat_term(n), nat_term(m))
+    for _ in range(k):
+        t = _f("S", t)
+    return t
+
+
+def test_weight_bounded_steps_are_the_unbounded_steps_filtered_on_sums():
+    # sdel weighs 1, so at (0, 0) every S root is out of bounds
+    sys = make_nat()
+    for k, n, m in itertools.product((0, 1, 3), (0, 2), (0, 1, 3)):
+        t = _nat_sums(k, n, m)
+        for done, bound in [(0, 0), (0, 1), (1, 1), (Fraction(1, 2), 2)]:
+            _assert_bounded_steps_filter(sys, t, subterm_pool(t), done, bound)
+
+
+def _match_calls(monkeypatch, sys, t, **kwargs):
+    """How many times ``one_step(sys, t, **kwargs)`` calls ``match``."""
+    calls = []
+
+    def counted(pattern, subject):
+        calls.append(subject)
+        return match(pattern, subject)
+
+    with monkeypatch.context() as m:
+        m.setattr(qtrs, "match", counted)
+        one_step(sys, t, **kwargs)
+    return len(calls)
+
+
+def test_no_rule_is_matched_at_a_root_out_of_bounds(monkeypatch):
+    sys = make_nat()
+    t = _nat_sums(20, 30, 30)
+    # sdel at each of the 50 distinct S subterms (the two S^30(Z) are one
+    # in the redex memo), addZ and addS at the one A
+    assert _match_calls(monkeypatch, sys, t) == 52
+    # at (0, 0) every S root weighs 1: out of bounds, and not above a floor
+    # of 1
+    for kwargs in ({}, {"_skipped": [], "_floor": 1}):
+        assert _match_calls(monkeypatch, sys, t, within=(0, 0),
+                            **kwargs) == 2
+    # a redex that beats the floor is reported, so its root is matched
+    assert _match_calls(monkeypatch, sys, t, within=(0, 0),
+                        _skipped=[]) == 52
+    assert _match_calls(monkeypatch, sys, t, within=(0, 0), _skipped=[],
+                        _floor=2) == 52
+
+
+def _bounded_cases(name):
+    """(term, ``within``) pairs of sample ``name`` under which some steps
+    are out of bounds."""
+    sys = CATALOG[name]()
+    q = sys.quantale
+    if name == "barycentric":
+        # the peaks' own bounds, from the unit: each + root has perturb,
+        # whose weight e is read off the term, so no root is out of bounds
+        return sys, [(t, (q.unit, peak.tensor(q)))
+                     for peak in critical_pairs(sys)[:20]
+                     for t in (peak.source, peak.left[0], peak.right[0])]
+    # every rule weighs 0, so from 1 every step is out of bounds under 0;
+    # but a context's grade scales the step, not the rule
+    return sys, [(parse_term(t, sys.signature), (1, 0)) for t in (
+        "app(app(K, D), !{0}(B))", "app(D, !{1}(D))",
+        "!{2}(app(D, !{1}(K)))", "app(app(app(B, K), D), !{1}(C))")]
+
+
+@pytest.mark.parametrize("name", ["barycentric", "graded-combinators"])
+def test_roots_are_all_matched_where_a_step_may_weigh_the_unit(
+        monkeypatch, name):
+    sys, cases = _bounded_cases(name)
+    pruned = 0
+    for t, within in cases:
+        every = _match_calls(monkeypatch, sys, t)
+        assert _match_calls(monkeypatch, sys, t, within=within) == every
+        assert _match_calls(monkeypatch, sys, t, within=within, _skipped=[],
+                            _floor=within[1]) == every
+        pruned += len(one_step(sys, t)) - len(one_step(sys, t, within=within))
+    assert pruned > 0  # the bounds do prune steps
+
+
+def test_a_root_whose_rule_weight_is_read_off_the_term_is_matched():
+    # the one rule at f weighs e, so f's bound is the unit: from 0 under
+    # 0, f{0} steps in bounds and f{1} out of them
+    sys = parse_system("\n".join([
+        "system e", "quantale lawvere", "symbol a/0", "symbol f{e}/1",
+        "rule shrink: f{e}(x) -[e]-> x"]))
+    t = parse_term("f{1}(f{0}(a))", sys.signature)
+    _assert_bounded_steps_filter(sys, t, None, 0, 0)
+    assert [(s.position, s.weight) for s in one_step(
+        sys, t, within=(0, 0))] == [((1,), 0)]
 
 
 def _barycentric_peak(inner, outer, position):

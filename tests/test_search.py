@@ -1041,6 +1041,25 @@ def _distance_up_to(sys, s, t, max_size):
     return None
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the right side invents x of its backward r1 step from the pool only, "
+    "which lacks b, so it never labels f(g(b)); the proof in _meet_search "
+    "assumes every step from a settled term is generated"))
+def test_a_conversion_through_an_invented_subterm_outside_the_pool():
+    rules = ("rule r0: g(x) -[5/2]-> f(x)", "rule r1: f(g(x)) -[1]-> a",
+             "rule r4: g(b) -[2]-> f(c)")
+    sys = _system("a b c", *rules)
+    s, t = (parse_term(u, sys.signature) for u in ("f(f(c))", "a"))
+    # f(f(c)) -> f(g(b)) by r4 backward at (1,), then -> a by r1: 2 + 1
+    assert _distance_up_to(sys, s, t, 3) == 3
+    answers = [convertibility_distance(
+        _system("a b c", *rules), s, t,
+        SearchBudget(max_term_size=cap, max_expanded=100000, max_depth=40))
+        for cap in (3, 9)]
+    # both answer exact 7/2, through f(g(c)), after 2 expansions
+    assert [(a.kind, a.value) for a in answers] == [(EXACT, 3)] * 2
+
+
 def test_capped_conversions_agree_with_a_search_past_the_cap():
     """Ground systems that lift constants into terms past a cap of 1 or
     2 and may rewrite them there more cheaply; half of them lift two
