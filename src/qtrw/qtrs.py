@@ -18,12 +18,15 @@ symbol (``forward``), the inverted rules (sides swapped) the same way
 each root, and keeps the distance search's step cache
 (``relaxations``).  Without grades a step weighs what its rule weighs, so
 a step list under a weight bound matches no rule at a subterm whose root
-cannot fire within it.  None of these refers back to the system, so a dropped
-system frees them at once.  A backward step is a forward step of an
-inverted rule, so the variables a rule erases become fresh variables of its
-inverse, drawn from the same candidate pool.  A rule
-whose right-hand side matching cannot solve for its parameters (a compound
-slot such as ``+{(1 - e)}``) is inverted instance by instance over the grid.
+cannot fire within it.  A ``copy`` of a system shares the rule indexes and
+everything else compiled from its fields, and owns its step caches.  None
+of these refers back to a system, so the step caches are freed with their
+copy, and the compiled values with the last system that shares them.  A
+backward step is a forward step of an inverted rule, so the variables a
+rule erases become fresh variables of its inverse, drawn from the same
+candidate pool.  A rule whose right-hand side matching cannot solve for
+its parameters (a compound slot such as ``+{(1 - e)}``) is inverted
+instance by instance over the grid.
 A system whose rules are closed under inversion, at no better weight, is
 ``self_inverse``: its backward steps repeat forward ones, and the distance
 search skips them.  Steps take each subterm's root redexes from a redex memo
@@ -46,14 +49,15 @@ where some family declares grades, each step weight is the rule weight
 scaled by the degree of the step's context; without grades, it is the rule
 weight.  A system's ``balanced`` and ``orthogonal`` verdicts, like its
 rule indexes and the basis of its symbol-count invariants (``invariants``,
-see ``qtrw.invariants``), are computed once, on first use.
+see ``qtrw.invariants``), are computed once, on first use by the system
+or any of its copies.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
@@ -186,6 +190,17 @@ class Rule:
         if isinstance(self.lhs, Variable) and isinstance(self.rhs, Variable):
             raise TermError(f"rule {self.rid}: variable-to-variable rule")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, as the dataclass would compute it on
+        every call; the firing memo looks rules up often, and a weight or
+        condition expression tree is slow to hash."""
+        return hash((self.rid, self.lhs, self.rhs, self.weight,
+                     self.conditions, self.origin))
+
     @cached_property
     def params(self) -> Tuple[str, ...]:
         """The schema parameters, sorted: the names in the symbol slots of
@@ -240,6 +255,24 @@ class RewriteStep:
             "backward" if self.direction == "forward" else "forward")
 
 
+class _shared(cached_property):
+    """A ``cached_property`` of a ``RewriteSystem`` computed once among its
+    copies (``RewriteSystem.copy``): the first copy to read it stores it
+    in their shared record, and each copy keeps it as its own attribute
+    from its first read on, like any ``cached_property``."""
+
+    def __get__(self, instance, owner=None):  # type: ignore[no-untyped-def]
+        if instance is None:
+            return self
+        compiled = instance._compiled
+        try:
+            value = compiled[self.attrname]
+        except KeyError:
+            value = compiled[self.attrname] = self.func(instance)
+        instance.__dict__[self.attrname] = value
+        return value
+
+
 @dataclass(frozen=True)
 class RewriteSystem:
     name: str
@@ -274,6 +307,23 @@ class RewriteSystem:
             if rule.weight == self.quantale.bottom:
                 raise QuantaleError(f"rule {rule.rid}: bottom weight")
 
+    @cached_property
+    def _compiled(self) -> Dict[str, object]:
+        """The values compiled from the fields (``_shared``), by name,
+        shared with every ``copy``."""
+        return {}
+
+    def copy(self) -> "RewriteSystem":
+        """An equal system that shares everything compiled from the fields
+        (the rule tables, the self-inverse test, the invariants, ...; see
+        ``_shared``) but owns its step caches, ``relaxations`` and
+        ``steps_past``, empty at the start.  The fields are this system's,
+        already validated, so the copy is built without ``__init__``."""
+        out = object.__new__(RewriteSystem)
+        out.__dict__.update({f: getattr(self, f) for f in _FIELDS},
+                            _compiled=self._compiled)
+        return out
+
     def _check_term(self, t: Term, rule: Rule) -> None:
         for s in preorder(t):
             if isinstance(s, Variable):
@@ -291,12 +341,12 @@ class RewriteSystem:
                 raise TermError(
                     f"rule {rule.rid}: arity/parameter mismatch on {s.symbol}")
 
-    @cached_property
+    @_shared
     def families(self) -> Dict[str, SymbolFamily]:
         """The declared symbol families by name."""
         return {fam.name: fam for fam in self.signature}
 
-    @cached_property
+    @_shared
     def graded(self) -> bool:
         """Whether some symbol family declares grades; then every step
         weight is scaled by the degree of the step's context."""
@@ -317,25 +367,25 @@ class RewriteSystem:
     def variable_lhs_rules(self) -> Tuple[str, ...]:
         return tuple(r.rid for r in self.rules if isinstance(r.lhs, Variable))
 
-    @cached_property
+    @_shared
     def balanced(self) -> bool:
         """Whether every rule is balanced (``balanced_check``), computed on
         first use."""
         return all(e.balanced for e in balanced_check(self))
 
-    @cached_property
+    @_shared
     def orthogonal(self) -> bool:
         """The ``orthogonality_check`` verdict, computed on first use."""
         return orthogonality_check(self)[0]
 
     # -- the one-step relation, compiled on first use ------------------------
 
-    @cached_property
+    @_shared
     def forward(self) -> _RuleTable:
         """The rules, indexed for ``one_step``."""
         return _RuleTable.of(self.rules, self.quantale)
 
-    @cached_property
+    @_shared
     def backward(self) -> _RuleTable:
         """The inverted rules (``_inverses``), indexed for backward steps;
         built on the first one."""
@@ -360,7 +410,7 @@ class RewriteSystem:
         (``search._steps_past``)."""
         return {}
 
-    @cached_property
+    @_shared
     def self_inverse(self) -> bool:
         """Whether every backward step has a forward twin at least as good:
         no rule is a schema, has conditions or invents variables, and each
@@ -379,7 +429,7 @@ class RewriteSystem:
                        for w in weights.get(_renamed(r.rhs, r.lhs), ()))
                    for r in self.rules)
 
-    @cached_property
+    @_shared
     def cheapest_step(self) -> Value:
         """The quantale-largest weight one step can have, in either
         direction: the join of the rule weights.  It is the unit when the
@@ -391,7 +441,7 @@ class RewriteSystem:
             return self.quantale.unit
         return self.quantale.join(r.weight for r in self.rules)
 
-    @cached_property
+    @_shared
     def invariants(self) -> Optional[Tuple[Dict[_invariants.Family, int],
                                            ...]]:
         """An integer basis, each vector its nonzero entries by family
@@ -405,7 +455,7 @@ class RewriteSystem:
             return None
         return _invariants.basis([f.name for f in self.signature], deltas)
 
-    @cached_property
+    @_shared
     def potential(self) -> Optional[_invariants.Potential]:
         """``qtrw.invariants.potential`` of the rules where the tensor adds
         (``lawvere``, ``nat-inf``) and a step weighs what its rule does (no
@@ -447,6 +497,9 @@ class RewriteSystem:
                     f"rule {rule.rid} is a schema but no parameter grid is declared")
             out.extend(_instances(self.quantale, self.grid, rule))
         return replace(self, rules=tuple(out))
+
+
+_FIELDS = tuple(f.name for f in fields(RewriteSystem))
 
 
 def _firing(quantale: QuantaleSpec, grid: Sequence[Fraction], rule: Rule,
@@ -628,9 +681,11 @@ FiringMemo: TypeAlias = ("Dict[Tuple[Rule, Tuple[object, ...]],"
 # redex with its weight after context scaling
 _Skip: TypeAlias = "Tuple[Position, _Redex]"
 
-# the steps of one rule in one direction that ``max_size`` left unbuilt:
-# (rule id, backward), and the best of their weights
-_Unbuilt: TypeAlias = "Tuple[Tuple[str, bool], Value]"
+# the steps of one rule in one direction that ``one_step`` left unbuilt:
+# (rule id, backward), for those past ``max_size``, or (rule id, backward,
+# "invented"), for those whose invented variables no pool pick fills; and
+# the best of their weights
+_Unbuilt: TypeAlias = "Tuple[Tuple[object, ...], Value]"
 
 
 def _targets(t: Term, p: Position, redex: _Redex,
@@ -667,7 +722,7 @@ def one_step(
     _skipped: Optional[List[_Skip]] = None,
     _floor: Optional[Value] = None,
     max_size: Optional[int] = None,
-    _oversized: Optional[Dict[Tuple[str, bool], Value]] = None,
+    _oversized: Optional[Dict[Tuple[object, ...], Value]] = None,
     beyond: Optional[int] = None,
 ) -> List[RewriteStep]:
     """Every single rewrite step from ``t``, duplicate-free; with
@@ -715,11 +770,20 @@ def one_step(
     ``_oversized``, if given, under its (rule id, ``backward``).  Skipping
     a target drops only the steps to it, so the kept steps and their order
     stay.  ``beyond`` keeps the other steps, those to targets of more than
-    that many symbols, and builds no target it drops.
+    that many symbols, and builds no target it drops.  A redex whose
+    invented variables ``fresh_pool`` fills builds no step that invents a
+    term outside the pool, so its weight is joined into ``_oversized``
+    too, under (rule id, ``backward``, "invented").
     """
     q, graded = sys.quantale, sys.graded
     if memo is None:
         memo = {}
+
+    def unbuilt(key: Tuple[object, ...], weight: Value) -> None:
+        old = _oversized.get(key)  # type: ignore[union-attr]
+        if old is None or q.strictly_below(old, weight):
+            _oversized[key] = weight  # type: ignore[index]
+
     direction = "backward" if backward else "forward"
     skip: Set[str] = set()
     if within is not None:
@@ -763,14 +827,14 @@ def one_step(
         if beyond is not None:
             floor = beyond - term_size(t) + term_size(sub)
         for rid, weight, fresh, contractum in redexes:
+            if fresh and fresh_pool and _oversized is not None:
+                unbuilt((rid, backward, "invented"), weight)
             contracta = (_invented(t, fresh_pool, fresh, *contractum) if fresh
                          else (contractum,))
             for c in contracta:
                 if max_size is not None and c._size > room:  # type: ignore[union-attr]
                     if _oversized is not None:
-                        old = _oversized.get((rid, backward))
-                        if old is None or q.strictly_below(old, weight):
-                            _oversized[rid, backward] = weight
+                        unbuilt((rid, backward), weight)
                     continue
                 if beyond is not None and c._size <= floor:  # type: ignore[union-attr]
                     continue

@@ -152,8 +152,10 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
     per target (best weight kept) and ordered by target rendering, less
     the steps to targets of more than ``limit`` symbols, which are never
     built; with the best weight of those steps for each distinct (rule id,
-    backward) they take (none if there are none).  ``memo`` is the query's
-    redex memo.
+    backward) they take (none if there are none), and of the steps whose
+    invented variables the pool fills, for each (rule id, backward,
+    "invented"), as a step that invents a term outside the pool is left
+    unbuilt too.  ``memo`` is the query's redex memo.
 
     The first best step per target is kept and forward steps come first,
     so on a self-inverse system backward steps never win, and are neither
@@ -176,15 +178,21 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
     if out is None and limit is not None:
         out = cache.get((key, limit))
     if out is None:
-        over: Dict[Tuple[str, bool], Value] = {}
+        over: Dict[Tuple[object, ...], Value] = {}
         steps = one_step(sys, t, pool, memo=memo, max_size=limit,
                          _oversized=over)
         if symmetric:
             steps += one_step(sys, t, pool, backward=True, memo=memo,
                               max_size=limit, _oversized=over)
         out = (_by_target(steps, sys.quantale), tuple(over.items()))
-        cache[(key, limit) if over else key] = out
+        cache[(key, limit) if any(map(_past, over)) else key] = out
     return out
+
+
+def _past(move: Tuple[object, ...]) -> bool:
+    """Whether an unbuilt ``move`` of ``one_step`` was left past the size
+    limit, not for an invented variable no pool pick fills."""
+    return len(move) == 2
 
 
 def _skip_limit(budget: SearchBudget, s: Term, t: Term) -> Optional[int]:
@@ -278,9 +286,19 @@ class _SideSearch:
 
     ``best_pruned_within`` is ``best_pruned`` over the branches not left
     unbuilt past ``limit``, which alone may end in a term the other side
-    labels.  The terms expanded with steps left unbuilt are listed, with
-    their weights, for ``_meets_past_limit``, which builds those steps of
-    the cheapest into ``beyond``.
+    labels.  The terms expanded with steps left unbuilt past it are
+    listed, with their weights, for ``_meets_past_limit``, which builds
+    those steps of the cheapest into ``beyond``.
+
+    A step that invents a variable builds only the pool's picks for it,
+    so each such redex is charged as a pruned branch of its weight, within
+    the limit.  In a conversion search where some rule invents, each side
+    keeps the targets it pruned, with their best branch weights
+    (``cut_into``), and a label set on a term the other side pruned into
+    cuts that meet, as a prune that finds its target labelled does.
+    Where steps invent in both directions (``loose``), a side charges an
+    invented step as a prune by depth at the term it leaves instead; see
+    ``_meet_search``.
     """
 
     def __init__(
@@ -308,6 +326,13 @@ class _SideSearch:
         self.meets = meets
         self.dist: Dict[Term, _Label] = {}
         self.opposite: Dict[Term, _Label] = {}
+        # see the class docstring on steps that invent variables
+        invents = (meets is not None and symmetric and not sys.self_inverse
+                   and (sys.forward.invents, sys.backward.invents))
+        self.cut_into: Optional[Dict[Term, Value]] = (
+            {} if invents and any(invents) else None)
+        self.opposite_cut: Dict[Term, Value] = {}
+        self.loose = bool(invents) and all(invents)
         self.best_pruned: Optional[Value] = None
         self.best_pruned_within: Optional[Value] = None
         self.best_exit: Optional[Value] = None
@@ -393,13 +418,16 @@ class _SideSearch:
         their targets; the best of their weights is noted once per term for
         each rule and direction, which notes them all, as the tensor
         distributes over joins and the steps of one rule and direction
-        move the counts alike.  A one-sided search (no ``meets``) with a
-        weight cutoff uses a pruned step for its weight alone, so it asks
-        ``one_step`` for the steps in bounds only (``_steps_within``)."""
+        move the counts alike.  So are the steps whose invented variables
+        no pool pick fills (see the class docstring).  A one-sided search
+        (no ``meets``) with a weight cutoff uses a pruned step for its
+        weight alone, so it asks ``one_step`` for the steps in bounds only
+        (``_steps_within``)."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
         dist = self.dist
         opposite, meets = self.opposite, self.meets
+        opposite_cut = self.opposite_cut
         cutoff = self.budget.weight_cutoff
         max_size = self.budget.max_term_size
         h = self.potential
@@ -416,10 +444,17 @@ class _SideSearch:
             else:
                 steps, unbuilt = _relaxations(self.sys, self.symmetric, term,
                                               self.pool, self.memo, self.limit)
-                if unbuilt:
-                    self._unbuilt_from.append((w, term))
+                past = False
                 for move, uw in unbuilt:
-                    self._note_pruned(tensor(w, uw), term, move, True)
+                    if _past(move):
+                        past = True
+                        self._note_pruned(tensor(w, uw), term, move, True)
+                    elif self.loose:  # as if pruned by depth here
+                        self._note_pruned(w, term)
+                    else:  # no rule that invents has a potential
+                        self._note_pruned(tensor(w, uw))
+                if past:
+                    self._unbuilt_from.append((w, term))
             for step in steps:
                 target = step.target
                 nw = tensor(w, step.weight)
@@ -430,6 +465,10 @@ class _SideSearch:
                                                  step.direction == "backward"))
                     if target in opposite:
                         meets.cut(tensor(nw, opposite[target][0]))
+                    if self.cut_into is not None:
+                        old = self.cut_into.get(target)
+                        if old is None or sb(old, nw):
+                            self.cut_into[target] = nw
                     continue
                 old = dist.get(target)
                 if old is not None and not sb(old[0], nw):
@@ -439,6 +478,8 @@ class _SideSearch:
                                step.rule_id, step.direction == "backward")))
                 if target in opposite:
                     meets.offer(tensor(nw, opposite[target][0]), target)
+                if opposite_cut and target in opposite_cut:
+                    meets.cut(tensor(nw, opposite_cut[target]))
             return term
         return None
 
@@ -465,7 +506,7 @@ class _SideSearch:
         cache hit."""
         q = self.q
         skipped: List[_Skip] = []
-        over: Dict[Tuple[str, bool], Value] = {}
+        over: Dict[Tuple[object, ...], Value] = {}
         steps = _by_target(
             one_step(self.sys, term, self.pool, memo=self.memo,
                      within=(w, cutoff), _skipped=skipped,
@@ -643,7 +684,11 @@ def _meet_search(
     label at least its prefix and, not done, is live (``live_l`` is at
     least that prefix), or the step to ``a`` was pruned, by the weight
     cutoff or the term size, or by depth at the term before (``cut_l`` is
-    at least the prefix).  The same holds for ``b`` on the right.
+    at least the prefix).  A step that invents a term outside the pool is
+    left unbuilt; it is charged as pruned at its weight or, where steps
+    invent in both directions, by depth at the term before, so ``cut_l``
+    is at least the prefix then too.  The same holds for ``b`` on the
+    right.
 
     (a) ``a`` comes before ``b``.  At least one step lies between them, so
         P is at most ``live_l (x) eps (x) live_r`` when both are live, and
@@ -667,7 +712,15 @@ def _meet_search(
         settled label, on the other side, so ``across_cut`` is at least P.
         Settled terms are within the limit, so neither prune was past it:
         P is at most ``within_l (x) lb_r`` or ``lb_l (x) within_r`` by
-        depth, and so at most that side's ``apart``.
+        depth, and so at most that side's ``apart``.  A step left
+        unbuilt as it invents a term outside the pool checks nothing.
+        Where steps invent in both directions, a side that left the step
+        unbuilt charged it by depth.  Otherwise only one side's step
+        invents, and the other side built its step and pruned it by depth,
+        or by the weight cutoff or the term size, keeping its target in
+        ``cut_into``; the later of that prune and the first side's settled
+        label on the target checked the other, so ``across_cut`` is at
+        least P.
 
     Counts.  With a ``potential`` h the tensor adds, and a step of a rule
     r, in either direction, changes a term's family counts by ±δ_r and
@@ -730,6 +783,8 @@ def _meet_search(
     left = _SideSearch(sys, s, symmetric, pool, budget, memo, limit, meets, t)
     right = _SideSearch(sys, t, symmetric, pool, budget, memo, limit, meets, s)
     left.opposite, right.opposite = right.dist, left.dist
+    if left.cut_into is not None:
+        left.opposite_cut, right.opposite_cut = right.cut_into, left.cut_into
     if s == t:
         meets.offer(q.unit, s)
 
@@ -967,9 +1022,12 @@ def normalize(
 def validate_witness(sys: RewriteSystem, s: Term, t: Term,
                      witness: Sequence[RewriteStep]) -> bool:
     """Re-derive every witness step through the one-step relation: a
-    step at the same position to the same target, at least as heavy."""
+    step at the same position to the same target, at least as heavy.  A
+    backward step is re-derived forward from its target, so the variables
+    it erased are invented there: they are drawn from the subterms of the
+    witness's terms."""
     unit = sys.quantale.unit
-    pool = subterm_pool(s, t)
+    pool = subterm_pool(s, t, *(wstep.target for wstep in witness))
     cur = s
     for wstep in witness:
         if wstep.source != cur:

@@ -24,8 +24,11 @@ stem of each file to a constructor:
   ``e`` to ``i`` at cost 1, a variable overlap that breaks confluence
   quantitatively.
 
-Each file is parsed once per process; every call returns a fresh copy, so
-each system builds its own rule indexes and step cache.
+Each file is parsed once per process, and every call returns a fresh copy
+(``RewriteSystem.copy``).  The copies of one file share what is compiled
+from its rules: the rule indexes, the self-inverse test, the invariants and
+the potential are each built once, on first use by any copy.  Each copy
+owns its step caches, empty at the start.
 
 The oracles are deliberately naive, textbook implementations: they exist to
 cross-check the search engine, so they share no code with it.
@@ -33,7 +36,6 @@ cross-check the search engine, so they share no code with it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from pathlib import Path
 from typing import Optional
@@ -135,7 +137,7 @@ def _parsed(name: str) -> RewriteSystem:
 
 
 def _fresh(name: str) -> RewriteSystem:
-    return dataclasses.replace(_parsed(name))
+    return _parsed(name).copy()
 
 
 CATALOG = {name: functools.partial(_fresh, name) for name in (

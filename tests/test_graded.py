@@ -261,6 +261,7 @@ def test_every_single_step_is_a_one_redex_multi_step():
         ("a", 0, 0), ("g(a)", 1, 1)]
 
 
+@pytest.mark.usefixtures("fresh_catalog")
 def test_graded_facts_are_computed_once(monkeypatch):
     gsys = make_graded_combinators()
     t = _app(_c("D"), _bang(1, _c("I")))

@@ -1041,11 +1041,10 @@ def _distance_up_to(sys, s, t, max_size):
     return None
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the right side invents x of its backward r1 step from the pool only, "
-    "which lacks b, so it never labels f(g(b)); the proof in _meet_search "
-    "assumes every step from a settled term is generated"))
 def test_a_conversion_through_an_invented_subterm_outside_the_pool():
+    # the right side invents x of its backward r1 step from the pool only,
+    # which lacks b, so it never labels f(g(b)); unless that step is charged
+    # as a prune, both caps answer exact 7/2, through f(g(c))
     rules = ("rule r0: g(x) -[5/2]-> f(x)", "rule r1: f(g(x)) -[1]-> a",
              "rule r4: g(b) -[2]-> f(c)")
     sys = _system("a b c", *rules)
@@ -1056,8 +1055,110 @@ def test_a_conversion_through_an_invented_subterm_outside_the_pool():
         _system("a b c", *rules), s, t,
         SearchBudget(max_term_size=cap, max_expanded=100000, max_depth=40))
         for cap in (3, 9)]
-    # both answer exact 7/2, through f(g(c)), after 2 expansions
     assert [(a.kind, a.value) for a in answers] == [(EXACT, 3)] * 2
+
+
+def test_an_invented_step_between_the_two_sides_is_no_proof():
+    # c reaches a at 3/4, then f(g(b)) by r1 backward, then t by tt
+    # backward: 17/4.  Under the cutoff the right prunes f(g(b)) -> a
+    # before the left labels a at 3/4, and the left's pool {c, t} never
+    # builds f(g(b)); charged at the step's weight, the left's unbuilt r1
+    # step let the meet by m at 5 pass as exact
+    sys = _system("a b c d e t m", "rule r1: f(g(x)) -[1]-> a",
+                  "rule q: c -[2]-> a", "rule dd: c -[1/4]-> d",
+                  "rule de: d -[1/4]-> e", "rule ea: e -[1/4]-> a",
+                  "rule tt: t -[5/2]-> f(g(b))", "rule m1: c -[2]-> m",
+                  "rule m2: t -[3]-> m")
+    s, t = _const("c"), _const("t")
+    assert convertibility_distance(sys, s, t).value == Fraction(17, 4)
+    ans = convertibility_distance(sys, s, t, SearchBudget(weight_cutoff=3))
+    assert (ans.kind, ans.value) == (UPPER_BOUND, 5)
+
+
+def test_a_step_inventing_both_ways_between_the_two_sides_is_no_proof():
+    # c -> f(b) -> g(a) <- d costs 3, but fg erases y and invents x, so
+    # from f(b) the left builds g(x) for x in the pool {c, d} only, and from
+    # g(a) the right builds f(y) alike: neither builds the step between
+    # them, and neither can find the other's label there.  Charged at their
+    # weights, 2 on each side, the two unbuilt steps let the meet by m at
+    # 7/2 pass as exact
+    sys = _system("a b c d m", "rule p: c -[1]-> f(b)",
+                  "rule q: d -[1]-> g(a)", "rule fg: f(y) -[1]-> g(x)",
+                  "rule m1: c -[2]-> m", "rule m2: d -[3/2]-> m")
+    s, t = _const("c"), _const("d")
+    assert _dijkstra(sys, s, 2, (False, True))[t] == 3
+    for budget in (SearchBudget(), SearchBudget(max_term_size=2),
+                   SearchBudget(weight_cutoff=3)):
+        ans = convertibility_distance(sys, s, t, budget)
+        assert (ans.kind, ans.value) == (UPPER_BOUND, Fraction(7, 2))
+
+
+def _dijkstra(sys, s, max_size, directions):
+    """The distances from ``s`` over the terms of at most ``max_size``
+    symbols, by Dijkstra over the steps in ``directions`` (forward,
+    backward or both), each invented variable filled by every ground term
+    of at most ``max_size`` symbols, not only by a pool."""
+    every = _ground_terms(max_size)
+    dist, heap, seq = {s: 0}, [(0, 0, s)], 1
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for backward in directions:
+            for step in one_step(sys, u, every, backward=backward,
+                                 max_size=max_size):
+                v, nd = step.target, d + step.weight
+                if v not in dist or nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, seq, v))
+                    seq += 1
+    return dist
+
+
+def test_searches_through_invented_variables_agree_with_every_instance():
+    """Random systems over a, b, c, f/1 and g/1 whose rules may erase and
+    invent a variable: every exact answer is no worse than a Dijkstra that
+    fills invented variables with every ground term up to 4 symbols, and
+    every witness replays to its value."""
+    rng = random.Random("invented-variables")
+    lhss = ["a", "b", "c", "f(x)", "g(x)", "f(g(x))", "g(b)", "f(c)"]
+    rhss = lhss + ["x", "y", "f(y)", "g(f(x))", "f(g(y))"]
+    weights = (1, 2, 3, "1/2", "5/2")
+    small = _ground_terms(2)
+    checked = {EXACT: 0, UPPER_BOUND: 0}
+    invented = 0
+    for trial in range(60):
+        rules = []
+        for i in range(rng.randrange(2, 6)):
+            lhs = rng.choice(lhss)
+            rhs = rng.choice([r for r in rhss if r != lhs])
+            rules.append(f"rule r{i}: {lhs} -[{rng.choice(weights)}]-> {rhs}")
+        sys = _system("a b c", *rules)
+        invented += sys.forward.invents or sys.backward.invents
+        oracle = functools.lru_cache(maxsize=None)(
+            functools.partial(_dijkstra, sys, max_size=4))
+        for _ in range(4):
+            s, t = rng.choice(small), rng.choice(small)
+            budget = SearchBudget(max_term_size=rng.choice((2, 3, None)),
+                                  weight_cutoff=rng.choice((None, 2, 3)),
+                                  max_expanded=300, max_depth=40)
+            both = oracle(s, directions=(False, True))
+            down = [oracle(u, directions=(False,)) for u in (s, t)]
+            valley = [down[0][u] + down[1][u] for u in down[0]
+                      if u in down[1]]
+            for search, want in (
+                    (convertibility_distance, both.get(t)),
+                    (reduction_distance, down[0].get(t)),
+                    (valley_distance, min(valley, default=None))):
+                ans = search(sys, s, t, budget)
+                case = (rules, search.__name__, str(s), str(t), budget)
+                if ans.kind in (EXACT, UPPER_BOUND):
+                    assert validate_witness(sys, s, t, ans.witness), case
+                    assert _witness_weight(sys, ans) == ans.value, case
+                    checked[ans.kind] += 1
+                if ans.kind == EXACT and want is not None:
+                    assert ans.value <= want, case
+    assert min(checked.values()) > 0 and invented > 30, (checked, invented)
 
 
 def test_capped_conversions_agree_with_a_search_past_the_cap():

@@ -164,6 +164,7 @@ def test_undefined_rule_instances_do_not_fire():
     assert [r.rid for r in sys.instantiate().rules] == ["inv[e=1]", "inv[e=2]"]
 
 
+@pytest.mark.usefixtures("fresh_catalog")
 def test_forward_only_callers_leave_the_backward_table_unbuilt(monkeypatch):
     built = []
     real = qtrs._inverses
@@ -334,6 +335,7 @@ def test_forward_only_relaxations_equal_forward_plus_backward(name):
     assert all(key[0] is False for key in sysm.relaxations)
 
 
+@pytest.mark.usefixtures("fresh_catalog")
 def test_conversions_on_self_inverse_systems_leave_the_backward_table_unbuilt(
         monkeypatch):
     built = []

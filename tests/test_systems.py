@@ -1,5 +1,6 @@
 """Tests for the bundled system catalog and the reference oracles."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,8 +8,11 @@ from functools import lru_cache
 
 import pytest
 
-from qtrw.dsl import parse_term
-from qtrw.qtrs import Rule, RewriteSystem, critical_pairs, one_step
+from qtrw import qtrs, systems
+from qtrw.dsl import parse_system, parse_term
+from qtrw.qtrs import (Rule, RewriteSystem, _renamed, critical_pairs,
+                       one_step, subterm_pool)
+from qtrw.search import _relaxations
 from qtrw.systems import (
     CATALOG,
     DNA_BASES,
@@ -32,6 +36,8 @@ from qtrw.term import term_key, term_size
 
 from test_cli_golden import SEEDS
 
+_table_of = qtrs._RuleTable.of
+
 
 def test_catalog_entries_construct():
     for name, make in CATALOG.items():
@@ -52,9 +58,9 @@ def _rendered_peaks(sysm):
              p.inner_rule, p.outer_rule) for p in critical_pairs(sysm)]
 
 
-def _rendered_steps(sysm, t):
+def _rendered_steps(sysm, t, pool=None, backward=False):
     return [(term_key(s.target), s.weight, s.position, s.rule_id)
-            for s in one_step(sysm, t)]
+            for s in one_step(sysm, t, pool, backward=backward)]
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -82,6 +88,75 @@ def test_each_call_builds_a_fresh_system():
         first, second = make(), make()
         assert first == second and first is not second, first.name
         assert first.relaxations is not second.relaxations, first.name
+
+
+@pytest.mark.usefixtures("fresh_catalog")
+def test_copies_compile_the_rules_once(monkeypatch):
+    tables, renamings = [], []
+    monkeypatch.setattr(qtrs._RuleTable, "of", classmethod(
+        lambda cls, *args: tables.append(args) or _table_of(*args)))
+    monkeypatch.setattr(qtrs, "_renamed",
+                        lambda *ts: renamings.append(ts) or _renamed(*ts))
+    t = dna_term("ACGT")
+    for i in range(5):
+        sysm = make_dna()
+        assert "forward" not in vars(sysm)
+        assert "self_inverse" not in vars(sysm)
+        assert one_step(sysm, t, backward=bool(i % 2))
+        assert sysm.self_inverse and sysm.invariants and sysm.potential
+        if i == 0:
+            once = len(renamings)
+    # forward and backward once each; 2 renamings per rule, once
+    assert len(tables) == 2
+    assert once == len(renamings) == 2 * len(sysm.rules)
+
+
+def test_copies_own_their_step_caches():
+    copies = [make_dna() for _ in range(3)]
+    copies.append(copies[0].copy())
+    for cache in ("relaxations", "steps_past"):
+        assert len({id(getattr(s, cache)) for s in copies}) == 4, cache
+    t, pool = dna_term("AC"), subterm_pool(dna_term("AC"))
+    assert _relaxations(copies[0], True, t, pool)[0]
+    assert [len(s.relaxations) for s in copies] == [1, 0, 0, 0]
+
+
+def _compiled_values(sysm, seed):
+    pool = subterm_pool(seed)
+    return ([_rendered_steps(sysm, seed, pool, backward)
+             for backward in (False, True)],
+            _rendered_peaks(sysm), sysm.self_inverse, sysm.invariants,
+            None if sysm.potential is None else (
+                sysm.potential.size_rate, sysm.potential.count_rate,
+                sysm.potential.deltas))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_copies_before_and_after_first_use_agree(name):
+    text = (systems.SAMPLES / f"{name}.qtrs").read_text()
+    original = parse_system(text)
+    early = original.copy()
+    seed = parse_term(SEEDS[name], original.signature)
+    first = _compiled_values(original, seed)
+    late = original.copy()
+    assert early == late == original
+    assert (_compiled_values(early, seed) == _compiled_values(late, seed)
+            == first)
+    # nothing shared: the same values, compiled anew
+    assert _compiled_values(parse_system(text), seed) == first
+
+
+def test_a_replaced_grid_builds_its_own_backward_table():
+    sysm = make_barycentric()
+    wide = sysm.backward
+    grid = (Fraction(0), Fraction(1, 2), Fraction(1))
+    narrow = dataclasses.replace(sysm, grid=grid).backward
+    # comm's right-hand side +{(1 - e)} is inverted instance by instance
+    text = (systems.SAMPLES / "barycentric.qtrs").read_text().replace(
+        "option grid 0 1/4 1/3 1/2 2/3 3/4 1", "option grid 0 1/2 1")
+    assert narrow is not wide and narrow == parse_system(text).backward
+    assert ([r.rid for r in narrow.by_root["+"]].count("comm")
+            < [r.rid for r in wide.by_root["+"]].count("comm"))
 
 
 def test_unknown_dna_variant_is_rejected():
