@@ -18,15 +18,16 @@ symbol (``forward``), the inverted rules (sides swapped) the same way
 each root, and keeps the distance search's step cache
 (``relaxations``).  Without grades a step weighs what its rule weighs, so
 a step list under a weight bound matches no rule at a subterm whose root
-cannot fire within it.  A ``copy`` of a system shares the rule indexes and
-everything else compiled from its fields, and owns its step caches.  None
-of these refers back to a system, so the step caches are freed with their
-copy, and the compiled values with the last system that shares them.  A
-backward step is a forward step of an inverted rule, so the variables a
-rule erases become fresh variables of its inverse, drawn from the same
-candidate pool.  A rule whose right-hand side matching cannot solve for
-its parameters (a compound slot such as ``+{(1 - e)}``) is inverted
-instance by instance over the grid.
+cannot fire within it, and, unless a rule's left-hand side is a bare
+variable, enters no subterm that holds no root that can.  A ``copy`` of a
+system shares the rule indexes and everything else compiled from its
+fields, and owns its step caches.  None of these refers back to a system,
+so the step caches are freed with their copy, and the compiled values with
+the last system that shares them.  A backward step is a forward step of
+an inverted rule, so the variables a rule erases become fresh variables of
+its inverse, drawn from the same candidate pool.  A rule whose right-hand
+side matching cannot solve for its parameters (a compound slot such as
+``+{(1 - e)}``) is inverted instance by instance over the grid.
 A system whose rules are closed under inversion, at no better weight, is
 ``self_inverse``: its backward steps repeat forward ones, and the distance
 search skips them.  Steps take each subterm's root redexes from a redex memo
@@ -78,10 +79,12 @@ from .term import (
     instantiate_params,
     is_linear,
     match,
+    name_bit,
     preorder,
     replace_at,
     subterm_at,
     subterms,
+    subterms_meeting,
     term_key,
     term_size,
     unify,
@@ -593,7 +596,10 @@ class _RuleTable(NamedTuple):
     rules rooted there and of ``var_rules``.  A static weight is the rule's
     weight, or the unit when that is an expression read off the term.
     Without grades no step at such a subterm weighs more, so ``one_step``
-    matches no rule there when the bound is already out of its bounds."""
+    matches no rule there when the bound is already out of its bounds.  If
+    ``var_rules`` is empty, no rule fires at a subterm whose root is not in
+    ``by_root`` either, so ``one_step`` does not enter a subterm that holds
+    no root left in bounds (see ``term.subterms_meeting``)."""
 
     var_rules: Tuple[Rule, ...]            # rules with a bare-variable lhs
     by_root: Dict[str, Tuple[Rule, ...]]   # the others, by lhs root symbol
@@ -760,8 +766,12 @@ def one_step(
     ``sys`` is graded, a step weighs at most its root's bound in the rule
     table (``_RuleTable``), so a subterm whose root's bound is out of
     bounds, and whose redexes would not be appended to ``_skipped``
-    either, is skipped before any rule is matched there.  Where no root
-    is skipped, the walk is that of an unbounded call.
+    either, is skipped before any rule is matched there.  If the table
+    has no bare-variable rule, the walk then enters only the subterms
+    whose name mask holds a root left in bounds: no subterm of the others
+    can fire in bounds or is appended to ``_skipped``, so the steps, their
+    order and ``_skipped`` (still in pre-order) stay.  Where no root is
+    skipped, the walk is that of an unbounded call.
 
     ``max_size`` keeps only the steps to targets of at most that many
     symbols.  A target's size is known before it is built, that of ``t``
@@ -786,6 +796,7 @@ def one_step(
 
     direction = "backward" if backward else "forward"
     skip: Set[str] = set()
+    live: Optional[int] = None  # the bits of the roots left to walk to
     if within is not None:
         done, bound = within
 
@@ -800,8 +811,13 @@ def one_step(
             table = sys.backward if backward else sys.forward
             skip = {root for root, most in table.bounds.items()
                     if dropped(most)}
+            if skip and not table.var_rules:
+                live = 0
+                for root in table.by_root.keys() - skip:
+                    live |= name_bit(root)
     steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
-    for p, sub in subterms(t):
+    walk = subterms(t) if live is None else subterms_meeting(t, live)
+    for p, sub in walk:
         if skip and not isinstance(sub, Variable) and sub.symbol.name in skip:
             continue
         redexes = memo.get((backward, sub))

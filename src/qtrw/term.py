@@ -11,11 +11,17 @@ Applications are hash-consed: constructing ``Application(symbol, args)``
 returns the one live instance with that symbol and those arguments, kept in
 a process-wide table of weak references, so structurally equal applications
 are the same object; symbols are interned the same way.  Equality is
-identity, and the hash and the node count are fields computed at
-construction.  Terms are therefore dictionary keys themselves and define no
-ordering.  The string form is rendered on first demand, without recursion,
-and cached on every node it renders; it is for output and for sorts that fix
-an observable order (``key=str``), and ``term_key`` names that use.
+identity, and the hash, the node count and the name mask are fields
+computed at construction.  Terms are therefore dictionary keys themselves
+and define no ordering.  The name mask tells which symbol families occur in
+a term: each family name owns one bit of an int, handed out in order of
+first use by a table kept beside the symbol table (``name_bit``), and an
+application's mask ORs its symbol's bit with its arguments' masks; a
+variable's is 0.  A walk that looks for some names passes over every
+subterm whose mask holds none of their bits (``subterms_meeting``).  The
+string form is rendered on first demand, without recursion, and cached on
+every node it renders; it is for output and for sorts that fix an
+observable order (``key=str``), and ``term_key`` names that use.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ class Symbol:
     Interned like applications: ``Symbol(name, arity, params)`` returns the
     one live symbol with those fields, so equality is identity."""
 
-    __slots__ = ("name", "arity", "params", "_hash", "_str", "__weakref__")
+    __slots__ = ("name", "arity", "params", "_hash", "_bit", "_str",
+                 "__weakref__")
 
     name: str
     arity: int
@@ -66,6 +73,7 @@ class Symbol:
         init(sym, "arity", arity)
         init(sym, "params", params)
         init(sym, "_hash", hash(key))
+        init(sym, "_bit", name_bit(name))
         if params:
             init(sym, "_str", f"{name}{{{','.join(str(p) for p in params)}}}")
         else:
@@ -96,12 +104,27 @@ class Symbol:
 # (name, arity, params) -> the live symbol with those fields
 _SYMBOLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
+# family name -> its bit in name masks, in order of first use; never freed,
+# as a process meets few family names
+_NAME_BITS: Dict[str, int] = {}
+
+
+def name_bit(name: str) -> int:
+    """The bit of family ``name`` in name masks; a name met for the first
+    time takes the next free bit.  Independent of the string hash, so masks
+    are the same under every ``PYTHONHASHSEED``."""
+    bit = _NAME_BITS.get(name)
+    if bit is None:
+        bit = _NAME_BITS[name] = 1 << len(_NAME_BITS)
+    return bit
+
 
 @dataclass(frozen=True)
 class Variable:
     name: str
 
     _size: ClassVar[int] = 1
+    _mask: ClassVar[int] = 0
 
     def __str__(self) -> str:
         return self.name
@@ -130,9 +153,13 @@ def _forget(entry: _AppRef) -> None:
 
 
 class Application:
-    """A function symbol applied to argument terms; hash-consed."""
+    """A function symbol applied to argument terms; hash-consed.  Besides
+    its hash and node count, each application keeps its name mask
+    (``_mask``): the bits (``name_bit``) of the family names that occur in
+    it."""
 
-    __slots__ = ("symbol", "args", "_hash", "_size", "_str", "__weakref__")
+    __slots__ = ("symbol", "args", "_hash", "_size", "_mask", "_str",
+                 "__weakref__")
 
     symbol: Symbol
     args: Tuple["Term", ...]
@@ -151,15 +178,17 @@ class Application:
             raise TermError(
                 f"symbol {symbol} expects {symbol.arity} arguments,"
                 f" got {len(args)}")
-        size = 1
+        size, mask = 1, symbol._bit
         for a in args:
             size += a._size
+            mask |= a._mask
         t = object.__new__(cls)
         init = object.__setattr__
         init(t, "symbol", symbol)
         init(t, "args", args)
         init(t, "_hash", h)
         init(t, "_size", size)
+        init(t, "_mask", mask)
         init(t, "_str", None)
         entry = _AppRef(t, _forget)
         entry.hash, entry.next = h, _TABLE.get(h)
@@ -242,6 +271,22 @@ def subterms(t: Term) -> Iterator[Tuple[Position, Term]]:
             args = s.args
             for i in range(len(args), 0, -1):
                 stack.append((p + (i,), args[i - 1]))
+
+
+def subterms_meeting(t: Term, mask: int) -> Iterator[Tuple[Position, Term]]:
+    """The (position, subterm) pairs of ``subterms(t)``, in the same order,
+    whose name mask shares a bit with ``mask``: a subterm that holds no
+    name of those bits, and so none of its own subterms does, is passed
+    over without entering it.  Variables have mask 0 and never meet."""
+    stack = [(ROOT, t)] if t._mask & mask else []
+    while stack:
+        p, s = stack.pop()
+        yield p, s
+        args = s.args  # type: ignore[union-attr]
+        for i in range(len(args), 0, -1):
+            a = args[i - 1]
+            if a._mask & mask:
+                stack.append((p + (i,), a))
 
 
 def positions(t: Term) -> List[Position]:

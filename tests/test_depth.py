@@ -16,6 +16,8 @@ from qtrw.cli import main
 from qtrw.dsl import emit_system, emit_term, parse_system, parse_term
 from qtrw.graded import MultiStep, multi_step
 from qtrw.qtrs import _params_solvable, one_step
+from qtrw.search import SearchBudget, reduction_distance
+from qtrw.systems import make_nat
 from qtrw.term import (Application, Symbol, Variable, is_ground, is_linear,
                        variables)
 
@@ -178,6 +180,18 @@ def test_a_step_that_invents_a_variable_under_a_deep_spine():
     assert step.rule_id == "inv" and step.position == (1,) * DEPTH
     assert step.target is _nest(
         s, Application(Symbol("h", 2), (nil, Variable("w0"))))
+
+
+def test_a_400_deep_sum_reduces_under_the_zero_cutoff():
+    # every A step weighs 0 and every S step 1, so at cutoff 0 the search
+    # steps only at the A spine: 400 addS steps and one addZ
+    z, s = Application(Symbol("Z", 0), ()), Symbol("S", 1)
+    n = _nest(s, z, 400)
+    answer = reduction_distance(
+        make_nat(), Application(Symbol("A", 2), (n, n)), _nest(s, z, 800),
+        SearchBudget(max_depth=1000, weight_cutoff=Fraction(0)))
+    assert answer.kind == "exact" and answer.value == 0
+    assert len(answer.witness) == 401
 
 
 def test_multi_step_of_a_deep_normal_form():

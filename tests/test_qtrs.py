@@ -464,6 +464,79 @@ def test_no_rule_is_matched_at_a_root_out_of_bounds(monkeypatch):
                         _floor=2) == 52
 
 
+def _walked(monkeypatch, sys, t, **kwargs):
+    """The positions ``one_step(sys, t, **kwargs)`` walks to, in order, and
+    the subterms whose redexes it looked up in its memo."""
+    walked, memo = [], {}
+
+    def recorded(walk):
+        def wrapper(*args):
+            for p, sub in walk(*args):
+                walked.append(p)
+                yield p, sub
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in ("subterms", "subterms_meeting"):
+            m.setattr(qtrs, name, recorded(getattr(qtrs, name)))
+        one_step(sys, t, memo=memo, **kwargs)
+    return walked, {sub for _, sub in memo}
+
+
+def _hfg_system():
+    return parse_system("\n".join([
+        "system hfg", "quantale lawvere", "symbol h/2", "symbol f/1",
+        "symbol g/1", "symbol a/0", "rule proj: h(x, y) -[0]-> x",
+        "rule drop: f(x) -[1]-> x"]))
+
+
+def _hfg_term():
+    """h(f^30(g^30(a)), a)."""
+    t = _const("a")
+    for name in ("g", "f"):
+        for _ in range(30):
+            t = _f(name, t)
+    return _f("h", t, _const("a"))
+
+
+def test_no_subterm_without_a_root_in_bounds_is_walked(monkeypatch):
+    # at (0, 0) f's rule weighs 1, out of bounds, and g and a have no
+    # rules: of the roots only h can fire, and only the root holds an h
+    sys, t = _hfg_system(), _hfg_term()
+    for kwargs in ({}, {"_skipped": [], "_floor": 1}):
+        walked, looked_up = _walked(monkeypatch, sys, t, within=(0, 0),
+                                    **kwargs)
+        assert looked_up == {t}
+        assert walked == [()]
+        assert [s.rule_id for s in one_step(sys, t, within=(0, 0),
+                                            **kwargs)] == ["proj"]
+    # a redex that beats the floor is reported, so every subterm is walked
+    skipped = []
+    walked, looked_up = _walked(monkeypatch, sys, t, within=(0, 0),
+                                _skipped=skipped)
+    assert walked == positions(t)
+    assert len(looked_up) == 62  # h, 30 f and 30 g subterms, and a
+    assert [p for p, _ in skipped] == positions(t)[1:31]
+
+
+@pytest.mark.parametrize("name", ["dna-levenshtein", "graded-combinators"])
+def test_every_subterm_is_walked_where_any_root_may_fire(monkeypatch, name):
+    # dna-levenshtein's insertions have a bare-variable left side, so they
+    # fire at every subterm; graded-combinators scales a step's weight by
+    # its context, so no root's bound holds
+    sys = CATALOG[name]()
+    if name == "dna-levenshtein":
+        cases = [(dna_term(w), within) for w in ("ACGT", "GATTACA")
+                 for within in ((0, 0), (1, 1))]
+    else:
+        cases = _bounded_cases(name)[1]
+    for t, within in cases:
+        for backward in (False, True):
+            walked, _ = _walked(monkeypatch, sys, t, within=within,
+                                backward=backward)
+            assert walked == positions(t)
+
+
 def _bounded_cases(name):
     """(term, ``within``) pairs of sample ``name`` under which some steps
     are out of bounds."""

@@ -15,8 +15,9 @@ from hypothesis import given, strategies as st
 
 from qtrw import term as term_module
 from qtrw.dsl import parse_term
-from qtrw.qtrs import SymbolFamily
+from qtrw.qtrs import SymbolFamily, critical_pairs
 from qtrw.ratexpr import Lit, parse_expr
+from qtrw.systems import CATALOG, nat_term
 from qtrw.term import (
     Application,
     Renamer,
@@ -30,10 +31,13 @@ from qtrw.term import (
     is_ground,
     is_linear,
     match,
+    name_bit,
     positions,
+    preorder,
     replace_at,
     subterm_at,
     subterms,
+    subterms_meeting,
     term_key,
     term_size,
     unify,
@@ -369,6 +373,48 @@ def test_deep_terms_render_hash_and_compare():
     assert again is t and again == t and hash(again) == hash(t)
     assert again != _chain("S", 4999)
     assert len(positions(t)) == 5001
+
+
+def _names_mask(t):
+    """The OR of the bits of the family names in ``preorder(t)``."""
+    mask = 0
+    for s in preorder(t):
+        if isinstance(s, Application):
+            mask |= name_bit(s.symbol.name)
+    return mask
+
+
+def test_name_masks_are_the_names_in_the_term():
+    terms = [Variable("x"), T]
+    for name in sorted(CATALOG):
+        sys = CATALOG[name]()
+        terms += [side for rule in sys.rules for side in (rule.lhs, rule.rhs)]
+        terms += [peak.source for peak in critical_pairs(sys)]
+    for t in terms:
+        for u in (t, copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert u._mask == _names_mask(u)
+    # rebuilt from its pickle once the original is gone
+    t = pickle.loads(pickle.dumps(app(f, app(Symbol("unpickled", 1), x),
+                                      app(b))))
+    assert t._mask == _names_mask(t)
+    # ``nat_term`` builds its numeral without recursion
+    deep = nat_term(5000)
+    assert deep._mask == name_bit("S") | name_bit("Z") == _names_mask(deep)
+    assert deep.args[0]._mask == deep._mask
+
+
+def test_a_walk_by_name_mask_enters_only_the_subterms_holding_a_name():
+    t = app(f, app(g, app(g, app(a))), app(f, x, app(b)))
+    every = list(subterms(t))
+    for names in ([], ["f"], ["g"], ["a"], ["b"], ["g", "b"], ["f", "g"]):
+        mask = 0
+        for name in names:
+            mask |= name_bit(name)
+        assert list(subterms_meeting(t, mask)) == [
+            (p, s) for p, s in every if s._mask & mask]
+    assert list(subterms_meeting(x, -1)) == []
+    assert sum(1 for _ in subterms_meeting(nat_term(5000), name_bit("Z"))
+               ) == 5001
 
 
 def test_copies_are_the_same_object_and_fields_are_read_only():
