@@ -595,10 +595,9 @@ class _RuleTable(NamedTuple):
     with at a subterm of that root: the join of the static weights of the
     rules rooted there and of ``var_rules``.  A static weight is the rule's
     weight, or the unit when that is an expression read off the term.
-    Without grades no step at such a subterm weighs more, so ``one_step``
-    matches no rule there when the bound is already out of its bounds.  If
-    ``var_rules`` is empty, no rule fires at a subterm whose root is not in
-    ``by_root`` either, so ``one_step`` does not enter a subterm that holds
+    Without grades no step at such a subterm weighs more, so a bounded
+    ``one_step`` (its ``within``) matches no rule at a root out of its
+    bounds, and, if ``var_rules`` is empty, enters no subterm that holds
     no root left in bounds (see ``term.subterms_meeting``)."""
 
     var_rules: Tuple[Rule, ...]            # rules with a bare-variable lhs
@@ -726,7 +725,6 @@ def one_step(
     firings: Optional[FiringMemo] = None,
     within: Optional[Tuple[Value, Value]] = None,
     _skipped: Optional[List[_Skip]] = None,
-    _floor: Optional[Value] = None,
     max_size: Optional[int] = None,
     _oversized: Optional[Dict[Tuple[object, ...], Value]] = None,
     beyond: Optional[int] = None,
@@ -758,20 +756,15 @@ def one_step(
     and target the first heaviest is kept, and as the quantale is
     totally ordered and its tensor monotone, one out of bounds weighs
     less than any in bounds, so the kept steps and their order stay.
-    Each redex skipped is appended to ``_skipped``, if given, for a
-    caller that must account for the weight it prunes (see
-    ``_targets``), unless its weight, tensored onto the weight so far,
-    does not strictly beat ``_floor``: a caller that discards such a
-    redex anyway passes the weight it would discard up to.  Unless
-    ``sys`` is graded, a step weighs at most its root's bound in the rule
-    table (``_RuleTable``), so a subterm whose root's bound is out of
-    bounds, and whose redexes would not be appended to ``_skipped``
-    either, is skipped before any rule is matched there.  If the table
-    has no bare-variable rule, the walk then enters only the subterms
-    whose name mask holds a root left in bounds: no subterm of the others
-    can fire in bounds or is appended to ``_skipped``, so the steps, their
-    order and ``_skipped`` (still in pre-order) stay.  Where no root is
-    skipped, the walk is that of an unbounded call.
+    With ``_skipped``, every redex skipped is appended to it, in
+    pre-order, for a caller that asks where the bound pruned (see
+    ``_targets``), and the walk is that of an unbounded call.  Without
+    it, and unless ``sys`` is graded, a step weighs at most its root's
+    bound in the rule table (``_RuleTable``), so a subterm whose root's
+    bound is out of bounds is skipped before any rule is matched there;
+    if the table has no bare-variable rule, the walk enters only the
+    subterms whose name mask holds a root left in bounds, as no other can
+    fire in bounds.  Either way the steps and their order stay.
 
     ``max_size`` keeps only the steps to targets of at most that many
     symbols.  A target's size is known before it is built, that of ``t``
@@ -799,18 +792,10 @@ def one_step(
     live: Optional[int] = None  # the bits of the roots left to walk to
     if within is not None:
         done, bound = within
-
-        def dropped(weight: Value) -> bool:
-            """Whether a redex of ``weight`` is out of bounds, and not for
-            ``_skipped`` either."""
-            w = q.tensor(done, weight)
-            return not q.leq(bound, w) and (_skipped is None or (
-                _floor is not None and not q.strictly_below(_floor, w)))
-
-        if not graded:
+        if not graded and _skipped is None:
             table = sys.backward if backward else sys.forward
             skip = {root for root, most in table.bounds.items()
-                    if dropped(most)}
+                    if not q.leq(bound, q.tensor(done, most))}
             if skip and not table.var_rules:
                 live = 0
                 for root in table.by_root.keys() - skip:
@@ -835,7 +820,7 @@ def one_step(
             for r in redexes:
                 if q.leq(bound, q.tensor(done, r[1])):
                     kept.append(r)
-                elif _skipped is not None and not dropped(r[1]):
+                elif _skipped is not None:
                     _skipped.append((p, r))
             redexes = kept
         if max_size is not None:
@@ -1095,10 +1080,11 @@ def _layered_relaxation(
     previous one improved, at their current best weight.  Paths whose
     weight drops below ``weight_bound`` in the quantale order are pruned
     (sound: tensors only descend), as are reducts larger than ``size_bound``.
-    ``one_step`` applies the weight bound (its ``within``), so a pruned
-    step is never built, and the yields are those of building every step
-    and pruning afterwards.  Steps go through the redex memo ``memo`` of
-    the caller's check and the firing memo ``firings`` of its pass.
+    ``one_step`` applies both bounds (its ``within`` and ``max_size``), so
+    a pruned step is never built, and the yields are those of building
+    every step and pruning afterwards.  Steps go through the redex memo
+    ``memo`` of the caller's check and the firing memo ``firings`` of its
+    pass.
     """
     q = sys.quantale
     best: Dict[Term, Value] = {t: q.unit}
@@ -1110,11 +1096,9 @@ def _layered_relaxation(
             w = best[term]
             within = None if weight_bound is None else (w, weight_bound)
             for step in one_step(sys, term, pool, memo=memo, firings=firings,
-                                 within=within):
+                                 within=within, max_size=size_bound):
                 nw = q.tensor(w, step.weight)
                 u = step.target
-                if size_bound is not None and term_size(u) > size_bound:
-                    continue
                 old = best.get(u)
                 if old is None or q.strictly_below(old, nw):
                     best[u] = nw

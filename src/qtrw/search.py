@@ -25,7 +25,8 @@ rests on stays.
 An ``unreachable`` answer is a proof too: either a symbol-count invariant
 of the system tells the two terms apart (``qtrw.invariants``), which every
 search checks first, under any budget and with no expansion, or a search
-ran out of terms without pruning any.
+ran out of terms without pruning any (a directed search under a weight
+cutoff asks only then whether its cutoff pruned a step).
 
 Steps come from ``qtrw.qtrs.one_step``: backward steps are forward steps of
 the inverted rules, so variables a rule's right-hand side erases are
@@ -169,9 +170,9 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
     lists of every term no limit cuts, such as all Hamming terms.
 
     Meet searches and cutoff-free directed searches relax these lists.  A
-    directed search under a weight cutoff takes the same steps in bounds
-    from ``_SideSearch._steps_within`` instead, which builds no step its
-    cutoff prunes either."""
+    directed search under a weight cutoff builds no step its cutoff
+    prunes, not even to ask at the end whether it pruned one
+    (``_SideSearch._steps_within`` and ``pruned_out_of_bounds``)."""
     symmetric, key = _relaxation_key(sys, symmetric, t, pool)
     cache = sys.relaxations
     out = cache.get(key)
@@ -420,9 +421,9 @@ class _SideSearch:
         distributes over joins and the steps of one rule and direction
         move the counts alike.  So are the steps whose invented variables
         no pool pick fills (see the class docstring).  A one-sided search
-        (no ``meets``) with a weight cutoff uses a pruned step for its
-        weight alone, so it asks ``one_step`` for the steps in bounds only
-        (``_steps_within``)."""
+        (no ``meets``) with a weight cutoff neither relaxes nor notes a
+        step its cutoff prunes, so it asks ``one_step`` for the steps in
+        bounds only (``_steps_within``)."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
         dist = self.dist
@@ -486,43 +487,48 @@ class _SideSearch:
     def _steps_within(self, term: Term, w: Value,
                       cutoff: Value) -> List[RewriteStep]:
         """The forward steps from ``term``, popped at ``w``, that the weight
-        cutoff and ``limit`` keep, as ``_relaxations`` would order them,
-        with the weight of the best step to each target they prune noted.
+        cutoff and ``limit`` keep, as ``_relaxations`` would order them.
 
-        ``one_step`` skips each redex out of bounds before building its
-        targets and reports it; the kept steps are the unbounded ones, in
-        order, less the pruned targets (see ``one_step``), so the same
-        steps are relaxed in the same order.  A skipped redex's targets are
-        built only while its weight could still raise ``best_pruned``, and
-        its weight is noted only for a target no kept step reaches, as the
-        unbounded list keeps one best step per target.  So ``one_step``
-        reports only the redexes above ``best_pruned`` (its ``_floor``),
-        and matches no rule at a subterm whose root's rules weigh too
-        little to be kept or reported.  A step in bounds
-        but past ``limit`` is skipped unbuilt, and its weight noted; one
-        out of bounds to the same target weighs less, so noting it too
-        changes nothing.  The list depends on ``w``, so it is not cached; a
-        one-sided search expands each term once per query and loses no
-        cache hit."""
+        ``one_step`` builds no step out of bounds and keeps the unbounded
+        steps in order (see ``one_step``), so the same steps are relaxed
+        in the same order.  A step the cutoff prunes weighs less than the
+        cutoff, which every label meets, so it is not noted: it can make
+        no answer inexact, and ``pruned_out_of_bounds`` tells whether there
+        is one.  A step in bounds but past ``limit`` is skipped unbuilt,
+        and its weight noted.  The list depends on ``w``, so it is not
+        cached; a one-sided search expands each term once per query and
+        loses no cache hit."""
         q = self.q
-        skipped: List[_Skip] = []
         over: Dict[Tuple[object, ...], Value] = {}
         steps = _by_target(
             one_step(self.sys, term, self.pool, memo=self.memo,
-                     within=(w, cutoff), _skipped=skipped,
-                     _floor=self.best_pruned,
-                     max_size=self.limit, _oversized=over), q)
+                     within=(w, cutoff), max_size=self.limit,
+                     _oversized=over), q)
         if over:
             self._note_pruned(q.tensor(w, q.join(over.values())))
-        kept = {step.target for step in steps}
-        for p, redex in skipped:
-            nw = q.tensor(w, redex[1])
-            if ((self.best_pruned is None
-                    or q.strictly_below(self.best_pruned, nw))
-                    and any(u not in kept
-                            for u in _targets(term, p, redex, self.pool))):
-                self._note_pruned(nw)
         return steps
+
+    def pruned_out_of_bounds(self) -> bool:
+        """Whether the weight cutoff pruned a step, from a term this side
+        expanded, to a target none of that term's kept steps reaches, a
+        branch ``_steps_within`` does not note.  Read once the frontier is
+        empty with nothing pruned, each labelled term expanded at its
+        final label.  Each term is stepped again at its label, and the
+        targets of the redexes ``one_step`` skips are built one at a time
+        (``_targets``), until one is new.  A side that relaxes every step
+        (``_relaxations``) notes every prune, and answers no."""
+        cutoff = self.budget.weight_cutoff
+        if self.meets is not None or cutoff is None:
+            return False
+        for u, (w, _, _) in self.dist.items():
+            skipped: List[_Skip] = []
+            kept = {step.target for step in one_step(
+                self.sys, u, self.pool, memo=self.memo, within=(w, cutoff),
+                _skipped=skipped, max_size=self.limit)}
+            if any(v not in kept for p, redex in skipped
+                   for v in _targets(u, p, redex, self.pool)):
+                return True
+        return False
 
     def truncated(self) -> bool:
         return self.best_pruned is not None
@@ -533,15 +539,17 @@ def reduction_distance(
 ) -> DistanceAnswer:
     """Best accumulated weight of a rewrite path from ``s`` to ``t``.
 
-    One frontier searches forward from ``s``.  Under a weight cutoff, a
-    pruned step matters to it only through its weight, which bounds what
-    the pruned region might hold; no other side looks its target up.  So
-    ``one_step`` skips the redexes out of bounds before their targets are
-    built, and the search builds one only while its weight could still
-    change that bound (see ``_SideSearch._steps_within``); on a system
-    without grades, no rule is even matched at a subterm whose root's
-    rules cannot change it.  The answers are those of relaxing every step
-    and pruning afterwards.
+    One frontier searches forward from ``s``.  Under a weight cutoff, no
+    other side looks a pruned step's target up, and its weight is below
+    the cutoff, so below the label of ``t`` too: it never makes an answer
+    inexact.  So ``one_step`` builds no step out of bounds, and on a
+    system without grades matches no rule at a subterm whose root's rules
+    cannot fire in bounds (``_SideSearch._steps_within``).  Only when the
+    search runs out of terms with nothing else pruned does it ask whether
+    the cutoff pruned a step to a new target
+    (``_SideSearch.pruned_out_of_bounds``): if so, the answer is
+    ``budget-exhausted``, not ``unreachable``.  The answers are those of
+    relaxing every step and pruning afterwards.
 
     First, a symbol-count invariant that differs on ``s`` and ``t``
     (``invariants.differ``) proves the answer ``unreachable`` after no
@@ -566,7 +574,8 @@ def reduction_distance(
                             or not side.q.strictly_below(w, side.best_pruned))
         return DistanceAnswer(EXACT if exact else UPPER_BOUND, w,
                               tuple(side.path(t)), expanded)
-    if side.frontier_bound() is None and not side.truncated():
+    if (side.frontier_bound() is None and not side.truncated()
+            and not side.pruned_out_of_bounds()):
         return DistanceAnswer(UNREACHABLE, None, (), expanded)
     return DistanceAnswer(BUDGET_EXHAUSTED, None, (), expanded)
 

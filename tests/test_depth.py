@@ -15,6 +15,7 @@ import pytest
 from qtrw.cli import main
 from qtrw.dsl import emit_system, emit_term, parse_system, parse_term
 from qtrw.graded import MultiStep, multi_step
+from qtrw import qtrs
 from qtrw.qtrs import _params_solvable, one_step
 from qtrw.search import SearchBudget, reduction_distance
 from qtrw.systems import make_nat
@@ -192,6 +193,24 @@ def test_a_400_deep_sum_reduces_under_the_zero_cutoff():
         SearchBudget(max_depth=1000, weight_cutoff=Fraction(0)))
     assert answer.kind == "exact" and answer.value == 0
     assert len(answer.witness) == 401
+
+
+def test_a_deep_numeral_with_no_step_in_bounds_builds_one_target(
+        monkeypatch):
+    # sdel weighs 1, so under the cutoff of 0 S^2000(Z) has no step, and
+    # the search runs out after one expansion.  Of its 2000 sdel redexes
+    # the first one's target tells budget-exhausted from unreachable, so
+    # no other target is built
+    z, s = Application(Symbol("Z", 0), ()), Symbol("S", 1)
+    built = []
+    real = qtrs.replace_at
+    monkeypatch.setattr(qtrs, "replace_at",
+                        lambda *args: built.append(None) or real(*args))
+    answer = reduction_distance(
+        make_nat(), _nest(s, z, 2000), _nest(s, z, 2001),
+        SearchBudget(max_depth=DEPTH, weight_cutoff=Fraction(0)))
+    assert (answer.kind, answer.expanded) == ("budget-exhausted", 1)
+    assert len(built) <= 1
 
 
 def test_multi_step_of_a_deep_normal_form():

@@ -378,22 +378,18 @@ def _redexes_scaled(sys, t):
 
 
 def _assert_bounded_steps_filter(sys, t, pool, done, bound):
-    """``one_step`` under ``within`` = (done, bound), with each floor the
-    redexes suggest, returns the unbounded steps in bounds, and reports the
-    redexes out of bounds that beat the floor, in pre-order."""
+    """``one_step`` under ``within`` = (done, bound) returns the unbounded
+    steps in bounds, and, asked for them, reports every redex out of
+    bounds, in pre-order."""
     q = sys.quantale
     every = one_step(sys, t, pool)
     kept = [s for s in every if q.leq(bound, q.tensor(done, s.weight))]
     assert one_step(sys, t, pool, within=(done, bound)) == kept
-    redexes = _redexes_scaled(sys, t)
-    out = [(p, r) for p, r in redexes
-           if not q.leq(bound, q.tensor(done, r[1]))]
-    for floor in (None, *dict.fromkeys(r[1] for _, r in redexes)):
-        skipped = []
-        assert one_step(sys, t, pool, within=(done, bound),
-                        _skipped=skipped, _floor=floor) == kept
-        assert skipped == [(p, r) for p, r in out if floor is None
-                           or q.strictly_below(floor, q.tensor(done, r[1]))]
+    skipped = []
+    assert one_step(sys, t, pool, within=(done, bound),
+                    _skipped=skipped) == kept
+    assert skipped == [(p, r) for p, r in _redexes_scaled(sys, t)
+                       if not q.leq(bound, q.tensor(done, r[1]))]
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -452,16 +448,12 @@ def test_no_rule_is_matched_at_a_root_out_of_bounds(monkeypatch):
     # sdel at each of the 50 distinct S subterms (the two S^30(Z) are one
     # in the redex memo), addZ and addS at the one A
     assert _match_calls(monkeypatch, sys, t) == 52
-    # at (0, 0) every S root weighs 1: out of bounds, and not above a floor
-    # of 1
-    for kwargs in ({}, {"_skipped": [], "_floor": 1}):
-        assert _match_calls(monkeypatch, sys, t, within=(0, 0),
-                            **kwargs) == 2
-    # a redex that beats the floor is reported, so its root is matched
+    # at (0, 0) every S root weighs 1: out of bounds
+    assert _match_calls(monkeypatch, sys, t, within=(0, 0)) == 2
+    # a caller that asks for the redexes out of bounds has every root
+    # matched
     assert _match_calls(monkeypatch, sys, t, within=(0, 0),
                         _skipped=[]) == 52
-    assert _match_calls(monkeypatch, sys, t, within=(0, 0), _skipped=[],
-                        _floor=2) == 52
 
 
 def _walked(monkeypatch, sys, t, **kwargs):
@@ -503,14 +495,12 @@ def test_no_subterm_without_a_root_in_bounds_is_walked(monkeypatch):
     # at (0, 0) f's rule weighs 1, out of bounds, and g and a have no
     # rules: of the roots only h can fire, and only the root holds an h
     sys, t = _hfg_system(), _hfg_term()
-    for kwargs in ({}, {"_skipped": [], "_floor": 1}):
-        walked, looked_up = _walked(monkeypatch, sys, t, within=(0, 0),
-                                    **kwargs)
-        assert looked_up == {t}
-        assert walked == [()]
-        assert [s.rule_id for s in one_step(sys, t, within=(0, 0),
-                                            **kwargs)] == ["proj"]
-    # a redex that beats the floor is reported, so every subterm is walked
+    walked, looked_up = _walked(monkeypatch, sys, t, within=(0, 0))
+    assert looked_up == {t}
+    assert walked == [()]
+    assert [s.rule_id for s in one_step(sys, t, within=(0, 0))] == ["proj"]
+    # a caller that asks for the redexes out of bounds has every subterm
+    # walked
     skipped = []
     walked, looked_up = _walked(monkeypatch, sys, t, within=(0, 0),
                                 _skipped=skipped)
@@ -563,8 +553,6 @@ def test_roots_are_all_matched_where_a_step_may_weigh_the_unit(
     for t, within in cases:
         every = _match_calls(monkeypatch, sys, t)
         assert _match_calls(monkeypatch, sys, t, within=within) == every
-        assert _match_calls(monkeypatch, sys, t, within=within, _skipped=[],
-                            _floor=within[1]) == every
         pruned += len(one_step(sys, t)) - len(one_step(sys, t, within=within))
     assert pruned > 0  # the bounds do prune steps
 

@@ -1115,24 +1115,30 @@ def _dijkstra(sys, s, max_size, directions):
     return dist
 
 
+def _inventing_rules(rng, weights):
+    """2 to 5 random rules over a, b, c, f/1 and g/1, weighed from
+    ``weights``, that may erase and invent a variable."""
+    lhss = ["a", "b", "c", "f(x)", "g(x)", "f(g(x))", "g(b)", "f(c)"]
+    rhss = lhss + ["x", "y", "f(y)", "g(f(x))", "f(g(y))"]
+    rules = []
+    for i in range(rng.randrange(2, 6)):
+        lhs = rng.choice(lhss)
+        rhs = rng.choice([r for r in rhss if r != lhs])
+        rules.append(f"rule r{i}: {lhs} -[{rng.choice(weights)}]-> {rhs}")
+    return rules
+
+
 def test_searches_through_invented_variables_agree_with_every_instance():
     """Random systems over a, b, c, f/1 and g/1 whose rules may erase and
     invent a variable: every exact answer is no worse than a Dijkstra that
     fills invented variables with every ground term up to 4 symbols, and
     every witness replays to its value."""
     rng = random.Random("invented-variables")
-    lhss = ["a", "b", "c", "f(x)", "g(x)", "f(g(x))", "g(b)", "f(c)"]
-    rhss = lhss + ["x", "y", "f(y)", "g(f(x))", "f(g(y))"]
-    weights = (1, 2, 3, "1/2", "5/2")
     small = _ground_terms(2)
     checked = {EXACT: 0, UPPER_BOUND: 0}
     invented = 0
     for trial in range(60):
-        rules = []
-        for i in range(rng.randrange(2, 6)):
-            lhs = rng.choice(lhss)
-            rhs = rng.choice([r for r in rhss if r != lhs])
-            rules.append(f"rule r{i}: {lhs} -[{rng.choice(weights)}]-> {rhs}")
+        rules = _inventing_rules(rng, (1, 2, 3, "1/2", "5/2"))
         sys = _system("a b c", *rules)
         invented += sys.forward.invents or sys.backward.invents
         oracle = functools.lru_cache(maxsize=None)(
@@ -1159,6 +1165,30 @@ def test_searches_through_invented_variables_agree_with_every_instance():
                 if ans.kind == EXACT and want is not None:
                     assert ans.value <= want, case
     assert min(checked.values()) > 0 and invented > 30, (checked, invented)
+
+
+def test_cutoff_searches_agree_with_pruning_after_relaxing(monkeypatch):
+    """The same random systems, with free steps too, under cutoffs 0 to 3
+    and caps 2, 3 or none: the directed search that builds no step out of
+    bounds, and asks only at the end whether its cutoff pruned one, gives
+    the answers of relaxing every step and pruning afterwards."""
+    rng = random.Random("cutoff-against-relaxing")
+    small = _ground_terms(2)
+    kinds = dict.fromkeys((EXACT, UPPER_BOUND, UNREACHABLE,
+                           BUDGET_EXHAUSTED), 0)
+    for trial in range(100):
+        rules = _inventing_rules(rng, (0, 1, 2, 3, "1/2", "5/2"))
+        sys = _system("a b c", *rules)
+        for _ in range(6):
+            s, t = rng.choice(small), rng.choice(small)
+            budget = SearchBudget(max_term_size=rng.choice((2, 3, None)),
+                                  weight_cutoff=rng.randrange(4),
+                                  max_expanded=300, max_depth=40)
+            got, want = _bounded_and_unbounded(monkeypatch, sys, s, t, budget)
+            assert got == want, (rules, str(s), str(t), budget)
+            kinds[got.kind] += 1
+    assert min(kinds[k] for k in (EXACT, UNREACHABLE, BUDGET_EXHAUSTED)) > 0, (
+        kinds)
 
 
 def test_capped_conversions_agree_with_a_search_past_the_cap():
