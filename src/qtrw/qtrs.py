@@ -15,15 +15,15 @@ A system is its own one-step relation, and ``one_step`` builds every step
 list.  On first use the system indexes its rules by left-hand-side root
 symbol (``forward``), the inverted rules (sides swapped) the same way
 (``backward``), each with the heaviest weight a rule can fire with at
-each root, and keeps the distance search's step cache
-(``relaxations``).  Without grades a step weighs what its rule weighs, so
-a step list under a weight bound matches no rule at a subterm whose root
-cannot fire within it, and, unless a rule's left-hand side is a bare
-variable, enters no subterm that holds no root that can.  A ``copy`` of a
-system shares the rule indexes and everything else compiled from its
-fields, and owns its step caches.  None of these refers back to a system,
-so the step caches are freed with their copy, and the compiled values with
-the last system that shares them.  A backward step is a forward step of
+each root, and keeps the distance search's step cache (``relaxations``),
+one entry per term and size limit.  Without grades a step weighs what its
+rule weighs, so a step list under a weight bound matches no rule at a
+subterm whose root cannot fire within it, and, unless a rule's left-hand
+side is a bare variable, enters no subterm that holds no root that can.
+A ``copy`` of a system shares the rule indexes and everything else
+compiled from its fields, and owns its step cache.  None of these refers
+back to a system, so the step cache is freed with its copy, and the
+compiled values with the last system that shares them.  A backward step is a forward step of
 an inverted rule, so the variables a rule erases become fresh variables of
 its inverse, drawn from the same candidate pool.  A rule whose right-hand
 side matching cannot solve for its parameters (a compound slot such as
@@ -319,9 +319,9 @@ class RewriteSystem:
     def copy(self) -> "RewriteSystem":
         """An equal system that shares everything compiled from the fields
         (the rule tables, the self-inverse test, the invariants, ...; see
-        ``_shared``) but owns its step caches, ``relaxations`` and
-        ``steps_past``, empty at the start.  The fields are this system's,
-        already validated, so the copy is built without ``__init__``."""
+        ``_shared``) but owns its step cache, ``relaxations``, empty at
+        the start.  The fields are this system's, already validated, so the
+        copy is built without ``__init__``."""
         out = object.__new__(RewriteSystem)
         out.__dict__.update({f: getattr(self, f) for f in _FIELDS},
                             _compiled=self._compiled)
@@ -397,20 +397,13 @@ class RewriteSystem:
                               for inv in _inverses(q, grid, rule)], q)
 
     @cached_property
-    def relaxations(self) -> Dict[object, Tuple[List[RewriteStep],
-                                                 Tuple[_Unbuilt, ...]]]:
-        """The distance search's step cache: for each term, the
-        ``RewriteStep``s the search relaxes and, for each rule and
-        direction, the best weight of those a term-size bound skipped
+    def relaxations(self) -> Dict[object, object]:
+        """The distance search's step cache: for each term, and for each
+        term-size limit that left steps from it unbuilt, one entry
+        (``search._Relaxed``) of the ``RewriteStep``s the search relaxes,
+        the best weight of the steps left unbuilt, per rule and direction,
+        and those of its steps past the limit that a proof has built
         (``search._relaxations``)."""
-        return {}
-
-    @cached_property
-    def steps_past(self) -> Dict[object, List[RewriteStep]]:
-        """The meet search's cache of the steps a term-size limit leaves
-        unbuilt, for the terms whose steps its proof builds: for each key
-        of ``relaxations`` and limit, the steps to targets past that limit
-        (``search._steps_past``)."""
         return {}
 
     @_shared

@@ -38,7 +38,8 @@ weight cutoff instead asks for the steps in bounds only, uncached.  No
 search builds a step to a term larger than its term-size cap and both of
 its ends (``_skip_limit``): no label holds such a term, so only the best
 weight of such steps of each rule and direction counts, as a pruned
-branch, until a meet search's proof asks for the few it needs.  The same
+branch, until a meet search's proof asks for the few it needs, which the
+term's entry in the cache (``_Relaxed``) then keeps too.  The same
 records, each with its rule, position, direction and weight, make up an
 answer's witness.
 
@@ -132,37 +133,47 @@ class DistanceAnswer:
         })
 
 
-def _relaxation_key(sys: RewriteSystem, symmetric: bool, t: Term,
-                    pool: Sequence[Term]) -> Tuple[bool, object]:
-    """Whether steps from ``t`` take backward ones too, which a
-    self-inverse system never needs, and the key of ``t``'s steps in the
-    system's caches (see ``_relaxations``)."""
-    if symmetric and sys.self_inverse:
-        symmetric = False
-    # the pool only fills variables a rule invents; otherwise steps ignore it
-    if sys.forward.invents or (symmetric and sys.backward.invents):
-        return symmetric, (symmetric, t, tuple(pool))
-    return symmetric, (symmetric, t)
+@dataclass(eq=False, slots=True)
+class _Relaxed:
+    """One term's entry in the step cache (``_relaxations``): the ``steps``
+    a search relaxes; the best weight of the steps left unbuilt past the
+    term-size limit, per (rule id, backward) (``past``); the same for the
+    steps whose invented variables the pool fills (``invented``), as one
+    that invents a term outside the pool is left unbuilt too; and the
+    steps past the limit, built by ``_steps_past`` the first time a proof
+    asks (``beyond``), so never where ``past`` is empty."""
+    steps: List[RewriteStep]
+    past: Tuple[_Unbuilt, ...] = ()
+    invented: Tuple[_Unbuilt, ...] = ()
+    beyond: Optional[List[RewriteStep]] = None
+
+    @classmethod
+    def of(cls, steps: List[RewriteStep],
+           over: Dict[Tuple[object, ...], Value],
+           q: QuantaleSpec) -> "_Relaxed":
+        """The entry of ``steps``, ``one_step``'s unbuilt moves ``over``
+        split by key: (rule id, backward) past the limit, else invented."""
+        if not over:
+            return cls(_by_target(steps, q))
+        return cls(_by_target(steps, q),
+                   tuple((m, w) for m, w in over.items() if len(m) == 2),
+                   tuple((m[:2], w) for m, w in over.items() if len(m) > 2))
 
 
 def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
                  pool: Sequence[Term], memo: Optional[RedexMemo] = None,
-                 limit: Optional[int] = None,
-                 ) -> Tuple[List[RewriteStep], Tuple[_Unbuilt, ...]]:
-    """Steps from ``t``, backward ones too if ``symmetric``, deduplicated
-    per target (best weight kept) and ordered by target rendering, less
-    the steps to targets of more than ``limit`` symbols, which are never
-    built; with the best weight of those steps for each distinct (rule id,
-    backward) they take (none if there are none), and of the steps whose
-    invented variables the pool fills, for each (rule id, backward,
-    "invented"), as a step that invents a term outside the pool is left
-    unbuilt too.  ``memo`` is the query's redex memo.
+                 limit: Optional[int] = None) -> _Relaxed:
+    """The entry (``_Relaxed``) of the steps from ``t``, backward ones too
+    if ``symmetric``, deduplicated per target (best weight kept) and
+    ordered by target rendering, less the steps to targets of more than
+    ``limit`` symbols, which are never built.  ``memo`` is the query's
+    redex memo.
 
     The first best step per target is kept and forward steps come first,
     so on a self-inverse system backward steps never win, and are neither
     generated nor keyed apart.
 
-    The result is cached in ``sys.relaxations`` under the key (symmetric,
+    The entry is cached in ``sys.relaxations`` under the key (symmetric,
     t), with the pool's terms added when some rule invents variables, if
     the limit left nothing out: that is the full list, which serves every
     limit.  Otherwise it is cached under (that key, limit).  The full
@@ -173,27 +184,26 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
     directed search under a weight cutoff builds no step its cutoff
     prunes, not even to ask at the end whether it pruned one
     (``_SideSearch._steps_within`` and ``pruned_out_of_bounds``)."""
-    symmetric, key = _relaxation_key(sys, symmetric, t, pool)
+    if symmetric and sys.self_inverse:
+        symmetric = False
+    key: Tuple[object, ...] = (symmetric, t)
+    # the pool only fills variables a rule invents; otherwise steps ignore it
+    if sys.forward.invents or (symmetric and sys.backward.invents):
+        key += (tuple(pool),)
     cache = sys.relaxations
-    out = cache.get(key)
-    if out is None and limit is not None:
-        out = cache.get((key, limit))
-    if out is None:
+    entry = cache.get(key)
+    if entry is None and limit is not None:
+        entry = cache.get((key, limit))
+    if entry is None:
         over: Dict[Tuple[object, ...], Value] = {}
         steps = one_step(sys, t, pool, memo=memo, max_size=limit,
                          _oversized=over)
         if symmetric:
             steps += one_step(sys, t, pool, backward=True, memo=memo,
                               max_size=limit, _oversized=over)
-        out = (_by_target(steps, sys.quantale), tuple(over.items()))
-        cache[(key, limit) if any(map(_past, over)) else key] = out
-    return out
-
-
-def _past(move: Tuple[object, ...]) -> bool:
-    """Whether an unbuilt ``move`` of ``one_step`` was left past the size
-    limit, not for an invented variable no pool pick fills."""
-    return len(move) == 2
+        entry = _Relaxed.of(steps, over, sys.quantale)
+        cache[(key, limit) if entry.past else key] = entry
+    return entry
 
 
 def _skip_limit(budget: SearchBudget, s: Term, t: Term) -> Optional[int]:
@@ -287,9 +297,9 @@ class _SideSearch:
 
     ``best_pruned_within`` is ``best_pruned`` over the branches not left
     unbuilt past ``limit``, which alone may end in a term the other side
-    labels.  The terms expanded with steps left unbuilt past it are
-    listed, with their weights, for ``_meets_past_limit``, which builds
-    those steps of the cheapest into ``beyond``.
+    labels.  A meet search lists the terms it expanded with steps left
+    unbuilt past it, and their weights and entries, for
+    ``_meets_past_limit``, which builds those of the cheapest into ``beyond``.
 
     A step that invents a variable builds only the pool's picks for it,
     so each such redex is charged as a pruned branch of its weight, within
@@ -338,10 +348,10 @@ class _SideSearch:
         self.best_pruned_within: Optional[Value] = None
         self.best_exit: Optional[Value] = None
         # the terms expanded with steps past ``limit`` left unbuilt, with
-        # their labels' weights, in the order expanded; the targets of
-        # those steps, with the best branch weight into each, built by
-        # ``_meets_past_limit`` for the first ``_beyond_read`` of them
-        self._unbuilt_from: List[Tuple[Value, Term]] = []
+        # their labels' weights and entries, in the order expanded; the
+        # targets of those steps, with the best branch weight into each,
+        # built by ``_meets_past_limit`` for the first ``_beyond_read``
+        self._unbuilt_from: List[Tuple[Value, Term, _Relaxed]] = []
         self.beyond: Dict[Term, Value] = {}
         self._beyond_read = 0
         self.potential = None if other is None else sys.potential
@@ -441,22 +451,20 @@ class _SideSearch:
                 self._note_pruned(w, term)
                 return term
             if meets is None and cutoff is not None:
-                steps = self._steps_within(term, w, cutoff)
+                entry = self._steps_within(term, w, cutoff)
             else:
-                steps, unbuilt = _relaxations(self.sys, self.symmetric, term,
-                                              self.pool, self.memo, self.limit)
-                past = False
-                for move, uw in unbuilt:
-                    if _past(move):
-                        past = True
-                        self._note_pruned(tensor(w, uw), term, move, True)
-                    elif self.loose:  # as if pruned by depth here
-                        self._note_pruned(w, term)
-                    else:  # no rule that invents has a potential
-                        self._note_pruned(tensor(w, uw))
-                if past:
-                    self._unbuilt_from.append((w, term))
-            for step in steps:
+                entry = _relaxations(self.sys, self.symmetric, term,
+                                     self.pool, self.memo, self.limit)
+            for move, uw in entry.past:
+                self._note_pruned(tensor(w, uw), term, move, True)
+            for _, uw in entry.invented:
+                if self.loose:  # as if pruned by depth here
+                    self._note_pruned(w, term)
+                else:  # no rule that invents has a potential
+                    self._note_pruned(tensor(w, uw))
+            if entry.past and meets is not None:
+                self._unbuilt_from.append((w, term, entry))
+            for step in entry.steps:
                 target = step.target
                 nw = tensor(w, step.weight)
                 if ((cutoff is not None and sb(nw, cutoff))
@@ -484,10 +492,10 @@ class _SideSearch:
             return term
         return None
 
-    def _steps_within(self, term: Term, w: Value,
-                      cutoff: Value) -> List[RewriteStep]:
-        """The forward steps from ``term``, popped at ``w``, that the weight
-        cutoff and ``limit`` keep, as ``_relaxations`` would order them.
+    def _steps_within(self, term: Term, w: Value, cutoff: Value) -> _Relaxed:
+        """The entry (``_Relaxed``) of the forward steps from ``term``,
+        popped at ``w``, that the weight cutoff and ``limit`` keep, as
+        ``_relaxations`` would order them.
 
         ``one_step`` builds no step out of bounds and keeps the unbounded
         steps in order (see ``one_step``), so the same steps are relaxed
@@ -498,15 +506,11 @@ class _SideSearch:
         and its weight noted.  The list depends on ``w``, so it is not
         cached; a one-sided search expands each term once per query and
         loses no cache hit."""
-        q = self.q
         over: Dict[Tuple[object, ...], Value] = {}
-        steps = _by_target(
+        return _Relaxed.of(
             one_step(self.sys, term, self.pool, memo=self.memo,
                      within=(w, cutoff), max_size=self.limit,
-                     _oversized=over), q)
-        if over:
-            self._note_pruned(q.tensor(w, q.join(over.values())))
-        return steps
+                     _oversized=over), over, self.q)
 
     def pruned_out_of_bounds(self) -> bool:
         """Whether the weight cutoff pruned a step, from a term this side
@@ -580,20 +584,19 @@ def reduction_distance(
     return DistanceAnswer(BUDGET_EXHAUSTED, None, (), expanded)
 
 
-def _steps_past(side: _SideSearch, term: Term) -> List[RewriteStep]:
+def _steps_past(side: _SideSearch, term: Term,
+                entry: _Relaxed) -> List[RewriteStep]:
     """The steps from ``term`` that ``side`` leaves unbuilt past its
-    ``limit``, built, and cached in ``sys.steps_past`` under the key of
-    ``_relaxations`` and the limit."""
-    sys, limit = side.sys, side.limit
-    symmetric, key = _relaxation_key(sys, side.symmetric, term, side.pool)
-    steps = sys.steps_past.get((key, limit))
-    if steps is None:
-        steps = one_step(sys, term, side.pool, memo=side.memo, beyond=limit)
-        if symmetric:
-            steps += one_step(sys, term, side.pool, backward=True,
-                              memo=side.memo, beyond=limit)
-        sys.steps_past[key, limit] = steps
-    return steps
+    ``limit``, built into ``term``'s ``entry`` the first time they are
+    asked for."""
+    if entry.beyond is None:
+        sys, limit = side.sys, side.limit
+        entry.beyond = one_step(sys, term, side.pool, memo=side.memo,
+                                beyond=limit)
+        if side.symmetric and not sys.self_inverse:
+            entry.beyond += one_step(sys, term, side.pool, backward=True,
+                                     memo=side.memo, beyond=limit)
+    return entry.beyond
 
 
 def _meets_past_limit(left: _SideSearch, right: _SideSearch, meets: _Meets,
@@ -621,11 +624,11 @@ def _meets_past_limit(left: _SideSearch, right: _SideSearch, meets: _Meets,
     for side, other in ((left, right), (right, left)):
         todo, i = side._unbuilt_from, side._beyond_read
         while i < len(todo):
-            w, term = todo[i]
+            w, term, entry = todo[i]
             if not sb(total, tensor(tensor(w, eps), eps)):
                 break
             i += 1
-            for step in _steps_past(side, term):
+            for step in _steps_past(side, term, entry):
                 g = tensor(w, step.weight)
                 u = step.target
                 old = side.beyond.get(u)

@@ -28,7 +28,7 @@ Each file is parsed once per process, and every call returns a fresh copy
 (``RewriteSystem.copy``).  The copies of one file share what is compiled
 from its rules: the rule indexes, the self-inverse test, the invariants and
 the potential are each built once, on first use by any copy.  Each copy
-owns its step caches, empty at the start.
+owns its step cache, empty at the start.
 
 The oracles are deliberately naive, textbook implementations: they exist to
 cross-check the search engine, so they share no code with it.

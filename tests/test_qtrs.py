@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from qtrw.qtrs import (
     term_graph,
 )
 from qtrw.dsl import parse_grid, parse_system, parse_term
+from qtrw.search import UNREACHABLE, valley_distance
 from qtrw.systems import (
     CATALOG,
     DNA_BASES,
@@ -728,3 +730,129 @@ def test_confluence_report_modular_route():
         combined, depth_budget=6, components=(bck, bary))
     assert report.evidence["cross_critical_pairs"] == 0
     assert report.certificate == "confluent by Hindley-Rosen"
+
+
+# ROADMAP item 1: a strong-closure meet accepts a term that one side only
+# matches, so a side that is a bare peak variable "meets" any term
+@pytest.mark.xfail(strict=True, reason="a strong-closure meet may bind a "
+                   "peak variable (ROADMAP item 1)")
+def test_no_certificate_for_two_distinct_normal_forms_of_one_term():
+    sys = parse_system("\n".join([
+        "system t", "quantale lawvere", "symbol a/0", "symbol b/0",
+        "symbol f/1", "symbol h/2", "rule r1: f(x) -[0]-> x",
+        "rule r2: f(h(x, y)) -[2]-> x"]))
+    # f(h(a, b)) reduces to h(a, b) and to a, two normal forms
+    a, b = _const("a"), _const("b")
+    assert valley_distance(sys, _f("h", a, b), a).kind == UNREACHABLE
+    assert not any(join_check(sys, p, 6).kind == "joinable"
+                   for p in critical_pairs(sys))
+    assert confluence_report(sys).certificate == "inconclusive"
+
+
+@pytest.mark.xfail(strict=True, reason="a strong-closure meet may bind a "
+                   "peak variable (ROADMAP item 1)")
+def test_barycentric_projection_peaks_are_not_strongly_closed():
+    # +{1}(x0,y1) steps to x0 by proj and to +{0}(y1,x0) by comm[e=1] (or
+    # to +{1}(z,y1) by perturb[e=1]); x0 reaches neither, and the other
+    # side reaches x0 only in two steps, comm or perturb and then proj
+    sys = make_barycentric()
+    peaks = [p for p in critical_pairs(sys)
+             if {p.inner_rule, p.outer_rule} in ({"comm[e=1]", "proj"},
+                                                  {"perturb[e=1]", "proj"})]
+    assert len(peaks) == 4  # each pair in both orders
+    assert not any(strongly_closed_check(sys, p, 6).holds for p in peaks)
+
+
+# ---------------------------------------------------------------------------
+# a certificate oracle: each certificate checked on the ground terms it covers
+
+NEWMAN = "confluent by CP+Newman at explored scale"
+STRONG = "confluent by strong closure"
+
+
+def _random_term(rng, size, leaf):
+    """A random term of ``size`` symbols over f/1 and h/2 above the leaves
+    ``leaf()`` draws."""
+    if size == 1:
+        return leaf()
+    if size == 2 or rng.random() < 0.5:
+        return f"f({_random_term(rng, size - 1, leaf)})"
+    k = rng.randrange(1, size - 1)
+    return (f"h({_random_term(rng, k, leaf)}, "
+            f"{_random_term(rng, size - 1 - k, leaf)})")
+
+
+def _symbols(side):
+    return sum(map(side.count, "abcfh"))
+
+
+def _random_linear_rule(rng, rid):
+    """A linear rule over a, b, c, f/1 and h/2 of weight 0 to 2, whose left
+    side has 2 to 4 symbols and whose right side has no more non-variable
+    symbols and neither invents nor duplicates a variable: so no step
+    makes a ground term larger."""
+    size, names = rng.randrange(2, 5), iter("xyz")
+    lhs = _random_term(rng, size, lambda: (
+        next(names) if rng.random() < 0.5 else rng.choice("abc")))
+    while True:
+        free = [v for v in "xyz" if v in lhs]
+        rng.shuffle(free)
+        rhs = _random_term(rng, rng.randrange(1, size + 1), lambda: (
+            free.pop() if free and rng.random() < 0.5 else rng.choice("abc")))
+        if rhs != lhs and _symbols(rhs) <= _symbols(lhs):
+            return f"rule {rid}: {lhs} -[{rng.randrange(3)}]-> {rhs}"
+
+
+def _ground_terms_up_to(max_size):
+    """Every ground term over a, b, c, f/1 and h/2 of at most ``max_size``
+    symbols."""
+    by_size = {1: [_const(c) for c in "abc"]}
+    for n in range(2, max_size + 1):
+        by_size[n] = [_f("f", u) for u in by_size[n - 1]] + [
+            _f("h", u, v) for k in range(1, n - 1)
+            for u in by_size[k] for v in by_size[n - 1 - k]]
+    return [t for n in sorted(by_size) for t in by_size[n]]
+
+
+@pytest.fixture(scope="module")
+def certificate_oracle():
+    """For 200 seeded random systems of 2 to 4 linear rules, the report's
+    certificate and, where it names one, whether the graph of every ground
+    term of at most 5 symbols passes ``FiniteQRel.confluent_check``.  No
+    step makes a ground term larger, so those terms are closed under
+    steps, and a confluent system passes."""
+    rng = random.Random("certificate-oracle")
+    universe = _ground_terms_up_to(5)
+    header = ["system oracle", "quantale lawvere", "symbol a/0",
+              "symbol b/0", "symbol c/0", "symbol f/1", "symbol h/2"]
+    out = []
+    for _ in range(200):
+        rules = [_random_linear_rule(rng, f"r{i}")
+                 for i in range(rng.randrange(2, 5))]
+        sys = parse_system("\n".join(header + rules))
+        certificate = confluence_report(sys, universe).certificate
+        holds = None
+        if certificate != "inconclusive":
+            rel, exhausted = term_graph(sys, universe, max_terms=None)
+            assert exhausted and len(rel.carrier) == len(universe), rules
+            holds = rel.confluent_check()
+        out.append((rules, certificate, holds))
+    return out
+
+
+def test_every_certificate_but_strong_closure_holds_on_the_ground_terms(
+        certificate_oracle):
+    tally = Counter((c, holds) for _, c, holds in certificate_oracle)
+    refuted = [(rules, c) for rules, c, holds in certificate_oracle
+               if holds is False and c != STRONG]
+    assert not refuted, (refuted, tally)
+    assert tally[NEWMAN, True] > 0, tally  # the oracle is not vacuous
+
+
+@pytest.mark.xfail(strict=True, reason="a strong-closure meet may bind a "
+                   "peak variable (ROADMAP item 1)")
+def test_no_strong_closure_certificate_is_refuted(certificate_oracle):
+    tally = Counter((c, holds) for _, c, holds in certificate_oracle)
+    refuted = [rules for rules, c, holds in certificate_oracle
+               if holds is False and c == STRONG]
+    assert not refuted, (refuted[:3], tally)

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import heapq
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from qtrw.search import (
     validate_witness,
     valley_distance,
 )
-from qtrw.dsl import parse_system, parse_term
+from qtrw.dsl import parse_grid, parse_system, parse_term
 from qtrw.quantale import INF, get_quantale
 from qtrw.systems import (
     CATALOG,
@@ -39,8 +40,10 @@ from qtrw.systems import (
     oracle_hamming,
     oracle_levenshtein,
 )
-from qtrw.qtrs import one_step, subterm_pool, term_graph
+from qtrw.qtrs import critical_pairs, one_step, subterm_pool, term_graph
 from qtrw.term import Application, Symbol, Variable, term_key, term_size
+
+from test_qtrs import SMALL_GRIDS
 
 
 def _add(a, b):
@@ -329,9 +332,11 @@ def test_step_lists_a_size_limit_cut_are_cached_apart():
     q = sys.quantale
     t = dna_term("ACG")
     limit = term_size(t)
-    steps, over = search._relaxations(sys, True, t, [], limit=limit)
-    full, none = search._relaxations(sys, True, t, [])
-    assert none == ()
+    entry = search._relaxations(sys, True, t, [], limit=limit)
+    steps, over = entry.steps, entry.past
+    unbounded = search._relaxations(sys, True, t, [])
+    full = unbounded.steps
+    assert unbounded.past == unbounded.invented == entry.invented == ()
     dropped = [step for step in full if term_size(step.target) > limit]
     assert dropped
     assert steps == [step for step in full
@@ -350,6 +355,85 @@ def test_step_lists_a_size_limit_cut_are_cached_apart():
     assert len(one_step(sys, t, max_size=term_size(t),
                         _oversized=over)) == 6 + 18
     assert over == {(f"ins{b}", False): 1 for b in DNA_BASES}
+
+
+def _assert_entry_splits_the_unbounded_steps(sys, t, limit, memo):
+    """``t``'s cache entry under ``limit`` is the unbounded ``one_step``
+    lists split by the limit: the steps within it, the best weight per rule
+    and direction of those past it, and, once built, those steps."""
+    q, pool = sys.quantale, subterm_pool(t)
+    full, invented = [], {}
+    for backward in (False,) if sys.self_inverse else (False, True):
+        over = {}  # with no limit, only the redexes whose variables invent
+        full += one_step(sys, t, pool, backward=backward, memo=memo,
+                         _oversized=over)
+        invented.update({move[:2]: w for move, w in over.items()})
+    past = {}
+    for step in full:
+        if term_size(step.target) > limit:
+            key = (step.rule_id, step.direction == "backward")
+            past[key] = q.join2(past.get(key, q.bottom), step.weight)
+    entry = search._relaxations(sys, True, t, pool, memo, limit)
+    assert entry.steps == search._by_target(
+        [step for step in full if term_size(step.target) <= limit], q)
+    assert (dict(entry.past), dict(entry.invented)) == (past, invented)
+    assert entry.beyond is None
+    if past:
+        side = search._SideSearch(sys, t, True, pool, SearchBudget(), memo,
+                                  limit)
+        assert search._steps_past(side, t, entry) == [
+            step for step in full if term_size(step.target) > limit]
+    return bool(past), bool(invented)
+
+
+def test_a_cache_entry_is_the_unbounded_steps_split_by_the_limit():
+    # every sample's peak terms (on the golden harness's smaller grids), at
+    # their own size and one above, and the DNA strings up to 4 bases at
+    # the limit of 5 symbols
+    seen = [0, 0]
+    for name in sorted(CATALOG):
+        sys = CATALOG[name]()
+        if name in SMALL_GRIDS:
+            sys = dataclasses.replace(sys, grid=parse_grid(SMALL_GRIDS[name]))
+        memo = {}
+        terms = sorted({u for p in critical_pairs(sys)
+                        for u in (p.source, p.left[0], p.right[0])}, key=str)
+        for i, u in enumerate(terms):
+            flags = _assert_entry_splits_the_unbounded_steps(
+                sys, u, term_size(u) + i % 2, memo)
+            seen = [a + b for a, b in zip(seen, flags)]
+    sys, memo = make_dna("levenshtein"), {}
+    for n in range(5):
+        for bases in itertools.product(DNA_BASES, repeat=n):
+            _assert_entry_splits_the_unbounded_steps(
+                sys, dna_term("".join(bases)), 5, memo)
+    assert min(seen) > 10, seen  # steps past the limit, and ones inventing
+
+
+def test_steps_past_the_limit_are_built_once_per_entry(monkeypatch):
+    sys = make_dna("levenshtein")
+    t = dna_term("ACG")
+    side = search._SideSearch(sys, t, True, [], SearchBudget(), {},
+                              term_size(t))
+    entry = search._relaxations(sys, True, t, [], limit=term_size(t))
+    calls = []
+    monkeypatch.setattr(search, "one_step",
+                        lambda *a, **k: calls.append(a) or one_step(*a, **k))
+    first = search._steps_past(side, t, entry)
+    assert len(first) == 4 * 4 and len(calls) == 1  # forward only
+    assert search._steps_past(side, t, entry) is first
+    assert len(calls) == 1 and entry.beyond is first
+    # a proof that builds them keeps them in its terms' entries, and the
+    # same query again finds every list it needs in the cache
+    s, t = dna_term("ACCG"), dna_term("CATG")
+    ans = convertibility_distance(sys, s, t, _dna_budget("ACCG", "CATG"))
+    assert (ans.kind, ans.value) == (EXACT, 3)
+    built = [e for e in sys.relaxations.values() if e.beyond is not None]
+    assert built and all(e.past for e in built)
+    calls.clear()
+    assert convertibility_distance(sys, s, t,
+                                   _dna_budget("ACCG", "CATG")) == ans
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_dropped_system_frees_its_stepper_at_once():
                     (combi, redex)]:  # grades scale the steps of combi
         sys = make()
         assert one_step(sys, t)
-        assert _relaxations(sys, True, t, subterm_pool(t))[0]
+        assert _relaxations(sys, True, t, subterm_pool(t)).steps
         assert {"forward", "backward", "relaxations"} <= set(vars(sys))
         ref = weakref.ref(sys)
         gc.disable()
@@ -325,8 +325,10 @@ def test_forward_only_relaxations_equal_forward_plus_backward(name):
     compared = 0
     for t in terms:
         pool = subterm_pool(t)
-        got, over = _relaxations(sysm, True, t, pool)
-        assert over == ()  # no term-size limit, so nothing left out
+        entry = _relaxations(sysm, True, t, pool)
+        got = entry.steps
+        # no term-size limit and no invented variable, so nothing left out
+        assert entry.past == entry.invented == ()
         assert got == _two_pass_relaxations(sysm, t, pool)
         assert all(step.direction == "forward" for step in got)
         compared += len(got)
