@@ -16,10 +16,10 @@ list.  On first use the system indexes its rules by left-hand-side root
 symbol (``forward``), the inverted rules (sides swapped) the same way
 (``backward``), each with the heaviest weight a rule can fire with at
 each root, and keeps the distance search's step cache (``relaxations``),
-one entry per term and size limit.  Without grades a step weighs what its
-rule weighs, so a step list under a weight bound matches no rule at a
-subterm whose root cannot fire within it, and, unless a rule's left-hand
-side is a bare variable, enters no subterm that holds no root that can.
+one entry per term and size limit.  A step list walks only the subterms
+that hold a rule's root symbol, or all for a bare-variable rule; without
+grades a step weighs what its rule weighs, so under a weight bound the
+roots whose rules cannot fire within it drop out of that walk.
 A ``copy`` of a system shares the rule indexes and everything else
 compiled from its fields, and owns its step cache.  None of these refers
 back to a system, so the step cache is freed with its copy, and the
@@ -31,14 +31,11 @@ side matching cannot solve for its parameters (a compound slot such as
 A system whose rules are closed under inversion, at no better weight, is
 ``self_inverse``: its backward steps repeat forward ones, and the distance
 search skips them.  Steps take each subterm's root redexes from a redex memo
-owned by the caller: one search query (``join_check`` runs one) or one
-``strongly_closed_check`` shares one memo, so a subterm common to many of
-its terms is matched against the rules once per direction.  A firing memo
-holds the instances a schema rule fires for the parameter values its
-left-hand side matched; one ``strong_closure_pass`` over a system's peaks
-shares one, and a lone ``strongly_closed_check`` owns one.  Plain rules
-skip it, as firing one costs less than the lookup.  Neither memo outlives
-its query or pass.
+that one search query or one ``strongly_closed_check`` shares, and a
+schema rule's instances from a firing memo that one
+``strong_closure_pass`` shares (see ``one_step``); plain rules skip it, as
+firing one costs less than the lookup.  Neither memo outlives its query
+or pass.
 
 Grades belong to the system: a symbol family may declare its argument
 sensitivities, read by ``grades_of``.  On additive cost quantales a
@@ -398,12 +395,9 @@ class RewriteSystem:
 
     @cached_property
     def relaxations(self) -> Dict[object, object]:
-        """The distance search's step cache: for each term, and for each
-        term-size limit that left steps from it unbuilt, one entry
-        (``search._Relaxed``) of the ``RewriteStep``s the search relaxes,
-        the best weight of the steps left unbuilt, per rule and direction,
-        and those of its steps past the limit that a proof has built
-        (``search._relaxations``)."""
+        """The distance search's step cache: one entry
+        (``search._Relaxed``) per term, and per term-size limit that left
+        steps from it unbuilt (``search._relaxations``)."""
         return {}
 
     @_shared
@@ -583,20 +577,19 @@ def _rule_matches(
 
 
 class _RuleTable(NamedTuple):
-    """Rules indexed by left-hand-side root symbol.  ``bounds`` holds, for
-    each root in ``by_root``, the quantale-largest weight a rule can fire
-    with at a subterm of that root: the join of the static weights of the
-    rules rooted there and of ``var_rules``.  A static weight is the rule's
-    weight, or the unit when that is an expression read off the term.
-    Without grades no step at such a subterm weighs more, so a bounded
-    ``one_step`` (its ``within``) matches no rule at a root out of its
-    bounds, and, if ``var_rules`` is empty, enters no subterm that holds
-    no root left in bounds (see ``term.subterms_meeting``)."""
+    """Rules indexed by left-hand-side root symbol.  ``roots`` ORs the name
+    bits (``term.name_bit``) of the roots in ``by_root``; ``bounds`` holds,
+    per root bit, the quantale-largest weight a rule can fire with at a
+    subterm of that root: the join of the static weights (the rule's
+    weight, or the unit when that is an expression read off the term) of
+    the rules rooted there and of ``var_rules``.  Without grades no step
+    there weighs more (see ``one_step``)."""
 
     var_rules: Tuple[Rule, ...]            # rules with a bare-variable lhs
     by_root: Dict[str, Tuple[Rule, ...]]   # the others, by lhs root symbol
     invents: bool                          # some rule has fresh variables
-    bounds: Dict[str, Value]               # per root in by_root, see above
+    roots: int                             # the bits of the roots in by_root
+    bounds: Dict[int, Value]               # per root bit, see above
 
     @classmethod
     def of(cls, rules: Sequence[Rule], q: QuantaleSpec) -> "_RuleTable":
@@ -609,10 +602,11 @@ class _RuleTable(NamedTuple):
         def static(rule: Rule) -> Value:
             return q.unit if hasattr(rule.weight, "evaluate") else rule.weight
 
+        bounds = {name_bit(k): q.join(map(static, (*v, *var_rules)))
+                  for k, v in by_root.items()}
+        # the bits are distinct, so their sum is their OR
         return cls(var_rules, {k: tuple(v) for k, v in by_root.items()},
-                   any(r.fresh for r in rules),
-                   {k: q.join(map(static, (*v, *var_rules)))
-                    for k, v in by_root.items()})
+                   any(r.fresh for r in rules), sum(bounds), bounds)
 
 
 def _params_solvable(t: Term) -> bool:
@@ -751,13 +745,13 @@ def one_step(
     less than any in bounds, so the kept steps and their order stay.
     With ``_skipped``, every redex skipped is appended to it, in
     pre-order, for a caller that asks where the bound pruned (see
-    ``_targets``), and the walk is that of an unbounded call.  Without
-    it, and unless ``sys`` is graded, a step weighs at most its root's
-    bound in the rule table (``_RuleTable``), so a subterm whose root's
-    bound is out of bounds is skipped before any rule is matched there;
-    if the table has no bare-variable rule, the walk enters only the
-    subterms whose name mask holds a root left in bounds, as no other can
-    fire in bounds.  Either way the steps and their order stay.
+    ``_targets``).  The walk enters only the subterms whose name mask
+    meets ``live``, the table's roots (``_RuleTable``), and matches rules
+    only at those rooted in it.  Under ``within``, without ``_skipped``
+    and unless ``sys`` is graded, ``live`` drops each root whose bound is
+    out of bounds.  Only where a bare-variable rule can still fire (the
+    table has one and no root dropped: each bound joins its weight) is
+    every subterm walked.  Either way the steps and their order stay.
 
     ``max_size`` keeps only the steps to targets of at most that many
     symbols.  A target's size is known before it is built, that of ``t``
@@ -781,22 +775,19 @@ def one_step(
             _oversized[key] = weight  # type: ignore[index]
 
     direction = "backward" if backward else "forward"
-    skip: Set[str] = set()
-    live: Optional[int] = None  # the bits of the roots left to walk to
+    table = sys.backward if backward else sys.forward
+    live = table.roots  # the bits of the roots whose rules may fire
     if within is not None:
         done, bound = within
         if not graded and _skipped is None:
-            table = sys.backward if backward else sys.forward
-            skip = {root for root, most in table.bounds.items()
-                    if not q.leq(bound, q.tensor(done, most))}
-            if skip and not table.var_rules:
-                live = 0
-                for root in table.by_root.keys() - skip:
-                    live |= name_bit(root)
+            for bit, most in table.bounds.items():
+                if not q.leq(bound, q.tensor(done, most)):
+                    live ^= bit
+    # a bare-variable rule may fire anywhere; a cleared root means it cannot
+    every = bool(table.var_rules) and live == table.roots
     steps: Dict[Tuple[Position, str, Term], RewriteStep] = {}
-    walk = subterms(t) if live is None else subterms_meeting(t, live)
-    for p, sub in walk:
-        if skip and not isinstance(sub, Variable) and sub.symbol.name in skip:
+    for p, sub in subterms(t) if every else subterms_meeting(t, live):
+        if not (every or sub.symbol._bit & live):  # type: ignore[union-attr]
             continue
         redexes = memo.get((backward, sub))
         if redexes is None:
@@ -1132,9 +1123,11 @@ def join_check(
     q = sys.quantale
     left, right = peak.left[0], peak.right[0]
     peak_total = peak.tensor(q)
+    pool = (subterm_pool(peak.source, left, right)
+            if sys.forward.invents else ())  # a valley steps forward only
     ans = _meet_search(
         sys, left, right, SearchBudget(max_depth=depth_budget), symmetric=False,
-        pool=subterm_pool(peak.source, left, right), goal=peak_total)
+        pool=pool, goal=peak_total)
     lpath = tuple(s for s in ans.witness if s.direction == "forward")
     rpath = tuple(s.flipped() for s in reversed(ans.witness)
                   if s.direction == "backward")
@@ -1233,7 +1226,8 @@ def strongly_closed_check(
     The redex memo is always the check's own.
     """
     q = sys.quantale
-    pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
+    pool = (subterm_pool(peak.source, peak.left[0], peak.right[0])
+            if sys.forward.invents else ())
     total = peak.tensor(q)
     memo: RedexMemo = {}  # both conditions step through one memo
     if firings is None:
@@ -1331,8 +1325,11 @@ def confluence_report(
     Routes, in order: declared-sum modularity (empty cross peaks plus
     certified components), critical pairs + termination probe, strong
     closure.  Non-linear systems only enter the critical-pair routes when
-    the quantale is idempotent, and that relaxation is flagged.
+    the quantale is idempotent, and that relaxation is flagged.  Declared
+    ``components`` must sum to ``sys``: ``ValueError`` otherwise.
     """
+    if components is not None and sys != sum_systems(*components):
+        raise ValueError(f"{sys.name} is not the sum of the components")
     evidence: Dict[str, object] = {
         "linear": sys.linear,
         "left_linear": sys.left_linear,

@@ -188,7 +188,7 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
         symmetric = False
     key: Tuple[object, ...] = (symmetric, t)
     # the pool only fills variables a rule invents; otherwise steps ignore it
-    if sys.forward.invents or (symmetric and sys.backward.invents):
+    if any(_inventing(sys, symmetric)):
         key += (tuple(pool),)
     cache = sys.relaxations
     entry = cache.get(key)
@@ -204,6 +204,14 @@ def _relaxations(sys: RewriteSystem, symmetric: bool, t: Term,
         entry = _Relaxed.of(steps, over, sys.quantale)
         cache[(key, limit) if entry.past else key] = entry
     return entry
+
+
+def _inventing(sys: RewriteSystem, symmetric: bool) -> Tuple[bool, bool]:
+    """Whether a search's forward steps, and its backward steps, invent
+    variables, and so read its pool: only a conversion search steps
+    backward, and not on a ``self_inverse`` system."""
+    return (sys.forward.invents,
+            symmetric and not sys.self_inverse and sys.backward.invents)
 
 
 def _skip_limit(budget: SearchBudget, s: Term, t: Term) -> Optional[int]:
@@ -338,8 +346,7 @@ class _SideSearch:
         self.dist: Dict[Term, _Label] = {}
         self.opposite: Dict[Term, _Label] = {}
         # see the class docstring on steps that invent variables
-        invents = (meets is not None and symmetric and not sys.self_inverse
-                   and (sys.forward.invents, sys.backward.invents))
+        invents = meets is not None and symmetric and _inventing(sys, True)
         self.cut_into: Optional[Dict[Term, Value]] = (
             {} if invents and any(invents) else None)
         self.opposite_cut: Dict[Term, Value] = {}
@@ -546,11 +553,10 @@ def reduction_distance(
     One frontier searches forward from ``s``.  Under a weight cutoff, no
     other side looks a pruned step's target up, and its weight is below
     the cutoff, so below the label of ``t`` too: it never makes an answer
-    inexact.  So ``one_step`` builds no step out of bounds, and on a
-    system without grades matches no rule at a subterm whose root's rules
-    cannot fire in bounds (``_SideSearch._steps_within``).  Only when the
-    search runs out of terms with nothing else pruned does it ask whether
-    the cutoff pruned a step to a new target
+    inexact.  So ``one_step`` builds no step out of bounds, nor walks to
+    a root that cannot fire in bounds (``_SideSearch._steps_within``).
+    Only when the search runs out of terms with nothing else pruned does
+    it ask whether the cutoff pruned a step to a new target
     (``_SideSearch.pruned_out_of_bounds``): if so, the answer is
     ``budget-exhausted``, not ``unreachable``.  The answers are those of
     relaxing every step and pruning afterwards.
@@ -561,7 +567,7 @@ def reduction_distance(
     the invariant is orthogonal to."""
     if invariants.differ(sys.invariants, s, t):
         return DistanceAnswer(UNREACHABLE, None, (), 0)
-    pool = subterm_pool(s, t)
+    pool = subterm_pool(s, t) if sys.forward.invents else ()
     side = _SideSearch(sys, s, False, pool, budget, {},
                        _skip_limit(budget, s, t))
     expanded, popped = 0, False  # popped: t popped, at its final label
@@ -600,12 +606,10 @@ def _steps_past(side: _SideSearch, term: Term,
 
 
 def _meets_past_limit(left: _SideSearch, right: _SideSearch, meets: _Meets,
-                      total: Value, eps: Value) -> bool:
+                      total: Value, eps: Value) -> None:
     """Cut every meet past the two sides' ``limit`` that could beat
     ``total``: a term both sides step into, unbuilt, from terms they
-    expanded.  Returns whether some side has a ``limit``: only then may
-    ``_meet_search`` go on to tell a branch pruned past it, which no side
-    can label, from the others.
+    expanded.
 
     A branch past the limit, of weight g, makes a meet better than
     ``total`` only if g (x) eps is better, as every branch weighs at
@@ -617,8 +621,6 @@ def _meets_past_limit(left: _SideSearch, right: _SideSearch, meets: _Meets,
     target whose g (x) eps is better than ``total`` enters the side's
     ``beyond``, and if the other side's ``beyond`` holds it too, the
     tensor of their two weights enters ``meets.cut``."""
-    if left.limit is None:  # both sides share it
-        return False
     q = left.q
     tensor, sb = q.tensor, q.strictly_below
     for side, other in ((left, right), (right, left)):
@@ -638,7 +640,6 @@ def _meets_past_limit(left: _SideSearch, right: _SideSearch, meets: _Meets,
                     if u in other.beyond:
                         meets.cut(tensor(g, other.beyond[u]))
         side._beyond_read = i
-    return True
 
 
 def _meet_search(
@@ -653,8 +654,8 @@ def _meet_search(
     """Bidirectional search: ``left`` from ``s`` and ``right`` from ``t``
     expand in turn, and a meet scores the tensor of its two labels.
     ``pool`` fills the variables a step invents (by default the subterms of
-    ``s`` and ``t``); with a ``goal``, the search also stops once its best
-    meet dominates ``goal``.
+    ``s`` and ``t``; none where no step invents); with a ``goal``, the
+    search also stops once its best meet dominates ``goal``.
 
     Every term labelled on both sides has its meet checked when its second
     label is set or improved (``_Meets``), so no sweep over the labels is
@@ -788,7 +789,10 @@ def _meet_search(
         return DistanceAnswer(UNREACHABLE, None, (), 0)
     q = sys.quantale
     eps = sys.cheapest_step
-    pool = subterm_pool(s, t) if pool is None else pool
+    if not any(_inventing(sys, symmetric)):
+        pool = ()  # no step reads it
+    elif pool is None:
+        pool = subterm_pool(s, t)
     memo: RedexMemo = {}  # both frontiers step through one memo
     meets = _Meets(q)
     limit = _skip_limit(budget, s, t)
@@ -856,9 +860,9 @@ def _meet_search(
         if out[0] is None or not sb(best, out[0]):
             return out
         hope = side_bounds(True)[0]
-        if ((hope is not None and sb(best, hope))
-                or not _meets_past_limit(left, right, meets, best, eps)):
+        if hope is not None and sb(best, hope):
             return out
+        _meets_past_limit(left, right, meets, best, eps)
         return side_bounds(True)
 
     expanded = 0

@@ -365,14 +365,15 @@ BOUNDED_PEAKS = 100  # the first peaks of each sample
 BOUNDED_DEPTH = 2
 
 
-def _redexes_scaled(sys, t):
+def _redexes_scaled(sys, t, backward=False):
     """Every (position, redex) of ``t`` in pre-order, its weight scaled by
     the context's degree where ``sys`` is graded: what ``one_step`` under
-    ``within`` keeps or skips, read off the rule table directly."""
+    ``within`` keeps or skips, read off the rule table directly, at every
+    subterm."""
     q = sys.quantale
     out = []
     for p, sub in subterms(t):
-        for rid, w, fresh, contractum in sys._redexes(sub, False):
+        for rid, w, fresh, contractum in sys._redexes(sub, backward):
             if sys.graded:
                 w = scale(q, degree_at_position(sys, t, p), w)
             out.append((p, (rid, w, fresh, contractum)))
@@ -501,32 +502,117 @@ def test_no_subterm_without_a_root_in_bounds_is_walked(monkeypatch):
     assert looked_up == {t}
     assert walked == [()]
     assert [s.rule_id for s in one_step(sys, t, within=(0, 0))] == ["proj"]
-    # a caller that asks for the redexes out of bounds has every subterm
-    # walked
+    # a caller that asks for the redexes out of bounds, like an unbounded
+    # call, has the h and every f walked, but no g nor a: no rule is
+    # rooted there
     skipped = []
-    walked, looked_up = _walked(monkeypatch, sys, t, within=(0, 0),
-                                _skipped=skipped)
-    assert walked == positions(t)
-    assert len(looked_up) == 62  # h, 30 f and 30 g subterms, and a
+    for kwargs in ({"within": (0, 0), "_skipped": skipped}, {}):
+        walked, looked_up = _walked(monkeypatch, sys, t, **kwargs)
+        assert walked == positions(t)[:31]
+        assert len(looked_up) == 31  # h and 30 f subterms
     assert [p for p, _ in skipped] == positions(t)[1:31]
 
 
 @pytest.mark.parametrize("name", ["dna-levenshtein", "graded-combinators"])
 def test_every_subterm_is_walked_where_any_root_may_fire(monkeypatch, name):
-    # dna-levenshtein's insertions have a bare-variable left side, so they
-    # fire at every subterm; graded-combinators scales a step's weight by
-    # its context, so no root's bound holds
-    sys = CATALOG[name]()
     if name == "dna-levenshtein":
-        cases = [(dna_term(w), within) for w in ("ACGT", "GATTACA")
-                 for within in ((0, 0), (1, 1))]
-    else:
-        cases = _bounded_cases(name)[1]
+        # the insertions have a bare-variable left side, so they fire at
+        # every subterm; but every rule weighs 1, so from 0 under 0, and
+        # from 1 under 1, none fires, and nothing is walked
+        sys = make_dna("levenshtein")
+        for w in ("ACGT", "GATTACA"):
+            t = dna_term(w)
+            for within, walks in (((0, 0), []), ((1, 1), []),
+                                  ((0, 1), positions(t))):
+                for backward in (False, True):
+                    walked, _ = _walked(monkeypatch, sys, t, within=within,
+                                        backward=backward)
+                    assert walked == walks
+        return
+    # graded-combinators scales a step's weight by its context, so no
+    # root's bound holds: forward steps walk every subterm that holds an
+    # app, the one rule root; the inverted rules of K and D have a
+    # bare-variable left side, so backward steps walk every subterm
+    sys, cases = _bounded_cases(name)
+    app = Symbol("app", 2)._bit
     for t, within in cases:
-        for backward in (False, True):
-            walked, _ = _walked(monkeypatch, sys, t, within=within,
-                                backward=backward)
-            assert walked == positions(t)
+        walked, _ = _walked(monkeypatch, sys, t, within=within)
+        assert walked == [p for p, s in subterms(t) if s._mask & app]
+        assert len(walked) < len(positions(t))
+        walked, _ = _walked(monkeypatch, sys, t, within=within,
+                            backward=True)
+        assert walked == positions(t)
+
+
+def _whole_walk_steps(sys, t, pool, backward, within):
+    """The steps ``one_step`` documents, and the redexes it skips under
+    ``within``, found by matching every rule at every subterm: each step
+    the first heaviest per position, rule id and target, ordered by
+    position, rule id and contractum rendering."""
+    q = sys.quantale
+    direction = "backward" if backward else "forward"
+    steps, skipped = {}, []
+    for p, redex in _redexes_scaled(sys, t, backward):
+        rid, w = redex[:2]
+        if within is not None and not q.leq(within[1],
+                                            q.tensor(within[0], w)):
+            skipped.append((p, redex))
+            continue
+        for target in qtrs._targets(t, p, redex, pool):
+            old = steps.get((p, rid, target))
+            if old is None or q.strictly_below(old.weight, w):
+                steps[p, rid, target] = qtrs.RewriteStep(
+                    t, target, w, p, rid, direction)
+    order = sorted(steps, key=lambda k: (k[0], k[1],
+                                         str(subterm_at(k[2], k[0]))))
+    return [steps[k] for k in order], skipped
+
+
+def _assert_the_walk_is_whole(sys, t, pool, withins):
+    """``one_step`` from ``t``, in both directions, unbounded and under
+    each of ``withins``, with and without ``_skipped``, gives the steps
+    and skipped redexes of a whole walk; returns how many steps."""
+    checked = 0
+    for backward, within in itertools.product((False, True),
+                                              (None, *withins)):
+        steps, skipped = _whole_walk_steps(sys, t, pool, backward, within)
+        assert one_step(sys, t, pool, backward, within=within) == steps
+        if within is not None:
+            got = []
+            assert one_step(sys, t, pool, backward, within=within,
+                            _skipped=got) == steps
+            assert got == skipped
+        checked += len(steps)
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_the_masked_walk_finds_the_steps_of_a_whole_walk(name):
+    sys = CATALOG[name]()
+    q = sys.quantale
+    checked = 0
+    for peak in critical_pairs(sys)[:BOUNDED_PEAKS]:
+        bound = peak.tensor(q)
+        pool = subterm_pool(peak.source, peak.left[0], peak.right[0])
+        withins = [(done, b) for done in dict.fromkeys(
+            (q.unit, peak.left[1], bound)) for b in dict.fromkeys(
+            (bound, q.unit))]
+        for t in (peak.source, peak.left[0], peak.right[0]):
+            checked += _assert_the_walk_is_whole(sys, t, pool, withins)
+    assert checked > 0 or not critical_pairs(sys)
+
+
+def test_a_bare_variable_rule_keeps_a_root_out_of_bounds_walked():
+    # drop weighs 2 and the insertion 1: from 0 under 1 drop is out of
+    # bounds, but the insertion still fires at every subterm, f's too
+    sys = parse_system("\n".join([
+        "system fg", "quantale lawvere", "symbol f/1", "symbol g/1",
+        "symbol a/0", "rule drop: f(x) -[2]-> x", "rule ins: x -[1]-> g(x)"]))
+    t = _f("f", _f("f", _const("a")))
+    withins = [(0, 0), (0, 1), (0, 2), (1, 2)]
+    assert _assert_the_walk_is_whole(sys, t, None, withins) > 0
+    assert [s.rule_id for s in one_step(sys, t, within=(0, 1))] == [
+        "ins"] * 3
 
 
 def _bounded_cases(name):
@@ -730,6 +816,21 @@ def test_confluence_report_modular_route():
         combined, depth_budget=6, components=(bck, bary))
     assert report.evidence["cross_critical_pairs"] == 0
     assert report.certificate == "confluent by Hindley-Rosen"
+
+
+def test_confluence_report_refuses_components_that_do_not_sum_to_it():
+    # f(a) has two normal forms, a and b; two confluent components of
+    # another system certify nothing about it
+    sys = parse_system("\n".join([
+        "system two", "quantale lawvere", "symbol a/0", "symbol b/0",
+        "symbol f/1", "rule r1: f(a) -[0]-> a", "rule r2: f(a) -[0]-> b"]))
+    assert confluence_report(sys).certificate == "inconclusive"
+    with pytest.raises(ValueError, match="not the sum"):
+        confluence_report(sys, components=(make_bck(), make_barycentric()))
+    # the sum in the other order is another system
+    with pytest.raises(ValueError, match="not the sum"):
+        confluence_report(sum_systems(make_bck(), make_barycentric()),
+                          components=(make_barycentric(), make_bck()))
 
 
 # ROADMAP item 1: a strong-closure meet accepts a term that one side only

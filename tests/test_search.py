@@ -898,8 +898,14 @@ def _no_potential(m, keep_size=False):
 def _no_apart(m):
     """Keeps meet searches, under the monkeypatch context ``m``, from
     telling a branch pruned past the limit from the others, as if they
-    never cut the meets past it (``search._meets_past_limit``)."""
-    m.setattr(search, "_meets_past_limit", lambda *args: False)
+    never cut the meets past it (``search._meets_past_limit``): each side's
+    bound on the branches not pruned past the limit is then its bound on
+    all, so the bound ``apart`` is the plain one."""
+    def together(left, right, *args):
+        for side in (left, right):
+            side.best_pruned_within = side.best_pruned
+
+    m.setattr(search, "_meets_past_limit", together)
 
 
 def test_capped_dna_searches_agree_with_the_oracles(monkeypatch):
@@ -1099,7 +1105,7 @@ def test_a_meet_past_the_cap_is_no_proof(monkeypatch):
     # a bound that took every two branches past the cap for two terms
     # would call 5/2 exact
     with monkeypatch.context() as m:
-        m.setattr(search, "_meets_past_limit", lambda *args: True)
+        m.setattr(search, "_meets_past_limit", lambda *args: None)
         ans = convertibility_distance(_system("a b c", *rules), a, b, budget)
     assert (ans.kind, ans.value) == (EXACT, Fraction(5, 2))
 
@@ -1249,6 +1255,40 @@ def test_searches_through_invented_variables_agree_with_every_instance():
                 if ans.kind == EXACT and want is not None:
                     assert ans.value <= want, case
     assert min(checked.values()) > 0 and invented > 30, (checked, invented)
+
+
+def test_no_pool_is_built_where_no_step_invents(monkeypatch):
+    # no nat or DNA rule invents a variable, forward or backward, so no
+    # query on them builds the pool; barycentric's perturb invents one
+    built = []
+
+    def counted(*terms):
+        built.append(terms)
+        return subterm_pool(*terms)
+
+    for module in (qtrs, search):
+        monkeypatch.setattr(module, "subterm_pool", counted)
+    nat, lev = make_nat(), make_dna("levenshtein")
+    add = Application(Symbol("A", 2), (nat_term(1), nat_term(2)))
+    for budget in (SearchBudget(), SearchBudget(weight_cutoff=0)):
+        assert reduction_distance(nat, add, nat_term(3), budget).value == 0
+    small = SearchBudget(max_expanded=50)
+    for distance in (convertibility_distance, valley_distance,
+                     reduction_distance):
+        distance(nat, add, nat_term(2), small)
+        distance(lev, dna_term("ACGT"), dna_term("AGT"), small)
+    for sys in (nat, lev):
+        for peak in critical_pairs(sys)[:3]:
+            qtrs.join_check(sys, peak, 3)
+            qtrs.strongly_closed_check(sys, peak, 3)
+    assert built == []
+    bary = make_barycentric()
+    peak = critical_pairs(bary)[0]
+    qtrs.join_check(bary, peak, 1)
+    qtrs.strongly_closed_check(bary, peak, 1)
+    reduction_distance(bary, peak.left[0], peak.right[0],
+                       SearchBudget(max_expanded=5))
+    assert len(built) == 3
 
 
 def test_cutoff_searches_agree_with_pruning_after_relaxing(monkeypatch):
