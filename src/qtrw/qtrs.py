@@ -33,9 +33,9 @@ A system whose rules are closed under inversion, at no better weight, is
 search skips them.  Steps take each subterm's root redexes from a redex memo
 that one search query or one ``strongly_closed_check`` shares, and a
 schema rule's instances from a firing memo that one
-``strong_closure_pass`` shares (see ``one_step``); plain rules skip it, as
-firing one costs less than the lookup.  Neither memo outlives its query
-or pass.
+``strong_closure_pass`` shares (see ``one_step``); a rule without
+parameters fires alike at every match, straight from the rule.  Neither
+memo outlives its query or pass.
 
 Grades belong to the system: a symbol family may declare its argument
 sensitivities, read by ``grades_of``.  On additive cost quantales a
@@ -229,10 +229,15 @@ class Rule:
         moves the counts of what it binds."""
         return _invariants.delta(self.lhs, self.rhs)
 
-    def weight_value(self, quantale: QuantaleSpec, env: Env) -> Value:
-        if hasattr(self.weight, "evaluate"):
-            return quantale.check_value(self.weight.evaluate(env))
-        return self.weight
+    @cached_property
+    def _fires(self) -> bool:
+        """For a rule without parameters, whether it fires at a match: its
+        conditions are constant, and an undefined one (``ExprError``) fails,
+        as ``_firing`` would skip the instance."""
+        try:
+            return all(c.holds({}) for c in self.conditions)
+        except ExprError:
+            return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,7 +304,7 @@ class RewriteSystem:
             for t in (rule.lhs, rule.rhs):
                 self._check_term(t, rule)
             if rule.is_schema and hasattr(rule.weight, "evaluate"):
-                continue  # checked per instance by ``weight_value``
+                continue  # checked per instance by ``_firing``
             try:
                 self.quantale.check_value(rule.weight)
             except QuantaleError as exc:
@@ -495,10 +500,10 @@ _FIELDS = tuple(f.name for f in fields(RewriteSystem))
 def _firing(quantale: QuantaleSpec, grid: Sequence[Fraction], rule: Rule,
             env: Env, sides: Tuple[Term, ...],
             ) -> Iterator[Tuple[Env, Value, Tuple[Term, ...]]]:
-    """The instances of ``rule`` that fire: ``env`` completed over ``grid``
-    on the parameters it leaves unbound, wherever the conditions hold, the
-    instance is defined, and its weight is above bottom.  Each comes with
-    its weight and ``sides`` under the completed env."""
+    """The instances of schema ``rule`` that fire: ``env`` completed over
+    ``grid`` on the parameters it leaves unbound, wherever the conditions
+    hold, the instance is defined, and its weight is above bottom.  Each
+    comes with its weight and ``sides`` under the completed env."""
     unbound = [p for p in rule.params if p not in env]
     if unbound and not grid:
         raise QuantaleError(
@@ -509,9 +514,10 @@ def _firing(quantale: QuantaleSpec, grid: Sequence[Fraction], rule: Rule,
         try:
             if not all(c.holds(full) for c in rule.conditions):
                 continue
-            w = rule.weight_value(quantale, full)
-            inst = (tuple(instantiate_params(t, full) for t in sides) if full
-                    else sides)
+            w = rule.weight
+            if hasattr(w, "evaluate"):
+                w = quantale.check_value(w.evaluate(full))
+            inst = tuple(instantiate_params(t, full) for t in sides)
         except ExprError:
             continue  # e.g. (1 / e) at e = 0
         if w == quantale.bottom:
@@ -529,10 +535,8 @@ def _instances(quantale: QuantaleSpec, grid: Sequence[Fraction],
 
 
 def _instance_id(rule: Rule, env: Env) -> str:
-    """The id of ``rule``'s instance under ``env``: ``rid[p=v,...]`` over the
-    rule's parameters in order, or ``rid`` for a concrete rule."""
-    if not rule.params:
-        return rule.rid
+    """The id of schema ``rule``'s instance under ``env``: ``rid[p=v,...]``
+    over the rule's parameters in order."""
     return f"{rule.rid}[{','.join(f'{p}={env[p]}' for p in rule.params)}]"
 
 
@@ -552,17 +556,25 @@ def _rule_matches(
     the right-hand side under that env and the instance id; parameters
     ``sub`` does not determine range over ``grid`` (see ``_firing``).
 
-    A schema rule's firings depend on ``sub`` only through the parameter
-    values its left-hand side matched, so with a firing memo ``firings``
-    they are read from it, or built and kept there.  The memo is keyed by
-    the rule itself: an inverted rule keeps the bare rule id.  Its env
-    dicts are shared by every later reader, so none may mutate them.
+    A rule without parameters fires alike at every match, straight from
+    the rule: its weight is a value above bottom (its ``RewriteSystem``
+    checked), and only a constant condition may fail (``Rule._fires``).
+    Schema rules fire through ``_firing``, and their firings depend on
+    ``sub`` only through the parameter values the left-hand side matched,
+    so with a firing memo ``firings`` they are read from it, or built and
+    kept there.  The memo is keyed by the rule itself: an inverted rule
+    keeps the bare rule id.  Its env dicts are shared by every later
+    reader, so none may mutate them.
     """
     m = match(rule.lhs, sub)
     if m is None:
         return
     sigma, env = m
-    if firings is None or not rule.params:
+    if not rule.params:
+        if rule._fires:
+            yield sigma, env, rule.weight, rule.rhs, rule.rid
+        return
+    if firings is None:
         for full, w, (rhs,) in _firing(quantale, grid, rule, env, (rule.rhs,)):
             yield sigma, full, w, rhs, _instance_id(rule, full)
         return
@@ -731,9 +743,10 @@ def one_step(
     must only ever serve ``sys``, and holds no more than the query reaches;
     a memo kept on the system would keep every query's subterms alive.
     ``firings`` is the caller's firing memo (by default none): a subterm
-    the redex memo has not seen fires its schema rules through it (see
-    ``_rule_matches``), so one strong-closure pass builds each schema
-    instance once.  It too must only ever serve ``sys``.
+    the redex memo has not seen fires its schema rules through it, so one
+    strong-closure pass builds each schema instance once; a rule without
+    parameters fires straight from the rule, memo or not (see
+    ``_rule_matches``).  It too must only ever serve ``sys``.
 
     ``within`` = (weight so far, bound) keeps only the steps whose
     weight, tensored onto the weight so far, stays at or above the

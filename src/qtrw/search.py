@@ -301,7 +301,8 @@ class _SideSearch:
 
     A heap entry is keyed by its weight's ``sort_key``, then, with a
     ``potential``, by h at the term's gap, read off its source's gap and
-    its step's rule, then by the order pushed.
+    its step's rule and direction (``_h``, once per expansion for each),
+    then by the order pushed.
 
     ``best_pruned_within`` is ``best_pruned`` over the branches not left
     unbuilt past ``limit``, which alone may end in a term the other side
@@ -365,10 +366,10 @@ class _SideSearch:
         self.other = other
         # read on first use: the other end's counts, negated so that
         # ``invariants.gap`` subtracts them, and the last term whose gap
-        # was read, with that gap
+        # was read, with that gap and h at each move read from it
         self._other_counts: Optional[Dict[invariants.Family, int]] = None
-        self._gap: Tuple[Optional[Term], Optional[invariants.Gap]] = (None,
-                                                                       None)
+        self._gap: Tuple[Optional[Term], Optional[invariants.Gap],
+                         Dict[object, Value]] = (None, None, {})
         self._heap: List[Tuple[object, object, int, Term, _Label]] = []
         self._seq = 0
         self._push(start, (self.q.unit, 0, None))
@@ -379,13 +380,21 @@ class _SideSearch:
                                     self._seq, term, label))
         self._seq += 1
 
-    def _gap_of(self, term: Term) -> invariants.Gap:
-        """d(term), kept for the last term it was read for."""
+    def _h(self, term: Term,
+           move: Optional[Tuple[str, bool]] = None) -> Value:
+        """h(d(u)), u ``term`` or the term a step of ``move`` makes from
+        it (see ``invariants.Potential``).  d(term) and h at each move are
+        read once, and kept for the last term read: one expansion prices
+        each of its moves once, however many steps share it."""
         if self._gap[0] is not term:
             if self._other_counts is None:
                 self._other_counts = invariants.counts(self.other, -1)
-            self._gap = (term, invariants.gap(term, self._other_counts))
-        return self._gap[1]  # type: ignore[return-value]
+            self._gap = (term, invariants.gap(term, self._other_counts), {})
+        _, gap, ties = self._gap
+        h = ties.get(move)
+        if h is None:
+            h = ties[move] = self.potential(gap, move)  # type: ignore[misc]
+        return h
 
     def path(self, term: Term) -> List[RewriteStep]:
         """The steps of ``term``'s label, from the start term to ``term``."""
@@ -415,7 +424,7 @@ class _SideSearch:
         # a potential means the tensor adds: a weight is a cost, lower is
         # better, and h >= 0, so only a branch below best_exit can lower it
         if h is not None and (self.best_exit is None or w < self.best_exit):
-            e = w + h(self._gap_of(at), move)
+            e = w + self._h(at, move)
             if self.best_exit is None or e < self.best_exit:
                 self.best_exit = e
 
@@ -440,7 +449,8 @@ class _SideSearch:
         no pool pick fills (see the class docstring).  A one-sided search
         (no ``meets``) with a weight cutoff neither relaxes nor notes a
         step its cutoff prunes, so it asks ``one_step`` for the steps in
-        bounds only (``_steps_within``)."""
+        bounds only (``_steps_within``).  ``_h`` prices each move once per
+        expansion, for its pushes and prunes alike."""
         q = self.q
         tensor, sb = q.tensor, q.strictly_below
         dist = self.dist
@@ -490,8 +500,8 @@ class _SideSearch:
                 if old is not None and not sb(old[0], nw):
                     continue
                 self._push(target, (nw, depth + 1, step), 0 if h is None
-                           else h(self._gap_of(term), (
-                               step.rule_id, step.direction == "backward")))
+                           else self._h(term, (step.rule_id,
+                                               step.direction == "backward")))
                 if target in opposite:
                     meets.offer(tensor(nw, opposite[target][0]), target)
                 if opposite_cut and target in opposite_cut:
@@ -982,10 +992,11 @@ def normalize(
     Deterministic strategies follow their ``strategy_path`` for at most
     ``budget.max_depth`` steps and report it exhausted if it goes on; "all"
     collects every normal form discovered by breadth-first closure under
-    the budget.  Variables a rule invents are drawn from ``t``'s subterms.
+    the budget.  Variables a rule invents are drawn from ``t``'s subterms;
+    where no rule invents, no pool is built.
     """
     q = sys.quantale
-    pool = subterm_pool(t)
+    pool = subterm_pool(t) if sys.forward.invents else ()
 
     if strategy != "all":
         cur, w = t, q.unit
@@ -1041,9 +1052,10 @@ def validate_witness(sys: RewriteSystem, s: Term, t: Term,
     step at the same position to the same target, at least as heavy.  A
     backward step is re-derived forward from its target, so the variables
     it erased are invented there: they are drawn from the subterms of the
-    witness's terms."""
+    witness's terms, a pool built only where a forward step invents."""
     unit = sys.quantale.unit
-    pool = subterm_pool(s, t, *(wstep.target for wstep in witness))
+    pool = (subterm_pool(s, t, *(wstep.target for wstep in witness))
+            if sys.forward.invents else ())
     cur = s
     for wstep in witness:
         if wstep.source != cur:

@@ -1291,6 +1291,38 @@ def test_no_pool_is_built_where_no_step_invents(monkeypatch):
     assert len(built) == 3
 
 
+def test_witness_checks_and_normalize_build_no_pool_where_none_invents(
+        monkeypatch):
+    # both re-derive steps forward only, and no nat rule invents a variable
+    nat = make_nat()
+    add = _add(nat_term(6), nat_term(6))
+    ans = reduction_distance(nat, add, nat_term(12))
+    strategies = ("leftmost-innermost", "leftmost-outermost", "all")
+    small = _add(nat_term(2), nat_term(1))
+    normal = [normalize(nat, small, strategy) for strategy in strategies]
+    bary = make_barycentric()
+    peak = critical_pairs(bary)[0]
+    built = []
+
+    def refused(*terms):
+        built.append(terms)
+        raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(search, "subterm_pool", refused)
+    assert ans.kind == EXACT and len(ans.witness) > 6
+    assert validate_witness(nat, add, nat_term(12), ans.witness)
+    assert not validate_witness(nat, add, nat_term(11), ans.witness)
+    assert [normalize(nat, small, s) for s in strategies] == normal
+    assert normal[0].normal_forms == ((nat_term(0), 3),)
+    assert built == []
+    # barycentric's perturb invents a variable, so its pool is still built
+    with pytest.raises(AssertionError, match="a pool was built"):
+        validate_witness(bary, peak.source, peak.left[0], ())
+    with pytest.raises(AssertionError, match="a pool was built"):
+        normalize(bary, peak.source)
+    assert len(built) == 2
+
+
 def test_cutoff_searches_agree_with_pruning_after_relaxing(monkeypatch):
     """The same random systems, with free steps too, under cutoffs 0 to 3
     and caps 2, 3 or none: the directed search that builds no step out of
